@@ -10,7 +10,7 @@ both directions; every undirected triangle then shows up six times.
 import itertools
 import random
 
-from skewivm import SelfJoinEngine, ThreeCopiesEngine
+from skewivm import SelfJoinEngine, TriangleEngine
 
 eng = SelfJoinEngine(0.5)
 
@@ -28,15 +28,16 @@ print(f"  after inserting loop (9,9): count={before} (loop adds 1)")
 eng.on_update("R", (9, 9), -1)
 print(f"  after deleting it again:    count={eng.answer()}")
 
-print("\nthe reduced engine agrees with running three synchronized copies:")
+print("\nthe reduced engine agrees with three synchronized copies of the graph:")
 rng = random.Random(5)
 reduced = SelfJoinEngine(0.5)
-copies = ThreeCopiesEngine(0.5)
+copies = TriangleEngine(0.5)
 for _ in range(1500):
     t = (rng.randrange(15), rng.randrange(15))
     m = rng.choice((-1, 1, 1))
     reduced.on_update("R", t, m)
-    copies.on_update("R", t, m)
+    for rel in ("R", "S", "T"):
+        copies.on_update(rel, t, m)
 assert reduced.answer() == copies.answer()
 print(f"  both report {reduced.answer()} after 1500 mixed updates")
 print(f"  reduced engine holds one view with {len(reduced.wedge)} entries "

@@ -6,7 +6,8 @@ exponent: relations split into heavy and light parts by key degree, part
 combinations are evaluated with combination-specific strategies, and a few
 aggregated join views absorb the combinations that would otherwise need
 linear scans. Doubling/halving of the size threshold and per-key
-migrations keep the partitions honest as the data evolves.
+migrations keep the partitions honest as the data evolves; that loop is
+written once, in ``skewivm.kernel``, and shared by every engine.
 """
 
 from .metrics import OpCounters, StepRecord, fit_scaling, record, replay_audit
@@ -14,7 +15,7 @@ from .relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
                        SchemaError, UnindexedVariable, quad_partition_strict,
                        strict_partition)
 from .triangle import EpsConfig, TriangleEngine, static_count
-from .selfjoin import SelfJoinEngine, ThreeCopiesEngine
+from .selfjoin import SelfJoinEngine
 from .refined import RefinedTriangleEngine
 from .enumeration import EnumTriangleEngine, preprocess_enum
 from .loomis_whitney import LWEngine
@@ -26,7 +27,7 @@ __all__ = [
     "HEAVY", "LIGHT", "Partition", "QuadPartition", "Relation",
     "SchemaError", "UnindexedVariable", "quad_partition_strict", "strict_partition",
     "EpsConfig", "TriangleEngine", "static_count",
-    "SelfJoinEngine", "ThreeCopiesEngine",
+    "SelfJoinEngine",
     "RefinedTriangleEngine",
     "EnumTriangleEngine", "preprocess_enum",
     "LWEngine", "Path4Engine",

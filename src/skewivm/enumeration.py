@@ -26,12 +26,16 @@ sets of pairs whose third-part factor is present. The root views with the
 summed values are still maintained (they are part of the state contract
 and serve the consistency checks); only enumeration liveness bypasses
 them.
+
+Rebalancing comes from the shared kernel; its major rebalance rebuilds all
+of the structures above through ``recompute_views``.
 """
 
 from __future__ import annotations
 
+from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, Relation, bump, strict_partition
+from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, bump, strict_partition
 
 REL_NAMES = ("R", "S", "T")
 
@@ -45,16 +49,13 @@ def _rotate_back(i: int, x, y, z) -> tuple:
     return (y, z, x)
 
 
-class EnumTriangleEngine:
+class EnumTriangleEngine(MaintenanceKernel):
     """Distinct result tuples with multiplicities, constant-delay stream."""
 
     REL = REL_NAMES
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps outside [0, 1]")
-        self.eps = float(eps)
-        self.N = 1
+        super().__init__(REL_NAMES, (2, 2, 2), eps, counters)
         self.parts = [Partition(2, IDX0, 1.0) for _ in range(3)]
         self.listing: dict[tuple, int] = {}
         self.tri: list[dict] = [{}, {}, {}]          # (x, y, z) -> mult
@@ -62,18 +63,6 @@ class EnumTriangleEngine:
         self.pair_sum: list[dict] = [{}, {}, {}]     # (x, z) -> summed mult
         self.roots = [{HEAVY: {}, LIGHT: {}} for _ in range(3)]
         self.live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
-        self.db_size = 0
-        self.counters = counters if counters is not None else OpCounters()
-
-    def _theta(self) -> float:
-        return self.N ** self.eps
-
-    def rel_index(self, rel) -> int:
-        return rel if isinstance(rel, int) else REL_NAMES.index(rel)
-
-    def lookup(self, rel, t: tuple) -> int:
-        p = self.parts[self.rel_index(rel)]
-        return p.heavy.entries.get(t, 0) + p.light.entries.get(t, 0)
 
     def answer(self) -> int:
         """Number of distinct result tuples currently enumerable."""
@@ -138,7 +127,7 @@ class EnumTriangleEngine:
     # -- update procedure ---------------------------------------------------
 
     def apply_update(self, rel, side: str, t: tuple, m: int) -> None:
-        i = self.rel_index(rel)
+        i = self._index[rel]
         x, y = t
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
@@ -201,55 +190,11 @@ class EnumTriangleEngine:
         elif new == 0:
             self.live[i1][side].discard(rk)
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
-        i = self.rel_index(rel)
-        part = self.parts[i]
-        key = t[0]
+    def route(self, i: int, t: tuple) -> str:
         self.counters.lookups += 1
-        side = part.route(key, force_heavy=(self.eps == 0.0))
-        self.apply_update(i, side, t, m)
+        return self.parts[i].route(t[0], self.eps == 0.0)
 
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-        elif self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            assert self.N >= 1
-            self.major_rebalance()
-        else:
-            theta = self._theta()
-            spec = part.part_spec
-            l_posts = part.light.indexes[spec].get(key)
-            if l_posts is not None and len(l_posts) >= 1.5 * theta:
-                self.minor_rebalance(i, key, LIGHT)
-            else:
-                h_posts = part.heavy.indexes[spec].get(key)
-                if h_posts is not None and len(h_posts) < 0.5 * theta:
-                    self.minor_rebalance(i, key, HEAVY)
-
-    def minor_rebalance(self, i: int, key, src_label: str) -> int:
-        c = self.counters
-        c.rebalance_minor += 1
-        dst_label = LIGHT if src_label == HEAVY else HEAVY
-
-        def sink(t, m):
-            self.apply_update(i, src_label, t, -m)
-            self.apply_update(i, dst_label, t, m)
-            c.moves += 1
-
-        return self.parts[i].move_key(key, src_label, sink)
-
-    def major_rebalance(self) -> None:
-        c = self.counters
-        c.rebalance_major += 1
-        theta = self._theta()
-        for p in self.parts:
-            c.moves += p.restrict(theta)
-        self._rebuild_views()
-
-    def _rebuild_views(self) -> None:
+    def rebuild_views(self) -> None:
         (self.listing, self.tri, self.pair_index, self.pair_sum,
          self.roots, self.live) = self.recompute_views()
 
@@ -361,33 +306,13 @@ class EnumTriangleEngine:
             out[key] = m
         return out
 
-    def check_invariants(self) -> list[str]:
-        out = []
-        if not (self.N // 4 <= self.db_size < self.N):
-            out.append(f"size invariant broken: N={self.N} db={self.db_size}")
-        theta = self._theta()
-        for i in range(3):
-            for v in self.parts[i].violations(theta):
-                out.append(f"{REL_NAMES[i]}: {v}")
-        return out
-
 
 def preprocess_enum(db: dict, eps: float = 0.5,
                     counters: OpCounters | None = None) -> EnumTriangleEngine:
     """Ready enumeration state from a full database."""
     eng = EnumTriangleEngine(eps, counters)
-    total = 0
-    staged = []
-    for name in REL_NAMES:
-        r = Relation(2)
-        for t, m in dict(db.get(name, {})).items():
-            if m:
-                r.upsert(tuple(t), m)
-        staged.append(r)
-        total += len(r.entries)
-    eng.N = 2 * total + 1
-    eng.db_size = total
+    staged = eng._load(db)
     theta = eng._theta()
     eng.parts = [strict_partition(r, IDX0, theta) for r in staged]
-    eng._rebuild_views()
+    eng.rebuild_views()
     return eng

@@ -25,15 +25,18 @@ relation v-1's light part with the heavy parts of all remaining relations
 stays maintainable: an update to a heavy member scans the light member at
 its fixed leading key, an update to the light member scans relation v-2's
 heavy part, whose leading variable is again the free one. At degree 3 the
-views and all strategies coincide with the triangle engine's.
+views and all strategies coincide with the triangle engine's. Relations
+are named R1..Rn (or indexed 0..n-1); rebalancing comes from the shared
+kernel.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, LIGHT, Partition, Relation, bump, strict_partition
+from .relation import HEAVY, LIGHT, Partition, bump, strict_partition
 
 
 def lw_schemas(n: int) -> list[tuple[int, ...]]:
@@ -43,25 +46,17 @@ def lw_schemas(n: int) -> list[tuple[int, ...]]:
     return [tuple((i + k) % n for k in range(n - 1)) for i in range(n)]
 
 
-class LWEngine:
+class LWEngine(MaintenanceKernel):
     """Cyclic count of degree n under single-tuple updates."""
 
     def __init__(self, n: int, eps: float = 0.5, counters: OpCounters | None = None):
-        if n < 3:
-            raise ValueError("degree must be at least 3")
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps outside [0, 1]")
+        self.schemas = lw_schemas(n)
+        super().__init__([f"R{i+1}" for i in range(n)], [n - 1] * n, eps, counters)
         self.n = n
         self.arity = n - 1
-        self.eps = float(eps)
-        self.N = 1
-        self.schemas = lw_schemas(n)
         specs = self._index_specs()
         self.parts = [Partition(self.arity, (0,), 1.0, specs) for _ in range(n)]
         self.views: list[dict] = [{} for _ in range(n)]
-        self.q = 0
-        self.db_size = 0
-        self.counters = counters if counters is not None else OpCounters()
 
     def _index_specs(self):
         arity = self.arity
@@ -69,22 +64,6 @@ class LWEngine:
         for p in range(arity):
             specs.add(tuple(q for q in range(arity) if q != p))
         return tuple(sorted(specs))
-
-    def _theta(self) -> float:
-        return self.N ** self.eps
-
-    def rel_index(self, rel) -> int:
-        if isinstance(rel, int):
-            return rel
-        # names R1..Rn
-        return int(rel[1:]) - 1
-
-    def answer(self) -> int:
-        return self.q
-
-    def lookup(self, rel, t: tuple) -> int:
-        p = self.parts[self.rel_index(rel)]
-        return p.heavy.entries.get(t, 0) + p.light.entries.get(t, 0)
 
     def space_used(self) -> int:
         return (sum(p.total_size() for p in self.parts)
@@ -214,9 +193,7 @@ class LWEngine:
         vals[free] = None
 
     def apply_update(self, rel, side: str, t: tuple, m: int) -> int:
-        v = self.rel_index(rel)
-        if len(t) != self.arity:
-            raise ValueError(f"arity {self.arity} tuple expected")
+        v = self._index[rel]
         dq = m * self._delta_sum(v, t)
         self.q += dq
         self._maintain_views(v, side, t, m)
@@ -224,52 +201,11 @@ class LWEngine:
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
         return dq
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
-        v = self.rel_index(rel)
-        part = self.parts[v]
-        key = t[0]
+    def route(self, i: int, t: tuple) -> str:
         self.counters.lookups += 1
-        side = part.route(key, force_heavy=(self.eps == 0.0))
-        self.apply_update(v, side, t, m)
+        return self.parts[i].route(t[0], self.eps == 0.0)
 
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-        elif self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            assert self.N >= 1
-            self.major_rebalance()
-        else:
-            theta = self._theta()
-            spec = part.part_spec
-            l_posts = part.light.indexes[spec].get(key)
-            if l_posts is not None and len(l_posts) >= 1.5 * theta:
-                self.minor_rebalance(v, key, LIGHT)
-            else:
-                h_posts = part.heavy.indexes[spec].get(key)
-                if h_posts is not None and len(h_posts) < 0.5 * theta:
-                    self.minor_rebalance(v, key, HEAVY)
-
-    def minor_rebalance(self, v: int, key, src_label: str) -> int:
-        c = self.counters
-        c.rebalance_minor += 1
-        dst_label = LIGHT if src_label == HEAVY else HEAVY
-
-        def sink(t, m):
-            self.apply_update(v, src_label, t, -m)
-            self.apply_update(v, dst_label, t, m)
-            c.moves += 1
-
-        return self.parts[v].move_key(key, src_label, sink)
-
-    def major_rebalance(self) -> None:
-        c = self.counters
-        c.rebalance_major += 1
-        theta = self._theta()
-        for p in self.parts:
-            c.moves += p.restrict(theta)
+    def rebuild_views(self) -> None:
         self.views = [self._build_view(i) for i in range(self.n)]
 
     def _build_view(self, i: int) -> dict:
@@ -326,21 +262,10 @@ class LWEngine:
         over relation 0's entries against the finished parts and views.
         """
         eng = cls(n, eps, counters)
-        rels = []
-        total = 0
-        source = db if isinstance(db, (list, tuple)) else [db[f"R{i+1}"] for i in range(n)]
-        for i in range(n):
-            r = Relation(eng.arity, eng._index_specs())
-            for t, m in dict(source[i]).items():
-                if m:
-                    r.upsert(tuple(t), m)
-            rels.append(r)
-            total += len(r.entries)
-        eng.N = 2 * total + 1
-        eng.db_size = total
+        rels = eng._load(db, eng._index_specs())
         theta = eng._theta()
         eng.parts = [strict_partition(r, (0,), theta, eng._index_specs()) for r in rels]
-        eng.views = [eng._build_view(i) for i in range(n)]
+        eng.rebuild_views()
         q = 0
         for side in (eng.parts[0].heavy, eng.parts[0].light):
             for t, m in side.entries.items():
@@ -349,19 +274,4 @@ class LWEngine:
         return eng
 
     def recompute_view(self, i: int) -> dict:
-        saved = self.counters
-        self.counters = OpCounters()
-        try:
-            return self._build_view(i)
-        finally:
-            self.counters = saved
-
-    def check_invariants(self) -> list[str]:
-        out = []
-        if not (self.N // 4 <= self.db_size < self.N):
-            out.append(f"size invariant broken: N={self.N} db={self.db_size}")
-        theta = self._theta()
-        for i in range(self.n):
-            for v in self.parts[i].violations(theta):
-                out.append(f"R{i+1}: {v}")
-        return out
+        return self._uncounted(self._build_view, i)

@@ -14,7 +14,6 @@ a log-log slope, the desk-scale stand-in for an asymptotic exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -122,8 +121,3 @@ def replay_audit(engine_factory, stream) -> bool:
     for rel, t, m in stream:
         b.on_update(rel, t, m)
     return a.counters.snapshot() == b.counters.snapshot()
-
-
-def isqrt_ceil(x: float) -> int:
-    r = math.isqrt(int(x))
-    return r if r * r >= x else r + 1

@@ -29,34 +29,31 @@ supporting tuple dies. A flip forces a rebuild of the one masked view that
 folds the indicator in, which stays within the per-update budget because
 the masked scans are light-bounded.
 
-Updates to S or T can each trigger up to two minor rebalances, one per
-variable, with the second check evaluated against the already-moved state;
-R and U updates only ever trigger the size-driven major rebalance.
+Rebalancing comes from the shared kernel. R and U have no partition, so
+their updates only ever trigger the size-driven major rebalance; updates
+to S or T can each trigger up to two minor rebalances, one per variable,
+with the second check evaluated against the already-moved state.
 """
 
 from __future__ import annotations
 
+from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import (HEAVY, IDX0, IDX1, LIGHT, QuadPartition, Relation,
-                       bump, quad_partition_strict)
+from .relation import IDX0, IDX1, QuadPartition, Relation, bump, quad_partition_strict
 
 REL_NAMES = ("R", "S", "T", "U")
 
 
-class Path4Engine:
+class Path4Engine(MaintenanceKernel):
     """Four-relation path count under single-tuple updates."""
 
     REL = REL_NAMES
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps outside [0, 1]")
-        self.eps = float(eps)
-        self.N = 1
+        super().__init__(REL_NAMES, (1, 2, 2, 1), eps, counters)
         self.r: dict = {}
         self.u: dict = {}
-        self.s = QuadPartition()
-        self.t = QuadPartition()
+        self._set_quads(QuadPartition(), QuadPartition())
         self.rs_ll: dict = {}
         self.rs_lh: dict = {}
         self.rs_hh: dict = {}
@@ -74,23 +71,19 @@ class Path4Engine:
         self.r_s_ll_t_lh: dict = {}
         self.s_ind_t_lh_u: dict = {}
         self.s_hl_t_ll_u: dict = {}
-        self.q = 0
-        self.db_size = 0
-        self.counters = counters if counters is not None else OpCounters()
 
-    def _theta(self) -> float:
-        return self.N ** self.eps
-
-    def answer(self) -> int:
-        return self.q
+    def _set_quads(self, s: QuadPartition, t: QuadPartition) -> None:
+        # S and T are the kernel's partitions of relations 1 and 2
+        self.s, self.t = s, t
+        self.parts = [None, s, t, None]
 
     def lookup(self, rel, t: tuple) -> int:
-        if rel == "R":
+        i = self.rel_index(rel)
+        if i == 0:
             return self.r.get(t[0], 0)
-        if rel == "U":
+        if i == 3:
             return self.u.get(t[0], 0)
-        quad = self.s if rel == "S" else self.t
-        return sum(p.entries.get(t, 0) for p in quad.parts.values())
+        return super().lookup(i, t)
 
     def space_used(self) -> int:
         views = (len(self.rs_ll) + len(self.rs_lh) + len(self.rs_hh)
@@ -490,93 +483,22 @@ class Path4Engine:
         if d:
             view.upsert(key, d)
 
-    # -- routing and rebalancing -------------------------------------------------
+    # -- routing --------------------------------------------------------------
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
-        if rel == "R":
-            if len(t) != 1:
-                raise ValueError("R takes unary tuples")
-            self.update_r(t[0], m)
-            self._size_check()
-        elif rel == "U":
-            if len(t) != 1:
-                raise ValueError("U takes unary tuples")
-            self.update_u(t[0], m)
-            self._size_check()
-        elif rel in ("S", "T"):
-            if len(t) != 2:
-                raise ValueError(f"{rel} takes binary tuples")
-            quad = self.s if rel == "S" else self.t
-            self.counters.lookups += 1
-            lab = quad.route(t, force_heavy=(self.eps == 0.0))
-            if rel == "S":
-                self.update_s(lab, t, m)
-            else:
-                self.update_t(lab, t, m)
-            if not self._size_check():
-                theta = self._theta()
-                self._minor_check(rel, 0, t[0], theta)
-                self._minor_check(rel, 1, t[1], theta)
-        else:
-            raise KeyError(f"unknown relation {rel!r}")
+    def route(self, i: int, t: tuple):
+        if i == 0 or i == 3:
+            return None
+        self.counters.lookups += 1
+        return self.parts[i].route(t, self.eps == 0.0)
 
-    def _size_check(self) -> bool:
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-            return True
-        if self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            assert self.N >= 1
-            self.major_rebalance()
-            return True
-        return False
-
-    def _minor_check(self, rel: str, var: int, key, theta: float) -> None:
-        quad = self.s if rel == "S" else self.t
-        if var == 0:
-            light_pair, heavy_pair = ("ll", "lh"), ("hl", "hh")
-            moves_up = (("ll", "hl"), ("lh", "hh"))
-            moves_down = (("hl", "ll"), ("hh", "lh"))
-        else:
-            light_pair, heavy_pair = ("ll", "hl"), ("lh", "hh")
-            moves_up = (("ll", "lh"), ("hl", "hh"))
-            moves_down = (("lh", "ll"), ("hh", "hl"))
-        if (quad.pair_has_key(var, key, *light_pair)
-                and quad.pair_degree(var, key, *light_pair) >= 1.5 * theta):
-            self.minor_rebalance(rel, var, key, moves_up)
-        elif (quad.pair_has_key(var, key, *heavy_pair)
-              and quad.pair_degree(var, key, *heavy_pair) < 0.5 * theta):
-            self.minor_rebalance(rel, var, key, moves_down)
-
-    def minor_rebalance(self, rel: str, var: int, key, pairs) -> int:
-        c = self.counters
-        c.rebalance_minor += 1
-        quad = self.s if rel == "S" else self.t
-        apply = self.update_s if rel == "S" else self.update_t
-        moved = 0
-        for src_lab, dst_lab in pairs:
-            src = quad.parts[src_lab]
-            posts = src.indexes[(var,)].get(key)
-            if not posts:
-                continue
-            for t in list(posts):
-                m = src.entries[t]
-                apply(src_lab, t, -m)
-                apply(dst_lab, t, m)
-                c.moves += 1
-                moved += 1
-        return moved
-
-    def major_rebalance(self) -> None:
-        c = self.counters
-        c.rebalance_major += 1
-        theta = self._theta()
-        c.moves += self.s.restrict(theta)
-        c.moves += self.t.restrict(theta)
-        self._install_views(self.recompute_views())
+    def apply_update(self, rel, lab, t: tuple, m: int) -> int:
+        """Dispatch a routed delta to the update procedure of its relation."""
+        i = self._index[rel]
+        if i == 1:
+            return self.update_s(lab, t, m)
+        if i == 2:
+            return self.update_t(lab, t, m)
+        return self.update_r(t[0], m) if i == 0 else self.update_u(t[0], m)
 
     # -- recomputation -------------------------------------------------------
 
@@ -655,7 +577,8 @@ class Path4Engine:
                 bump(out["s_hl_t_ll_u"], a, w * mu)
         return out
 
-    def _install_views(self, views: dict) -> None:
+    def rebuild_views(self) -> None:
+        views = self.recompute_views()
         for name in self.VIEW_NAMES:
             setattr(self, name, views[name])
 
@@ -663,35 +586,14 @@ class Path4Engine:
     def preprocess(cls, db: dict, eps: float = 0.5,
                    counters: OpCounters | None = None) -> "Path4Engine":
         eng = cls(eps, counters)
-        eng.r = {t[0]: m for t, m in dict(db.get("R", {})).items() if m}
-        eng.u = {t[0]: m for t, m in dict(db.get("U", {})).items() if m}
-        s_rel = Relation(2)
-        for t, m in dict(db.get("S", {})).items():
-            if m:
-                s_rel.upsert(tuple(t), m)
-        t_rel = Relation(2)
-        for t, m in dict(db.get("T", {})).items():
-            if m:
-                t_rel.upsert(tuple(t), m)
-        total = len(eng.r) + len(eng.u) + len(s_rel.entries) + len(t_rel.entries)
-        eng.N = 2 * total + 1
-        eng.db_size = total
+        r_rel, s_rel, t_rel, u_rel = eng._load(db)
+        eng.r = {t[0]: m for t, m in r_rel.entries.items()}
+        eng.u = {t[0]: m for t, m in u_rel.entries.items()}
         theta = eng._theta()
-        eng.s = quad_partition_strict(s_rel, theta)
-        eng.t = quad_partition_strict(t_rel, theta)
-        eng._install_views(eng.recompute_views())
+        eng._set_quads(quad_partition_strict(s_rel, theta), quad_partition_strict(t_rel, theta))
+        eng.rebuild_views()
         q = 0
         for a, mr in eng.r.items():
             q += mr * eng._delta_sum_r(a)
         eng.q = q
         return eng
-
-    def check_invariants(self) -> list[str]:
-        out = []
-        if not (self.N // 4 <= self.db_size < self.N):
-            out.append(f"size invariant broken: N={self.N} db={self.db_size}")
-        theta = self._theta()
-        for name, quad in (("S", self.s), ("T", self.t)):
-            for v in quad.violations(theta):
-                out.append(f"{name}: {v}")
-        return out

@@ -23,53 +23,33 @@ blocks sharing a scan are evaluated together:
   * next light against second light: scan the next side.
 
 Wedge maintenance only fires for updates landing in an hl part (own wedge)
-or an lh part (preceding wedge). Minor rebalancing checks both variables
-of the updated tuple, each against the aggregate degree of the two parts
-sharing that variable's status, and can fire twice for one update; the
-second check runs against the already-moved state.
+or an lh part (preceding wedge). Minor rebalancing (``QuadPartition``'s
+check, run by the shared kernel) looks at both variables of the updated
+tuple and can fire twice for one update.
 """
 
 from __future__ import annotations
 
+from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import (HEAVY, IDX0, IDX1, LIGHT, QuadPartition, Relation,
-                       bump, quad_partition_strict)
+from .relation import IDX0, IDX1, QuadPartition, bump, quad_partition_strict
 
 REL_NAMES = ("R", "S", "T")
 
 
-class RefinedTriangleEngine:
+class RefinedTriangleEngine(MaintenanceKernel):
     """Triangle count over four-way partitioned relations."""
 
     REL = REL_NAMES
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps outside [0, 1]")
-        self.eps = float(eps)
-        self.N = 1
-        self.quads = [QuadPartition() for _ in range(3)]
+        super().__init__(REL_NAMES, (2, 2, 2), eps, counters)
+        self.parts = [QuadPartition() for _ in range(3)]
         # wedges[i][(x, z)] = sum_y hl_i(x, y) * lh_{i+1}(y, z)
         self.wedges: list[dict] = [{}, {}, {}]
-        self.q = 0
-        self.db_size = 0
-        self.counters = counters if counters is not None else OpCounters()
-
-    def _theta(self) -> float:
-        return self.N ** self.eps
-
-    def rel_index(self, rel) -> int:
-        return rel if isinstance(rel, int) else REL_NAMES.index(rel)
-
-    def answer(self) -> int:
-        return self.q
-
-    def lookup(self, rel, t: tuple) -> int:
-        quad = self.quads[self.rel_index(rel)]
-        return sum(p.entries.get(t, 0) for p in quad.parts.values())
 
     def space_used(self) -> int:
-        return (sum(q.total_size() for q in self.quads)
+        return (sum(q.total_size() for q in self.parts)
                 + sum(len(w) for w in self.wedges))
 
     # -- update procedures --------------------------------------------------
@@ -78,8 +58,8 @@ class RefinedTriangleEngine:
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
-        nxt = self.quads[i1].parts
-        snd = self.quads[i2].parts
+        nxt = self.parts[i1].parts
+        snd = self.parts[i2].parts
         acc = 0
 
         n_hh, n_hl, n_lh, n_ll = (nxt["hh"].entries, nxt["hl"].entries,
@@ -161,7 +141,7 @@ class RefinedTriangleEngine:
 
     def apply_update(self, rel, lab: str, t: tuple, m: int) -> int:
         """Apply a delta routed to part ``lab``; returns the count change."""
-        i = self.rel_index(rel)
+        i = self._index[rel]
         x, y = t
         c = self.counters
         dq = m * self._delta_sum(i, x, y)
@@ -171,7 +151,7 @@ class RefinedTriangleEngine:
         i2 = i - 1 if i >= 1 else i + 2
         if lab == "hl":
             w = self.wedges[i]
-            src = self.quads[i1].parts["lh"]
+            src = self.parts[i1].parts["lh"]
             posts = src.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
@@ -180,7 +160,7 @@ class RefinedTriangleEngine:
                     bump(w, (x, u[1]), m * se[u])
         elif lab == "lh":
             w = self.wedges[i2]
-            src = self.quads[i2].parts["hl"]
+            src = self.parts[i2].parts["hl"]
             posts = src.indexes[IDX1].get(x)
             if posts:
                 c.iterations += len(posts)
@@ -188,82 +168,23 @@ class RefinedTriangleEngine:
                 for u in posts:
                     bump(w, (u[0], y), m * se[u])
 
-        new = self.quads[i].parts[lab].upsert(t, m)
+        new = self.parts[i].parts[lab].upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
         return dq
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
-        i = self.rel_index(rel)
-        quad = self.quads[i]
+    def route(self, i: int, t: tuple) -> str:
         self.counters.lookups += 1
-        lab = quad.route(t, force_heavy=(self.eps == 0.0))
-        self.apply_update(i, lab, t, m)
+        return self.parts[i].route(t, self.eps == 0.0)
 
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-        elif self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            assert self.N >= 1
-            self.major_rebalance()
-        else:
-            theta = self._theta()
-            # first variable, then second, against the live state
-            self._minor_check(i, 0, t[0], theta)
-            self._minor_check(i, 1, t[1], theta)
-
-    def _minor_check(self, i: int, var: int, key, theta: float) -> None:
-        quad = self.quads[i]
-        if var == 0:
-            light_pair, heavy_pair = ("ll", "lh"), ("hl", "hh")
-            moves_up = (("ll", "hl"), ("lh", "hh"))
-            moves_down = (("hl", "ll"), ("hh", "lh"))
-        else:
-            light_pair, heavy_pair = ("ll", "hl"), ("lh", "hh")
-            moves_up = (("ll", "lh"), ("hl", "hh"))
-            moves_down = (("lh", "ll"), ("hh", "hl"))
-        if (quad.pair_has_key(var, key, *light_pair)
-                and quad.pair_degree(var, key, *light_pair) >= 1.5 * theta):
-            self.minor_rebalance(i, var, key, moves_up)
-        elif (quad.pair_has_key(var, key, *heavy_pair)
-              and quad.pair_degree(var, key, *heavy_pair) < 0.5 * theta):
-            self.minor_rebalance(i, var, key, moves_down)
-
-    def minor_rebalance(self, i: int, var: int, key, pairs) -> int:
-        """Move one key's tuples across both affected part pairs."""
-        c = self.counters
-        c.rebalance_minor += 1
-        quad = self.quads[i]
-        moved = 0
-        for src_lab, dst_lab in pairs:
-            src = quad.parts[src_lab]
-            posts = src.indexes[(var,)].get(key)
-            if not posts:
-                continue
-            for t in list(posts):
-                m = src.entries[t]
-                self.apply_update(i, src_lab, t, -m)
-                self.apply_update(i, dst_lab, t, m)
-                c.moves += 1
-                moved += 1
-        return moved
-
-    def major_rebalance(self) -> None:
-        c = self.counters
-        c.rebalance_major += 1
-        theta = self._theta()
-        for quad in self.quads:
-            c.moves += quad.restrict(theta)
+    def rebuild_views(self) -> None:
         self.wedges = [self._build_wedge(i) for i in range(3)]
 
     def _build_wedge(self, i: int) -> dict:
         # the hl side's scan per entry is already capped by both exponents
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
-        h = self.quads[i].parts["hl"]
-        l = self.quads[i1].parts["lh"]
+        h = self.parts[i].parts["hl"]
+        l = self.parts[i1].parts["lh"]
         w: dict = {}
         if not h.entries or not l.entries:
             return w
@@ -282,41 +203,16 @@ class RefinedTriangleEngine:
     def preprocess(cls, db: dict, eps: float = 0.5,
                    counters: OpCounters | None = None) -> "RefinedTriangleEngine":
         eng = cls(eps, counters)
-        rels = []
-        total = 0
-        for name in REL_NAMES:
-            r = Relation(2)
-            for t, m in dict(db.get(name, {})).items():
-                if m:
-                    r.upsert(tuple(t), m)
-            rels.append(r)
-            total += len(r.entries)
-        eng.N = 2 * total + 1
-        eng.db_size = total
+        rels = eng._load(db)
         theta = eng._theta()
-        eng.quads = [quad_partition_strict(r, theta) for r in rels]
-        eng.wedges = [eng._build_wedge(i) for i in range(3)]
+        eng.parts = [quad_partition_strict(r, theta) for r in rels]
+        eng.rebuild_views()
         q = 0
-        for part in eng.quads[0].parts.values():
+        for part in eng.parts[0].parts.values():
             for t, m in part.entries.items():
                 q += m * eng._delta_sum(0, t[0], t[1])
         eng.q = q
         return eng
 
     def recompute_wedge(self, i: int) -> dict:
-        saved = self.counters
-        self.counters = OpCounters()
-        try:
-            return self._build_wedge(i)
-        finally:
-            self.counters = saved
-
-    def check_invariants(self) -> list[str]:
-        out = []
-        if not (self.N // 4 <= self.db_size < self.N):
-            out.append(f"size invariant broken: N={self.N} db={self.db_size}")
-        theta = self._theta()
-        for i in range(3):
-            for v in self.quads[i].violations(theta):
-                out.append(f"{REL_NAMES[i]}: {v}")
-        return out
+        return self._uncounted(self._build_wedge, i)

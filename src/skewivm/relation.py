@@ -15,7 +15,10 @@ On top of that sit two partitioning primitives used by all maintenance
 engines: ``Partition`` splits a binary-or-wider relation into a heavy and a
 light part by comparing the degree of its partition key against a
 threshold, and ``QuadPartition`` does the same independently for both
-variables of a binary relation, yielding four parts.
+variables of a binary relation, yielding four parts. Both offer the same
+rebalancing surface to the engines' shared kernel: ``restrict`` for a major
+rebalance, ``minor_check`` to find a key that drifted past its loose bound
+and ``move_key`` to hand that key's tuples to the kernel one by one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ from typing import Callable, Iterable, Iterator
 
 
 class SchemaError(ValueError):
-    """Tuple arity does not match the relation schema."""
+    """Update does not fit the engine's schema.
+
+    Raised for an unknown relation, a tuple of the wrong arity, or a
+    multiplicity that is zero or not an ``int``.
+    """
 
 
 class UnindexedVariable(LookupError):
@@ -36,6 +43,10 @@ LIGHT = "l"
 
 IDX0 = (0,)
 IDX1 = (1,)
+
+# minor moves of a one-variable partition: (source side, destination side)
+PROMOTE = ((LIGHT, HEAVY),)
+DEMOTE = ((HEAVY, LIGHT),)
 
 
 def _index_key(t, spec):
@@ -173,9 +184,6 @@ class Partition:
     def sides(self):
         return ((HEAVY, self.heavy), (LIGHT, self.light))
 
-    def key_of(self, t: tuple):
-        return _index_key(t, self.part_spec)
-
     def route(self, key, force_heavy: bool = False) -> str:
         """Destination side for an update carrying ``key``.
 
@@ -190,21 +198,37 @@ class Partition:
     def degree(self, label: str, key) -> int:
         return len(self.side(label).indexes[self.part_spec].get(key, ()))
 
-    def total_degree(self, key) -> int:
-        p = self.part_spec
-        return (len(self.heavy.indexes[p].get(key, ()))
-                + len(self.light.indexes[p].get(key, ())))
+    def multiplicity(self, t: tuple) -> int:
+        return self.heavy.entries.get(t, 0) + self.light.entries.get(t, 0)
 
-    def move_key(self, key, src_label: str, sink: Callable[[tuple, int], None]) -> int:
+    def minor_check(self, engine, i: int, t: tuple, theta: float) -> None:
+        """Rebalance the partition key of ``t`` if it left its loose bound.
+
+        A light key at or above one and a half times ``theta`` moves heavy,
+        a heavy key below half of it moves light, through
+        ``engine.minor_rebalance`` for relation ``i``. The engines partition
+        on one variable, so the key is a single value of ``t``.
+        """
+        spec = self.part_spec
+        key = t[spec[0]]
+        if len(self.light.indexes[spec].get(key, ())) >= 1.5 * theta:
+            engine.minor_rebalance(i, key, PROMOTE, spec)
+        elif 0 < len(self.heavy.indexes[spec].get(key, ())) < 0.5 * theta:
+            engine.minor_rebalance(i, key, DEMOTE, spec)
+
+    def move_key(self, key, src_label: str, sink: Callable[[tuple, int], None],
+                 spec: tuple[int, ...] | None = None) -> int:
         """Move every tuple carrying ``key`` out of one side.
 
         Each tuple is handed to ``sink(t, m)`` exactly once; the sink is
         expected to delete it from the source side and insert it into the
         other side (typically through an engine's update procedure so that
-        materialized views stay exact). Returns the number of moved tuples.
+        materialized views stay exact). ``spec`` names the index the key is
+        looked up in, the partition key by default. Returns the number of
+        moved tuples.
         """
         src = self.side(src_label)
-        posts = src.indexes[self.part_spec].get(key)
+        posts = src.indexes[self.part_spec if spec is None else spec].get(key)
         if not posts:
             return 0
         moved = 0
@@ -289,6 +313,16 @@ def strict_partition(relation: Relation, part_vars, theta: float,
 
 QUAD_LABELS = ("hh", "hl", "lh", "ll")
 
+# Per variable of a four-way partition: its index, the two parts in which it
+# is light, the two in which it is heavy, and the part moves that promote or
+# demote one of its keys.
+_QUAD_DRIFT = (
+    (IDX0, ("ll", "lh"), ("hl", "hh"),
+     (("ll", "hl"), ("lh", "hh")), (("hl", "ll"), ("hh", "lh"))),
+    (IDX1, ("ll", "hl"), ("lh", "hh"),
+     (("ll", "lh"), ("hl", "hh")), (("lh", "ll"), ("hh", "hl"))),
+)
+
 
 class QuadPartition:
     """Four-way split of a binary relation on the degrees of both variables.
@@ -327,10 +361,43 @@ class QuadPartition:
         return (len(self.parts[lab_a].indexes[spec].get(key, ()))
                 + len(self.parts[lab_b].indexes[spec].get(key, ())))
 
-    def pair_has_key(self, var: int, key, lab_a: str, lab_b: str) -> bool:
-        spec = (var,)
-        return (key in self.parts[lab_a].indexes[spec]
-                or key in self.parts[lab_b].indexes[spec])
+    def multiplicity(self, t: tuple) -> int:
+        return sum(p.entries.get(t, 0) for p in self.parts.values())
+
+    def minor_check(self, engine, i: int, t: tuple, theta: float) -> None:
+        """Rebalance each variable of ``t`` whose key left its loose bound.
+
+        The first variable is checked first; the second is checked against
+        the state the first rebalance left, so one update can fire two.
+        """
+        self._minor_check_var(engine, i, t[0], theta, _QUAD_DRIFT[0])
+        self._minor_check_var(engine, i, t[1], theta, _QUAD_DRIFT[1])
+
+    def _minor_check_var(self, engine, i: int, key, theta: float, drift) -> None:
+        spec, (la, lb), (ha, hb), promote, demote = drift
+        parts = self.parts
+        if (len(parts[la].indexes[spec].get(key, ()))
+                + len(parts[lb].indexes[spec].get(key, ()))) >= 1.5 * theta:
+            engine.minor_rebalance(i, key, promote, spec)
+        elif 0 < (len(parts[ha].indexes[spec].get(key, ()))
+                  + len(parts[hb].indexes[spec].get(key, ()))) < 0.5 * theta:
+            engine.minor_rebalance(i, key, demote, spec)
+
+    def move_key(self, key, src_label: str, sink: Callable[[tuple, int], None],
+                 spec: tuple[int, ...]) -> int:
+        """Move every tuple whose ``spec`` key is ``key`` out of one part.
+
+        Works as ``Partition.move_key`` does; returns the number of moved
+        tuples.
+        """
+        src = self.parts[src_label]
+        posts = src.indexes[spec].get(key)
+        if not posts:
+            return 0
+        batch = list(posts)
+        for t in batch:
+            sink(t, src.entries[t])
+        return len(batch)
 
     def restrict(self, theta: float) -> int:
         """Strictly reassign every tuple by whole-relation degrees."""
@@ -358,9 +425,11 @@ class QuadPartition:
     def total_size(self) -> int:
         return sum(len(rel.entries) for rel in self.parts.values())
 
-    def violations(self, theta: float | None = None) -> list[str]:
-        """Loose per-variable conditions on whole-relation degrees."""
+    def violations(self, theta: float | None = None, strict: bool = False) -> list[str]:
+        """Per-variable conditions on whole-relation degrees, loose by default."""
         theta = self.theta if theta is None else theta
+        h_floor = theta if strict else 0.5 * theta
+        l_ceil = theta if strict else 1.5 * theta
         out = []
         for var in (0, 1):
             spec = (var,)
@@ -378,11 +447,11 @@ class QuadPartition:
             total = lambda k: sum(len(self.parts[lab].indexes[spec].get(k, ()))
                                   for lab in QUAD_LABELS)
             for k in h_keys:
-                if total(k) < 0.5 * theta:
-                    out.append(f"var {var} heavy key {k} degree {total(k)} < {0.5 * theta}")
+                if total(k) < h_floor:
+                    out.append(f"var {var} heavy key {k} degree {total(k)} < {h_floor}")
             for k in l_keys:
-                if total(k) >= 1.5 * theta:
-                    out.append(f"var {var} light key {k} degree {total(k)} >= {1.5 * theta}")
+                if total(k) >= l_ceil:
+                    out.append(f"var {var} light key {k} degree {total(k)} >= {l_ceil}")
         return out
 
 

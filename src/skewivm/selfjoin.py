@@ -10,52 +10,39 @@ term uses m squared and the cubic term m cubed.
 
 One partition (on the source endpoint) and a single wedge view, the
 aggregated join of the heavy part with the light part, replace the three
-views of the three-relation engine; routing and rebalancing reuse the same
-skeleton.
+views of the three-relation engine. The wedge is built by the triangle
+engine's builder, and routing and rebalancing come from the shared kernel.
 """
 
 from __future__ import annotations
 
+from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, Relation, bump, strict_partition
-from .triangle import TriangleEngine
+from .relation import HEAVY, IDX0, IDX1, Partition, bump, strict_partition
+from .triangle import TriangleEngine, build_wedge
 
 
-class SelfJoinEngine:
+class SelfJoinEngine(MaintenanceKernel):
     """Self-join triangle count under single-tuple edge updates."""
 
     REL = ("R",)
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps outside [0, 1]")
-        self.eps = float(eps)
-        self.N = 1
-        self.part = Partition(2, IDX0, 1.0)
+        super().__init__(self.REL, (2,), eps, counters)
+        self.parts = [Partition(2, IDX0, 1.0)]
         # wedge[(a, c)] = sum_b heavy(a, b) * light(b, c)
         self.wedge: dict = {}
-        self.q = 0
-        self.db_size = 0
-        self.counters = counters if counters is not None else OpCounters()
-
-    def _theta(self) -> float:
-        return self.N ** self.eps
-
-    def answer(self) -> int:
-        return self.q
-
-    def lookup(self, t: tuple) -> int:
-        return self.part.heavy.entries.get(t, 0) + self.part.light.entries.get(t, 0)
 
     def space_used(self) -> int:
-        return self.part.total_size() + len(self.wedge)
+        return self.parts[0].total_size() + len(self.wedge)
 
-    def apply_update(self, side: str, t: tuple, m: int) -> int:
+    def apply_update(self, rel, side: str, t: tuple, m: int) -> int:
         """Apply a routed edge delta; returns the count change."""
         a, b = t
         c = self.counters
-        heavy = self.part.heavy
-        light = self.part.light
+        part = self.parts[0]
+        heavy = part.heavy
+        light = part.light
         acc = 0
 
         # both heavy: scan heavy edges into a, they have distinct sources
@@ -127,85 +114,21 @@ class SelfJoinEngine:
                 for u in posts:
                     bump(self.wedge, (u[0], b), m * he[u])
 
-        new = self.part.side(side).upsert(t, m)
+        new = part.side(side).upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
         return dq
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        """Route, apply, rebalance. ``rel`` is accepted for interface parity."""
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
-        key = t[0]
+    def route(self, i: int, t: tuple) -> str:
         self.counters.lookups += 1
-        side = self.part.route(key, force_heavy=(self.eps == 0.0))
-        self.apply_update(side, t, m)
+        return self.parts[0].route(t[0], self.eps == 0.0)
 
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-        elif self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            assert self.N >= 1
-            self.major_rebalance()
-        else:
-            theta = self._theta()
-            spec = self.part.part_spec
-            l_posts = self.part.light.indexes[spec].get(key)
-            if l_posts is not None and len(l_posts) >= 1.5 * theta:
-                self.minor_rebalance(key, LIGHT)
-            else:
-                h_posts = self.part.heavy.indexes[spec].get(key)
-                if h_posts is not None and len(h_posts) < 0.5 * theta:
-                    self.minor_rebalance(key, HEAVY)
-
-    def minor_rebalance(self, key, src_label: str) -> int:
-        c = self.counters
-        c.rebalance_minor += 1
-        dst_label = LIGHT if src_label == HEAVY else HEAVY
-
-        def sink(t, m):
-            self.apply_update(src_label, t, -m)
-            self.apply_update(dst_label, t, m)
-            c.moves += 1
-
-        return self.part.move_key(key, src_label, sink)
-
-    def major_rebalance(self) -> None:
-        c = self.counters
-        c.rebalance_major += 1
-        c.moves += self.part.restrict(self._theta())
+    def rebuild_views(self) -> None:
         self.wedge = self._build_wedge()
 
     def _build_wedge(self) -> dict:
-        c = self.counters
-        h = self.part.heavy
-        l = self.part.light
-        w: dict = {}
-        if not h.entries or not l.entries:
-            return w
-        est_h = len(h.entries) * self._theta()
-        est_l = len(l.entries) * 2 * (self.N ** (1.0 - self.eps))
-        if est_h <= est_l:
-            l_idx = l.indexes[IDX0]
-            le = l.entries
-            for t, mh in h.entries.items():
-                posts = l_idx.get(t[1])
-                if posts:
-                    c.iterations += len(posts)
-                    a = t[0]
-                    for u in posts:
-                        bump(w, (a, u[1]), mh * le[u])
-        else:
-            h_idx = h.indexes[IDX1]
-            he = h.entries
-            for t, ml in l.entries.items():
-                posts = h_idx.get(t[0])
-                if posts:
-                    c.iterations += len(posts)
-                    z = t[1]
-                    for u in posts:
-                        bump(w, (u[0], z), he[u] * ml)
-        return w
+        part = self.parts[0]
+        return build_wedge(part.heavy, part.light, self._theta(),
+                           self.N ** (1.0 - self.eps), self.counters)
 
     @classmethod
     def preprocess(cls, edges: dict, eps: float = 0.5,
@@ -217,34 +140,18 @@ class SelfJoinEngine:
         pre-classified parts (no rebalancing needed: parts already strict).
         """
         eng = cls(eps, counters)
-        rel = Relation(2)
-        for t, m in dict(edges).items():
-            if m:
-                rel.upsert(tuple(t), m)
-        eng.N = 2 * len(rel.entries) + 1
+        rel, = eng._load([edges])
+        eng.db_size = 0  # the replay below counts every edge in again
         theta = eng._theta()
         staged = strict_partition(rel, IDX0, theta)
-        eng.part = Partition(2, IDX0, theta)
+        eng.parts = [Partition(2, IDX0, theta)]
         for lab, side in staged.sides():
             for t, m in side.entries.items():
-                eng.apply_update(lab, t, m)
+                eng.apply_update(0, lab, t, m)
         return eng
 
     def recompute_wedge(self) -> dict:
-        saved = self.counters
-        self.counters = OpCounters()
-        try:
-            return self._build_wedge()
-        finally:
-            self.counters = saved
-
-    def check_invariants(self) -> list[str]:
-        out = []
-        if not (self.N // 4 <= self.db_size < self.N):
-            out.append(f"size invariant broken: N={self.N} db={self.db_size}")
-        for v in self.part.violations(self._theta()):
-            out.append(f"R: {v}")
-        return out
+        return self._uncounted(self._build_wedge)
 
 
 class ThreeCopiesEngine:
@@ -252,7 +159,8 @@ class ThreeCopiesEngine:
 
     Every edge update is replayed into all three relations of a
     ``TriangleEngine``; after the third replay the copies agree and the
-    count equals the self-join count. Used as a cross-check.
+    count equals the self-join count. A cross-check for the test suite,
+    which imports it from here; it is not exported at the package root.
     """
 
     def __init__(self, cfg=0.5):

@@ -20,14 +20,11 @@ specific strategies whose cost is sublinear in the database size:
 Heavy updates maintain the wedge anchored at the updated relation, light
 updates the wedge ending in it.
 
-Two rebalancing mechanisms keep the degree bounds meaningful as the
-database grows and shrinks. The threshold base ``N`` always satisfies
-``floor(N/4) <= db_size < N``; hitting either end doubles or roughly halves
-``N`` and triggers a major rebalance (strict repartition of all three
-relations plus a view rebuild, which never changes the count). A single
-key drifting past one-and-a-half times, or below half of, its relation's
-threshold triggers a minor rebalance that migrates just that key's tuples
-through the normal update procedure, so the count and views stay exact.
+The shared kernel (``skewivm.kernel``) keeps the degree bounds meaningful
+as the database grows and shrinks: major rebalances when the threshold
+base doubles or halves, minor rebalances that migrate one key's tuples
+through ``apply_update``. This module supplies the partitions, routing on
+the join-out variable, the update step and the wedge rebuild.
 
 The per-relation exponents recover classical first-order maintenance at 0
 or 1 (everything pinned heavy, resp. light, all wedges empty) and the
@@ -38,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import (HEAVY, IDX0, IDX1, LIGHT, Partition, Relation,
-                       SchemaError, bump, strict_partition)
+from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, Relation, bump, strict_partition
 
 REL_NAMES = ("R", "S", "T")
 
@@ -85,7 +82,44 @@ class EpsConfig:
         return all(v in (0.0, 1.0) for v in vals) and not self.is_uniform
 
 
-class TriangleEngine:
+def build_wedge(heavy: Relation, light: Relation, light_theta: float,
+                heavy_keys: float, counters: OpCounters) -> dict:
+    """Aggregated join ``heavy(x, y) * light(y, z)`` keyed ``(x, z)``.
+
+    Scanning heavy-side entries costs at most the light per-key budget
+    ``light_theta`` each; scanning light-side entries costs at most the
+    number of distinct heavy keys (twice ``heavy_keys``) each. The outer
+    side is the one with the smaller estimate.
+    """
+    w: dict = {}
+    if not heavy.entries or not light.entries:
+        return w
+    est_h = len(heavy.entries) * light_theta
+    est_l = len(light.entries) * 2 * heavy_keys
+    if est_h <= est_l:
+        l_idx = light.indexes[IDX0]
+        le = light.entries
+        for t, mh in heavy.entries.items():
+            posts = l_idx.get(t[1])
+            if posts:
+                counters.iterations += len(posts)
+                x = t[0]
+                for u in posts:
+                    bump(w, (x, u[1]), mh * le[u])
+    else:
+        h_idx = heavy.indexes[IDX1]
+        he = heavy.entries
+        for t, ml in light.entries.items():
+            posts = h_idx.get(t[0])
+            if posts:
+                counters.iterations += len(posts)
+                z = t[1]
+                for u in posts:
+                    bump(w, (u[0], z), he[u] * ml)
+    return w
+
+
+class TriangleEngine(MaintenanceKernel):
     """Triangle count under single-tuple updates, constant answer time."""
 
     REL = REL_NAMES
@@ -93,38 +127,13 @@ class TriangleEngine:
     def __init__(self, cfg: EpsConfig | float = 0.5, counters: OpCounters | None = None):
         if not isinstance(cfg, EpsConfig):
             cfg = EpsConfig.uniform(float(cfg))
+        super().__init__(REL_NAMES, (2, 2, 2), cfg.as_tuple(), counters)
         self.cfg = cfg
-        self.eps = cfg.as_tuple()
-        self.N = 1
         self.parts = [Partition(2, IDX0, self._theta(i)) for i in range(3)]
         # wedges[i][(x, z)] = sum_y heavy_i(x, y) * light_{i+1}(y, z);
         # wedge i answers the constant-time combination for updates to
         # relation i-1.
         self.wedges: list[dict] = [{}, {}, {}]
-        self.q = 0
-        self.db_size = 0
-        self.counters = counters if counters is not None else OpCounters()
-
-    # -- basic accessors ----------------------------------------------------
-
-    def _theta(self, i: int) -> float:
-        return self.N ** self.eps[i]
-
-    def rel_index(self, rel) -> int:
-        if isinstance(rel, int):
-            return rel
-        try:
-            return REL_NAMES.index(rel)
-        except ValueError:
-            raise KeyError(f"unknown relation {rel!r}") from None
-
-    def answer(self) -> int:
-        return self.q
-
-    def lookup(self, rel, t: tuple) -> int:
-        """Current multiplicity of ``t`` across both parts of ``rel``."""
-        p = self.parts[self.rel_index(rel)]
-        return p.heavy.entries.get(t, 0) + p.light.entries.get(t, 0)
 
     def space_used(self) -> int:
         return (sum(p.total_size() for p in self.parts)
@@ -203,9 +212,7 @@ class TriangleEngine:
         in that order. Does not rebalance; callers that need the loose
         bounds preserved go through ``on_update``.
         """
-        i = self.rel_index(rel)
-        if len(t) != 2:
-            raise SchemaError(f"binary tuple expected, got {t!r}")
+        i = self._index[rel]
         x, y = t
         c = self.counters
         dq = m * self._delta_sum(i, x, y)
@@ -236,94 +243,18 @@ class TriangleEngine:
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
         return dq
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        """Route, apply, and rebalance as needed; the public update entry."""
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
-        i = self.rel_index(rel)
-        part = self.parts[i]
-        key = t[0]
+    def route(self, i: int, t: tuple) -> str:
         self.counters.lookups += 1
-        side = part.route(key, force_heavy=(self.eps[i] == 0.0))
-        self.apply_update(i, side, t, m)
+        return self.parts[i].route(t[0], self.eps[i] == 0.0)
 
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-        elif self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            # the size invariant keeps N >= 4 whenever halving can fire
-            assert self.N >= 1
-            self.major_rebalance()
-        else:
-            theta = self._theta(i)
-            spec = part.part_spec
-            l_posts = part.light.indexes[spec].get(key)
-            if l_posts is not None and len(l_posts) >= 1.5 * theta:
-                self.minor_rebalance(i, key, LIGHT)
-            else:
-                h_posts = part.heavy.indexes[spec].get(key)
-                if h_posts is not None and len(h_posts) < 0.5 * theta:
-                    self.minor_rebalance(i, key, HEAVY)
-
-    def minor_rebalance(self, i: int, key, src_label: str) -> int:
-        """Move one key's tuples to the other side, one delta pair each."""
-        c = self.counters
-        c.rebalance_minor += 1
-        dst_label = LIGHT if src_label == HEAVY else HEAVY
-
-        def sink(t, m):
-            self.apply_update(i, src_label, t, -m)
-            self.apply_update(i, dst_label, t, m)
-            c.moves += 1
-
-        return self.parts[i].move_key(key, src_label, sink)
-
-    def major_rebalance(self) -> None:
-        """Strictly repartition everything and rebuild the wedges."""
-        c = self.counters
-        c.rebalance_major += 1
-        for i in range(3):
-            c.moves += self.parts[i].restrict(self._theta(i))
+    def rebuild_views(self) -> None:
         self.wedges = [self._build_wedge(i) for i in range(3)]
 
     def _build_wedge(self, i: int) -> dict:
-        """Aggregated join heavy_i x light_{i+1}, outer side chosen by cost.
-
-        Scanning heavy-side entries costs at most the light per-key budget
-        each; scanning light-side entries costs at most the number of
-        distinct heavy keys each. Pick the smaller estimate.
-        """
-        c = self.counters
+        """Wedge i: heavy part of relation i joined with the next light part."""
         i1 = i - 2 if i >= 2 else i + 1
-        h = self.parts[i].heavy
-        l = self.parts[i1].light
-        w: dict = {}
-        if not h.entries or not l.entries:
-            return w
-        est_h = len(h.entries) * self._theta(i1)
-        est_l = len(l.entries) * 2 * (self.N ** (1.0 - self.eps[i]))
-        if est_h <= est_l:
-            l_idx = l.indexes[IDX0]
-            le = l.entries
-            for t, mh in h.entries.items():
-                posts = l_idx.get(t[1])
-                if posts:
-                    c.iterations += len(posts)
-                    x = t[0]
-                    for u in posts:
-                        bump(w, (x, u[1]), mh * le[u])
-        else:
-            h_idx = h.indexes[IDX1]
-            he = h.entries
-            for t, ml in l.entries.items():
-                posts = h_idx.get(t[0])
-                if posts:
-                    c.iterations += len(posts)
-                    z = t[1]
-                    for u in posts:
-                        bump(w, (u[0], z), he[u] * ml)
-        return w
+        return build_wedge(self.parts[i].heavy, self.parts[i1].light, self._theta(i1),
+                           self.N ** (1.0 - self.eps[i]), self.counters)
 
     # -- construction -------------------------------------------------------
 
@@ -339,19 +270,9 @@ class TriangleEngine:
         R's entries against the finished S and T parts is exact).
         """
         eng = cls(cfg, counters)
-        rels = []
-        total = 0
-        for name in REL_NAMES:
-            r = Relation(2)
-            for t, m in dict(db.get(name, {})).items():
-                if m:
-                    r.upsert(tuple(t), m)
-            rels.append(r)
-            total += len(r.entries)
-        eng.N = 2 * total + 1
-        eng.db_size = total
+        rels = eng._load(db)
         eng.parts = [strict_partition(rels[i], IDX0, eng._theta(i)) for i in range(3)]
-        eng.wedges = [eng._build_wedge(i) for i in range(3)]
+        eng.rebuild_views()
         q = 0
         for rel in (eng.parts[0].heavy, eng.parts[0].light):
             for t, m in rel.entries.items():
@@ -359,24 +280,8 @@ class TriangleEngine:
         eng.q = q
         return eng
 
-    # -- validation helpers (tests and debugging) ----------------------------
-
     def recompute_wedge(self, i: int) -> dict:
-        saved = self.counters
-        self.counters = OpCounters()
-        try:
-            return self._build_wedge(i)
-        finally:
-            self.counters = saved
-
-    def check_invariants(self, loose: bool = True) -> list[str]:
-        out = []
-        if not (self.N // 4 <= self.db_size < self.N):
-            out.append(f"size invariant broken: N={self.N} db={self.db_size}")
-        for i in range(3):
-            for v in self.parts[i].violations(self._theta(i), strict=not loose):
-                out.append(f"{REL_NAMES[i]}: {v}")
-        return out
+        return self._uncounted(self._build_wedge, i)
 
 
 def static_count(db: dict) -> int:

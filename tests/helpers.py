@@ -49,3 +49,25 @@ def varied_length(rng: random.Random, cap: int, floor: int = 40) -> int:
 
 def db_from_pairs(**rels) -> dict:
     return {name: dict(pairs) for name, pairs in rels.items()}
+
+
+def grow_shrink_stream(seed: int, length: int, arities: dict, wide: int) -> list[Update]:
+    """Skewed inserts, then deletes of seven eighths of them in random order.
+
+    Half of the tuples take their leading value from two hot keys, the
+    other values come from ``range(wide)``. The hot keys cross the light
+    cap while the database grows and thin out while it shrinks; the
+    deletes drop the database below a quarter of the threshold base.
+    ``arities`` maps relation names to tuple arities.
+    """
+    rng = random.Random(seed)
+    names = list(arities)
+    grow = []
+    for _ in range(length):
+        rel = names[rng.randrange(len(names))]
+        lead = rng.randrange(2) if rng.random() < 0.5 else rng.randrange(wide)
+        rest = tuple(rng.randrange(wide) for _ in range(arities[rel] - 1))
+        grow.append(Update(rel, (lead,) + rest, rng.choice((1, 2))))
+    shrink = [Update(u.rel, u.values, -u.mult) for u in grow]
+    rng.shuffle(shrink)
+    return grow + shrink[:length * 7 // 8]

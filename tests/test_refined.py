@@ -54,7 +54,7 @@ class TestRoutingAndRebalancing:
         eng = RefinedTriangleEngine(0.0)
         for rel, t, m in mixed_stream(41, 300, 7):
             eng.on_update(rel, t, m)
-            for quad in eng.quads:
+            for quad in eng.parts:
                 for lab in ("hl", "lh", "ll"):
                     assert quad.parts[lab].size() == 0
 
@@ -76,7 +76,7 @@ class TestRoutingAndRebalancing:
         before = eng.counters.rebalance_minor
         eng.on_update("R", (1, 2), 1)
         assert eng.counters.rebalance_minor - before == 2
-        quad = eng.quads[0]
+        quad = eng.parts[0]
         assert quad.pair_degree(0, 1, "hl", "hh") == 6
         assert quad.pair_degree(1, 2, "lh", "hh") == 6
         assert not eng.check_invariants()

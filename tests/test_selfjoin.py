@@ -76,7 +76,7 @@ class TestRebalancing:
         for rel, t, m in edge_stream(10, 500, 8):
             eng.on_update(rel, t, m)
             assert not eng.wedge
-            assert eng.part.heavy.size() == 0
+            assert eng.parts[0].heavy.size() == 0
 
 
 class TestEquivalences:
