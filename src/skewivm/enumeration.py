@@ -77,8 +77,13 @@ class EnumTriangleEngine(MaintenanceKernel):
 
     # -- tree maintenance ---------------------------------------------------
 
-    def _tri_bump(self, i: int, x, y, z, d: int) -> None:
-        """Delta one ternary wedge entry, cascading into pair structures."""
+    def _tri_bump(self, i: int, x, y, z, d: int, third_h, third_l) -> None:
+        """Delta one ternary wedge entry, cascading into pair structures.
+
+        ``third_h`` and ``third_l`` are the posting maps at ``z`` of the
+        heavy and light parts of relation i+2 (``None`` when absent); the
+        roots multiply the aggregate with them.
+        """
         tri = self.tri[i]
         key = (x, y, z)
         old = tri.get(key, 0)
@@ -90,7 +95,7 @@ class EnumTriangleEngine(MaintenanceKernel):
                 ys = self.pair_index[i].get(pk)
                 if ys is None:
                     self.pair_index[i][pk] = {y}
-                    self._pair_born(i, pk)
+                    self._pair_born(i, pk, third_h, third_l)
                 else:
                     ys.add(y)
         else:
@@ -101,23 +106,21 @@ class EnumTriangleEngine(MaintenanceKernel):
                 del self.pair_index[i][pk]
                 self._pair_died(i, pk)
         bump(self.pair_sum[i], pk, d)
-        # roots multiply the aggregate with each side of relation i+2
-        i2 = i - 1 if i >= 1 else i + 2
         rk = (z, x)
-        third = self.parts[i2]
-        f = third.heavy.entries.get(rk)
-        if f:
-            bump(self.roots[i][HEAVY], pk, d * f)
-        f = third.light.entries.get(rk)
-        if f:
-            bump(self.roots[i][LIGHT], pk, d * f)
+        if third_h:
+            f = third_h.get(rk)
+            if f:
+                bump(self.roots[i][HEAVY], pk, d * f)
+        if third_l:
+            f = third_l.get(rk)
+            if f:
+                bump(self.roots[i][LIGHT], pk, d * f)
 
-    def _pair_born(self, i: int, pk) -> None:
-        x, z = pk
-        third = self.parts[i - 1 if i >= 1 else i + 2]
-        if (z, x) in third.heavy.entries:
+    def _pair_born(self, i: int, pk, third_h, third_l) -> None:
+        rk = (pk[1], pk[0])
+        if third_h and rk in third_h:
             self.live[i][HEAVY].add(pk)
-        if (z, x) in third.light.entries:
+        if third_l and rk in third_l:
             self.live[i][LIGHT].add(pk)
 
     def _pair_died(self, i: int, pk) -> None:
@@ -140,39 +143,43 @@ class EnumTriangleEngine(MaintenanceKernel):
             posts = snd.heavy.indexes[IDX1].get(x)
             if posts:
                 c.iterations += len(posts)
-                ne = nxt.heavy.entries
-                se = snd.heavy.entries
-                for u in posts:
-                    z = u[0]
-                    ms = ne.get((y, z))
-                    if ms:
-                        bump(self.listing, _rotate_back(i, x, y, z), m * ms * se[u])
+                row = nxt.heavy.indexes[IDX0].get(y)
+                if row:
+                    for u, mu in posts.items():
+                        z = u[0]
+                        ms = row.get((y, z))
+                        if ms:
+                            bump(self.listing, _rotate_back(i, x, y, z), m * ms * mu)
             # family i: heavy side of this relation joins i+1's light part
             posts = nxt.light.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
-                le = nxt.light.entries
-                for u in list(posts):
-                    self._tri_bump(i, x, y, u[1], m * le[u])
+                sh = snd.heavy.indexes[IDX0]
+                sl = snd.light.indexes[IDX0]
+                for u, mu in posts.items():
+                    z = u[1]
+                    self._tri_bump(i, x, y, z, m * mu, sh.get(z), sl.get(z))
         else:
             # all-light listing entries
             posts = nxt.light.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
-                le = nxt.light.entries
-                se = snd.light.entries
-                for u in posts:
+                sl = snd.light.indexes[IDX0]
+                for u, mu in posts.items():
                     z = u[1]
-                    mt = se.get((z, x))
-                    if mt:
-                        bump(self.listing, _rotate_back(i, x, y, z), m * le[u] * mt)
+                    z_row = sl.get(z)
+                    if z_row:
+                        mt = z_row.get((z, x))
+                        if mt:
+                            bump(self.listing, _rotate_back(i, x, y, z), m * mu * mt)
             # family i+2: its heavy anchor joins this relation's light part
             posts = snd.heavy.indexes[IDX1].get(x)
             if posts:
                 c.iterations += len(posts)
-                he = snd.heavy.entries
-                for u in list(posts):
-                    self._tri_bump(i2, u[0], x, y, m * he[u])
+                nh = nxt.heavy.indexes[IDX0].get(y)
+                nl = nxt.light.indexes[IDX0].get(y)
+                for u, mu in posts.items():
+                    self._tri_bump(i2, u[0], x, y, m * mu, nh, nl)
 
         # family i+1's root: this relation is its third factor
         rk = (y, x)
@@ -204,17 +211,16 @@ class EnumTriangleEngine(MaintenanceKernel):
         listing: dict = {}
         for lab in (HEAVY, LIGHT):
             r0 = self.parts[0].side(lab)
-            s1 = self.parts[1].side(lab)
+            s_idx = self.parts[1].side(lab).indexes[IDX0]
             t2 = self.parts[2].side(lab)
-            s_idx = s1.indexes[IDX0]
-            for t, mr in r0.entries.items():
+            for t, mr in r0.items():
                 posts = s_idx.get(t[1])
                 if posts:
                     c.iterations += len(posts)
-                    for u in posts:
-                        mt = t2.entries.get((u[1], t[0]))
+                    for u, ms in posts.items():
+                        mt = t2.get((u[1], t[0]))
                         if mt:
-                            bump(listing, (t[0], t[1], u[1]), mr * s1.entries[u] * mt)
+                            bump(listing, (t[0], t[1], u[1]), mr * ms * mt)
         tri: list[dict] = [{}, {}, {}]
         pair_index: list[dict] = [{}, {}, {}]
         pair_sum: list[dict] = [{}, {}, {}]
@@ -223,29 +229,26 @@ class EnumTriangleEngine(MaintenanceKernel):
         for i in range(3):
             i1 = i - 2 if i >= 2 else i + 1
             i2 = i - 1 if i >= 1 else i + 2
-            h = self.parts[i].heavy
-            l = self.parts[i1].light
-            l_idx = l.indexes[IDX0]
-            for t, mh in h.entries.items():
-                posts = l_idx.get(t[1])
-                if posts:
-                    c.iterations += len(posts)
-                    for u in posts:
-                        d = mh * l.entries[u]
-                        key = (t[0], t[1], u[1])
-                        nv = tri[i].get(key, 0) + d
-                        if nv:
-                            tri[i][key] = nv
-                        else:
-                            del tri[i][key]
-                        bump(pair_sum[i], (t[0], u[1]), d)
-            for (x, y, z) in tri[i]:
-                pair_index[i].setdefault((x, z), set()).add(y)
+            # each (x, y, z) pairs one heavy tuple with one light tuple
+            h_idx = self.parts[i].heavy.indexes[IDX1]
+            l_idx = self.parts[i1].light.indexes[IDX0]
+            for y in h_idx.keys() & l_idx.keys():
+                h_posts = h_idx[y]
+                l_posts = l_idx[y]
+                c.iterations += len(h_posts) * len(l_posts)
+                for t, mh in h_posts.items():
+                    x = t[0]
+                    for u, ml in l_posts.items():
+                        z = u[1]
+                        d = mh * ml
+                        tri[i][(x, y, z)] = d
+                        bump(pair_sum[i], (x, z), d)
+                        pair_index[i].setdefault((x, z), set()).add(y)
             third = self.parts[i2]
             for pk in pair_index[i]:
                 x, z = pk
                 for lab in (HEAVY, LIGHT):
-                    f = third.side(lab).entries.get((z, x))
+                    f = third.side(lab).get((z, x))
                     if f:
                         live[i][lab].add(pk)
                         agg = pair_sum[i].get(pk, 0)
@@ -264,10 +267,10 @@ class EnumTriangleEngine(MaintenanceKernel):
             tri = self.tri[i]
             pairs = self.pair_index[i]
             for lab in (HEAVY, LIGHT):
-                factor = self.parts[i2].side(lab).entries
+                factor = self.parts[i2].side(lab).indexes[IDX0]
                 for pk in self.live[i][lab]:
                     x, z = pk
-                    f = factor[(z, x)]
+                    f = factor[z][(z, x)]
                     for y in pairs[pk]:
                         yield _rotate_back(i, x, y, z), tri[(x, y, z)] * f
 
@@ -287,12 +290,12 @@ class EnumTriangleEngine(MaintenanceKernel):
             tri = self.tri[i]
             pairs = self.pair_index[i]
             for lab in (HEAVY, LIGHT):
-                factor = self.parts[i2].side(lab).entries
+                factor = self.parts[i2].side(lab).indexes[IDX0]
                 steps += 1
                 for pk in self.live[i][lab]:
                     x, z = pk
                     steps += 2
-                    f = factor[(z, x)]
+                    f = factor[z][(z, x)]
                     for y in pairs[pk]:
                         steps += 2
                         yield _rotate_back(i, x, y, z), tri[(x, y, z)] * f, steps
@@ -311,7 +314,7 @@ def preprocess_enum(db: dict, eps: float = 0.5,
                     counters: OpCounters | None = None) -> EnumTriangleEngine:
     """Ready enumeration state from a full database."""
     eng = EnumTriangleEngine(eps, counters)
-    staged = eng._load(db)
+    staged = eng._load(db, (IDX0,))
     theta = eng._theta()
     eng.parts = [strict_partition(r, IDX0, theta) for r in staged]
     eng.rebuild_views()

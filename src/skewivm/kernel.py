@@ -5,9 +5,11 @@ partition per relation (``None`` for a relation it keeps whole), and some
 views over the parts. What keeps those splits meaningful is the same for
 every query, so it lives here once:
 
-  * the boundary check: an update names a known relation, carries a tuple
-    of that relation's arity and a nonzero ``int`` multiplicity, or it is
-    refused with ``SchemaError`` before anything changes;
+  * the boundary check: an update names a known relation (by its name, a
+    ``str``, or its position, an ``int``), carries a tuple of that
+    relation's arity and a nonzero ``int`` multiplicity, or it is refused
+    with ``SchemaError`` before anything changes; the preprocess loader
+    applies the same rules to every row before it builds anything;
   * the size invariant ``floor(N/4) <= db_size < N`` on the threshold base
     ``N``: reaching ``N`` doubles it, falling below a quarter roughly
     halves it, and either triggers a major rebalance, which strictly
@@ -71,10 +73,16 @@ class MaintenanceKernel:
         return self.N ** self._eps[i]
 
     def rel_index(self, rel) -> int:
-        try:
-            return self._index[rel]
-        except (KeyError, TypeError):
-            raise SchemaError(f"unknown relation {rel!r}") from None
+        """Position of relation ``rel``, given by name or by position.
+
+        Only a ``str`` or an exact ``int`` names a relation: ``True`` or
+        ``1.0`` hash like position 1 but are refused.
+        """
+        if rel.__class__ is str or rel.__class__ is int:
+            i = self._index.get(rel)
+            if i is not None:
+                return i
+        raise SchemaError(f"unknown relation {rel!r}, expected one of {self.names}")
 
     def answer(self) -> int:
         return self.q
@@ -87,11 +95,7 @@ class MaintenanceKernel:
 
     def on_update(self, rel, t: tuple, m: int) -> None:
         """Check, route and apply one update, then rebalance as needed."""
-        try:
-            i = self._index[rel]
-        except (KeyError, TypeError):
-            raise SchemaError(f"unknown relation {rel!r}, expected one of "
-                              f"{self.names}") from None
+        i = self.rel_index(rel)
         if not isinstance(t, tuple) or len(t) != self.arities[i]:
             raise SchemaError(f"{self.names[i]} takes tuples of arity {self.arities[i]}, "
                               f"got {t!r}")
@@ -146,20 +150,44 @@ class MaintenanceKernel:
     def _load(self, db, index_specs=None) -> list[Relation]:
         """Stage a full database; set ``N`` and ``db_size`` for it.
 
-        ``db`` maps relation names to ``{tuple: multiplicity}`` or lists
-        those maps in relation order; zero multiplicities are dropped. The
-        threshold base becomes twice the database size plus one, so the
-        ready state sits well inside its size invariant.
+        ``db`` maps relations (as ``on_update`` names them) to
+        ``{tuple: multiplicity}`` or lists those maps in relation order.
+        Every row is checked by ``on_update``'s rules before anything is
+        built, and ``SchemaError`` refuses the whole database; zero
+        multiplicities are dropped. The threshold base becomes twice the
+        database size plus one, so the ready state sits well inside its
+        size invariant.
         """
+        n = len(self.names)
+        if isinstance(db, (list, tuple)):
+            if len(db) != n:
+                raise SchemaError(f"{n} relations expected, got {len(db)}")
+            tables = list(db)
+        else:
+            tables = [None] * n
+            for rel, rows in db.items():
+                i = self.rel_index(rel)
+                if tables[i] is not None:
+                    raise SchemaError(f"relation {self.names[i]} given twice")
+                tables[i] = rows
+        checked = []
+        for i, rows in enumerate(tables):
+            rows = dict(rows or {})
+            for t, m in rows.items():
+                if not isinstance(t, tuple) or len(t) != self.arities[i]:
+                    raise SchemaError(f"{self.names[i]} takes tuples of arity "
+                                      f"{self.arities[i]}, got {t!r}")
+                if type(m) is not int:
+                    raise SchemaError(f"multiplicity must be an int, got {m!r}")
+            checked.append(rows)
         staged = []
-        for i, name in enumerate(self.names):
-            rows = db[i] if isinstance(db, (list, tuple)) else db.get(name, {})
+        for i, rows in enumerate(checked):
             r = Relation(self.arities[i], index_specs)
-            for t, m in dict(rows).items():
+            for t, m in rows.items():
                 if m:
-                    r.upsert(tuple(t), m)
+                    r.upsert(t, m)
             staged.append(r)
-        total = sum(len(r.entries) for r in staged)
+        total = sum(len(r) for r in staged)
         self.N = 2 * total + 1
         self.db_size = total
         return staged

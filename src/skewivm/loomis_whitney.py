@@ -36,14 +36,8 @@ from itertools import product
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
+from .oracle import lw_schemas
 from .relation import HEAVY, LIGHT, Partition, bump, strict_partition
-
-
-def lw_schemas(n: int) -> list[tuple[int, ...]]:
-    """Global variables carried by each relation, in schema order."""
-    if n < 3:
-        raise ValueError("degree must be at least 3")
-    return [tuple((i + k) % n for k in range(n - 1)) for i in range(n)]
 
 
 class LWEngine(MaintenanceKernel):
@@ -82,7 +76,7 @@ class LWEngine(MaintenanceKernel):
         return tuple(vals[(j + k) % n] for k in range(self.arity))
 
     def _scan(self, src: int, side: str, free_var: int, vals):
-        """Posting set of src's part matching ``vals`` with one variable free.
+        """Posting map of src's part matching ``vals`` with one variable free.
 
         Returns (postings, position of the free variable) or (None, pos).
         """
@@ -122,13 +116,11 @@ class LWEngine(MaintenanceKernel):
             if not posts:
                 continue
             c.iterations += len(posts)
-            src_entries = self.parts[src].side(side).entries
             rest = [j for j in others if j != src]
-            for u in posts:
+            for u, prod in posts.items():
                 vals[free] = u[pc]
-                prod = src_entries[u]
                 for j in rest:
-                    mj = self.parts[j].side(labs[j]).entries.get(self._tuple_of(j, vals))
+                    mj = self.parts[j].side(labs[j]).get(self._tuple_of(j, vals))
                     if not mj:
                         prod = 0
                         break
@@ -155,14 +147,13 @@ class LWEngine(MaintenanceKernel):
                 if not posts:
                     continue
                 c.iterations += len(posts)
-                le = self.parts[light_member].light.entries
                 rest = [j for j in range(n) if j not in (v, i, light_member)]
                 view = self.views[i]
-                for u in posts:
+                for u, mu in posts.items():
                     vals[free] = u[pc]
-                    prod = m * le[u]
+                    prod = m * mu
                     for j in rest:
-                        mj = self.parts[j].heavy.entries.get(self._tuple_of(j, vals))
+                        mj = self.parts[j].heavy.get(self._tuple_of(j, vals))
                         if not mj:
                             prod = 0
                             break
@@ -176,14 +167,13 @@ class LWEngine(MaintenanceKernel):
             posts, pc = self._scan(src, HEAVY, free, vals)
             if posts:
                 c.iterations += len(posts)
-                he = self.parts[src].heavy.entries
                 rest = [j for j in range(n) if j not in (v, i, src)]
                 view = self.views[i]
-                for u in posts:
+                for u, mu in posts.items():
                     vals[free] = u[pc]
-                    prod = m * he[u]
+                    prod = m * mu
                     for j in rest:
-                        mj = self.parts[j].heavy.entries.get(self._tuple_of(j, vals))
+                        mj = self.parts[j].heavy.get(self._tuple_of(j, vals))
                         if not mj:
                             prod = 0
                             break
@@ -217,10 +207,10 @@ class LWEngine(MaintenanceKernel):
         lrel = self.parts[light_member].light
         arel = self.parts[anchor].heavy
         view: dict = {}
-        if not lrel.entries or not arel.entries:
+        if not lrel or not arel:
             return view
-        est_anchor = len(arel.entries) * 1.5 * self._theta()
-        est_light = len(lrel.entries) * 2 * (self.N ** (1.0 - self.eps))
+        est_anchor = len(arel) * 1.5 * self._theta()
+        est_light = len(lrel) * 2 * (self.N ** (1.0 - self.eps))
         if est_anchor <= est_light:
             outer, outer_side = anchor, HEAVY
             inner, inner_side = light_member, LIGHT
@@ -233,18 +223,17 @@ class LWEngine(MaintenanceKernel):
         members = {j: (LIGHT if j == light_member else HEAVY)
                    for j in range(n) if j != i}
         rest = [j for j in members if j not in (outer, inner)]
-        for t, mo in outer_rel.entries.items():
+        for t, mo in outer_rel.items():
             vals = self._fill(outer, t)
             posts, pc = self._scan(inner, members[inner], inner_free, vals)
             if not posts:
                 continue
             c.iterations += len(posts)
-            ie = self.parts[inner].side(members[inner]).entries
-            for u in posts:
+            for u, mi in posts.items():
                 vals[inner_free] = u[pc]
-                prod = mo * ie[u]
+                prod = mo * mi
                 for j in rest:
-                    mj = self.parts[j].side(members[j]).entries.get(self._tuple_of(j, vals))
+                    mj = self.parts[j].side(members[j]).get(self._tuple_of(j, vals))
                     if not mj:
                         prod = 0
                         break
@@ -268,7 +257,7 @@ class LWEngine(MaintenanceKernel):
         eng.rebuild_views()
         q = 0
         for side in (eng.parts[0].heavy, eng.parts[0].light):
-            for t, m in side.entries.items():
+            for t, m in side.items():
                 q += m * eng._delta_sum(0, t)
         eng.q = q
         return eng

@@ -49,6 +49,10 @@ class Path4Engine(MaintenanceKernel):
 
     REL = REL_NAMES
 
+    # the S-T join views with the indexes the delta procedures walk them by
+    JOIN_VIEWS = {"s_ll_t_lh": (IDX0,), "s_hl_t_ll": (IDX1,), "s_hl_t_lh": (IDX0, IDX1),
+                  "s_hl_t_hh": (IDX0, IDX1), "s_hh_t_lh": (IDX0, IDX1)}
+
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
         super().__init__(REL_NAMES, (1, 2, 2, 1), eps, counters)
         self.r: dict = {}
@@ -57,11 +61,8 @@ class Path4Engine(MaintenanceKernel):
         self.rs_ll: dict = {}
         self.rs_lh: dict = {}
         self.rs_hh: dict = {}
-        self.s_ll_t_lh = Relation(2)
-        self.s_hl_t_ll = Relation(2)
-        self.s_hl_t_lh = Relation(2)
-        self.s_hl_t_hh = Relation(2)
-        self.s_hh_t_lh = Relation(2)
+        for name, specs in self.JOIN_VIEWS.items():
+            setattr(self, name, Relation(2, specs))
         self.t_ll_u: dict = {}
         self.t_hl_u: dict = {}
         self.t_hh_u: dict = {}
@@ -87,9 +88,9 @@ class Path4Engine(MaintenanceKernel):
 
     def space_used(self) -> int:
         views = (len(self.rs_ll) + len(self.rs_lh) + len(self.rs_hh)
-                 + len(self.s_ll_t_lh.entries) + len(self.s_hl_t_ll.entries)
-                 + len(self.s_hl_t_lh.entries) + len(self.s_hl_t_hh.entries)
-                 + len(self.s_hh_t_lh.entries)
+                 + len(self.s_ll_t_lh) + len(self.s_hl_t_ll)
+                 + len(self.s_hl_t_lh) + len(self.s_hl_t_hh)
+                 + len(self.s_hh_t_lh)
                  + len(self.t_ll_u) + len(self.t_hl_u) + len(self.t_hh_u)
                  + len(self.t_ind) + len(self.s_ind)
                  + len(self.r_s_hl_t_ind) + len(self.r_s_ll_t_lh)
@@ -109,58 +110,42 @@ class Path4Engine(MaintenanceKernel):
         posts = self.s.parts["ll"].indexes[IDX0].get(a)
         if posts:
             c.iterations += len(posts)
-            se = self.s.parts["ll"].entries
-            for e in posts:
+            for e, ms in posts.items():
                 b = e[1]
                 w = t_ll_u.get(b, 0) + t_hl_u.get(b, 0) + t_hh_u.get(b, 0)
                 if w:
-                    acc += se[e] * w
-        posts = self.s_ll_t_lh.indexes[IDX0].get(a)
-        if posts:
-            c.iterations += len(posts)
-            ve = self.s_ll_t_lh.entries
-            for e in posts:
-                mu = u.get(e[1])
-                if mu:
-                    acc += ve[e] * mu
+                    acc += ms * w
+        acc += self._hop_sum(self.s_ll_t_lh, a, IDX0, u)
         posts = self.s.parts["lh"].indexes[IDX0].get(a)
         if posts:
             c.iterations += len(posts)
-            se = self.s.parts["lh"].entries
             ind_w = self.s_ind_t_lh_u
-            for e in posts:
+            for e, ms in posts.items():
                 b = e[1]
                 w = (t_ll_u.get(b, 0) + ind_w.get(b, 0)
                      + t_hl_u.get(b, 0) + t_hh_u.get(b, 0))
                 if w:
-                    acc += se[e] * w
+                    acc += ms * w
         c.lookups += 1
         acc += self.s_hl_t_ll_u.get(a, 0)
-        she = self.s.parts["hl"].entries
         if t_hl_u:
             c.iterations += len(t_hl_u)
-            for b, w in t_hl_u.items():
-                ms = she.get((a, b))
-                if ms:
-                    acc += ms * w
+            row = self.s.parts["hl"].indexes[IDX0].get(a)
+            if row:
+                for b, w in t_hl_u.items():
+                    ms = row.get((a, b))
+                    if ms:
+                        acc += ms * w
         for view in (self.s_hl_t_lh, self.s_hl_t_hh, self.s_hh_t_lh):
-            posts = view.indexes[IDX0].get(a)
-            if posts:
-                c.iterations += len(posts)
-                ve = view.entries
-                for e in posts:
-                    mu = u.get(e[1])
-                    if mu:
-                        acc += ve[e] * mu
+            acc += self._hop_sum(view, a, IDX0, u)
         posts = self.s.parts["hh"].indexes[IDX0].get(a)
         if posts:
             c.iterations += len(posts)
-            se = self.s.parts["hh"].entries
-            for e in posts:
+            for e, ms in posts.items():
                 b = e[1]
                 w = t_ll_u.get(b, 0) + t_hl_u.get(b, 0) + t_hh_u.get(b, 0)
                 if w:
-                    acc += se[e] * w
+                    acc += ms * w
         return acc
 
     def _delta_sum_u(self, cval) -> int:
@@ -173,69 +158,60 @@ class Path4Engine(MaintenanceKernel):
         posts = self.t.parts["ll"].indexes[IDX1].get(cval)
         if posts:
             c.iterations += len(posts)
-            te = self.t.parts["ll"].entries
-            for e in posts:
+            for e, mt in posts.items():
                 b = e[0]
                 w = rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
                 if w:
-                    acc += te[e] * w
-        posts = self.s_hl_t_ll.indexes[IDX1].get(cval)
-        if posts:
-            c.iterations += len(posts)
-            ve = self.s_hl_t_ll.entries
-            for e in posts:
-                mr = r.get(e[0])
-                if mr:
-                    acc += ve[e] * mr
+                    acc += mt * w
+        acc += self._hop_sum(self.s_hl_t_ll, cval, IDX1, r)
         posts = self.t.parts["hl"].indexes[IDX1].get(cval)
         if posts:
             c.iterations += len(posts)
-            te = self.t.parts["hl"].entries
             masked = self.r_s_hl_t_ind
-            for e in posts:
+            for e, mt in posts.items():
                 b = e[0]
                 w = (rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
                      + masked.get(b, 0))
                 if w:
-                    acc += te[e] * w
+                    acc += mt * w
         c.lookups += 1
         acc += self.r_s_ll_t_lh.get(cval, 0)
-        tlhe = self.t.parts["lh"].entries
         if rs_lh:
             c.iterations += len(rs_lh)
-            for b, w in rs_lh.items():
-                mt = tlhe.get((b, cval))
-                if mt:
-                    acc += w * mt
+            col = self.t.parts["lh"].indexes[IDX1].get(cval)
+            if col:
+                for b, w in rs_lh.items():
+                    mt = col.get((b, cval))
+                    if mt:
+                        acc += w * mt
         for view in (self.s_hl_t_lh, self.s_hh_t_lh, self.s_hl_t_hh):
-            posts = view.indexes[IDX1].get(cval)
-            if posts:
-                c.iterations += len(posts)
-                ve = view.entries
-                for e in posts:
-                    mr = r.get(e[0])
-                    if mr:
-                        acc += ve[e] * mr
+            acc += self._hop_sum(view, cval, IDX1, r)
         posts = self.t.parts["hh"].indexes[IDX1].get(cval)
         if posts:
             c.iterations += len(posts)
-            te = self.t.parts["hh"].entries
-            for e in posts:
+            for e, mt in posts.items():
                 b = e[0]
                 w = rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
                 if w:
-                    acc += te[e] * w
+                    acc += mt * w
         return acc
 
-    def _hop_sum(self, quad_part: Relation, key, idx, weights: dict) -> int:
-        """sum over one part's postings at key of entry * endpoint weight."""
-        posts = quad_part.indexes[idx].get(key)
+    def _hop_sum(self, rel: Relation, key, idx, weights: dict) -> int:
+        """Sum over ``rel``'s postings at ``key`` of multiplicity * weight.
+
+        The weight of a posting is looked up by its other variable.
+        """
+        posts = rel.indexes[idx].get(key)
         if not posts:
             return 0
         self.counters.iterations += len(posts)
-        e = quad_part.entries
         pos = 1 - idx[0]
-        return sum(e[t] * weights.get(t[pos], 0) for t in posts)
+        acc = 0
+        for t, m in posts.items():
+            w = weights.get(t[pos])
+            if w:
+                acc += m * w
+        return acc
 
     # -- update procedures ------------------------------------------------------
 
@@ -245,26 +221,24 @@ class Path4Engine(MaintenanceKernel):
         self.q += dq
 
         for lab, view in (("ll", self.rs_ll), ("lh", self.rs_lh), ("hh", self.rs_hh)):
-            part = self.s.parts[lab]
-            posts = part.indexes[IDX0].get(a)
+            posts = self.s.parts[lab].indexes[IDX0].get(a)
             if posts:
                 c.iterations += len(posts)
-                se = part.entries
-                for e in posts:
-                    bump(view, e[1], m * se[e])
-        she = self.s.parts["hl"].entries
+                for e, ms in posts.items():
+                    bump(view, e[1], m * ms)
         if self.t_ind:
             c.iterations += len(self.t_ind)
-            for b in self.t_ind:
-                ms = she.get((a, b))
-                if ms:
-                    bump(self.r_s_hl_t_ind, b, m * ms)
+            row = self.s.parts["hl"].indexes[IDX0].get(a)
+            if row:
+                for b in self.t_ind:
+                    ms = row.get((a, b))
+                    if ms:
+                        bump(self.r_s_hl_t_ind, b, m * ms)
         posts = self.s_ll_t_lh.indexes[IDX0].get(a)
         if posts:
             c.iterations += len(posts)
-            ve = self.s_ll_t_lh.entries
-            for e in posts:
-                bump(self.r_s_ll_t_lh, e[1], m * ve[e])
+            for e, mv in posts.items():
+                bump(self.r_s_ll_t_lh, e[1], m * mv)
 
         nv = self.r.get(a, 0) + m
         if nv:
@@ -282,26 +256,24 @@ class Path4Engine(MaintenanceKernel):
         self.q += dq
 
         for lab, view in (("ll", self.t_ll_u), ("hl", self.t_hl_u), ("hh", self.t_hh_u)):
-            part = self.t.parts[lab]
-            posts = part.indexes[IDX1].get(cval)
+            posts = self.t.parts[lab].indexes[IDX1].get(cval)
             if posts:
                 c.iterations += len(posts)
-                te = part.entries
-                for e in posts:
-                    bump(view, e[0], m * te[e])
-        tlhe = self.t.parts["lh"].entries
+                for e, mt in posts.items():
+                    bump(view, e[0], m * mt)
         if self.s_ind:
             c.iterations += len(self.s_ind)
-            for b in self.s_ind:
-                mt = tlhe.get((b, cval))
-                if mt:
-                    bump(self.s_ind_t_lh_u, b, m * mt)
+            col = self.t.parts["lh"].indexes[IDX1].get(cval)
+            if col:
+                for b in self.s_ind:
+                    mt = col.get((b, cval))
+                    if mt:
+                        bump(self.s_ind_t_lh_u, b, m * mt)
         posts = self.s_hl_t_ll.indexes[IDX1].get(cval)
         if posts:
             c.iterations += len(posts)
-            ve = self.s_hl_t_ll.entries
-            for e in posts:
-                bump(self.s_hl_t_ll_u, e[0], m * ve[e])
+            for e, mv in posts.items():
+                bump(self.s_hl_t_ll_u, e[0], m * mv)
 
         nv = self.u.get(cval, 0) + m
         if nv:
@@ -351,11 +323,10 @@ class Path4Engine(MaintenanceKernel):
             posts = self.t.parts["ll"].indexes[IDX0].get(b)
             if posts:
                 c.iterations += len(posts)
-                te = self.t.parts["ll"].entries
                 u = self.u
-                for e in posts:
-                    mt = te[e]
-                    self._rel_bump(self.s_hl_t_ll, (a, e[1]), m * mt)
+                up = self.s_hl_t_ll.upsert
+                for e, mt in posts.items():
+                    up((a, e[1]), m * mt)
                     mu = u.get(e[1])
                     if mu:
                         w_sum += mt * mu
@@ -372,10 +343,9 @@ class Path4Engine(MaintenanceKernel):
             posts = self.t.parts["lh"].indexes[IDX0].get(b)
             if posts:
                 c.iterations += len(posts)
-                te = self.t.parts["lh"].entries
-                for e in posts:
-                    mt = te[e]
-                    self._rel_bump(self.s_ll_t_lh, (a, e[1]), m * mt)
+                up = self.s_ll_t_lh.upsert
+                for e, mt in posts.items():
+                    up((a, e[1]), m * mt)
                     if ra:
                         bump(self.r_s_ll_t_lh, e[1], ra * m * mt)
         return dq
@@ -389,15 +359,7 @@ class Path4Engine(MaintenanceKernel):
             c.lookups += 3
             acc = (self.rs_ll.get(b, 0) + self.rs_lh.get(b, 0)
                    + self.rs_hh.get(b, 0))
-            posts = self.s.parts["hl"].indexes[IDX1].get(b)
-            if posts:
-                c.iterations += len(posts)
-                se = self.s.parts["hl"].entries
-                r = self.r
-                for e in posts:
-                    mr = r.get(e[0])
-                    if mr:
-                        acc += mr * se[e]
+            acc += self._hop_sum(self.s.parts["hl"], b, IDX1, self.r)
             dq = ug * m * acc
             self.q += dq
 
@@ -414,16 +376,7 @@ class Path4Engine(MaintenanceKernel):
             support = len(self.t.parts["hl"].indexes[IDX0].get(b, ()))
             if new == m and support == 1:
                 self.t_ind[b] = 1
-                w = 0
-                posts = self.s.parts["hl"].indexes[IDX1].get(b)
-                if posts:
-                    c.iterations += len(posts)
-                    se = self.s.parts["hl"].entries
-                    r = self.r
-                    for e in posts:
-                        mr = r.get(e[0])
-                        if mr:
-                            w += mr * se[e]
+                w = self._hop_sum(self.s.parts["hl"], b, IDX1, self.r)
                 if w:
                     self.r_s_hl_t_ind[b] = w
             elif new == 0 and support == 0:
@@ -433,11 +386,10 @@ class Path4Engine(MaintenanceKernel):
             posts = self.s.parts["ll"].indexes[IDX1].get(b)
             if posts:
                 c.iterations += len(posts)
-                se = self.s.parts["ll"].entries
                 r = self.r
-                for e in posts:
-                    ms = se[e]
-                    self._rel_bump(self.s_ll_t_lh, (e[0], cval), ms * m)
+                up = self.s_ll_t_lh.upsert
+                for e, ms in posts.items():
+                    up((e[0], cval), ms * m)
                     mr = r.get(e[0])
                     if mr:
                         bump(self.r_s_ll_t_lh, cval, mr * ms * m)
@@ -452,10 +404,9 @@ class Path4Engine(MaintenanceKernel):
             posts = self.s.parts["hl"].indexes[IDX1].get(b)
             if posts:
                 c.iterations += len(posts)
-                se = self.s.parts["hl"].entries
-                for e in posts:
-                    ms = se[e]
-                    self._rel_bump(self.s_hl_t_ll, (e[0], cval), ms * m)
+                up = self.s_hl_t_ll.upsert
+                for e, ms in posts.items():
+                    up((e[0], cval), ms * m)
                     if ug:
                         bump(self.s_hl_t_ll_u, e[0], ms * m * ug)
         return dq
@@ -465,23 +416,18 @@ class Path4Engine(MaintenanceKernel):
         posts = t_part.indexes[IDX0].get(b)
         if posts:
             self.counters.iterations += len(posts)
-            te = t_part.entries
-            for e in posts:
-                self._rel_bump(view, (a, e[1]), m * te[e])
+            up = view.upsert
+            for e, mt in posts.items():
+                up((a, e[1]), m * mt)
 
     def _join_scan_left(self, view: Relation, s_part: Relation, b, cval, m: int) -> None:
         """view(a, c) += s_part(a, b) * m over the column of b."""
         posts = s_part.indexes[IDX1].get(b)
         if posts:
             self.counters.iterations += len(posts)
-            se = s_part.entries
-            for e in posts:
-                self._rel_bump(view, (e[0], cval), se[e] * m)
-
-    @staticmethod
-    def _rel_bump(view: Relation, key: tuple, d: int) -> None:
-        if d:
-            view.upsert(key, d)
+            up = view.upsert
+            for e, ms in posts.items():
+                up((e[0], cval), ms * m)
 
     # -- routing --------------------------------------------------------------
 
@@ -510,72 +456,56 @@ class Path4Engine(MaintenanceKernel):
     def recompute_views(self) -> dict:
         """All auxiliary views rebuilt from the base relations."""
         c = self.counters
+        s_parts, t_parts = self.s.parts, self.t.parts
         out: dict = {name: {} for name in
                      ("rs_ll", "rs_lh", "rs_hh", "t_ll_u", "t_hl_u", "t_hh_u",
                       "t_ind", "s_ind", "r_s_hl_t_ind", "r_s_ll_t_lh",
                       "s_ind_t_lh_u", "s_hl_t_ll_u")}
-        for name, lab in (("rs_ll", "ll"), ("rs_lh", "lh"), ("rs_hh", "hh")):
-            view = out[name]
-            for (a, b), ms in self.s.parts[lab].entries.items():
-                c.iterations += 1
-                mr = self.r.get(a)
-                if mr:
-                    bump(view, b, mr * ms)
-        for name, lab in (("t_ll_u", "ll"), ("t_hl_u", "hl"), ("t_hh_u", "hh")):
-            view = out[name]
-            for (b, cv), mt in self.t.parts[lab].entries.items():
-                c.iterations += 1
-                mu = self.u.get(cv)
-                if mu:
-                    bump(view, b, mt * mu)
+        for lab in ("ll", "lh", "hh"):
+            self._fold(s_parts[lab], IDX0, self.r, out["rs_" + lab])
+        for lab in ("ll", "hl", "hh"):
+            self._fold(t_parts[lab], IDX1, self.u, out[f"t_{lab}_u"])
         for name, s_lab, t_lab in (("s_ll_t_lh", "ll", "lh"),
                                    ("s_hl_t_ll", "hl", "ll"),
                                    ("s_hl_t_lh", "hl", "lh"),
                                    ("s_hl_t_hh", "hl", "hh"),
                                    ("s_hh_t_lh", "hh", "lh")):
-            rel = Relation(2)
-            t_idx = self.t.parts[t_lab].indexes[IDX0]
-            te = self.t.parts[t_lab].entries
-            for (a, b), ms in self.s.parts[s_lab].entries.items():
-                posts = t_idx.get(b)
-                if posts:
-                    c.iterations += len(posts)
-                    for e in posts:
-                        d = ms * te[e]
-                        if d:
-                            rel.upsert((a, e[1]), d)
+            rel = Relation(2, self.JOIN_VIEWS[name])
+            s_idx = s_parts[s_lab].indexes[IDX1]
+            t_idx = t_parts[t_lab].indexes[IDX0]
+            for b in s_idx.keys() & t_idx.keys():
+                s_posts = s_idx[b]
+                t_posts = t_idx[b]
+                c.iterations += len(s_posts) * len(t_posts)
+                for e, ms in s_posts.items():
+                    a = e[0]
+                    for f, mt in t_posts.items():
+                        rel.upsert((a, f[1]), ms * mt)
             out[name] = rel
-        out["t_ind"] = {b: 1 for b in self.t.parts["hl"].indexes[IDX0]}
-        out["s_ind"] = {b: 1 for b in self.s.parts["lh"].indexes[IDX1]}
+        out["t_ind"] = {b: 1 for b in t_parts["hl"].indexes[IDX0]}
+        out["s_ind"] = {b: 1 for b in s_parts["lh"].indexes[IDX1]}
         for b in out["t_ind"]:
-            w = 0
-            for e in self.s.parts["hl"].indexes[IDX1].get(b, ()):
-                c.iterations += 1
-                mr = self.r.get(e[0])
-                if mr:
-                    w += mr * self.s.parts["hl"].entries[e]
+            w = self._hop_sum(s_parts["hl"], b, IDX1, self.r)
             if w:
                 out["r_s_hl_t_ind"][b] = w
-        for (a, cv), w in out["s_ll_t_lh"].entries.items():
-            c.iterations += 1
-            mr = self.r.get(a)
-            if mr:
-                bump(out["r_s_ll_t_lh"], cv, mr * w)
+        self._fold(out["s_ll_t_lh"], IDX0, self.r, out["r_s_ll_t_lh"])
         for b in out["s_ind"]:
-            w = 0
-            for e in self.t.parts["lh"].indexes[IDX0].get(b, ()):
-                c.iterations += 1
-                mu = self.u.get(e[1])
-                if mu:
-                    w += self.t.parts["lh"].entries[e] * mu
+            w = self._hop_sum(t_parts["lh"], b, IDX0, self.u)
             if w:
                 out["s_ind_t_lh_u"][b] = w
-        for (a, cv), w in out["s_hl_t_ll"].entries.items():
-            c.iterations += 1
-            mu = self.u.get(cv)
-            if mu:
-                bump(out["s_hl_t_ll_u"], a, w * mu)
+        self._fold(out["s_hl_t_ll"], IDX1, self.u, out["s_hl_t_ll_u"])
         return out
+
+    def _fold(self, rel: Relation, idx, weights: dict, view: dict) -> None:
+        """view[other variable] += multiplicity * weights[key], per key of ``idx``."""
+        c = self.counters
+        pos = 1 - idx[0]
+        for key, posts in rel.indexes[idx].items():
+            c.iterations += len(posts)
+            w = weights.get(key)
+            if w:
+                for t, m in posts.items():
+                    bump(view, t[pos], m * w)
 
     def rebuild_views(self) -> None:
         views = self.recompute_views()
@@ -587,8 +517,8 @@ class Path4Engine(MaintenanceKernel):
                    counters: OpCounters | None = None) -> "Path4Engine":
         eng = cls(eps, counters)
         r_rel, s_rel, t_rel, u_rel = eng._load(db)
-        eng.r = {t[0]: m for t, m in r_rel.entries.items()}
-        eng.u = {t[0]: m for t, m in u_rel.entries.items()}
+        eng.r = {t[0]: m for t, m in r_rel.items()}
+        eng.u = {t[0]: m for t, m in u_rel.items()}
         theta = eng._theta()
         eng._set_quads(quad_partition_strict(s_rel, theta), quad_partition_strict(t_rel, theta))
         eng.rebuild_views()

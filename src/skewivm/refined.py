@@ -32,9 +32,13 @@ from __future__ import annotations
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import IDX0, IDX1, QuadPartition, bump, quad_partition_strict
+from .relation import IDX0, IDX1, QUAD_LABELS, QuadPartition, bump, quad_partition_strict
+from .triangle import build_wedge
 
 REL_NAMES = ("R", "S", "T")
+
+# stands in for an absent posting map; only ever read
+_NONE: dict = {}
 
 
 class RefinedTriangleEngine(MaintenanceKernel):
@@ -62,41 +66,37 @@ class RefinedTriangleEngine(MaintenanceKernel):
         snd = self.parts[i2].parts
         acc = 0
 
-        n_hh, n_hl, n_lh, n_ll = (nxt["hh"].entries, nxt["hl"].entries,
-                                  nxt["lh"].entries, nxt["ll"].entries)
-        s_hh, s_hl, s_lh, s_ll = (snd["hh"].entries, snd["hl"].entries,
-                                  snd["lh"].entries, snd["ll"].entries)
+        # the next relation's rows at y and the second's columns at x hold
+        # every tuple a probe of this update can hit
+        n_hh, n_hl, n_lh, n_ll = (nxt[lab].indexes[IDX0].get(y, _NONE) for lab in QUAD_LABELS)
+        s_hh, s_hl, s_lh, s_ll = (snd[lab].indexes[IDX1].get(x, _NONE) for lab in QUAD_LABELS)
 
         # next heavy on join var, second heavy on own key
-        for second in (snd["hh"], snd["hl"]):
-            posts = second.indexes[IDX1].get(x)
-            if posts:
-                c.iterations += len(posts)
-                se = second.entries
-                for u in posts:
+        for col in (s_hh, s_hl):
+            if col:
+                c.iterations += len(col)
+                for u, mu in col.items():
                     z = u[0]
                     ms = n_hh.get((y, z), 0) + n_hl.get((y, z), 0)
                     if ms:
-                        acc += ms * se[u]
+                        acc += ms * mu
 
         # next heavy-heavy, second light on own key
-        posts = nxt["hh"].indexes[IDX0].get(y)
-        if posts:
-            c.iterations += len(posts)
-            for u in posts:
+        if n_hh:
+            c.iterations += len(n_hh)
+            for u, mu in n_hh.items():
                 z = u[1]
                 mt = s_ll.get((z, x), 0) + s_lh.get((z, x), 0)
                 if mt:
-                    acc += n_hh[u] * mt
+                    acc += mu * mt
 
         # next heavy-light, second light-light
-        posts = snd["ll"].indexes[IDX1].get(x)
-        if posts:
-            c.iterations += len(posts)
-            for u in posts:
+        if s_ll:
+            c.iterations += len(s_ll)
+            for u, mu in s_ll.items():
                 ms = n_hl.get((y, u[0]))
                 if ms:
-                    acc += ms * s_ll[u]
+                    acc += ms * mu
 
         # next heavy-light, second light-heavy: the wedge
         c.lookups += 1
@@ -104,39 +104,33 @@ class RefinedTriangleEngine(MaintenanceKernel):
 
         # next light, second heavy: smaller side
         if self.eps <= 0.5:
-            for nxt_rel in (nxt["lh"], nxt["ll"]):
-                posts = nxt_rel.indexes[IDX0].get(y)
-                if posts:
-                    c.iterations += len(posts)
-                    ne = nxt_rel.entries
-                    for u in posts:
+            for row in (n_lh, n_ll):
+                if row:
+                    c.iterations += len(row)
+                    for u, mu in row.items():
                         z = u[1]
                         mt = s_hh.get((z, x), 0) + s_hl.get((z, x), 0)
                         if mt:
-                            acc += ne[u] * mt
+                            acc += mu * mt
         else:
-            for second in (snd["hh"], snd["hl"]):
-                posts = second.indexes[IDX1].get(x)
-                if posts:
-                    c.iterations += len(posts)
-                    se = second.entries
-                    for u in posts:
+            for col in (s_hh, s_hl):
+                if col:
+                    c.iterations += len(col)
+                    for u, mu in col.items():
                         z = u[0]
                         ms = n_lh.get((y, z), 0) + n_ll.get((y, z), 0)
                         if ms:
-                            acc += ms * se[u]
+                            acc += ms * mu
 
         # next light, second light
-        for nxt_rel in (nxt["lh"], nxt["ll"]):
-            posts = nxt_rel.indexes[IDX0].get(y)
-            if posts:
-                c.iterations += len(posts)
-                ne = nxt_rel.entries
-                for u in posts:
+        for row in (n_lh, n_ll):
+            if row:
+                c.iterations += len(row)
+                for u, mu in row.items():
                     z = u[1]
                     mt = s_ll.get((z, x), 0) + s_lh.get((z, x), 0)
                     if mt:
-                        acc += ne[u] * mt
+                        acc += mu * mt
         return acc
 
     def apply_update(self, rel, lab: str, t: tuple, m: int) -> int:
@@ -155,18 +149,16 @@ class RefinedTriangleEngine(MaintenanceKernel):
             posts = src.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
-                se = src.entries
-                for u in posts:
-                    bump(w, (x, u[1]), m * se[u])
+                for u, mu in posts.items():
+                    bump(w, (x, u[1]), m * mu)
         elif lab == "lh":
             w = self.wedges[i2]
             src = self.parts[i2].parts["hl"]
             posts = src.indexes[IDX1].get(x)
             if posts:
                 c.iterations += len(posts)
-                se = src.entries
-                for u in posts:
-                    bump(w, (u[0], y), m * se[u])
+                for u, mu in posts.items():
+                    bump(w, (u[0], y), m * mu)
 
         new = self.parts[i].parts[lab].upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
@@ -180,24 +172,8 @@ class RefinedTriangleEngine(MaintenanceKernel):
         self.wedges = [self._build_wedge(i) for i in range(3)]
 
     def _build_wedge(self, i: int) -> dict:
-        # the hl side's scan per entry is already capped by both exponents
-        c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
-        h = self.parts[i].parts["hl"]
-        l = self.parts[i1].parts["lh"]
-        w: dict = {}
-        if not h.entries or not l.entries:
-            return w
-        l_idx = l.indexes[IDX0]
-        le = l.entries
-        for t, mh in h.entries.items():
-            posts = l_idx.get(t[1])
-            if posts:
-                c.iterations += len(posts)
-                x = t[0]
-                for u in posts:
-                    bump(w, (x, u[1]), mh * le[u])
-        return w
+        return build_wedge(self.parts[i].parts["hl"], self.parts[i1].parts["lh"], self.counters)
 
     @classmethod
     def preprocess(cls, db: dict, eps: float = 0.5,
@@ -209,7 +185,7 @@ class RefinedTriangleEngine(MaintenanceKernel):
         eng.rebuild_views()
         q = 0
         for part in eng.parts[0].parts.values():
-            for t, m in part.entries.items():
+            for t, m in part.items():
                 q += m * eng._delta_sum(0, t[0], t[1])
         eng.q = q
         return eng

@@ -1,15 +1,22 @@
-"""Z-ring relations with secondary indexes and degree-based partitioning.
+"""Z-ring relations stored as posting maps, and degree-based partitioning.
 
 A relation is a finite map from value tuples to nonzero integer
 multiplicities (inserts carry positive, deletes negative deltas; the two
 compose by addition and an entry dies when its multiplicity reaches zero).
-Every relation keeps one secondary index per configured variable (or
-variable tuple): a hash map from key to the set of stored tuples carrying
-that key. The index gives
+It has no flat tuple map. Each configured index (one variable or a tuple
+of variables) maps a key to the posting map ``{tuple: multiplicity}`` of
+the stored tuples carrying that key, so every index holds every tuple with
+its multiplicity. That gives
 
-  * constant-time degree counts (``len`` of the posting set),
+  * constant-time degree counts (``len`` of a posting map),
   * constant-time key membership,
-  * constant-delay enumeration of the entries matching a key.
+  * a scan of the tuples matching a key that reads each multiplicity
+    from the posting it walks,
+  * point lookups through the first index, the lookup index.
+
+No dict holds every tuple, so no update resizes one: the largest dict an
+update can resize is an index, keyed by distinct values, or the posting
+map of one key, as large as that key's degree. The size is a counter.
 
 On top of that sit two partitioning primitives used by all maintenance
 engines: ``Partition`` splits a binary-or-wider relation into a heavy and a
@@ -23,6 +30,8 @@ and ``move_key`` to hand that key's tuples to the kernel one by one.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 
@@ -49,66 +58,93 @@ PROMOTE = ((LIGHT, HEAVY),)
 DEMOTE = ((HEAVY, LIGHT),)
 
 
-def _index_key(t, spec):
-    # Single-variable indexes use the bare value as key, wider ones a tuple.
-    return t[spec[0]] if len(spec) == 1 else tuple(t[p] for p in spec)
-
-
 class Relation:
-    """Finite map ``tuple -> nonzero int`` with per-variable posting sets."""
+    """Finite map ``tuple -> nonzero int`` kept as per-index posting maps.
 
-    __slots__ = ("arity", "entries", "indexes")
+    ``indexes[spec][key]`` is the posting map ``{tuple: multiplicity}`` of
+    the tuples whose ``spec`` variables equal ``key``; it is never empty.
+    The first spec, on one variable, is the lookup index behind ``get``
+    and ``items``.
+    """
+
+    __slots__ = ("arity", "indexes", "_n", "_lead", "_first", "_rest")
 
     def __init__(self, arity: int, index_specs: Iterable[tuple[int, ...]] | None = None):
         if index_specs is None:
             index_specs = tuple((i,) for i in range(arity))
+        specs = tuple(dict.fromkeys(tuple(s) for s in index_specs))
+        if not specs or len(specs[0]) != 1:
+            raise ValueError(f"the first index must be on one variable, got {specs[:1]}")
         self.arity = arity
-        self.entries: dict[tuple, int] = {}
-        self.indexes: dict[tuple[int, ...], dict] = {tuple(s): {} for s in index_specs}
+        self.indexes: dict[tuple[int, ...], dict] = {s: {} for s in specs}
+        self._lead = specs[0][0]
+        self._first = self.indexes[specs[0]]
+        # the other indexes with their key getters (a bare value for one
+        # variable, a tuple for several)
+        self._rest = tuple((itemgetter(*s), self.indexes[s]) for s in specs[1:])
+        self._n = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def size(self) -> int:
         """Number of tuples with nonzero multiplicity."""
-        return len(self.entries)
+        return self._n
 
-    def multiplicity(self, t: tuple) -> int:
-        return self.entries.get(t, 0)
+    def get(self, t: tuple) -> int:
+        """Multiplicity of ``t``, 0 when absent."""
+        posts = self._first.get(t[self._lead])
+        return posts.get(t, 0) if posts else 0
+
+    def items(self) -> Iterator[tuple[tuple, int]]:
+        """Every ``(tuple, multiplicity)``, grouped by lookup-index key."""
+        return chain.from_iterable(map(dict.items, self._first.values()))
 
     def upsert(self, t: tuple, m: int) -> int:
         """Add ``m`` to the multiplicity of ``t``; return the new multiplicity.
 
-        Creates the entry and its index postings when the old multiplicity
-        was zero, removes them when the new one is. ``new == m`` therefore
-        signals a created entry and ``new == 0`` a destroyed one.
+        Creates the tuple's postings when the old multiplicity was zero,
+        removes them (and any posting map left empty) when the new one is,
+        and otherwise rewrites the multiplicity in every index. ``new == m``
+        therefore signals a created entry and ``new == 0`` a destroyed one.
         """
         if len(t) != self.arity:
             raise SchemaError(f"arity {len(t)} tuple in arity {self.arity} relation")
         if m == 0:
             raise ValueError("updates must carry a nonzero multiplicity")
-        entries = self.entries
-        old = entries.get(t, 0)
-        new = old + m
-        if new == 0:
-            del entries[t]
-            for spec, idx in self.indexes.items():
-                k = t[spec[0]] if len(spec) == 1 else tuple(t[p] for p in spec)
-                posts = idx[k]
-                posts.discard(t)
-                if not posts:
-                    del idx[k]
+        k = t[self._lead]
+        first = self._first
+        posts = first.get(k)
+        if posts is None:
+            first[k] = {t: m}
         else:
-            entries[t] = new
-            if old == 0:
-                for spec, idx in self.indexes.items():
-                    k = t[spec[0]] if len(spec) == 1 else tuple(t[p] for p in spec)
-                    posts = idx.get(k)
-                    if posts is None:
-                        idx[k] = {t}
-                    else:
-                        posts.add(t)
-        return new
+            new = posts.get(t, 0) + m
+            if new == 0:
+                del posts[t]
+                if not posts:
+                    del first[k]
+                self._n -= 1
+                for key_of, idx in self._rest:
+                    k = key_of(t)
+                    posts = idx[k]
+                    del posts[t]
+                    if not posts:
+                        del idx[k]
+                return 0
+            posts[t] = new
+            if new != m:
+                for key_of, idx in self._rest:
+                    idx[key_of(t)][t] = new
+                return new
+        self._n += 1
+        for key_of, idx in self._rest:
+            k = key_of(t)
+            posts = idx.get(k)
+            if posts is None:
+                idx[k] = {t: m}
+            else:
+                posts[t] = m
+        return m
 
     def _index_for(self, var) -> dict:
         spec = (var,) if isinstance(var, int) else tuple(var)
@@ -117,44 +153,21 @@ class Relation:
         except KeyError:
             raise UnindexedVariable(f"no index on variable(s) {spec}") from None
 
-    def matching(self, var, key) -> Iterator[tuple[tuple, int]]:
-        """Constant-delay stream of ``(tuple, multiplicity)`` with ``var = key``."""
-        entries = self.entries
-        for t in self._index_for(var).get(key, ()):
-            yield t, entries[t]
-
-    def degree(self, var, key) -> int:
-        """``|sigma_{var=key}|`` in constant time."""
-        return len(self._index_for(var).get(key, ()))
-
-    def has_key(self, var, key) -> bool:
-        return key in self._index_for(var)
-
-    def keys(self, var):
-        """The distinct values of ``var`` present in the relation."""
-        return self._index_for(var).keys()
-
-    def postings(self, var, key):
-        """The live posting set for ``key`` (empty tuple when absent)."""
-        return self._index_for(var).get(key, ())
-
-    def items(self):
-        return self.entries.items()
-
     def check_consistency(self) -> None:
         """Assert structural invariants; used by tests, not hot paths."""
-        for t, m in self.entries.items():
-            assert m != 0, f"zero multiplicity stored for {t}"
-            assert len(t) == self.arity
+        stored = dict(self.items())
+        assert len(stored) == self._n, f"size counter {self._n} for {len(stored)} tuples"
         for spec, idx in self.indexes.items():
-            count = 0
+            key_of = itemgetter(*spec)
+            seen = {}
             for key, posts in idx.items():
-                assert posts, f"empty posting set for {key}"
-                for t in posts:
-                    assert t in self.entries, f"dangling posting {t}"
-                    assert _index_key(t, spec) == key
-                count += len(posts)
-            assert count == len(self.entries), f"index {spec} covers {count} entries"
+                assert posts, f"empty posting map for {key} in index {spec}"
+                for t, m in posts.items():
+                    assert m != 0, f"zero multiplicity stored for {t}"
+                    assert len(t) == self.arity
+                    assert key_of(t) == key
+                    seen[t] = m
+            assert seen == stored, f"index {spec} disagrees with the lookup index"
 
 
 class Partition:
@@ -165,6 +178,11 @@ class Partition:
     rebalances the sides are allowed to drift inside the loose bounds
     (heavy keys stay at or above half the threshold, light keys below one
     and a half times it).
+
+    The partition key's index comes first on both sides, so point lookups
+    go through it. By default the heavy side also indexes every other
+    variable and the light side nothing else, the layout the triangle
+    engines walk; ``index_specs`` gives both sides the same indexes instead.
     """
 
     __slots__ = ("heavy", "light", "part_spec", "theta")
@@ -172,10 +190,14 @@ class Partition:
     def __init__(self, arity: int, part_spec: tuple[int, ...] = IDX0,
                  theta: float = 1.0,
                  index_specs: Iterable[tuple[int, ...]] | None = None):
-        specs = tuple(index_specs) if index_specs is not None else None
-        self.heavy = Relation(arity, specs)
-        self.light = Relation(arity, specs)
         self.part_spec = tuple(part_spec)
+        if index_specs is None:
+            light_specs = (self.part_spec,)
+            heavy_specs = light_specs + tuple((i,) for i in range(arity))
+        else:
+            heavy_specs = light_specs = (self.part_spec,) + tuple(map(tuple, index_specs))
+        self.heavy = Relation(arity, heavy_specs)
+        self.light = Relation(arity, light_specs)
         self.theta = float(theta)
 
     def side(self, label: str) -> Relation:
@@ -199,7 +221,7 @@ class Partition:
         return len(self.side(label).indexes[self.part_spec].get(key, ()))
 
     def multiplicity(self, t: tuple) -> int:
-        return self.heavy.entries.get(t, 0) + self.light.entries.get(t, 0)
+        return self.heavy.get(t) + self.light.get(t)
 
     def minor_check(self, engine, i: int, t: tuple, theta: float) -> None:
         """Rebalance the partition key of ``t`` if it left its loose bound.
@@ -227,27 +249,23 @@ class Partition:
         looked up in, the partition key by default. Returns the number of
         moved tuples.
         """
-        src = self.side(src_label)
-        posts = src.indexes[self.part_spec if spec is None else spec].get(key)
+        posts = self.side(src_label).indexes[self.part_spec if spec is None else spec].get(key)
         if not posts:
             return 0
-        moved = 0
-        for t in list(posts):
-            sink(t, src.entries[t])
-            moved += 1
-        return moved
+        batch = list(posts.items())
+        for t, m in batch:
+            sink(t, m)
+        return len(batch)
 
     def _relocate(self, key, src: Relation, dst: Relation) -> int:
         posts = src.indexes[self.part_spec].get(key)
         if not posts:
             return 0
-        moved = 0
-        for t in list(posts):
-            m = src.entries[t]
+        batch = list(posts.items())
+        for t, m in batch:
             src.upsert(t, -m)
             dst.upsert(t, m)
-            moved += 1
-        return moved
+        return len(batch)
 
     def restrict(self, theta: float) -> int:
         """Re-establish the strict split for ``theta``; return tuples moved.
@@ -268,7 +286,7 @@ class Partition:
         return moved
 
     def total_size(self) -> int:
-        return len(self.heavy.entries) + len(self.light.entries)
+        return len(self.heavy) + len(self.light)
 
     def violations(self, theta: float | None = None, strict: bool = False) -> list[str]:
         """Scan for broken partition conditions; empty list means healthy."""
@@ -295,19 +313,16 @@ def strict_partition(relation: Relation, part_vars, theta: float,
     """Strictly split ``relation`` on ``part_vars`` in one linear pass.
 
     Keys with degree at or above ``theta`` land heavy, all others light.
+    ``index_specs`` is passed on to ``Partition``.
     """
     if theta <= 0:
         raise ValueError("threshold must be positive")
     spec = (part_vars,) if isinstance(part_vars, int) else tuple(part_vars)
-    if index_specs is None:
-        index_specs = relation.indexes.keys()
     part = Partition(relation.arity, spec, theta, index_specs)
-    idx = relation._index_for(spec)
-    entries = relation.entries
-    for key, posts in idx.items():
+    for key, posts in relation._index_for(spec).items():
         dest = part.heavy if len(posts) >= theta else part.light
-        for t in posts:
-            dest.upsert(t, entries[t])
+        for t, m in posts.items():
+            dest.upsert(t, m)
     return part
 
 
@@ -362,7 +377,7 @@ class QuadPartition:
                 + len(self.parts[lab_b].indexes[spec].get(key, ())))
 
     def multiplicity(self, t: tuple) -> int:
-        return sum(p.entries.get(t, 0) for p in self.parts.values())
+        return sum(p.get(t) for p in self.parts.values())
 
     def minor_check(self, engine, i: int, t: tuple, theta: float) -> None:
         """Rebalance each variable of ``t`` whose key left its loose bound.
@@ -390,40 +405,49 @@ class QuadPartition:
         Works as ``Partition.move_key`` does; returns the number of moved
         tuples.
         """
-        src = self.parts[src_label]
-        posts = src.indexes[spec].get(key)
+        posts = self.parts[src_label].indexes[spec].get(key)
         if not posts:
             return 0
-        batch = list(posts)
-        for t in batch:
-            sink(t, src.entries[t])
+        batch = list(posts.items())
+        for t, m in batch:
+            sink(t, m)
         return len(batch)
 
     def restrict(self, theta: float) -> int:
-        """Strictly reassign every tuple by whole-relation degrees."""
+        """Strictly reassign every tuple by whole-relation degrees.
+
+        Only the keys whose status changes are visited, with their tuples;
+        returns the number of tuples moved.
+        """
         self.theta = float(theta)
-        deg0: dict = {}
-        deg1: dict = {}
-        for rel in self.parts.values():
-            for key, posts in rel.indexes[IDX0].items():
-                deg0[key] = deg0.get(key, 0) + len(posts)
-            for key, posts in rel.indexes[IDX1].items():
-                deg1[key] = deg1.get(key, 0) + len(posts)
+        parts = self.parts
+        degs = []
+        for spec in (IDX0, IDX1):
+            deg: dict = {}
+            for rel in parts.values():
+                for key, posts in rel.indexes[spec].items():
+                    deg[key] = deg.get(key, 0) + len(posts)
+            degs.append(deg)
+        deg0, deg1 = degs
         moved = 0
-        for lab in QUAD_LABELS:
-            rel = self.parts[lab]
-            for t in list(rel.entries):
-                target = (HEAVY if deg0[t[0]] >= theta else LIGHT) + \
-                         (HEAVY if deg1[t[1]] >= theta else LIGHT)
-                if target != lab:
-                    m = rel.entries[t]
-                    rel.upsert(t, -m)
-                    self.parts[target].upsert(t, m)
-                    moved += 1
+        for var, spec in enumerate((IDX0, IDX1)):
+            deg = degs[var]
+            for lab, rel in parts.items():
+                idx = rel.indexes[spec]
+                was_heavy = lab[var] == HEAVY
+                for key in [k for k in idx if (deg[k] >= theta) != was_heavy]:
+                    # a tuple moved for its other variable may have left already
+                    for t, m in list(idx.get(key, {}).items()):
+                        target = ((HEAVY if deg0[t[0]] >= theta else LIGHT)
+                                  + (HEAVY if deg1[t[1]] >= theta else LIGHT))
+                        if target != lab:
+                            rel.upsert(t, -m)
+                            parts[target].upsert(t, m)
+                            moved += 1
         return moved
 
     def total_size(self) -> int:
-        return sum(len(rel.entries) for rel in self.parts.values())
+        return sum(len(rel) for rel in self.parts.values())
 
     def violations(self, theta: float | None = None, strict: bool = False) -> list[str]:
         """Per-variable conditions on whole-relation degrees, loose by default."""
@@ -460,12 +484,11 @@ def quad_partition_strict(relation: Relation, theta: float) -> QuadPartition:
     if theta <= 0:
         raise ValueError("threshold must be positive")
     quad = QuadPartition(theta)
-    idx0 = relation._index_for(0)
     idx1 = relation._index_for(1)
-    for t, m in relation.entries.items():
-        lab = (HEAVY if len(idx0[t[0]]) >= theta else LIGHT) + \
-              (HEAVY if len(idx1[t[1]]) >= theta else LIGHT)
-        quad.parts[lab].upsert(t, m)
+    for posts in relation._index_for(0).values():
+        a_status = HEAVY if len(posts) >= theta else LIGHT
+        for t, m in posts.items():
+            quad.parts[a_status + (HEAVY if len(idx1[t[1]]) >= theta else LIGHT)].upsert(t, m)
     return quad
 
 

@@ -43,76 +43,77 @@ class SelfJoinEngine(MaintenanceKernel):
         part = self.parts[0]
         heavy = part.heavy
         light = part.light
+        h_rows = heavy.indexes[IDX0]
+        l_rows = light.indexes[IDX0]
+        h_col = heavy.indexes[IDX1].get(a)
+        l_row = l_rows.get(b)
         acc = 0
 
         # both heavy: scan heavy edges into a, they have distinct sources
-        posts = heavy.indexes[IDX1].get(a)
-        if posts:
-            c.iterations += len(posts)
-            he = heavy.entries
-            for u in posts:
-                ms = he.get((b, u[0]))
-                if ms:
-                    acc += ms * he[u]
+        if h_col:
+            c.iterations += len(h_col)
+            row = h_rows.get(b)
+            if row:
+                for u, mu in h_col.items():
+                    ms = row.get((b, u[0]))
+                    if ms:
+                        acc += ms * mu
 
         # heavy then light: wedge lookup
         c.lookups += 1
         acc += self.wedge.get((b, a), 0)
 
-        # light then heavy: smaller side by the tuning exponent
         if self.eps <= 0.5:
-            posts = light.indexes[IDX0].get(b)
-            if posts:
-                c.iterations += len(posts)
-                le = light.entries
-                he = heavy.entries
-                for u in posts:
-                    mt = he.get((u[1], a))
+            # light then either side in one walk; a minor rebalance may be
+            # moving z, so z can key both sides and both are probed
+            if l_row:
+                c.iterations += len(l_row)
+                for u, mu in l_row.items():
+                    z = u[1]
+                    e = (z, a)
+                    row = h_rows.get(z)
+                    mt = row.get(e, 0) if row else 0
+                    row = l_rows.get(z)
+                    if row:
+                        mt += row.get(e, 0)
                     if mt:
-                        acc += le[u] * mt
+                        acc += mu * mt
         else:
-            posts = heavy.indexes[IDX1].get(a)
-            if posts:
-                c.iterations += len(posts)
-                le = light.entries
-                he = heavy.entries
-                for u in posts:
-                    ms = le.get((b, u[0]))
-                    if ms:
-                        acc += ms * he[u]
-
-        # both light
-        posts = light.indexes[IDX0].get(b)
-        if posts:
-            c.iterations += len(posts)
-            le = light.entries
-            for u in posts:
-                mt = le.get((u[1], a))
-                if mt:
-                    acc += le[u] * mt
+            # light then heavy: the heavy column at a is shorter
+            if h_col:
+                c.iterations += len(h_col)
+                if l_row:
+                    for u, mu in h_col.items():
+                        ms = l_row.get((b, u[0]))
+                        if ms:
+                            acc += ms * mu
+            # both light
+            if l_row:
+                c.iterations += len(l_row)
+                for u, mu in l_row.items():
+                    z = u[1]
+                    row = l_rows.get(z)
+                    if row:
+                        mt = row.get((z, a))
+                        if mt:
+                            acc += mu * mt
 
         dq = 3 * m * acc
         if a == b:
             c.lookups += 2
-            loop = heavy.entries.get(t, 0) + light.entries.get(t, 0)
-            dq += 3 * m * m * loop
+            dq += 3 * m * m * part.multiplicity(t)
             dq += m * m * m
         self.q += dq
 
         if side == HEAVY:
-            posts = light.indexes[IDX0].get(b)
-            if posts:
-                c.iterations += len(posts)
-                le = light.entries
-                for u in posts:
-                    bump(self.wedge, (a, u[1]), m * le[u])
-        else:
-            posts = heavy.indexes[IDX1].get(a)
-            if posts:
-                c.iterations += len(posts)
-                he = heavy.entries
-                for u in posts:
-                    bump(self.wedge, (u[0], b), m * he[u])
+            if l_row:
+                c.iterations += len(l_row)
+                for u, mu in l_row.items():
+                    bump(self.wedge, (a, u[1]), m * mu)
+        elif h_col:
+            c.iterations += len(h_col)
+            for u, mu in h_col.items():
+                bump(self.wedge, (u[0], b), m * mu)
 
         new = part.side(side).upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
@@ -127,8 +128,7 @@ class SelfJoinEngine(MaintenanceKernel):
 
     def _build_wedge(self) -> dict:
         part = self.parts[0]
-        return build_wedge(part.heavy, part.light, self._theta(),
-                           self.N ** (1.0 - self.eps), self.counters)
+        return build_wedge(part.heavy, part.light, self.counters)
 
     @classmethod
     def preprocess(cls, edges: dict, eps: float = 0.5,
@@ -140,13 +140,13 @@ class SelfJoinEngine(MaintenanceKernel):
         pre-classified parts (no rebalancing needed: parts already strict).
         """
         eng = cls(eps, counters)
-        rel, = eng._load([edges])
+        rel, = eng._load([edges], (IDX0,))
         eng.db_size = 0  # the replay below counts every edge in again
         theta = eng._theta()
         staged = strict_partition(rel, IDX0, theta)
         eng.parts = [Partition(2, IDX0, theta)]
         for lab, side in staged.sides():
-            for t, m in side.entries.items():
+            for t, m in side.items():
                 eng.apply_update(0, lab, t, m)
         return eng
 

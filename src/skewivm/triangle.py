@@ -15,7 +15,10 @@ specific strategies whose cost is sublinear in the database size:
   * next light, second heavy: scan whichever side the tuning exponent says
     is smaller;
   * both light: scan the next relation's light part at the shared value,
-    bounded by the light-degree cap.
+    bounded by the light-degree cap. When the exponent picks the light
+    side for the previous case too, one walk of those light postings
+    serves both: each join value lives on one side of the second
+    neighbor, so a single probe finds its posting map.
 
 Heavy updates maintain the wedge anchored at the updated relation, light
 updates the wedge ending in it.
@@ -82,40 +85,24 @@ class EpsConfig:
         return all(v in (0.0, 1.0) for v in vals) and not self.is_uniform
 
 
-def build_wedge(heavy: Relation, light: Relation, light_theta: float,
-                heavy_keys: float, counters: OpCounters) -> dict:
+def build_wedge(heavy: Relation, light: Relation, counters: OpCounters) -> dict:
     """Aggregated join ``heavy(x, y) * light(y, z)`` keyed ``(x, z)``.
 
-    Scanning heavy-side entries costs at most the light per-key budget
-    ``light_theta`` each; scanning light-side entries costs at most the
-    number of distinct heavy keys (twice ``heavy_keys``) each. The outer
-    side is the one with the smaller estimate.
+    Walks the join values present on both sides, pairing the heavy
+    postings at each value with the light ones: ``sum_y |H_y| * |L_y|``
+    pairs, which is what probing every tuple of either side costs.
     """
     w: dict = {}
-    if not heavy.entries or not light.entries:
-        return w
-    est_h = len(heavy.entries) * light_theta
-    est_l = len(light.entries) * 2 * heavy_keys
-    if est_h <= est_l:
-        l_idx = light.indexes[IDX0]
-        le = light.entries
-        for t, mh in heavy.entries.items():
-            posts = l_idx.get(t[1])
-            if posts:
-                counters.iterations += len(posts)
-                x = t[0]
-                for u in posts:
-                    bump(w, (x, u[1]), mh * le[u])
-    else:
-        h_idx = heavy.indexes[IDX1]
-        he = heavy.entries
-        for t, ml in light.entries.items():
-            posts = h_idx.get(t[0])
-            if posts:
-                counters.iterations += len(posts)
-                z = t[1]
-                for u in posts:
-                    bump(w, (u[0], z), he[u] * ml)
+    h_idx = heavy.indexes[IDX1]
+    l_idx = light.indexes[IDX0]
+    for y in h_idx.keys() & l_idx.keys():
+        h_posts = h_idx[y]
+        l_posts = l_idx[y]
+        counters.iterations += len(h_posts) * len(l_posts)
+        for t, mh in h_posts.items():
+            x = t[0]
+            for u, ml in l_posts.items():
+                bump(w, (x, u[1]), mh * ml)
     return w
 
 
@@ -153,56 +140,59 @@ class TriangleEngine(MaintenanceKernel):
         i2 = i - 1 if i >= 1 else i + 2
         nxt = self.parts[i1]
         snd = self.parts[i2]
+        s_col = snd.heavy.indexes[IDX1].get(x)
         acc = 0
 
         # both heavy: entries of the second neighbor's heavy part carrying
         # x have pairwise distinct join values, few of them overall
-        posts = snd.heavy.indexes[IDX1].get(x)
-        if posts:
-            c.iterations += len(posts)
-            ne = nxt.heavy.entries
-            se = snd.heavy.entries
-            for u in posts:
-                ms = ne.get((y, u[0]))
-                if ms:
-                    acc += ms * se[u]
+        if s_col:
+            c.iterations += len(s_col)
+            row = nxt.heavy.indexes[IDX0].get(y)
+            if row:
+                for u, mu in s_col.items():
+                    ms = row.get((y, u[0]))
+                    if ms:
+                        acc += ms * mu
 
         # next heavy, second light: wedge lookup
         c.lookups += 1
         acc += self.wedges[i1].get((y, x), 0)
 
-        # next light, second heavy: scan the smaller side
-        if self.eps[i1] <= 0.5:
-            posts = nxt.light.indexes[IDX0].get(y)
-            if posts:
-                c.iterations += len(posts)
-                ne = nxt.light.entries
-                se = snd.heavy.entries
-                for u in posts:
-                    mt = se.get((u[1], x))
-                    if mt:
-                        acc += ne[u] * mt
-        else:
-            posts = snd.heavy.indexes[IDX1].get(x)
-            if posts:
-                c.iterations += len(posts)
-                ne = nxt.light.entries
-                se = snd.heavy.entries
-                for u in posts:
-                    ms = ne.get((y, u[0]))
-                    if ms:
-                        acc += ms * se[u]
-
-        # both light
         posts = nxt.light.indexes[IDX0].get(y)
-        if posts:
-            c.iterations += len(posts)
-            ne = nxt.light.entries
-            se = snd.light.entries
-            for u in posts:
-                mt = se.get((u[1], x))
-                if mt:
-                    acc += ne[u] * mt
+        if self.eps[i1] <= 0.5:
+            # next light against both sides of the second neighbor in one
+            # walk; a join value z keys one side only
+            if posts:
+                c.iterations += len(posts)
+                sl = snd.light.indexes[IDX0]
+                sh = snd.heavy.indexes[IDX0]
+                for u, mu in posts.items():
+                    z = u[1]
+                    z_row = sl.get(z) or sh.get(z)
+                    if z_row:
+                        mt = z_row.get((z, x))
+                        if mt:
+                            acc += mu * mt
+        else:
+            # next light, second heavy: the heavy column at x is shorter
+            if s_col:
+                c.iterations += len(s_col)
+                if posts:
+                    for u, mu in s_col.items():
+                        ms = posts.get((y, u[0]))
+                        if ms:
+                            acc += ms * mu
+            # both light
+            if posts:
+                c.iterations += len(posts)
+                sl = snd.light.indexes[IDX0]
+                for u, mu in posts.items():
+                    z = u[1]
+                    z_row = sl.get(z)
+                    if z_row:
+                        mt = z_row.get((z, x))
+                        if mt:
+                            acc += mu * mt
         return acc
 
     def apply_update(self, rel, side: str, t: tuple, m: int) -> int:
@@ -226,18 +216,16 @@ class TriangleEngine(MaintenanceKernel):
             posts = self.parts[i1].light.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
-                le = self.parts[i1].light.entries
-                for u in posts:
-                    bump(w, (x, u[1]), m * le[u])
+                for u, mu in posts.items():
+                    bump(w, (x, u[1]), m * mu)
         else:
             # wedge ending in this relation gains (*, y) columns
             w = self.wedges[i2]
             posts = self.parts[i2].heavy.indexes[IDX1].get(x)
             if posts:
                 c.iterations += len(posts)
-                he = self.parts[i2].heavy.entries
-                for u in posts:
-                    bump(w, (u[0], y), m * he[u])
+                for u, mu in posts.items():
+                    bump(w, (u[0], y), m * mu)
 
         new = self.parts[i].side(side).upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
@@ -253,8 +241,7 @@ class TriangleEngine(MaintenanceKernel):
     def _build_wedge(self, i: int) -> dict:
         """Wedge i: heavy part of relation i joined with the next light part."""
         i1 = i - 2 if i >= 2 else i + 1
-        return build_wedge(self.parts[i].heavy, self.parts[i1].light, self._theta(i1),
-                           self.N ** (1.0 - self.eps[i]), self.counters)
+        return build_wedge(self.parts[i].heavy, self.parts[i1].light, self.counters)
 
     # -- construction -------------------------------------------------------
 
@@ -270,12 +257,12 @@ class TriangleEngine(MaintenanceKernel):
         R's entries against the finished S and T parts is exact).
         """
         eng = cls(cfg, counters)
-        rels = eng._load(db)
+        rels = eng._load(db, (IDX0,))
         eng.parts = [strict_partition(rels[i], IDX0, eng._theta(i)) for i in range(3)]
         eng.rebuild_views()
         q = 0
         for rel in (eng.parts[0].heavy, eng.parts[0].light):
-            for t, m in rel.entries.items():
+            for t, m in rel.items():
                 q += m * eng._delta_sum(0, t[0], t[1])
         eng.q = q
         return eng

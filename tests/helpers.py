@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from skewivm.cli import Update
+from skewivm.relation import Relation
 
 
 def mixed_stream(seed: int, length: int, domain: int, rels=("R", "S", "T"),
@@ -71,3 +72,24 @@ def grow_shrink_stream(seed: int, length: int, arities: dict, wide: int) -> list
     shrink = [Update(u.rel, u.values, -u.mult) for u in grow]
     rng.shuffle(shrink)
     return grow + shrink[:length * 7 // 8]
+
+
+# Read-only views of one index of a relation, for assertions.
+
+def matching(rel: Relation, var, key):
+    """``(tuple, multiplicity)`` pairs of ``rel`` whose ``var`` equals ``key``."""
+    return iter(rel._index_for(var).get(key, {}).items())
+
+
+def degree(rel: Relation, var, key) -> int:
+    """Number of tuples of ``rel`` whose ``var`` equals ``key``."""
+    return len(rel._index_for(var).get(key, ()))
+
+
+def has_key(rel: Relation, var, key) -> bool:
+    return key in rel._index_for(var)
+
+
+def keys(rel: Relation, var):
+    """The distinct values of ``var`` present in ``rel``."""
+    return rel._index_for(var).keys()

@@ -3,12 +3,15 @@
 Every engine raises ``SchemaError`` for an unknown relation name, a tuple
 of the wrong arity and a multiplicity that is zero or not a true ``int``,
 and leaves its answer, counters, size and invariant report as they were.
+The preprocess loaders apply the same rules to every row of the database
+before they build anything.
 """
 
 import pytest
 
-from skewivm.enumeration import EnumTriangleEngine
+from skewivm.enumeration import EnumTriangleEngine, preprocess_enum
 from skewivm.loomis_whitney import LWEngine
+from skewivm.metrics import OpCounters
 from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.relation import SchemaError
@@ -57,3 +60,71 @@ def test_malformed_updates_raise_and_change_nothing(name):
     eng.on_update(rel, t, 1)
     eng.on_update(rel, t, -1)
     assert eng.answer() == before[0]
+
+
+# A relation is named by its name or, for every engine, by its position as
+# an exact int; other keys that hash like a position are refused.
+ALIASES = (True, False, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_relation_keys_that_only_hash_like_a_position_are_refused(name):
+    make, warmup, (rel, t), _ = ENGINES[name]
+    eng = make()
+    for u in warmup:
+        eng.on_update(*u)
+    before = _state(eng)
+    for alias in ALIASES:
+        with pytest.raises(SchemaError):
+            eng.on_update(alias, t, 1)
+        with pytest.raises(SchemaError):
+            eng.lookup(alias, t)
+        with pytest.raises(SchemaError):
+            eng.rel_index(alias)
+        assert _state(eng) == before, alias
+    i = eng.rel_index(rel)
+    assert eng.rel_index(i) == i
+    eng.on_update(i, t, 1)
+    assert eng.lookup(rel, t) == eng.lookup(i, t)
+
+
+def _triangle_db(**overrides):
+    db = {"R": {(1, 2): 1, (1, 3): 0}, "S": {(2, 3): 2}, "T": {(3, 1): 1}}
+    db.update(overrides)
+    return db
+
+
+# name -> (loader taking (db, counters), a well-formed database, malformed ones)
+LOADERS = {
+    "triangle": (lambda db, c: TriangleEngine.preprocess(db, 0.5, c), _triangle_db(),
+                 [{"R": {(1, 2): 0.5, (2, 3): True}}, {"X": {(1, 2): 1}},
+                  _triangle_db(S={(2, 3, 4): 1}), _triangle_db(T={(3, 1): 1.0}),
+                  _triangle_db(R={(1,): 1}), {True: {(1, 2): 1}}, {"R": {5: 1}}]),
+    "selfjoin": (lambda db, c: SelfJoinEngine.preprocess(db, 0.5, c), {(1, 2): 1, (2, 2): 0},
+                 [{(1, 2): 0.5}, {(1, 2): True}, {(1, 2, 3): 1}, {(1, 2): 1, (3,): 1}]),
+    "refined": (lambda db, c: RefinedTriangleEngine.preprocess(db, 0.5, c), _triangle_db(),
+                [_triangle_db(R={(1, 2): 2.0}), {"X": {(1, 2): 1}}, _triangle_db(S={(2,): 1})]),
+    "enum": (lambda db, c: preprocess_enum(db, 0.5, c), _triangle_db(),
+             [_triangle_db(T={(3, 1): False}), {"U": {}}, _triangle_db(R={(1, 2, 3): 1})]),
+    "path4": (lambda db, c: Path4Engine.preprocess(db, 0.5, c),
+              {"R": {(1,): 1}, "S": {(1, 2): 1}, "T": {(2, 3): -1}, "U": {(3,): 0}},
+              [{"R": {(1,): 0.5}}, {"X": {(1,): 1}}, {"R": {(1, 2): 1}},
+               {"S": {(1,): 1}}, {"U": {(3,): True}}]),
+    "lw:4": (lambda db, c: LWEngine.preprocess(db, 4, 0.5, c),
+             [{(1, 2, 3): 1}, {(2, 3, 1): 1}, {}, {(3, 1, 2): 0}],
+             [{"R0": {(1, 2, 3): 1}}, {"R5": {}}, [{(1, 2, 3): 1.5}, {}, {}, {}],
+              [{(1, 2): 1}, {}, {}, {}], [{}, {}, {}], {"R1": {}, 0: {}},
+              {-1: {(1, 2, 3): 1}}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_refuse_malformed_rows_before_building(name):
+    load, good, bad = LOADERS[name]
+    eng = load(good, None)
+    assert not eng.check_invariants()
+    for db in bad:
+        counters = OpCounters()
+        with pytest.raises(SchemaError):
+            load(db, counters)
+        assert counters.snapshot() == OpCounters().snapshot(), db

@@ -66,9 +66,9 @@ class TestCancellationLiveness:
         got = eng.result_multiset()
         assert got[(1, 10, 77)] == 2 and got[(1, 11, 77)] == -2
         want = brute_force_enumerate(
-            {**eng.parts[0].heavy.entries, **eng.parts[0].light.entries},
-            {**eng.parts[1].heavy.entries, **eng.parts[1].light.entries},
-            {**eng.parts[2].heavy.entries, **eng.parts[2].light.entries})
+            {**dict(eng.parts[0].heavy.items()), **dict(eng.parts[0].light.items())},
+            {**dict(eng.parts[1].heavy.items()), **dict(eng.parts[1].light.items())},
+            {**dict(eng.parts[2].heavy.items()), **dict(eng.parts[2].light.items())})
         assert got == want
 
 

@@ -7,6 +7,12 @@ all prefixes must equal the values recorded below, which were taken from
 the engines before their shared maintenance code was factored out. A
 refactor that changes the work done, or the order in which rebalancing
 visits tuples, changes at least one of them.
+
+Re-recorded since, ``iterations`` only: ``triangle:0.5`` and ``selfjoin``
+walk the light postings at the join value once for both the light/heavy
+and the light/light case, and ``selfjoin`` moves a key's tuples in
+insertion order (posting maps) rather than set order, which changes the
+walks made between the moves.
 """
 
 import pytest
@@ -88,11 +94,11 @@ GOLDEN = {
              rebalance_major=3, rebalance_minor=6),
         0, 197134),
     ('selfjoin', 'empty'): (
-        dict(lookups=1940, iterations=7038, moves=35,
+        dict(lookups=1940, iterations=5122, moves=35,
              rebalance_major=11, rebalance_minor=1),
         24, 833525),
     ('selfjoin', 'preprocessed'): (
-        dict(lookups=1526, iterations=6021, moves=0,
+        dict(lookups=1526, iterations=4416, moves=0,
              rebalance_major=1, rebalance_minor=0),
         24, 745625),
     ('triangle:0', 'empty'): (
@@ -112,11 +118,11 @@ GOLDEN = {
              rebalance_major=3, rebalance_minor=0),
         0, 197134),
     ('triangle:0.5', 'empty'): (
-        dict(lookups=3704, iterations=9849, moves=317,
+        dict(lookups=3704, iterations=6925, moves=317,
              rebalance_major=12, rebalance_minor=6),
         0, 198610),
     ('triangle:0.5', 'preprocessed'): (
-        dict(lookups=3197, iterations=10012, moves=256,
+        dict(lookups=3197, iterations=7151, moves=256,
              rebalance_major=3, rebalance_minor=6),
         0, 197134),
     ('triangle:1', 'empty'): (

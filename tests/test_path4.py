@@ -13,7 +13,7 @@ def view_fingerprint(eng: Path4Engine):
     out = {}
     for name in eng.VIEW_NAMES:
         view = getattr(eng, name)
-        out[name] = dict(view.entries) if hasattr(view, "entries") else dict(view)
+        out[name] = dict(view.items())
     return out
 
 
@@ -67,12 +67,12 @@ class TestIndicators:
 
     def test_flag_clears_only_when_the_last_support_dies(self):
         eng = self._engine_with_heavy_b()
-        support = [t for t in list(eng.s.parts["lh"].entries) if t[1] == 2]
+        support = [t for t, _ in eng.s.parts["lh"].items() if t[1] == 2]
         for t in support[:-1]:
-            eng.update_s("lh", t, -eng.s.parts["lh"].entries[t])
+            eng.update_s("lh", t, -eng.s.parts["lh"].get(t))
             assert eng.s_ind.get(2) == 1
         last = support[-1]
-        eng.update_s("lh", last, -eng.s.parts["lh"].entries[last])
+        eng.update_s("lh", last, -eng.s.parts["lh"].get(last))
         assert 2 not in eng.s_ind
 
     def test_masked_views_follow_the_flip(self):
@@ -155,7 +155,7 @@ class TestRebalancing:
         fp = view_fingerprint(eng)
         for name in eng.VIEW_NAMES:
             view = recomputed[name]
-            want = dict(view.entries) if hasattr(view, "entries") else dict(view)
+            want = dict(view.items())
             assert fp[name] == want, name
 
 

@@ -8,11 +8,11 @@ from skewivm.metrics import OpCounters
 from skewivm.oracle import TriangleTracker, brute_force_triangle
 from skewivm.triangle import EpsConfig, TriangleEngine, static_count
 
-from helpers import mixed_stream
+from helpers import has_key, mixed_stream
 
 
 def state_fingerprint(eng: TriangleEngine):
-    parts = tuple((dict(p.heavy.entries), dict(p.light.entries)) for p in eng.parts)
+    parts = tuple((dict(p.heavy.items()), dict(p.light.items())) for p in eng.parts)
     return (eng.q, parts, tuple(dict(w) for w in eng.wedges))
 
 
@@ -132,8 +132,8 @@ class TestOnUpdateRebalancing:
         for b in range(1, 6):
             eng.on_update("R", (1, b), -1)
         # the key is gone from both sides, no stranded postings
-        assert not eng.parts[0].heavy.has_key(0, 1)
-        assert not eng.parts[0].light.has_key(0, 1)
+        assert not has_key(eng.parts[0].heavy, 0, 1)
+        assert not has_key(eng.parts[0].light, 0, 1)
         assert eng.answer() == 0
 
     def test_major_rebalance_preserves_count_and_strictness(self):
