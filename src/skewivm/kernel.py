@@ -7,18 +7,23 @@ every query, so it lives here once:
 
   * the boundary check: an update names a known relation (by its name, a
     ``str``, or its position, an ``int``), carries a tuple of that
-    relation's arity and a nonzero ``int`` multiplicity, or it is refused
-    with ``SchemaError`` before anything changes; the preprocess loader
-    applies the same rules to every row before it builds anything;
+    relation's arity with hashable values and a nonzero ``int``
+    multiplicity, or it is refused with ``SchemaError`` before anything
+    changes; the preprocess loader applies the same rules to every row
+    before it builds anything;
   * the size invariant ``floor(N/4) <= db_size < N`` on the threshold base
     ``N``: reaching ``N`` doubles it, falling below a quarter roughly
     halves it, and either triggers a major rebalance, which strictly
-    repartitions every relation in place and rebuilds the views (the
-    answer never changes);
+    repartitions every relation in place (the answer never changes). It
+    rebuilds the views only when some tuple changed part, since the views
+    are exact functions of the parts. A doubling checks every heavy key
+    but only the light keys that climbed past the old threshold since the
+    last split (``Partition.restrict``); a halving checks every key;
   * minor rebalancing: a key that drifts past one and a half times, or
-    below half of, its relation's threshold ``N ** eps`` has its tuples
-    moved to the other part, each as a delete/insert pair through the
-    engine's own update step, so the answer and views stay exact;
+    below half of, its relation's threshold ``N ** eps`` (computed when
+    ``N`` changes, not per update) has its tuples moved to the other part,
+    each as a delete/insert pair through the engine's own update step, so
+    the answer and views stay exact;
   * the preprocess loader, which sets ``N`` to twice the database size
     plus one, and the invariant report.
 
@@ -49,6 +54,7 @@ class MaintenanceKernel:
         self._index.update((i, i) for i in range(len(self.names)))
         self.parts: list = [None] * len(self.names)
         self.N = 1
+        self._set_thetas()
         self.db_size = 0
         self.q = 0
         self.counters = counters if counters is not None else OpCounters()
@@ -70,7 +76,12 @@ class MaintenanceKernel:
     # -- accessors --------------------------------------------------------------
 
     def _theta(self, i: int = 0) -> float:
-        return self.N ** self._eps[i]
+        return self._thetas[i]
+
+    def _set_thetas(self) -> None:
+        # N changes only on a major rebalance or a load, so the thresholds
+        # N ** eps are computed there, not on every update
+        self._thetas = tuple(self.N ** e for e in self._eps)
 
     def rel_index(self, rel) -> int:
         """Position of relation ``rel``, given by name or by position.
@@ -101,6 +112,10 @@ class MaintenanceKernel:
                               f"got {t!r}")
         if type(m) is not int or m == 0:
             raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
+        try:
+            hash(t)
+        except TypeError:
+            raise SchemaError(f"tuple values must be hashable, got {t!r}") from None
         self.apply_update(i, self.route(i, t), t, m)
 
         if self.db_size == self.N:
@@ -114,16 +129,25 @@ class MaintenanceKernel:
         else:
             part = self.parts[i]
             if part is not None:
-                part.minor_check(self, i, t, self.N ** self._eps[i])
+                part.minor_check(self, i, t, self._thetas[i])
 
     def major_rebalance(self) -> None:
-        """Strictly repartition every relation in place, then rebuild the views."""
+        """Strictly repartition every relation in place for the current ``N``.
+
+        The views are rebuilt only when a tuple changed part: every view is
+        a function of the parts (and of the unpartitioned relations, which
+        a rebalance leaves alone), so unchanged parts mean unchanged views.
+        """
         c = self.counters
         c.rebalance_major += 1
+        self._set_thetas()
+        moved = 0
         for i, part in enumerate(self.parts):
             if part is not None:
-                c.moves += part.restrict(self._theta(i))
-        self.rebuild_views()
+                moved += part.restrict(self._thetas[i])
+        c.moves += moved
+        if moved:
+            self.rebuild_views()
 
     def minor_rebalance(self, i: int, key, moves, spec) -> int:
         """Move the tuples with ``key`` in index ``spec`` of relation ``i``.
@@ -189,6 +213,7 @@ class MaintenanceKernel:
             staged.append(r)
         total = sum(len(r) for r in staged)
         self.N = 2 * total + 1
+        self._set_thetas()
         self.db_size = total
         return staged
 

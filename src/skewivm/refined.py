@@ -20,7 +20,9 @@ blocks sharing a scan are evaluated together:
     light-light entries at the shared value;
   * next heavy-light against second light-heavy: the wedge lookup;
   * next light against second heavy: smaller side by the tuning exponent;
-  * next light against second light: scan the next side.
+  * next light against second light: scan the next side. When the
+    exponent picks the next side for the previous case too, one walk of
+    the next relation's light rows probes every part of the second.
 
 Wedge maintenance only fires for updates landing in an hl part (own wedge)
 or an lh part (preceding wedge). Minor rebalancing (``QuadPartition``'s
@@ -102,17 +104,19 @@ class RefinedTriangleEngine(MaintenanceKernel):
         c.lookups += 1
         acc += self.wedges[i1].get((y, x), 0)
 
-        # next light, second heavy: smaller side
         if self.eps <= 0.5:
+            # next light against every part of the second neighbor in one
+            # walk; the pair (z, x) sits in one part only
             for row in (n_lh, n_ll):
                 if row:
                     c.iterations += len(row)
                     for u, mu in row.items():
-                        z = u[1]
-                        mt = s_hh.get((z, x), 0) + s_hl.get((z, x), 0)
+                        k = (u[1], x)
+                        mt = s_ll.get(k) or s_lh.get(k) or s_hh.get(k) or s_hl.get(k)
                         if mt:
                             acc += mu * mt
         else:
+            # next light, second heavy: the heavy columns at x are shorter
             for col in (s_hh, s_hl):
                 if col:
                     c.iterations += len(col)
@@ -121,16 +125,15 @@ class RefinedTriangleEngine(MaintenanceKernel):
                         ms = n_lh.get((y, z), 0) + n_ll.get((y, z), 0)
                         if ms:
                             acc += ms * mu
-
-        # next light, second light
-        for row in (n_lh, n_ll):
-            if row:
-                c.iterations += len(row)
-                for u, mu in row.items():
-                    z = u[1]
-                    mt = s_ll.get((z, x), 0) + s_lh.get((z, x), 0)
-                    if mt:
-                        acc += mu * mt
+            # next light, second light
+            for row in (n_lh, n_ll):
+                if row:
+                    c.iterations += len(row)
+                    for u, mu in row.items():
+                        z = u[1]
+                        mt = s_ll.get((z, x), 0) + s_lh.get((z, x), 0)
+                        if mt:
+                            acc += mu * mt
         return acc
 
     def apply_update(self, rel, lab: str, t: tuple, m: int) -> int:

@@ -30,6 +30,8 @@ and ``move_key`` to hand that key's tuples to the kernel one by one.
 
 from __future__ import annotations
 
+import math
+import sys
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -38,8 +40,8 @@ from typing import Callable, Iterable, Iterator
 class SchemaError(ValueError):
     """Update does not fit the engine's schema.
 
-    Raised for an unknown relation, a tuple of the wrong arity, or a
-    multiplicity that is zero or not an ``int``.
+    Raised for an unknown relation, a tuple of the wrong arity or with an
+    unhashable value, or a multiplicity that is zero or not an ``int``.
     """
 
 
@@ -67,7 +69,7 @@ class Relation:
     and ``items``.
     """
 
-    __slots__ = ("arity", "indexes", "_n", "_lead", "_first", "_rest")
+    __slots__ = ("arity", "indexes", "_n", "_lead", "_first", "_rest", "tall_at", "tall")
 
     def __init__(self, arity: int, index_specs: Iterable[tuple[int, ...]] | None = None):
         if index_specs is None:
@@ -83,6 +85,12 @@ class Relation:
         # variable, a tuple for several)
         self._rest = tuple((itemgetter(*s), self.indexes[s]) for s in specs[1:])
         self._n = 0
+        # degree watermark on the lookup index: a create that lifts its
+        # key's posting map to ``tall_at`` tuples or more records the key
+        # (an int, compared faster than a float; ``tall`` is a dict used as
+        # a set, so its order does not depend on hashing)
+        self.tall_at = sys.maxsize
+        self.tall: dict = {}
 
     def __len__(self) -> int:
         return self._n
@@ -107,6 +115,9 @@ class Relation:
         removes them (and any posting map left empty) when the new one is,
         and otherwise rewrites the multiplicity in every index. ``new == m``
         therefore signals a created entry and ``new == 0`` a destroyed one.
+        A create that leaves the lookup-index key with ``tall_at`` or more
+        tuples adds the key to ``tall``; the key leaves ``tall`` with its
+        last tuple, so ``tall`` holds live keys only.
         """
         if len(t) != self.arity:
             raise SchemaError(f"arity {len(t)} tuple in arity {self.arity} relation")
@@ -116,13 +127,15 @@ class Relation:
         first = self._first
         posts = first.get(k)
         if posts is None:
-            first[k] = {t: m}
+            first[k] = posts = {t: m}
         else:
             new = posts.get(t, 0) + m
             if new == 0:
                 del posts[t]
                 if not posts:
                     del first[k]
+                    if self.tall:
+                        self.tall.pop(k, None)
                 self._n -= 1
                 for key_of, idx in self._rest:
                     k = key_of(t)
@@ -136,6 +149,8 @@ class Relation:
                 for key_of, idx in self._rest:
                     idx[key_of(t)][t] = new
                 return new
+        if len(posts) >= self.tall_at:
+            self.tall[k] = None
         self._n += 1
         for key_of, idx in self._rest:
             k = key_of(t)
@@ -199,6 +214,7 @@ class Partition:
         self.heavy = Relation(arity, heavy_specs)
         self.light = Relation(arity, light_specs)
         self.theta = float(theta)
+        self.light.tall_at = math.ceil(theta)
 
     def side(self, label: str) -> Relation:
         return self.heavy if label == HEAVY else self.light
@@ -272,17 +288,31 @@ class Partition:
 
         Strictness is decided on whole-relation degrees, which coincide
         with per-side degrees because a key lives on exactly one side.
+        Every heavy key is checked. The light side's watermark stands at
+        the previous threshold rounded up, and the last split (or the empty
+        start) left every light key below it. So when ``theta`` rounds up
+        to no less, as on a doubling, a light key at or above ``theta``
+        must have crossed the watermark since: only the keys recorded in
+        ``light.tall`` are checked. A lower ``theta`` checks every light
+        key.
         """
-        self.theta = float(theta)
-        h_idx = self.heavy.indexes[self.part_spec]
-        l_idx = self.light.indexes[self.part_spec]
+        heavy, light = self.heavy, self.light
+        h_idx = heavy.indexes[self.part_spec]
+        l_idx = light.indexes[self.part_spec]
+        tall_at = math.ceil(theta)
         demote = [k for k, posts in h_idx.items() if len(posts) < theta]
-        promote = [k for k, posts in l_idx.items() if len(posts) >= theta]
+        if tall_at >= light.tall_at:
+            promote = [k for k in light.tall if len(l_idx.get(k, ())) >= theta]
+        else:
+            promote = [k for k, posts in l_idx.items() if len(posts) >= theta]
         moved = 0
         for k in demote:
-            moved += self._relocate(k, self.heavy, self.light)
+            moved += self._relocate(k, heavy, light)
         for k in promote:
-            moved += self._relocate(k, self.light, self.heavy)
+            moved += self._relocate(k, light, heavy)
+        self.theta = float(theta)
+        light.tall_at = tall_at
+        light.tall.clear()
         return moved
 
     def total_size(self) -> int:

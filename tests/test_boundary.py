@@ -1,8 +1,9 @@
 """Malformed updates are refused at ``on_update`` before any state changes.
 
 Every engine raises ``SchemaError`` for an unknown relation name, a tuple
-of the wrong arity and a multiplicity that is zero or not a true ``int``,
-and leaves its answer, counters, size and invariant report as they were.
+of the wrong arity or with an unhashable value, and a multiplicity that is
+zero or not a true ``int``, and leaves its answer, counters, size and
+invariant report as they were.
 The preprocess loaders apply the same rules to every row of the database
 before they build anything.
 """
@@ -46,6 +47,12 @@ def _state(eng):
     return eng.answer(), eng.counters.snapshot(), eng.db_size, eng.check_invariants()
 
 
+def _unhashable(rel, t):
+    """Updates of ``t`` with each value in turn replaced by a list, a set and a dict."""
+    return [(rel, t[:p] + (v,) + t[p + 1:], 1)
+            for p in range(len(t)) for v in ([t[p]], {t[p]}, {t[p]: 1})]
+
+
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_malformed_updates_raise_and_change_nothing(name):
     make, warmup, (rel, t), bad = ENGINES[name]
@@ -53,7 +60,7 @@ def test_malformed_updates_raise_and_change_nothing(name):
     for u in warmup:
         eng.on_update(*u)
     before = _state(eng)
-    for update in bad + [(rel, t, m) for m in BAD_MULTS]:
+    for update in bad + [(rel, t, m) for m in BAD_MULTS] + _unhashable(rel, t):
         with pytest.raises(SchemaError):
             eng.on_update(*update)
         assert _state(eng) == before, update

@@ -5,7 +5,9 @@ partition with each index layout the engines use, against a model made of
 two plain dicts. After every step each index of each side must hold
 exactly the model's tuples and multiplicities, keyed by its variables,
 with no empty posting map, and ``len``, ``get`` and ``items`` must agree
-with the model.
+with the model. The light side's degree watermark, which a major restrict
+uses to find the keys to promote, must record every live key at or above
+it and no dead one.
 """
 
 from hypothesis import given, settings
@@ -46,6 +48,11 @@ def _check_side(rel, model):
             want.setdefault(_key(t, spec), {})[t] = m
         assert all(idx.values()), f"empty posting map in index {spec}"
         assert idx == want, spec
+    # the degree watermark: every live key at or above it is recorded, and
+    # only live keys are
+    lead = next(iter(rel.indexes.values()))
+    assert rel.tall.keys() <= lead.keys()
+    assert all(k in rel.tall for k, posts in lead.items() if len(posts) >= rel.tall_at)
 
 
 def _ops(arity):
