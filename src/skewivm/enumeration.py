@@ -129,7 +129,8 @@ class EnumTriangleEngine(MaintenanceKernel):
 
     # -- update procedure ---------------------------------------------------
 
-    def apply_update(self, rel, side: str, t: tuple, m: int) -> None:
+    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> None:
+        """Apply a routed delta to the listing views; this engine keeps no count."""
         i = self._index[rel]
         x, y = t
         c = self.counters

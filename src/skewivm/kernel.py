@@ -14,25 +14,29 @@ every query, so it lives here once:
   * the size invariant ``floor(N/4) <= db_size < N`` on the threshold base
     ``N``: reaching ``N`` doubles it, falling below a quarter roughly
     halves it, and either triggers a major rebalance, which strictly
-    repartitions every relation in place (the answer never changes). It
-    rebuilds the views only when some tuple changed part, since the views
-    are exact functions of the parts. A doubling checks every heavy key
-    but only the light keys that climbed past the old threshold since the
-    last split (``Partition.restrict``); a halving checks every key;
+    repartitions every relation in place (the answer never changes). A
+    doubling checks every heavy key but only the light keys that climbed
+    past the old threshold since the last split (``Partition.restrict``);
+    a halving checks every key;
   * minor rebalancing: a key that drifts past one and a half times, or
     below half of, its relation's threshold ``N ** eps`` (computed when
-    ``N`` changes, not per update) has its tuples moved to the other part,
-    each as a delete/insert pair through the engine's own update step, so
-    the answer and views stay exact;
+    ``N`` changes, not per update) has its tuples moved to the other part;
+  * moves: a major or minor rebalance hands every tuple that changes part
+    to ``apply_move``, a delete/insert pair through the engine's own
+    update step, so the views stay exact and a rebalance costs what it
+    moves: a major that moves nothing does no view work, one that moves a
+    few tuples does not rebuild every view;
   * the preprocess loader, which sets ``N`` to twice the database size
     plus one, and the invariant report.
 
 An engine supplies its partitions in ``parts``, ``route`` (the part an
-update goes to), ``apply_update`` (one routed delta), ``rebuild_views`` and
-``space_used``.
+update goes to), ``apply_update`` (one routed delta, optionally without
+its change to the answer) and ``space_used``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .metrics import OpCounters
 from .relation import Relation, SchemaError
@@ -65,13 +69,24 @@ class MaintenanceKernel:
         """Label of the part of relation ``i`` that receives ``t``."""
         raise NotImplementedError
 
-    def apply_update(self, rel, label, t: tuple, m: int):
-        """Apply one delta to the part ``label``, keeping answer and views exact."""
+    def apply_update(self, rel, label, t: tuple, m: int, count: bool = True):
+        """Apply one delta to the part ``label``, keeping answer and views exact.
+
+        With ``count=False`` the caller guarantees that the answer's change
+        cancels against another delta, and the engine skips computing it.
+        """
         raise NotImplementedError
 
-    def rebuild_views(self) -> None:
-        """Recompute every view from the current parts."""
-        raise NotImplementedError
+    def apply_move(self, i: int, src, dst, t: tuple, m: int) -> None:
+        """Move ``t`` (multiplicity ``m``) of relation ``i`` from part ``src`` to ``dst``.
+
+        A delete from ``src`` and an insert into ``dst``, both through
+        ``apply_update``, so the views stay exact. The relation as a whole
+        does not change, so neither does the answer: the two deltas cancel,
+        and neither is computed.
+        """
+        self.apply_update(i, src, t, -m, False)
+        self.apply_update(i, dst, t, m, False)
 
     # -- accessors --------------------------------------------------------------
 
@@ -134,9 +149,10 @@ class MaintenanceKernel:
     def major_rebalance(self) -> None:
         """Strictly repartition every relation in place for the current ``N``.
 
-        The views are rebuilt only when a tuple changed part: every view is
-        a function of the parts (and of the unpartitioned relations, which
-        a rebalance leaves alone), so unchanged parts mean unchanged views.
+        Every tuple that changes part goes through ``apply_move``, so the
+        views follow the parts and are never rebuilt: the work is that of
+        the moves, one update step each, and a major that moves
+        nothing costs only the key checks.
         """
         c = self.counters
         c.rebalance_major += 1
@@ -144,27 +160,23 @@ class MaintenanceKernel:
         moved = 0
         for i, part in enumerate(self.parts):
             if part is not None:
-                moved += part.restrict(self._thetas[i])
+                moved += part.restrict(self._thetas[i], partial(self.apply_move, i))
         c.moves += moved
-        if moved:
-            self.rebuild_views()
 
     def minor_rebalance(self, i: int, key, moves, spec) -> int:
         """Move the tuples with ``key`` in index ``spec`` of relation ``i``.
 
         ``moves`` lists ``(source, destination)`` part labels; each tuple
-        goes as a delete from its source and an insert into the destination.
-        Returns the number of tuples moved.
+        goes through ``apply_move``. Returns the number of tuples moved.
         """
         c = self.counters
         c.rebalance_minor += 1
         part = self.parts[i]
-        apply = self.apply_update
+        move = self.apply_move
         moved = 0
         for src, dst in moves:
             def sink(t, m, src=src, dst=dst):
-                apply(i, src, t, -m)
-                apply(i, dst, t, m)
+                move(i, src, dst, t, m)
                 c.moves += 1
             moved += part.move_key(key, src, sink, spec)
         return moved

@@ -182,9 +182,10 @@ class LWEngine(MaintenanceKernel):
                         bump(view, self._view_key(i, vals), prod)
         vals[free] = None
 
-    def apply_update(self, rel, side: str, t: tuple, m: int) -> int:
+    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
+        """Apply a routed delta; returns the count change (0 when ``count`` is false)."""
         v = self._index[rel]
-        dq = m * self._delta_sum(v, t)
+        dq = m * self._delta_sum(v, t) if count else 0
         self.q += dq
         self._maintain_views(v, side, t, m)
         new = self.parts[v].side(side).upsert(t, m)

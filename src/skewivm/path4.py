@@ -285,12 +285,12 @@ class Path4Engine(MaintenanceKernel):
             self.db_size -= 1
         return dq
 
-    def update_s(self, lab: str, t: tuple, m: int) -> int:
+    def update_s(self, lab: str, t: tuple, m: int, count: bool = True) -> int:
         a, b = t
         c = self.counters
         ra = self.r.get(a, 0)
         dq = 0
-        if ra:
+        if ra and count:
             acc = self._hop_sum(self.t.parts["ll"], b, IDX0, self.u)
             acc += self._hop_sum(self.t.parts["lh"], b, IDX0, self.u)
             c.lookups += 1
@@ -350,12 +350,12 @@ class Path4Engine(MaintenanceKernel):
                         bump(self.r_s_ll_t_lh, e[1], ra * m * mt)
         return dq
 
-    def update_t(self, lab: str, t: tuple, m: int) -> int:
+    def update_t(self, lab: str, t: tuple, m: int, count: bool = True) -> int:
         b, cval = t
         c = self.counters
         ug = self.u.get(cval, 0)
         dq = 0
-        if ug:
+        if ug and count:
             c.lookups += 3
             acc = (self.rs_ll.get(b, 0) + self.rs_lh.get(b, 0)
                    + self.rs_hh.get(b, 0))
@@ -437,13 +437,16 @@ class Path4Engine(MaintenanceKernel):
         self.counters.lookups += 1
         return self.parts[i].route(t, self.eps == 0.0)
 
-    def apply_update(self, rel, lab, t: tuple, m: int) -> int:
-        """Dispatch a routed delta to the update procedure of its relation."""
+    def apply_update(self, rel, lab, t: tuple, m: int, count: bool = True) -> int:
+        """Dispatch a routed delta to the update procedure of its relation.
+
+        ``count=False`` (a move between parts of S or T) skips the count.
+        """
         i = self._index[rel]
         if i == 1:
-            return self.update_s(lab, t, m)
+            return self.update_s(lab, t, m, count)
         if i == 2:
-            return self.update_t(lab, t, m)
+            return self.update_t(lab, t, m, count)
         return self.update_r(t[0], m) if i == 0 else self.update_u(t[0], m)
 
     # -- recomputation -------------------------------------------------------

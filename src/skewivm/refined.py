@@ -136,12 +136,15 @@ class RefinedTriangleEngine(MaintenanceKernel):
                             acc += mu * mt
         return acc
 
-    def apply_update(self, rel, lab: str, t: tuple, m: int) -> int:
-        """Apply a delta routed to part ``lab``; returns the count change."""
+    def apply_update(self, rel, lab: str, t: tuple, m: int, count: bool = True) -> int:
+        """Apply a delta routed to part ``lab``; returns the count change.
+
+        ``count=False`` skips the count, as in ``TriangleEngine.apply_update``.
+        """
         i = self._index[rel]
         x, y = t
         c = self.counters
-        dq = m * self._delta_sum(i, x, y)
+        dq = m * self._delta_sum(i, x, y) if count else 0
         self.q += dq
 
         i1 = i - 2 if i >= 2 else i + 1

@@ -273,17 +273,7 @@ class Partition:
             sink(t, m)
         return len(batch)
 
-    def _relocate(self, key, src: Relation, dst: Relation) -> int:
-        posts = src.indexes[self.part_spec].get(key)
-        if not posts:
-            return 0
-        batch = list(posts.items())
-        for t, m in batch:
-            src.upsert(t, -m)
-            dst.upsert(t, m)
-        return len(batch)
-
-    def restrict(self, theta: float) -> int:
+    def restrict(self, theta: float, move: Callable | None = None) -> int:
         """Re-establish the strict split for ``theta``; return tuples moved.
 
         Strictness is decided on whole-relation degrees, which coincide
@@ -295,6 +285,11 @@ class Partition:
         must have crossed the watermark since: only the keys recorded in
         ``light.tall`` are checked. A lower ``theta`` checks every light
         key.
+
+        Each tuple that changes side is moved by ``move(src, dst, t, m)``
+        with the side labels, which must delete it from ``src`` and insert
+        it into ``dst`` (the kernel's ``apply_move``); without ``move`` the
+        sides are rewritten directly.
         """
         heavy, light = self.heavy, self.light
         h_idx = heavy.indexes[self.part_spec]
@@ -305,15 +300,24 @@ class Partition:
             promote = [k for k in light.tall if len(l_idx.get(k, ())) >= theta]
         else:
             promote = [k for k, posts in l_idx.items() if len(posts) >= theta]
+        if move is None:
+            move = self._rewrite
         moved = 0
-        for k in demote:
-            moved += self._relocate(k, heavy, light)
-        for k in promote:
-            moved += self._relocate(k, light, heavy)
+        for keys, src, dst in ((demote, HEAVY, LIGHT), (promote, LIGHT, HEAVY)):
+            idx = self.side(src).indexes[self.part_spec]
+            for k in keys:
+                batch = list(idx[k].items())
+                for t, m in batch:
+                    move(src, dst, t, m)
+                moved += len(batch)
         self.theta = float(theta)
         light.tall_at = tall_at
         light.tall.clear()
         return moved
+
+    def _rewrite(self, src: str, dst: str, t: tuple, m: int) -> None:
+        self.side(src).upsert(t, -m)
+        self.side(dst).upsert(t, m)
 
     def total_size(self) -> int:
         return len(self.heavy) + len(self.light)
@@ -443,38 +447,53 @@ class QuadPartition:
             sink(t, m)
         return len(batch)
 
-    def restrict(self, theta: float) -> int:
+    def restrict(self, theta: float, move: Callable | None = None) -> int:
         """Strictly reassign every tuple by whole-relation degrees.
 
-        Only the keys whose status changes are visited, with their tuples;
-        returns the number of tuples moved.
+        A key's tuples lie in the two parts of its status on each variable
+        (routing and rebalancing keep them there), so its degree is the sum
+        over those two. The keys whose status flips are found first; then
+        each tuple carrying one goes, once, to the part of its new statuses
+        through ``move(src, dst, t, m)`` as in ``Partition.restrict``.
+        Returns the number of tuples moved.
         """
         self.theta = float(theta)
+        if move is None:
+            move = self._rewrite
         parts = self.parts
-        degs = []
-        for spec in (IDX0, IDX1):
-            deg: dict = {}
-            for rel in parts.values():
-                for key, posts in rel.indexes[spec].items():
-                    deg[key] = deg.get(key, 0) + len(posts)
-            degs.append(deg)
-        deg0, deg1 = degs
+        flips = []
+        for spec, light, heavy, _, _ in _QUAD_DRIFT:
+            # a dict as an ordered set, so the order of the moves (and with
+            # it the engines' op counts) does not depend on hashing
+            flip: dict = {}
+            for (lab_a, lab_b), was_heavy in ((light, False), (heavy, True)):
+                idx_a, idx_b = parts[lab_a].indexes[spec], parts[lab_b].indexes[spec]
+                for k, posts in idx_a.items():
+                    if (len(posts) + len(idx_b.get(k, ())) >= theta) != was_heavy:
+                        flip[k] = None
+                for k, posts in idx_b.items():
+                    if k not in idx_a and (len(posts) >= theta) != was_heavy:
+                        flip[k] = None
+            flips.append(flip)
+        flip0, flip1 = flips
+        other = {HEAVY: LIGHT, LIGHT: HEAVY}
         moved = 0
         for var, spec in enumerate((IDX0, IDX1)):
-            deg = degs[var]
-            for lab, rel in parts.items():
-                idx = rel.indexes[spec]
-                was_heavy = lab[var] == HEAVY
-                for key in [k for k in idx if (deg[k] >= theta) != was_heavy]:
-                    # a tuple moved for its other variable may have left already
-                    for t, m in list(idx.get(key, {}).items()):
-                        target = ((HEAVY if deg0[t[0]] >= theta else LIGHT)
-                                  + (HEAVY if deg1[t[1]] >= theta else LIGHT))
-                        if target != lab:
-                            rel.upsert(t, -m)
-                            parts[target].upsert(t, m)
-                            moved += 1
+            for key in flips[var]:
+                # a tuple whose first variable flipped went in the first pass
+                batch = [(lab, t, m) for lab, rel in parts.items()
+                         for t, m in rel.indexes[spec].get(key, {}).items()
+                         if var == 0 or t[0] not in flip0]
+                for lab, t, m in batch:
+                    target = ((other[lab[0]] if t[0] in flip0 else lab[0])
+                              + (other[lab[1]] if t[1] in flip1 else lab[1]))
+                    move(lab, target, t, m)
+                moved += len(batch)
         return moved
+
+    def _rewrite(self, src: str, dst: str, t: tuple, m: int) -> None:
+        self.parts[src].upsert(t, -m)
+        self.parts[dst].upsert(t, m)
 
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.parts.values())

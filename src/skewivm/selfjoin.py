@@ -36,17 +36,17 @@ class SelfJoinEngine(MaintenanceKernel):
     def space_used(self) -> int:
         return self.parts[0].total_size() + len(self.wedge)
 
-    def apply_update(self, rel, side: str, t: tuple, m: int) -> int:
-        """Apply a routed edge delta; returns the count change."""
+    def _delta(self, t: tuple, m: int, h_col, l_row) -> int:
+        """Change of the count for the delta ``m`` of edge ``t``.
+
+        ``h_col`` is the heavy column at ``t``'s source and ``l_row`` the
+        light row at its target, which the caller reads as well.
+        """
         a, b = t
         c = self.counters
         part = self.parts[0]
-        heavy = part.heavy
-        light = part.light
-        h_rows = heavy.indexes[IDX0]
-        l_rows = light.indexes[IDX0]
-        h_col = heavy.indexes[IDX1].get(a)
-        l_row = l_rows.get(b)
+        h_rows = part.heavy.indexes[IDX0]
+        l_rows = part.light.indexes[IDX0]
         acc = 0
 
         # both heavy: scan heavy edges into a, they have distinct sources
@@ -103,6 +103,19 @@ class SelfJoinEngine(MaintenanceKernel):
             c.lookups += 2
             dq += 3 * m * m * part.multiplicity(t)
             dq += m * m * m
+        return dq
+
+    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
+        """Apply a routed edge delta; returns the count change.
+
+        ``count=False`` skips the count, as in ``TriangleEngine.apply_update``.
+        """
+        a, b = t
+        c = self.counters
+        part = self.parts[0]
+        h_col = part.heavy.indexes[IDX1].get(a)
+        l_row = part.light.indexes[IDX0].get(b)
+        dq = self._delta(t, m, h_col, l_row) if count else 0
         self.q += dq
 
         if side == HEAVY:

@@ -195,17 +195,18 @@ class TriangleEngine(MaintenanceKernel):
                             acc += mu * mt
         return acc
 
-    def apply_update(self, rel, side: str, t: tuple, m: int) -> int:
+    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
         """Apply a routed single-tuple delta; returns the count change.
 
         Maintains the count, the one affected wedge and the target part,
-        in that order. Does not rebalance; callers that need the loose
+        in that order; ``count=False`` skips the count (for moves, whose
+        two halves cancel). Does not rebalance; callers that need the loose
         bounds preserved go through ``on_update``.
         """
         i = self._index[rel]
         x, y = t
         c = self.counters
-        dq = m * self._delta_sum(i, x, y)
+        dq = m * self._delta_sum(i, x, y) if count else 0
         self.q += dq
 
         i1 = i - 2 if i >= 2 else i + 1

@@ -1,13 +1,14 @@
-"""Major rebalances leave a strict split and exact views, and rebuild only on moves.
+"""Major rebalances leave a strict split and exact views, and do view work only on moves.
 
 Every engine replays skewed grow-then-shrink streams across the exponent
 grid, from a handful of tuples up to several hundred, so the threshold
 base doubles and halves many times. After every update that fires a
 major rebalance, the split must be strict for the new threshold base,
-every view must equal a fresh rebuild from the parts, and a major
-rebalance that moved no tuple must have added no iterations (it skips the
-rebuild). Small streams matter: there a single create can lift a key past
-the next threshold on the very update that triggers the doubling.
+every view must equal a fresh rebuild from the parts (the major keeps
+them up move by move), and a major rebalance that moved no tuple must
+have added no iterations. Small streams matter: there a single create can
+lift a key past the next threshold on the very update that triggers the
+doubling.
 """
 
 import pytest

@@ -249,6 +249,64 @@ class TestQuadPartition:
         assert not quad.violations(4)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                       st.sampled_from((-2, -1, 1, 3)), max_size=40),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                          st.sampled_from((-1, 1, 2))), max_size=30),
+       st.sampled_from((1, 2, 3, 5)), st.sampled_from((0.5, 1.5, 2, 3, 4.5, 6)))
+def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, theta):
+    """A major restrict moves exactly the tuples whose strict part changed.
+
+    The parts start strict for ``theta0`` and take routed updates, as an
+    engine's do; then ``restrict(theta, move)`` must hand every tuple whose
+    part under the strict split for ``theta`` differs to ``move`` once, from
+    its current part to that one, and leave the parts strict.
+    """
+    quad = quad_partition_strict(rel_of({t: m for t, m in rows.items() if m}), theta0)
+    for a, b, m in updates:
+        quad.parts[quad.route((a, b))].upsert((a, b), m)
+    where = {t: lab for lab, rel in quad.parts.items() for t, _ in rel.items()}
+    union = {t: m for rel in quad.parts.values() for t, m in rel.items()}
+    deg = [{}, {}]
+    for t in union:
+        for var in (0, 1):
+            deg[var][t[var]] = deg[var].get(t[var], 0) + 1
+    want = {t: (HEAVY if deg[0][t[0]] >= theta else LIGHT)
+            + (HEAVY if deg[1][t[1]] >= theta else LIGHT) for t in union}
+    seen = []
+
+    def move(src, dst, t, m):
+        seen.append((t, src, dst))
+        assert m == union[t]
+        quad.parts[src].upsert(t, -m)
+        quad.parts[dst].upsert(t, m)
+
+    moved = quad.restrict(theta, move)
+    expected = {(t, where[t], want[t]) for t in union if where[t] != want[t]}
+    assert moved == len(seen) == len(expected)
+    assert set(seen) == expected
+    assert not quad.violations(theta, strict=True)
+    assert {t: m for rel in quad.parts.values() for t, m in rel.items()} == union
+
+
+def test_partition_restrict_hands_moves_to_the_callback():
+    part = strict_partition(rel_of({(1, 1): 1, (1, 2): 1, (2, 1): 1, (3, 1): 1,
+                                    (3, 2): 1, (3, 3): 1}), 0, 3)
+    seen = []
+
+    def move(src, dst, t, m):
+        seen.append((src, dst, t))
+        part.side(src).upsert(t, -m)
+        part.side(dst).upsert(t, m)
+
+    assert part.restrict(2, move) == 2
+    assert sorted(seen) == [(LIGHT, HEAVY, (1, 1)), (LIGHT, HEAVY, (1, 2))]
+    assert part.restrict(4, move) == 5
+    assert not part.violations(4, strict=True)
+    assert len(part.heavy) == 0 and len(part.light) == 6
+
+
 def test_bump_drops_cancelled_keys():
     d = {}
     bump(d, "k", 2)
