@@ -10,10 +10,9 @@ migrations keep the partitions honest as the data evolves; that loop is
 written once, in ``skewivm.kernel``, and shared by every engine.
 """
 
-from .metrics import OpCounters, StepRecord, fit_scaling, record, replay_audit
+from .metrics import OpCounters, fit_scaling
 from .relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
-                       SchemaError, UnindexedVariable, quad_partition_strict,
-                       strict_partition)
+                       SchemaError, UnindexedVariable)
 from .triangle import EpsConfig, TriangleEngine, static_count
 from .selfjoin import SelfJoinEngine
 from .refined import RefinedTriangleEngine
@@ -23,9 +22,9 @@ from .path4 import Path4Engine
 from . import cli, oracle
 
 __all__ = [
-    "OpCounters", "StepRecord", "fit_scaling", "record", "replay_audit",
+    "OpCounters", "fit_scaling",
     "HEAVY", "LIGHT", "Partition", "QuadPartition", "Relation",
-    "SchemaError", "UnindexedVariable", "quad_partition_strict", "strict_partition",
+    "SchemaError", "UnindexedVariable",
     "EpsConfig", "TriangleEngine", "static_count",
     "SelfJoinEngine",
     "RefinedTriangleEngine",

@@ -9,33 +9,31 @@ eight part combinations split into:
     combinations "relation i heavy, relation i+1 light, relation i+2
     either": a ternary wedge ``tri[i]`` holds the join of the heavy part
     of relation i with the light part of relation i+1 (keyed in rotated
-    order (x, y, z) with y the middle variable), ``pair[i]`` aggregates
-    away the middle variable, and two root views multiply the aggregate
-    with each part of relation i+2.
+    order (x, y, z) with y the middle variable), and ``pair_index[i]``
+    groups its middle values by the outer pair (x, z).
 
 Enumeration concatenates the listing with, per family and per third-part
 side, the live (x, z) pairs joined back against the middle values of
 ``tri[i]``. Ownership is unique because the part domains are disjoint, so
 no deduplication structure is needed.
 
-Signed multiplicities make the aggregate pair view unreliable as a
+Signed multiplicities make a summed aggregate per pair unreliable as a
 liveness signal: opposite-sign middle values can cancel its sum while the
 factorized result is nonempty. Liveness therefore tracks support, not
-sums: a per-family index of middle values per (x, z) pair, plus per-side
-sets of pairs whose third-part factor is present. The root views with the
-summed values are still maintained (they are part of the state contract
-and serve the consistency checks); only enumeration liveness bypasses
-them.
+sums: the middle values per (x, z) pair, plus per-side sets of pairs
+whose third-part factor is present.
 
-Rebalancing comes from the shared kernel; its major rebalance rebuilds all
-of the structures above through ``recompute_views``.
+Rebalancing comes from the shared kernel, which moves each tuple that
+changes part through ``apply_update``, so the structures above follow
+every move. ``recompute_views`` builds them all from the parts, for the
+kernel's loader and for tests.
 """
 
 from __future__ import annotations
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, bump, strict_partition
+from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, bump
 
 REL_NAMES = ("R", "S", "T")
 
@@ -60,8 +58,6 @@ class EnumTriangleEngine(MaintenanceKernel):
         self.listing: dict[tuple, int] = {}
         self.tri: list[dict] = [{}, {}, {}]          # (x, y, z) -> mult
         self.pair_index: list[dict] = [{}, {}, {}]   # (x, z) -> set of y
-        self.pair_sum: list[dict] = [{}, {}, {}]     # (x, z) -> summed mult
-        self.roots = [{HEAVY: {}, LIGHT: {}} for _ in range(3)]
         self.live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
 
     def answer(self) -> int:
@@ -71,9 +67,7 @@ class EnumTriangleEngine(MaintenanceKernel):
     def space_used(self) -> int:
         return (sum(p.total_size() for p in self.parts)
                 + len(self.listing)
-                + sum(len(d) for d in self.tri)
-                + sum(len(d) for d in self.pair_sum)
-                + sum(len(side) for fam in self.roots for side in fam.values()))
+                + sum(len(d) for d in self.tri))
 
     # -- tree maintenance ---------------------------------------------------
 
@@ -81,8 +75,8 @@ class EnumTriangleEngine(MaintenanceKernel):
         """Delta one ternary wedge entry, cascading into pair structures.
 
         ``third_h`` and ``third_l`` are the posting maps at ``z`` of the
-        heavy and light parts of relation i+2 (``None`` when absent); the
-        roots multiply the aggregate with them.
+        heavy and light parts of relation i+2 (``None`` when absent); a
+        new pair is live on each side that holds its third factor.
         """
         tri = self.tri[i]
         key = (x, y, z)
@@ -105,16 +99,6 @@ class EnumTriangleEngine(MaintenanceKernel):
             if not ys:
                 del self.pair_index[i][pk]
                 self._pair_died(i, pk)
-        bump(self.pair_sum[i], pk, d)
-        rk = (z, x)
-        if third_h:
-            f = third_h.get(rk)
-            if f:
-                bump(self.roots[i][HEAVY], pk, d * f)
-        if third_l:
-            f = third_l.get(rk)
-            if f:
-                bump(self.roots[i][LIGHT], pk, d * f)
 
     def _pair_born(self, i: int, pk, third_h, third_l) -> None:
         rk = (pk[1], pk[0])
@@ -182,16 +166,11 @@ class EnumTriangleEngine(MaintenanceKernel):
                 for u, mu in posts.items():
                     self._tri_bump(i2, u[0], x, y, m * mu, nh, nl)
 
-        # family i+1's root: this relation is its third factor
-        rk = (y, x)
-        c.lookups += 1
-        agg = self.pair_sum[i1].get(rk, 0)
-        if agg:
-            bump(self.roots[i1][side], rk, m * agg)
-
         new = self.parts[i].side(side).upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
-        # liveness of family i+1 pairs keyed (y, x) follows this entry
+        # liveness of family i+1 pairs keyed (y, x) follows this entry:
+        # this relation is their third factor
+        rk = (y, x)
         if new == m:
             if rk in self.pair_index[i1]:
                 self.live[i1][side].add(rk)
@@ -203,8 +182,7 @@ class EnumTriangleEngine(MaintenanceKernel):
         return self.parts[i].route(t[0], self.eps == 0.0)
 
     def rebuild_views(self) -> None:
-        (self.listing, self.tri, self.pair_index, self.pair_sum,
-         self.roots, self.live) = self.recompute_views()
+        self.listing, self.tri, self.pair_index, self.live = self.recompute_views()
 
     def recompute_views(self):
         """All view structures recomputed from the relation parts."""
@@ -224,8 +202,6 @@ class EnumTriangleEngine(MaintenanceKernel):
                             bump(listing, (t[0], t[1], u[1]), mr * ms * mt)
         tri: list[dict] = [{}, {}, {}]
         pair_index: list[dict] = [{}, {}, {}]
-        pair_sum: list[dict] = [{}, {}, {}]
-        roots = [{HEAVY: {}, LIGHT: {}} for _ in range(3)]
         live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
         for i in range(3):
             i1 = i - 2 if i >= 2 else i + 1
@@ -241,21 +217,15 @@ class EnumTriangleEngine(MaintenanceKernel):
                     x = t[0]
                     for u, ml in l_posts.items():
                         z = u[1]
-                        d = mh * ml
-                        tri[i][(x, y, z)] = d
-                        bump(pair_sum[i], (x, z), d)
+                        tri[i][(x, y, z)] = mh * ml
                         pair_index[i].setdefault((x, z), set()).add(y)
             third = self.parts[i2]
             for pk in pair_index[i]:
                 x, z = pk
                 for lab in (HEAVY, LIGHT):
-                    f = third.side(lab).get((z, x))
-                    if f:
+                    if third.side(lab).get((z, x)):
                         live[i][lab].add(pk)
-                        agg = pair_sum[i].get(pk, 0)
-                        if agg:
-                            roots[i][lab][pk] = agg * f
-        return listing, tri, pair_index, pair_sum, roots, live
+        return listing, tri, pair_index, live
 
     # -- enumeration ----------------------------------------------------------
 
@@ -314,9 +284,4 @@ class EnumTriangleEngine(MaintenanceKernel):
 def preprocess_enum(db: dict, eps: float = 0.5,
                     counters: OpCounters | None = None) -> EnumTriangleEngine:
     """Ready enumeration state from a full database."""
-    eng = EnumTriangleEngine(eps, counters)
-    staged = eng._load(db, (IDX0,))
-    theta = eng._theta()
-    eng.parts = [strict_partition(r, IDX0, theta) for r in staged]
-    eng.rebuild_views()
-    return eng
+    return EnumTriangleEngine.preprocess(db, eps, counters)

@@ -26,12 +26,17 @@ every query, so it lives here once:
     update step, so the views stay exact and a rebalance costs what it
     moves: a major that moves nothing does no view work, one that moves a
     few tuples does not rebuild every view;
-  * the preprocess loader, which sets ``N`` to twice the database size
-    plus one, and the invariant report.
+  * the one loader, ``preprocess``, which sets ``N`` to twice the database
+    size plus one, fills every partition strictly from its rows' key
+    degrees, each tuple stored once, and then has the engine build its
+    views and its answer once;
+  * the invariant report.
 
 An engine supplies its partitions in ``parts``, ``route`` (the part an
 update goes to), ``apply_update`` (one routed delta, optionally without
-its change to the answer) and ``space_used``.
+its change to the answer), ``space_used``, and for ``preprocess``
+``rebuild_views``, ``loaded_count`` and, when it keeps a relation whole,
+``load_whole``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 from functools import partial
 
 from .metrics import OpCounters
-from .relation import Relation, SchemaError
+from .relation import SchemaError
 
 
 class MaintenanceKernel:
@@ -75,6 +80,18 @@ class MaintenanceKernel:
         With ``count=False`` the caller guarantees that the answer's change
         cancels against another delta, and the engine skips computing it.
         """
+        raise NotImplementedError
+
+    def rebuild_views(self) -> None:
+        """Build every view from the parts (after ``preprocess`` has filled them)."""
+        raise NotImplementedError
+
+    def loaded_count(self) -> int:
+        """The answer over the freshly built parts and views; 0 without a count."""
+        return 0
+
+    def load_whole(self, i: int, rows: dict) -> None:
+        """Store the rows of relation ``i``, which the engine keeps unpartitioned."""
         raise NotImplementedError
 
     def apply_move(self, i: int, src, dst, t: tuple, m: int) -> None:
@@ -183,16 +200,40 @@ class MaintenanceKernel:
 
     # -- construction and checks --------------------------------------------------
 
-    def _load(self, db, index_specs=None) -> list[Relation]:
-        """Stage a full database; set ``N`` and ``db_size`` for it.
+    @classmethod
+    def preprocess(cls, db, *args, **kwargs):
+        """A ready engine ``cls(*args, **kwargs)`` holding the full database ``db``.
 
         ``db`` maps relations (as ``on_update`` names them) to
         ``{tuple: multiplicity}`` or lists those maps in relation order.
         Every row is checked by ``on_update``'s rules before anything is
-        built, and ``SchemaError`` refuses the whole database; zero
+        stored, and ``SchemaError`` refuses the whole database; zero
         multiplicities are dropped. The threshold base becomes twice the
         database size plus one, so the ready state sits well inside its
-        size invariant.
+        size invariant. Each partition is filled strictly from its rows'
+        key degrees (``load``) and each relation kept whole by
+        ``load_whole``; then the views are built from the parts and the
+        answer is computed once, by ``loaded_count``.
+        """
+        eng = cls(*args, **kwargs)
+        tables = eng._checked(db)
+        eng.db_size = sum(map(len, tables))
+        eng.N = 2 * eng.db_size + 1
+        eng._set_thetas()
+        for i, rows in enumerate(tables):
+            part = eng.parts[i]
+            if part is None:
+                eng.load_whole(i, rows)
+            else:
+                part.load(rows, eng._thetas[i])
+        eng.rebuild_views()
+        eng.q = eng.loaded_count()
+        return eng
+
+    def _checked(self, db) -> list[dict]:
+        """The rows of ``db`` per relation, checked, without zero multiplicities.
+
+        The caller's maps are returned, not copied, when they hold no zero.
         """
         n = len(self.names)
         if isinstance(db, (list, tuple)):
@@ -208,26 +249,18 @@ class MaintenanceKernel:
                 tables[i] = rows
         checked = []
         for i, rows in enumerate(tables):
-            rows = dict(rows or {})
+            if not isinstance(rows, dict):
+                rows = dict(rows or {})
             for t, m in rows.items():
                 if not isinstance(t, tuple) or len(t) != self.arities[i]:
                     raise SchemaError(f"{self.names[i]} takes tuples of arity "
                                       f"{self.arities[i]}, got {t!r}")
                 if type(m) is not int:
                     raise SchemaError(f"multiplicity must be an int, got {m!r}")
-            checked.append(rows)
-        staged = []
-        for i, rows in enumerate(checked):
-            r = Relation(self.arities[i], index_specs)
-            for t, m in rows.items():
-                if m:
-                    r.upsert(t, m)
-            staged.append(r)
-        total = sum(len(r) for r in staged)
-        self.N = 2 * total + 1
-        self._set_thetas()
-        self.db_size = total
-        return staged
+            # the loader only reads the rows, so a map without zeros is used
+            # as given: a copy would raise the load's peak memory
+            checked.append(rows if all(rows.values()) else {t: m for t, m in rows.items() if m})
+        return checked
 
     def _uncounted(self, build, *args):
         """``build(*args)`` with its work kept out of the engine's counters."""

@@ -37,7 +37,7 @@ from itertools import product
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
 from .oracle import lw_schemas
-from .relation import HEAVY, LIGHT, Partition, bump, strict_partition
+from .relation import HEAVY, LIGHT, Partition, bump
 
 
 class LWEngine(MaintenanceKernel):
@@ -243,25 +243,17 @@ class LWEngine(MaintenanceKernel):
                     bump(view, self._view_key(i, vals), prod)
         return view
 
-    @classmethod
-    def preprocess(cls, db, n: int, eps: float = 0.5,
-                   counters: OpCounters | None = None) -> "LWEngine":
-        """Ready state from full relations, count via the delta strategies.
+    def loaded_count(self) -> int:
+        """The count after ``preprocess``, by the delta strategies.
 
         The count is linear in relation 0, so it is the one-hop delta sum
         over relation 0's entries against the finished parts and views.
         """
-        eng = cls(n, eps, counters)
-        rels = eng._load(db, eng._index_specs())
-        theta = eng._theta()
-        eng.parts = [strict_partition(r, (0,), theta, eng._index_specs()) for r in rels]
-        eng.rebuild_views()
         q = 0
-        for side in (eng.parts[0].heavy, eng.parts[0].light):
+        for side in (self.parts[0].heavy, self.parts[0].light):
             for t, m in side.items():
-                q += m * eng._delta_sum(0, t)
-        eng.q = q
-        return eng
+                q += m * self._delta_sum(0, t)
+        return q
 
     def recompute_view(self, i: int) -> dict:
         return self._uncounted(self._build_view, i)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import IDX0, IDX1, QuadPartition, Relation, bump, quad_partition_strict
+from .relation import IDX0, IDX1, QuadPartition, Relation, bump
 
 REL_NAMES = ("R", "S", "T", "U")
 
@@ -57,7 +57,9 @@ class Path4Engine(MaintenanceKernel):
         super().__init__(REL_NAMES, (1, 2, 2, 1), eps, counters)
         self.r: dict = {}
         self.u: dict = {}
-        self._set_quads(QuadPartition(), QuadPartition())
+        # S and T are the kernel's partitions of relations 1 and 2
+        self.s, self.t = QuadPartition(), QuadPartition()
+        self.parts = [None, self.s, self.t, None]
         self.rs_ll: dict = {}
         self.rs_lh: dict = {}
         self.rs_hh: dict = {}
@@ -72,11 +74,6 @@ class Path4Engine(MaintenanceKernel):
         self.r_s_ll_t_lh: dict = {}
         self.s_ind_t_lh_u: dict = {}
         self.s_hl_t_ll_u: dict = {}
-
-    def _set_quads(self, s: QuadPartition, t: QuadPartition) -> None:
-        # S and T are the kernel's partitions of relations 1 and 2
-        self.s, self.t = s, t
-        self.parts = [None, s, t, None]
 
     def lookup(self, rel, t: tuple) -> int:
         i = self.rel_index(rel)
@@ -515,18 +512,9 @@ class Path4Engine(MaintenanceKernel):
         for name in self.VIEW_NAMES:
             setattr(self, name, views[name])
 
-    @classmethod
-    def preprocess(cls, db: dict, eps: float = 0.5,
-                   counters: OpCounters | None = None) -> "Path4Engine":
-        eng = cls(eps, counters)
-        r_rel, s_rel, t_rel, u_rel = eng._load(db)
-        eng.r = {t[0]: m for t, m in r_rel.items()}
-        eng.u = {t[0]: m for t, m in u_rel.items()}
-        theta = eng._theta()
-        eng._set_quads(quad_partition_strict(s_rel, theta), quad_partition_strict(t_rel, theta))
-        eng.rebuild_views()
-        q = 0
-        for a, mr in eng.r.items():
-            q += mr * eng._delta_sum_r(a)
-        eng.q = q
-        return eng
+    def load_whole(self, i: int, rows: dict) -> None:
+        (self.r if i == 0 else self.u).update((t[0], m) for t, m in rows.items())
+
+    def loaded_count(self) -> int:
+        """The count after ``preprocess``: the endpoint sum over R."""
+        return sum(mr * self._delta_sum_r(a) for a, mr in self.r.items())

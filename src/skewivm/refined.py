@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import IDX0, IDX1, QUAD_LABELS, QuadPartition, bump, quad_partition_strict
+from .relation import IDX0, IDX1, QUAD_LABELS, QuadPartition, bump
 from .triangle import build_wedge
 
 REL_NAMES = ("R", "S", "T")
@@ -181,20 +181,13 @@ class RefinedTriangleEngine(MaintenanceKernel):
         i1 = i - 2 if i >= 2 else i + 1
         return build_wedge(self.parts[i].parts["hl"], self.parts[i1].parts["lh"], self.counters)
 
-    @classmethod
-    def preprocess(cls, db: dict, eps: float = 0.5,
-                   counters: OpCounters | None = None) -> "RefinedTriangleEngine":
-        eng = cls(eps, counters)
-        rels = eng._load(db)
-        theta = eng._theta()
-        eng.parts = [quad_partition_strict(r, theta) for r in rels]
-        eng.rebuild_views()
+    def loaded_count(self) -> int:
+        """The count after ``preprocess``: the one-hop sum over R's entries."""
         q = 0
-        for part in eng.parts[0].parts.values():
+        for part in self.parts[0].parts.values():
             for t, m in part.items():
-                q += m * eng._delta_sum(0, t[0], t[1])
-        eng.q = q
-        return eng
+                q += m * self._delta_sum(0, t[0], t[1])
+        return q
 
     def recompute_wedge(self, i: int) -> dict:
         return self._uncounted(self._build_wedge, i)

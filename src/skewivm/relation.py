@@ -23,9 +23,10 @@ engines: ``Partition`` splits a binary-or-wider relation into a heavy and a
 light part by comparing the degree of its partition key against a
 threshold, and ``QuadPartition`` does the same independently for both
 variables of a binary relation, yielding four parts. Both offer the same
-rebalancing surface to the engines' shared kernel: ``restrict`` for a major
-rebalance, ``minor_check`` to find a key that drifted past its loose bound
-and ``move_key`` to hand that key's tuples to the kernel one by one.
+surface to the engines' shared kernel: ``load`` to fill them strictly from
+a full database, ``restrict`` for a major rebalance, ``minor_check`` to
+find a key that drifted past its loose bound and ``move_key`` to hand that
+key's tuples to the kernel one by one.
 """
 
 from __future__ import annotations
@@ -273,7 +274,26 @@ class Partition:
             sink(t, m)
         return len(batch)
 
-    def restrict(self, theta: float, move: Callable | None = None) -> int:
+    def load(self, rows: dict, theta: float) -> None:
+        """Fill the empty sides with ``rows``, strict for ``theta``.
+
+        ``rows`` maps tuples to nonzero multiplicities. A tuple goes heavy
+        when its key's degree in ``rows`` is at least ``theta``, light
+        otherwise, so every light key stays below the light side's
+        watermark, as after ``restrict``.
+        """
+        lead = self.part_spec[0]
+        degree: dict = {}
+        for t in rows:
+            k = t[lead]
+            degree[k] = degree.get(k, 0) + 1
+        self.theta = float(theta)
+        self.light.tall_at = math.ceil(theta)
+        heavy, light = self.heavy.upsert, self.light.upsert
+        for t, m in rows.items():
+            (heavy if degree[t[lead]] >= theta else light)(t, m)
+
+    def restrict(self, theta: float, move: Callable) -> int:
         """Re-establish the strict split for ``theta``; return tuples moved.
 
         Strictness is decided on whole-relation degrees, which coincide
@@ -288,8 +308,7 @@ class Partition:
 
         Each tuple that changes side is moved by ``move(src, dst, t, m)``
         with the side labels, which must delete it from ``src`` and insert
-        it into ``dst`` (the kernel's ``apply_move``); without ``move`` the
-        sides are rewritten directly.
+        it into ``dst`` (the kernel's ``apply_move``).
         """
         heavy, light = self.heavy, self.light
         h_idx = heavy.indexes[self.part_spec]
@@ -300,8 +319,6 @@ class Partition:
             promote = [k for k in light.tall if len(l_idx.get(k, ())) >= theta]
         else:
             promote = [k for k, posts in l_idx.items() if len(posts) >= theta]
-        if move is None:
-            move = self._rewrite
         moved = 0
         for keys, src, dst in ((demote, HEAVY, LIGHT), (promote, LIGHT, HEAVY)):
             idx = self.side(src).indexes[self.part_spec]
@@ -314,10 +331,6 @@ class Partition:
         light.tall_at = tall_at
         light.tall.clear()
         return moved
-
-    def _rewrite(self, src: str, dst: str, t: tuple, m: int) -> None:
-        self.side(src).upsert(t, -m)
-        self.side(dst).upsert(t, m)
 
     def total_size(self) -> int:
         return len(self.heavy) + len(self.light)
@@ -340,24 +353,6 @@ class Partition:
             if len(posts) >= l_ceil:
                 out.append(f"light key {k} degree {len(posts)} >= {l_ceil}")
         return out
-
-
-def strict_partition(relation: Relation, part_vars, theta: float,
-                     index_specs: Iterable[tuple[int, ...]] | None = None) -> Partition:
-    """Strictly split ``relation`` on ``part_vars`` in one linear pass.
-
-    Keys with degree at or above ``theta`` land heavy, all others light.
-    ``index_specs`` is passed on to ``Partition``.
-    """
-    if theta <= 0:
-        raise ValueError("threshold must be positive")
-    spec = (part_vars,) if isinstance(part_vars, int) else tuple(part_vars)
-    part = Partition(relation.arity, spec, theta, index_specs)
-    for key, posts in relation._index_for(spec).items():
-        dest = part.heavy if len(posts) >= theta else part.light
-        for t, m in posts.items():
-            dest.upsert(t, m)
-    return part
 
 
 QUAD_LABELS = ("hh", "hl", "lh", "ll")
@@ -447,7 +442,24 @@ class QuadPartition:
             sink(t, m)
         return len(batch)
 
-    def restrict(self, theta: float, move: Callable | None = None) -> int:
+    def load(self, rows: dict, theta: float) -> None:
+        """Fill the empty parts with ``rows``, strict for ``theta`` on both variables.
+
+        ``rows`` maps pairs to nonzero multiplicities; a pair's part follows
+        the degrees of its two values in ``rows``.
+        """
+        deg0: dict = {}
+        deg1: dict = {}
+        for a, b in rows:
+            deg0[a] = deg0.get(a, 0) + 1
+            deg1[b] = deg1.get(b, 0) + 1
+        self.theta = float(theta)
+        parts = self.parts
+        for t, m in rows.items():
+            parts[(HEAVY if deg0[t[0]] >= theta else LIGHT)
+                  + (HEAVY if deg1[t[1]] >= theta else LIGHT)].upsert(t, m)
+
+    def restrict(self, theta: float, move: Callable) -> int:
         """Strictly reassign every tuple by whole-relation degrees.
 
         A key's tuples lie in the two parts of its status on each variable
@@ -458,8 +470,6 @@ class QuadPartition:
         Returns the number of tuples moved.
         """
         self.theta = float(theta)
-        if move is None:
-            move = self._rewrite
         parts = self.parts
         flips = []
         for spec, light, heavy, _, _ in _QUAD_DRIFT:
@@ -490,10 +500,6 @@ class QuadPartition:
                     move(lab, target, t, m)
                 moved += len(batch)
         return moved
-
-    def _rewrite(self, src: str, dst: str, t: tuple, m: int) -> None:
-        self.parts[src].upsert(t, -m)
-        self.parts[dst].upsert(t, m)
 
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.parts.values())
@@ -526,19 +532,6 @@ class QuadPartition:
                 if total(k) >= l_ceil:
                     out.append(f"var {var} light key {k} degree {total(k)} >= {l_ceil}")
         return out
-
-
-def quad_partition_strict(relation: Relation, theta: float) -> QuadPartition:
-    """Strict two-variable split of a binary relation."""
-    if theta <= 0:
-        raise ValueError("threshold must be positive")
-    quad = QuadPartition(theta)
-    idx1 = relation._index_for(1)
-    for posts in relation._index_for(0).values():
-        a_status = HEAVY if len(posts) >= theta else LIGHT
-        for t, m in posts.items():
-            quad.parts[a_status + (HEAVY if len(idx1[t[1]]) >= theta else LIGHT)].upsert(t, m)
-    return quad
 
 
 def bump(d: dict, key, delta: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, IDX0, IDX1, Partition, bump, strict_partition
+from .relation import HEAVY, IDX0, IDX1, Partition, bump
 from .triangle import TriangleEngine, build_wedge
 
 
@@ -42,6 +42,15 @@ class SelfJoinEngine(MaintenanceKernel):
         ``h_col`` is the heavy column at ``t``'s source and ``l_row`` the
         light row at its target, which the caller reads as well.
         """
+        dq = 3 * m * self._one_hop(t, h_col, l_row)
+        if t[0] == t[1]:
+            self.counters.lookups += 2
+            dq += 3 * m * m * self.parts[0].multiplicity(t)
+            dq += m * m * m
+        return dq
+
+    def _one_hop(self, t: tuple, h_col, l_row) -> int:
+        """``sum_z R(b, z) * R(z, a)`` for the edge ``t = (a, b)``, split by part."""
         a, b = t
         c = self.counters
         part = self.parts[0]
@@ -97,13 +106,7 @@ class SelfJoinEngine(MaintenanceKernel):
                         mt = row.get((z, a))
                         if mt:
                             acc += mu * mt
-
-        dq = 3 * m * acc
-        if a == b:
-            c.lookups += 2
-            dq += 3 * m * m * part.multiplicity(t)
-            dq += m * m * m
-        return dq
+        return acc
 
     def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
         """Apply a routed edge delta; returns the count change.
@@ -146,22 +149,23 @@ class SelfJoinEngine(MaintenanceKernel):
     @classmethod
     def preprocess(cls, edges: dict, eps: float = 0.5,
                    counters: OpCounters | None = None) -> "SelfJoinEngine":
-        """Build a ready state from a full edge relation.
+        """Ready state from a full edge relation ``{edge: multiplicity}``."""
+        return super().preprocess([edges], eps, counters)
 
-        The count is not linear in the self-joined relation, so it is
-        obtained by replaying the edges through the update procedure into
-        pre-classified parts (no rebalancing needed: parts already strict).
+    def loaded_count(self) -> int:
+        """The count after ``preprocess``: each edge's multiplicity times its one-hop sum.
+
+        ``q = sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)`` is the query's
+        definition, loops included, so no correction term enters.
         """
-        eng = cls(eps, counters)
-        rel, = eng._load([edges], (IDX0,))
-        eng.db_size = 0  # the replay below counts every edge in again
-        theta = eng._theta()
-        staged = strict_partition(rel, IDX0, theta)
-        eng.parts = [Partition(2, IDX0, theta)]
-        for lab, side in staged.sides():
+        part = self.parts[0]
+        h_cols = part.heavy.indexes[IDX1]
+        l_rows = part.light.indexes[IDX0]
+        q = 0
+        for side in (part.heavy, part.light):
             for t, m in side.items():
-                eng.apply_update(0, lab, t, m)
-        return eng
+                q += m * self._one_hop(t, h_cols.get(t[0]), l_rows.get(t[1]))
+        return q
 
     def recompute_wedge(self) -> dict:
         return self._uncounted(self._build_wedge)

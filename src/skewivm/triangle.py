@@ -26,8 +26,9 @@ updates the wedge ending in it.
 The shared kernel (``skewivm.kernel``) keeps the degree bounds meaningful
 as the database grows and shrinks: major rebalances when the threshold
 base doubles or halves, minor rebalances that migrate one key's tuples
-through ``apply_update``. This module supplies the partitions, routing on
-the join-out variable, the update step and the wedge rebuild.
+through ``apply_update``, and loads a full database. This module supplies
+the partitions, routing on the join-out variable, the update step, the
+wedge builder the loader calls and the loaded count.
 
 The per-relation exponents recover classical first-order maintenance at 0
 or 1 (everything pinned heavy, resp. light, all wedges empty) and the
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, IDX0, IDX1, LIGHT, Partition, Relation, bump, strict_partition
+from .relation import HEAVY, IDX0, IDX1, Partition, Relation, bump
 
 REL_NAMES = ("R", "S", "T")
 
@@ -244,57 +245,27 @@ class TriangleEngine(MaintenanceKernel):
         i1 = i - 2 if i >= 2 else i + 1
         return build_wedge(self.parts[i].heavy, self.parts[i1].light, self.counters)
 
-    # -- construction -------------------------------------------------------
+    def loaded_count(self) -> int:
+        """The count after ``preprocess``, by the update path's strategies.
 
-    @classmethod
-    def preprocess(cls, db: dict, cfg: EpsConfig | float = 0.5,
-                   counters: OpCounters | None = None) -> "TriangleEngine":
-        """Build a ready state from a full database ``{"R": {...}, ...}``.
-
-        Sets the threshold base to twice the database size plus one,
-        strictly partitions each relation, builds the wedges, and computes
-        the count with the same per-combination strategies the update path
-        uses (the count is linear in R, so summing the one-hop sum over
-        R's entries against the finished S and T parts is exact).
+        The count is linear in R, so summing the one-hop sum over R's
+        entries against the finished S and T parts is exact.
         """
-        eng = cls(cfg, counters)
-        rels = eng._load(db, (IDX0,))
-        eng.parts = [strict_partition(rels[i], IDX0, eng._theta(i)) for i in range(3)]
-        eng.rebuild_views()
         q = 0
-        for rel in (eng.parts[0].heavy, eng.parts[0].light):
+        for rel in (self.parts[0].heavy, self.parts[0].light):
             for t, m in rel.items():
-                q += m * eng._delta_sum(0, t[0], t[1])
-        eng.q = q
-        return eng
+                q += m * self._delta_sum(0, t[0], t[1])
+        return q
 
     def recompute_wedge(self, i: int) -> dict:
         return self._uncounted(self._build_wedge, i)
 
 
 def static_count(db: dict) -> int:
-    """Count triangles in a static database by streaming inserts.
+    """Count triangles in a static database.
 
-    Every tuple is pre-classified against the square-root-of-size degree
-    threshold of its own relation and inserted straight into that part, so
-    no rebalancing ever runs and each insert stays within the balanced
-    per-update budget.
+    The balanced engine's loader splits each relation strictly by key
+    degree, builds the wedges and sums the one-hop sums over R: no
+    rebalancing runs, and each sum stays within the per-update budget.
     """
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
-    rels = []
-    total = 0
-    for name in REL_NAMES:
-        rel = {tuple(t): m for t, m in dict(db.get(name, {})).items() if m}
-        rels.append(rel)
-        total += len(rel)
-    if total == 0:
-        return 0
-    theta = total ** 0.5
-    for i, rel in enumerate(rels):
-        degree: dict = {}
-        for t in rel:
-            degree[t[0]] = degree.get(t[0], 0) + 1
-        for t, m in rel.items():
-            side = HEAVY if degree[t[0]] >= theta else LIGHT
-            eng.apply_update(i, side, t, m)
-    return eng.q
+    return TriangleEngine.preprocess(db, 0.5).answer()

@@ -74,6 +74,31 @@ def grow_shrink_stream(seed: int, length: int, arities: dict, wide: int) -> list
     return grow + shrink[:length * 7 // 8]
 
 
+def synthetic_totals(n: int, per_step) -> int:
+    """Sum of a per-step cost model over a run of length ``n``.
+
+    Used by calibration tests, e.g. ``per_step=lambda i: math.isqrt(i) + 1``
+    gives totals growing like n^(3/2).
+    """
+    return sum(per_step(i) for i in range(1, n + 1))
+
+
+def replay_audit(engine_factory, stream) -> bool:
+    """Run a stream twice on fresh engines and compare counters.
+
+    The update path must be deterministic: identical streams on identical
+    configurations account identical primitive work. Returns True when the
+    two counter snapshots agree.
+    """
+    a = engine_factory()
+    b = engine_factory()
+    for rel, t, m in stream:
+        a.on_update(rel, t, m)
+    for rel, t, m in stream:
+        b.on_update(rel, t, m)
+    return a.counters.snapshot() == b.counters.snapshot()
+
+
 # Read-only views of one index of a relation, for assertions.
 
 def matching(rel: Relation, var, key):

@@ -3,7 +3,7 @@
 import random
 import statistics
 
-from skewivm.enumeration import EnumTriangleEngine, preprocess_enum
+from skewivm.enumeration import EnumTriangleEngine
 from skewivm.oracle import TriangleTracker, brute_force_enumerate
 
 from helpers import mixed_stream
@@ -48,8 +48,8 @@ class TestBasics:
 
 class TestCancellationLiveness:
     def test_zero_sum_pair_still_enumerates_members(self):
-        # two middle values whose contributions cancel in the aggregate:
-        # the pair's summed view is empty, yet both result tuples exist
+        # two middle values whose contributions cancel in the pair's sum,
+        # yet both result tuples exist
         eng = EnumTriangleEngine(0.5)
         for k in range(40):
             eng.on_update("S", (300 + k, 400 + k), 1)  # bulk: base reaches 64
@@ -62,7 +62,7 @@ class TestCancellationLiveness:
         eng.on_update("S", (10, 77), 1)
         eng.on_update("S", (11, 77), 1)
         eng.on_update("T", (77, 1), 1)
-        assert eng.pair_sum[0].get((1, 77), 0) == 0  # aggregate cancelled
+        assert sum(m for (x, _, z), m in eng.tri[0].items() if (x, z) == (1, 77)) == 0
         got = eng.result_multiset()
         assert got[(1, 10, 77)] == 2 and got[(1, 11, 77)] == -2
         want = brute_force_enumerate(
@@ -106,12 +106,10 @@ class TestOracleEquivalence:
         eng = EnumTriangleEngine(0.5)
         for rel, t, m in mixed_stream(91, 400, 8):
             eng.on_update(rel, t, m)
-        listing, tri, pair_index, pair_sum, roots, live = eng.recompute_views()
+        listing, tri, pair_index, live = eng.recompute_views()
         assert listing == eng.listing
         assert tri == eng.tri
         assert pair_index == eng.pair_index
-        assert pair_sum == eng.pair_sum
-        assert roots == eng.roots
         assert live == eng.live
 
 
@@ -140,12 +138,3 @@ def test_delay_stays_flat_as_the_database_grows():
         maxima[n] = max(delays)
     # the per-yield bound must not scale with the database
     assert maxima[16000] <= maxima[1000] + 8
-
-
-def test_preprocess_enum_matches_brute_force():
-    rng = random.Random(17)
-    db = {name: {(rng.randrange(7), rng.randrange(7)): rng.choice((-1, 1, 2))
-                 for _ in range(25)} for name in ("R", "S", "T")}
-    eng = preprocess_enum(db, 0.5)
-    assert eng.result_multiset() == brute_force_enumerate(db["R"], db["S"], db["T"])
-    assert not eng.check_invariants()

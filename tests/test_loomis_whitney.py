@@ -97,31 +97,6 @@ class TestOracleEquivalence:
 
 
 class TestConstruction:
-    def test_preprocess_matches_streaming(self):
-        import random
-        rng = random.Random(5)
-        n = 4
-        rels = []
-        for _ in range(n):
-            rel = {}
-            for _ in range(60):
-                t = tuple(rng.randrange(5) for _ in range(n - 1))
-                m = rng.choice((-1, 1, 2))
-                nv = rel.get(t, 0) + m
-                if nv:
-                    rel[t] = nv
-                else:
-                    rel.pop(t, None)
-            rels.append(rel)
-        built = LWEngine.preprocess(rels, n, 0.5)
-        streamed = LWEngine(n, 0.5)
-        for i, rel in enumerate(rels):
-            for t, m in rel.items():
-                streamed.on_update(i, t, m)
-        assert built.answer() == streamed.answer() == brute_force_lw(rels, n)
-        for v in range(n):
-            assert built.views[v] == built.recompute_view(v)
-
     def test_preprocess_opcount_envelope_at_degree_4(self):
         # build cost at the balanced exponent should scale no worse than
         # size^(3/2); measured as a log-log fit over growing databases

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from skewivm.metrics import OpCounters, fit_scaling, record, replay_audit, synthetic_totals
+from skewivm.cli import _record
+from skewivm.metrics import OpCounters, fit_scaling
 from skewivm.triangle import EpsConfig, TriangleEngine
 
-from helpers import mixed_stream
+from helpers import mixed_stream, replay_audit, synthetic_totals
 
 
 def test_counters_monotone_under_use():
@@ -22,18 +23,17 @@ def test_counters_monotone_under_use():
 
 def test_record_captures_rebalance_events():
     eng = TriangleEngine(EpsConfig.uniform(0.5))
-    prev = eng.counters.snapshot()
     eng.on_update("R", (1, 2), 1)  # first insert doubles the threshold base
-    rec = record(1, ("R", (1, 2), 1), eng, prev)
-    assert rec.major and not rec.minor
-    assert rec.db_size == 1 and rec.n_base == 2
-    assert rec.ops["lookups"] > 0
+    rec = _record(1, eng)
+    assert rec["rebalances"] == {"major": 1, "minor": 0}
+    assert rec["db_size"] == 1 and rec["N"] == 2
+    assert rec["ops"]["lookups"] > 0
 
 
 def test_zero_op_step_records_zeros():
     eng = TriangleEngine(EpsConfig.uniform(0.5))
-    rec = record(0, None, eng, None)
-    assert rec.ops["iterations"] == 0 and rec.space == 0 and rec.answer == 0
+    rec = _record(0, eng)
+    assert rec["ops"]["iterations"] == 0 and rec["db_size"] == 0 and rec["answer"] == 0
 
 
 def test_fit_scaling_constant_per_step_cost():

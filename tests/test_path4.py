@@ -175,22 +175,3 @@ class TestOracleEquivalence:
                     eng.on_update(rel, t, m)
                     assert eng.answer() == expected[i]
                 assert not eng.check_invariants()
-
-
-def test_preprocess_matches_streaming():
-    rng = random.Random(47)
-    db = {
-        "R": {(rng.randrange(8),): rng.choice((-1, 1, 2)) for _ in range(10)},
-        "S": {(rng.randrange(8), rng.randrange(8)): rng.choice((-1, 1, 2)) for _ in range(30)},
-        "T": {(rng.randrange(8), rng.randrange(8)): rng.choice((-1, 1, 2)) for _ in range(30)},
-        "U": {(rng.randrange(8),): rng.choice((-1, 1, 2)) for _ in range(10)},
-    }
-    built = Path4Engine.preprocess(db, 0.5)
-    streamed = Path4Engine(0.5)
-    for name, rel in db.items():
-        for t, m in rel.items():
-            streamed.on_update(name, t, m)
-    want = brute_force_path4({k[0]: v for k, v in db["R"].items()}, db["S"], db["T"],
-                             {k[0]: v for k, v in db["U"].items()})
-    assert built.answer() == streamed.answer() == want
-    assert not built.check_invariants()

@@ -111,18 +111,3 @@ class TestOracleEquivalence:
                 for i, (rel, t, m) in enumerate(stream):
                     eng.on_update(rel, t, m)
                     assert eng.answer() == expected[i]
-
-
-def test_preprocess_matches_streaming():
-    rng = random.Random(61)
-    db = {name: {(rng.randrange(8), rng.randrange(8)): rng.choice((-1, 1, 2))
-                 for _ in range(30)} for name in ("R", "S", "T")}
-    built = RefinedTriangleEngine.preprocess(db, 0.5)
-    streamed = RefinedTriangleEngine(0.5)
-    for name in ("R", "S", "T"):
-        for t, m in db[name].items():
-            streamed.on_update(name, t, m)
-    assert built.answer() == streamed.answer()
-    assert not built.check_invariants()
-    for i in range(3):
-        assert built.wedges[i] == built.recompute_wedge(i)

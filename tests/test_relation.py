@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewivm.relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
-                              SchemaError, UnindexedVariable, bump,
-                              quad_partition_strict, strict_partition)
+                              SchemaError, UnindexedVariable, bump)
 
 from helpers import degree, keys, matching
 
@@ -18,6 +17,19 @@ def rel_of(pairs: dict) -> Relation:
     for t, m in pairs.items():
         r.upsert(t, m)
     return r
+
+
+def strict(rows: dict, theta) -> Partition:
+    """A partition on variable 0 loaded strictly for ``theta``."""
+    p = Partition(2)
+    p.load(rows, theta)
+    return p
+
+
+def strict_quad(rows: dict, theta) -> QuadPartition:
+    quad = QuadPartition()
+    quad.load(rows, theta)
+    return quad
 
 
 class TestUpsert:
@@ -70,18 +82,15 @@ class TestMatching:
 
 class TestStrictPartition:
     def test_degree_at_threshold_goes_heavy(self):
-        r = rel_of({(1, b): 1 for b in (1, 2, 3)})
-        p = strict_partition(r, 0, 2)
+        p = strict({(1, b): 1 for b in (1, 2, 3)}, 2)
         assert p.heavy.size() == 3 and p.light.size() == 0
 
     def test_below_threshold_goes_light(self):
-        r = rel_of({(1, b): 1 for b in (1, 2, 3)})
-        p = strict_partition(r, 0, 5)
+        p = strict({(1, b): 1 for b in (1, 2, 3)}, 5)
         assert p.light.size() == 3 and p.heavy.size() == 0
 
     def test_mixed_degrees_split(self):
-        r = rel_of({(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 9): 1})
-        p = strict_partition(r, 0, 2)
+        p = strict({(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 9): 1}, 2)
         assert set(keys(p.heavy, 0)) == {1}
         assert set(keys(p.light, 0)) == {2}
         assert not p.violations(strict=True)
@@ -93,8 +102,7 @@ class TestStrictPartition:
             t = (rng.randrange(12), rng.randrange(12))
             pairs[t] = pairs.get(t, 0) + rng.choice((-2, 1, 3))
         pairs = {t: m for t, m in pairs.items() if m}
-        r = rel_of(pairs)
-        p = strict_partition(r, 0, 3.5)
+        p = strict(pairs, 3.5)
         merged = dict(p.heavy.items())
         for t, m in p.light.items():
             assert t not in merged
@@ -104,7 +112,7 @@ class TestStrictPartition:
 
 class TestRoute:
     def test_key_in_heavy_routes_heavy(self):
-        p = strict_partition(rel_of({(1, b): 1 for b in range(4)}), 0, 2)
+        p = strict({(1, b): 1 for b in range(4)}, 2)
         assert p.route(1) == HEAVY
 
     def test_absent_key_routes_light(self):
@@ -116,7 +124,7 @@ class TestRoute:
         assert p.route(42, force_heavy=True) == HEAVY
 
     def test_idempotent_and_consistent_with_projection(self):
-        p = strict_partition(rel_of({(1, 0): 1, (1, 1): 1, (2, 0): 1}), 0, 2)
+        p = strict({(1, 0): 1, (1, 1): 1, (2, 0): 1}, 2)
         for key in (1, 2, 3):
             assert p.route(key) == p.route(key)
         for key in keys(p.heavy, 0):
@@ -214,16 +222,15 @@ def test_strict_partition_conditions_hold(pairs, theta):
     r = Relation(2)
     for t in pairs:
         r.upsert(t, 1)
-    p = strict_partition(r, 0, theta)
+    p = strict(dict(r.items()), theta)
     assert not p.violations(theta, strict=True)
     assert p.total_size() == r.size()
 
 
 class TestQuadPartition:
     def test_strict_assignment_on_both_variables(self):
-        r = rel_of({(1, 5): 1, (1, 6): 1, (1, 7): 1,
-                    (2, 5): 1, (3, 5): 1, (4, 9): 1})
-        quad = quad_partition_strict(r, 3)
+        quad = strict_quad({(1, 5): 1, (1, 6): 1, (1, 7): 1,
+                            (2, 5): 1, (3, 5): 1, (4, 9): 1}, 3)
         # degree(1)=3 heavy on A; degree(5)=3 heavy on B
         assert quad.parts["hh"].get((1, 5))
         assert quad.parts["hl"].get((1, 6))
@@ -232,8 +239,7 @@ class TestQuadPartition:
         assert not quad.violations(3)
 
     def test_route_by_key_status(self):
-        r = rel_of({(1, 5): 1, (1, 6): 1, (1, 7): 1, (2, 5): 1, (3, 5): 1})
-        quad = quad_partition_strict(r, 3)
+        quad = strict_quad({(1, 5): 1, (1, 6): 1, (1, 7): 1, (2, 5): 1, (3, 5): 1}, 3)
         assert quad.route((1, 5)) == "hh"
         assert quad.route((1, 99)) == "hl"
         assert quad.route((99, 5)) == "lh"
@@ -245,7 +251,12 @@ class TestQuadPartition:
         rng = random.Random(3)
         for _ in range(200):
             quad.parts["ll"].upsert((rng.randrange(6), rng.randrange(6)), 1)
-        quad.restrict(4)
+
+        def move(src, dst, t, m):
+            quad.parts[src].upsert(t, -m)
+            quad.parts[dst].upsert(t, m)
+
+        quad.restrict(4, move)
         assert not quad.violations(4)
 
 
@@ -263,7 +274,7 @@ def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, thet
     part under the strict split for ``theta`` differs to ``move`` once, from
     its current part to that one, and leave the parts strict.
     """
-    quad = quad_partition_strict(rel_of({t: m for t, m in rows.items() if m}), theta0)
+    quad = strict_quad({t: m for t, m in rows.items() if m}, theta0)
     for a, b, m in updates:
         quad.parts[quad.route((a, b))].upsert((a, b), m)
     where = {t: lab for lab, rel in quad.parts.items() for t, _ in rel.items()}
@@ -291,8 +302,7 @@ def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, thet
 
 
 def test_partition_restrict_hands_moves_to_the_callback():
-    part = strict_partition(rel_of({(1, 1): 1, (1, 2): 1, (2, 1): 1, (3, 1): 1,
-                                    (3, 2): 1, (3, 3): 1}), 0, 3)
+    part = strict({(1, 1): 1, (1, 2): 1, (2, 1): 1, (3, 1): 1, (3, 2): 1, (3, 3): 1}, 3)
     seen = []
 
     def move(src, dst, t, m):

@@ -101,22 +101,3 @@ class TestEquivalences:
                 eng.on_update(rel, t, m)
                 copies.on_update(rel, t, m)
                 assert eng.answer() == copies.answer()
-
-
-def test_preprocess_matches_streaming():
-    rng = random.Random(12)
-    edges = {}
-    for _ in range(120):
-        t = (rng.randrange(8), rng.randrange(8))
-        m = rng.choice((-1, 1, 2))
-        nv = edges.get(t, 0) + m
-        if nv:
-            edges[t] = nv
-        else:
-            edges.pop(t, None)
-    built = SelfJoinEngine.preprocess(edges, 0.5)
-    streamed = SelfJoinEngine(0.5)
-    for t, m in edges.items():
-        streamed.on_update("R", t, m)
-    assert built.answer() == streamed.answer() == brute_force_selfjoin(edges)
-    assert not built.check_invariants()

@@ -101,7 +101,12 @@ def test_posting_maps_follow_a_plain_dict_model():
                 moved += sum(1 for t in model[HEAVY] if t not in heavy)
                 model = {HEAVY: heavy,
                          LIGHT: {t: m for t, m in union.items() if t not in heavy}}
-                assert part.restrict(theta) == moved
+
+                def move(src, dst, t, m):
+                    part.side(src).upsert(t, -m)
+                    part.side(dst).upsert(t, m)
+
+                assert part.restrict(theta, move) == moved
             else:
                 _, key, src = op
                 dst = LIGHT if src == HEAVY else HEAVY
