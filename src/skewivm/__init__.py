@@ -12,7 +12,7 @@ written once, in ``skewivm.kernel``, and shared by every engine.
 
 from .metrics import OpCounters, fit_scaling
 from .relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
-                       SchemaError, UnindexedVariable)
+                       SchemaError)
 from .triangle import EpsConfig, TriangleEngine, static_count
 from .selfjoin import SelfJoinEngine
 from .refined import RefinedTriangleEngine
@@ -24,7 +24,7 @@ from . import cli, oracle
 __all__ = [
     "OpCounters", "fit_scaling",
     "HEAVY", "LIGHT", "Partition", "QuadPartition", "Relation",
-    "SchemaError", "UnindexedVariable",
+    "SchemaError",
     "EpsConfig", "TriangleEngine", "static_count",
     "SelfJoinEngine",
     "RefinedTriangleEngine",

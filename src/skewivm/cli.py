@@ -16,7 +16,10 @@ trackers and exits nonzero on the first mismatch. ``bench`` generates
 seeded insert streams at several sizes, replays them, and emits a CSV of
 operation totals, peak state size, wall time, and the fitted log-log
 exponent per configuration. The wall time sums the ``on_update`` calls
-alone; the state size is sampled between them, untimed.
+alone; the state size is sampled between them, untimed. ``mixed`` and
+``er`` emit every family's relations and arities; ``hub`` and ``space``
+emit triangle streams only and refuse other families (exit 2) before
+any engine is built.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.
@@ -148,13 +151,19 @@ def random_mixed_stream(query: str, length: int, domain: int, seed: int,
 
 def er_insert_stream(length: int, nodes: int, seed: int,
                      query: str = "triangle") -> list[Update]:
-    """Insert-only uniform random edges, one relation per step, round robin."""
+    """Insert-only uniform random tuples, one relation per step, round robin.
+
+    Each value is drawn uniformly from ``range(nodes)``, as many as the
+    relation's arity in ``query``'s family; binary relations get random
+    edges.
+    """
     rng = random.Random(seed)
-    names = list(family_arities(query))
+    arities = family_arities(query)
+    names = list(arities)
     out = []
     for i in range(length):
         rel = names[i % len(names)]
-        out.append(Update(rel, (rng.randrange(nodes), rng.randrange(nodes)), 1))
+        out.append(Update(rel, tuple(rng.randrange(nodes) for _ in range(arities[rel])), 1))
     return out
 
 
@@ -214,11 +223,23 @@ def space_probe_stream(length: int, seed: int) -> list[Update]:
     return out
 
 
+def _triangle_only(name: str, make):
+    """Generator ``(n, seed, query)`` over ``make(n, seed)``, which emits R, S, T pairs."""
+    def generate(n: int, seed: int, query: str) -> list[Update]:
+        if query != "triangle":
+            raise ConfigError(f"generator {name!r} emits triangle streams only, "
+                              f"not {query!r}; use 'mixed' or 'er'")
+        return make(n, seed)
+    return generate
+
+
+# name -> generator(length, seed, query family); each one emits the family's
+# relations and arities or refuses the family with ConfigError
 GENERATORS = {
     "mixed": lambda n, seed, query: random_mixed_stream(query, n, max(8, math.isqrt(n)), seed),
     "er": lambda n, seed, query: er_insert_stream(n, max(8, math.isqrt(2 * n)), seed, query),
-    "hub": lambda n, seed, query: hub_insert_stream(n, seed),
-    "space": lambda n, seed, query: space_probe_stream(n, seed),
+    "hub": _triangle_only("hub", hub_insert_stream),
+    "space": _triangle_only("space", space_probe_stream),
 }
 
 
@@ -382,10 +403,12 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
     if gen not in GENERATORS:
         raise ConfigError(f"unknown generator {gen!r}")
     out = out if out is not None else sys.stdout
+    # every stream is generated before any engine is built, so a generator
+    # that refuses the family stops the run up front
+    streams = [GENERATORS[gen](size, cfg.seed, cfg.query) for size in sizes]
     rows = []
     totals = []
-    for size in sizes:
-        stream = GENERATORS[gen](size, cfg.seed, cfg.query)
+    for size, stream in zip(sizes, streams):
         engine = build_engine(cfg)
         peak_space = 0
         wall = 0.0

@@ -20,7 +20,13 @@ every query, so it lives here once:
     a halving checks every key;
   * minor rebalancing: a key that drifts past one and a half times, or
     below half of, its relation's threshold ``N ** eps`` (computed when
-    ``N`` changes, not per update) has its tuples moved to the other part;
+    ``N`` changes, not per update) has its tuples moved to the other part.
+    Every key sits inside these loose bounds between updates (the loader
+    and majors leave the split strict, and each minor restores the bound
+    of the key it moves), so an update checks only the bound it can
+    cross: a create checks its key where the key is light, a delete where
+    it is heavy, and an update that only changes a stored tuple's
+    multiplicity moves no degree and no size and checks nothing;
   * moves: a major or minor rebalance hands every tuple that changes part
     to ``apply_move``, a delete/insert pair through the engine's own
     update step, so the views stay exact and a rebalance costs what it
@@ -137,8 +143,19 @@ class MaintenanceKernel:
     # -- the update loop ----------------------------------------------------------
 
     def on_update(self, rel, t: tuple, m: int) -> None:
-        """Check, route and apply one update, then rebalance as needed."""
-        i = self.rel_index(rel)
+        """Check, route and apply one update, then rebalance as needed.
+
+        An update that leaves ``db_size`` as it was changed only the
+        multiplicity of a stored tuple: no key degree and no size moved,
+        so no rebalance can be due and nothing more is checked. Otherwise
+        the size invariant is checked, and if it holds, the partition
+        checks the one key bound the update can have crossed, given the
+        part it was routed to and whether it created or destroyed a tuple.
+        """
+        cls = rel.__class__
+        i = self._index.get(rel) if cls is str or cls is int else None
+        if i is None:
+            self.rel_index(rel)  # raises SchemaError
         if not isinstance(t, tuple) or len(t) != self.arities[i]:
             raise SchemaError(f"{self.names[i]} takes tuples of arity {self.arities[i]}, "
                               f"got {t!r}")
@@ -148,8 +165,12 @@ class MaintenanceKernel:
             hash(t)
         except TypeError:
             raise SchemaError(f"tuple values must be hashable, got {t!r}") from None
-        self.apply_update(i, self.route(i, t), t, m)
+        size = self.db_size
+        label = self.route(i, t)
+        self.apply_update(i, label, t, m)
 
+        if self.db_size == size:
+            return
         if self.db_size == self.N:
             self.N *= 2
             self.major_rebalance()
@@ -161,7 +182,7 @@ class MaintenanceKernel:
         else:
             part = self.parts[i]
             if part is not None:
-                part.minor_check(self, i, t, self._thetas[i])
+                part.minor_check(self, i, t, label, self.db_size > size, self._thetas[i])
 
     def major_rebalance(self) -> None:
         """Strictly repartition every relation in place for the current ``N``.

@@ -25,8 +25,9 @@ threshold, and ``QuadPartition`` does the same independently for both
 variables of a binary relation, yielding four parts. Both offer the same
 surface to the engines' shared kernel: ``load`` to fill them strictly from
 a full database, ``restrict`` for a major rebalance, ``minor_check`` to
-find a key that drifted past its loose bound and ``move_key`` to hand that
-key's tuples to the kernel one by one.
+find the key an update moved past its loose bound (only the bound that
+update can cross is read) and ``move_key`` to hand that key's tuples to
+the kernel one by one.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class SchemaError(ValueError):
     Raised for an unknown relation, a tuple of the wrong arity or with an
     unhashable value, or a multiplicity that is zero or not an ``int``.
     """
-
-
-class UnindexedVariable(LookupError):
-    """A matching scan was requested on a variable that carries no index."""
 
 
 HEAVY = "h"
@@ -162,13 +159,6 @@ class Relation:
                 posts[t] = m
         return m
 
-    def _index_for(self, var) -> dict:
-        spec = (var,) if isinstance(var, int) else tuple(var)
-        try:
-            return self.indexes[spec]
-        except KeyError:
-            raise UnindexedVariable(f"no index on variable(s) {spec}") from None
-
     def check_consistency(self) -> None:
         """Assert structural invariants; used by tests, not hot paths."""
         stored = dict(self.items())
@@ -201,7 +191,7 @@ class Partition:
     engines walk; ``index_specs`` gives both sides the same indexes instead.
     """
 
-    __slots__ = ("heavy", "light", "part_spec", "theta")
+    __slots__ = ("heavy", "light", "part_spec", "theta", "_heavy_keys", "_light_keys")
 
     def __init__(self, arity: int, part_spec: tuple[int, ...] = IDX0,
                  theta: float = 1.0,
@@ -214,6 +204,10 @@ class Partition:
             heavy_specs = light_specs = (self.part_spec,) + tuple(map(tuple, index_specs))
         self.heavy = Relation(arity, heavy_specs)
         self.light = Relation(arity, light_specs)
+        # the partition-key index of each side; a relation builds its index
+        # dicts once and never replaces them, so the references stay valid
+        self._heavy_keys = self.heavy.indexes[self.part_spec]
+        self._light_keys = self.light.indexes[self.part_spec]
         self.theta = float(theta)
         self.light.tall_at = math.ceil(theta)
 
@@ -224,13 +218,15 @@ class Partition:
         return ((HEAVY, self.heavy), (LIGHT, self.light))
 
     def route(self, key, force_heavy: bool = False) -> str:
-        """Destination side for an update carrying ``key``.
+        """Destination side for an update carrying ``key``: the key's side.
 
-        Heavy when the key is already present in the heavy side's key
-        projection or when ``force_heavy`` pins every tuple heavy;
-        light otherwise.
+        Heavy when the key is already present in the heavy side's
+        partition-key index (cached at construction) or when
+        ``force_heavy`` pins every tuple heavy; light otherwise. A key
+        lives on one side, so the label is also where its degree is kept,
+        which ``minor_check`` relies on.
         """
-        if force_heavy or key in self.heavy.indexes[self.part_spec]:
+        if force_heavy or key in self._heavy_keys:
             return HEAVY
         return LIGHT
 
@@ -240,19 +236,29 @@ class Partition:
     def multiplicity(self, t: tuple) -> int:
         return self.heavy.get(t) + self.light.get(t)
 
-    def minor_check(self, engine, i: int, t: tuple, theta: float) -> None:
-        """Rebalance the partition key of ``t`` if it left its loose bound.
+    def minor_check(self, engine, i: int, t: tuple, label: str, grew: bool,
+                    theta: float) -> None:
+        """Rebalance the partition key of ``t`` if the update moved it past its loose bound.
 
-        A light key at or above one and a half times ``theta`` moves heavy,
-        a heavy key below half of it moves light, through
-        ``engine.minor_rebalance`` for relation ``i``. The engines partition
-        on one variable, so the key is a single value of ``t``.
+        ``label`` is the side the update was routed to and ``grew`` tells
+        whether it created a tuple (otherwise it destroyed one).
+        Precondition: every key sat inside its loose bound before the
+        update; ``load`` and ``restrict`` leave the split strict and every
+        minor rebalance restores the bound of the key it moves. One update
+        changes one key's degree by one, so only two cases can cross a
+        bound: a create on the light side can lift its key to one and a
+        half times ``theta`` (it moves heavy), and a delete on the heavy
+        side can drop its key below half of it (it moves light). Only that
+        side is read. The move goes through ``engine.minor_rebalance`` for
+        relation ``i``. The engines partition on one variable, so the key
+        is a single value of ``t``.
         """
         spec = self.part_spec
         key = t[spec[0]]
-        if len(self.light.indexes[spec].get(key, ())) >= 1.5 * theta:
-            engine.minor_rebalance(i, key, PROMOTE, spec)
-        elif 0 < len(self.heavy.indexes[spec].get(key, ())) < 0.5 * theta:
+        if grew:
+            if label == LIGHT and len(self._light_keys[key]) >= 1.5 * theta:
+                engine.minor_rebalance(i, key, PROMOTE, spec)
+        elif label == HEAVY and 0 < len(self._heavy_keys.get(key, ())) < 0.5 * theta:
             engine.minor_rebalance(i, key, DEMOTE, spec)
 
     def move_key(self, key, src_label: str, sink: Callable[[tuple, int], None],
@@ -377,28 +383,47 @@ class QuadPartition:
     degrees aggregated across the two parts sharing a status.
     """
 
-    __slots__ = ("parts", "theta")
+    __slots__ = ("parts", "theta", "_hl0", "_hh0", "_lh1", "_hh1", "_on_create", "_on_delete")
 
     def __init__(self, theta: float = 1.0):
         self.parts: dict[str, Relation] = {lab: Relation(2) for lab in QUAD_LABELS}
         self.theta = float(theta)
+        # index dicts read on every update, cached: a relation builds them
+        # once and never replaces them. The heavy-key indexes of each
+        # variable serve ``route``; per part label, the variables on which
+        # a create (light ones) or a delete (heavy ones) can cross a bound
+        # serve ``minor_check``, each with the two indexes its degree is
+        # summed over and the moves that rebalance it.
+        parts = self.parts
+        self._hl0, self._hh0 = parts["hl"].indexes[IDX0], parts["hh"].indexes[IDX0]
+        self._lh1, self._hh1 = parts["lh"].indexes[IDX1], parts["hh"].indexes[IDX1]
+        on_create = {lab: [] for lab in QUAD_LABELS}
+        on_delete = {lab: [] for lab in QUAD_LABELS}
+        for var, (spec, light, heavy, promote, demote) in enumerate(_QUAD_DRIFT):
+            for checks, labs, moves in ((on_create, light, promote), (on_delete, heavy, demote)):
+                entry = (var, parts[labs[0]].indexes[spec], parts[labs[1]].indexes[spec],
+                         moves, spec)
+                for lab in labs:
+                    checks[lab].append(entry)
+        self._on_create = {lab: tuple(v) for lab, v in on_create.items()}
+        self._on_delete = {lab: tuple(v) for lab, v in on_delete.items()}
 
     def route(self, t: tuple, force_heavy: bool = False) -> str:
         """Destination part by the current status of each key.
 
-        A value is heavy when it appears in the key projection of a part
-        that is heavy on its variable; absent values count light. Keys
-        change status only through rebalancing, so routing by status keeps
-        the per-variable domain partitions intact.
+        A value is heavy when it appears in the key index of a part that
+        is heavy on its variable (those indexes are cached at
+        construction); absent values count light. Keys change status only
+        through rebalancing, so routing by status keeps the per-variable
+        domain partitions intact, and the label gives both keys' statuses,
+        which ``minor_check`` relies on.
         """
         if force_heavy:
             return "hh"
         a, b = t[0], t[1]
-        a_heavy = (a in self.parts["hl"].indexes[IDX0]
-                   or a in self.parts["hh"].indexes[IDX0])
-        b_heavy = (b in self.parts["lh"].indexes[IDX1]
-                   or b in self.parts["hh"].indexes[IDX1])
-        return (HEAVY if a_heavy else LIGHT) + (HEAVY if b_heavy else LIGHT)
+        if a in self._hl0 or a in self._hh0:
+            return "hh" if b in self._lh1 or b in self._hh1 else "hl"
+        return "lh" if b in self._lh1 or b in self._hh1 else "ll"
 
     def pair_degree(self, var: int, key, lab_a: str, lab_b: str) -> int:
         spec = (var,)
@@ -408,24 +433,31 @@ class QuadPartition:
     def multiplicity(self, t: tuple) -> int:
         return sum(p.get(t) for p in self.parts.values())
 
-    def minor_check(self, engine, i: int, t: tuple, theta: float) -> None:
-        """Rebalance each variable of ``t`` whose key left its loose bound.
+    def minor_check(self, engine, i: int, t: tuple, label: str, grew: bool,
+                    theta: float) -> None:
+        """Rebalance each key of ``t`` that the update moved past its loose bound.
 
-        The first variable is checked first; the second is checked against
-        the state the first rebalance left, so one update can fire two.
+        ``label`` is the part the update was routed to and ``grew`` tells
+        whether it created a tuple. Precondition, as for
+        ``Partition.minor_check``: every key sat inside its loose bound
+        before the update. So a variable is checked only when a create
+        landed where its key is light (it may now reach one and a half
+        times ``theta``) or a delete where its key is heavy (it may now
+        fall below half of it). The first variable is checked first; the
+        second is checked against the state the first rebalance left,
+        which moves tuples only between parts that differ in the first
+        variable's status, so one update can fire two.
         """
-        self._minor_check_var(engine, i, t[0], theta, _QUAD_DRIFT[0])
-        self._minor_check_var(engine, i, t[1], theta, _QUAD_DRIFT[1])
-
-    def _minor_check_var(self, engine, i: int, key, theta: float, drift) -> None:
-        spec, (la, lb), (ha, hb), promote, demote = drift
-        parts = self.parts
-        if (len(parts[la].indexes[spec].get(key, ()))
-                + len(parts[lb].indexes[spec].get(key, ()))) >= 1.5 * theta:
-            engine.minor_rebalance(i, key, promote, spec)
-        elif 0 < (len(parts[ha].indexes[spec].get(key, ()))
-                  + len(parts[hb].indexes[spec].get(key, ()))) < 0.5 * theta:
-            engine.minor_rebalance(i, key, demote, spec)
+        if grew:
+            for var, idx_a, idx_b, moves, spec in self._on_create[label]:
+                key = t[var]
+                if len(idx_a.get(key, ())) + len(idx_b.get(key, ())) >= 1.5 * theta:
+                    engine.minor_rebalance(i, key, moves, spec)
+        else:
+            for var, idx_a, idx_b, moves, spec in self._on_delete[label]:
+                key = t[var]
+                if 0 < len(idx_a.get(key, ())) + len(idx_b.get(key, ())) < 0.5 * theta:
+                    engine.minor_rebalance(i, key, moves, spec)
 
     def move_key(self, key, src_label: str, sink: Callable[[tuple, int], None],
                  spec: tuple[int, ...]) -> int:

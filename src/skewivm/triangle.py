@@ -141,7 +141,9 @@ class TriangleEngine(MaintenanceKernel):
         i2 = i - 1 if i >= 1 else i + 2
         nxt = self.parts[i1]
         snd = self.parts[i2]
-        s_col = snd.heavy.indexes[IDX1].get(x)
+        # the heavy column at x; no probe while the heavy part is empty
+        s_cols = snd.heavy.indexes[IDX1]
+        s_col = s_cols.get(x) if s_cols else None
         acc = 0
 
         # both heavy: entries of the second neighbor's heavy part carrying
@@ -213,6 +215,7 @@ class TriangleEngine(MaintenanceKernel):
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
         if side == HEAVY:
+            target = self.parts[i].heavy
             # wedge anchored at this relation gains (x, *) rows
             w = self.wedges[i]
             posts = self.parts[i1].light.indexes[IDX0].get(y)
@@ -221,15 +224,18 @@ class TriangleEngine(MaintenanceKernel):
                 for u, mu in posts.items():
                     bump(w, (x, u[1]), m * mu)
         else:
-            # wedge ending in this relation gains (*, y) columns
-            w = self.wedges[i2]
-            posts = self.parts[i2].heavy.indexes[IDX1].get(x)
+            target = self.parts[i].light
+            # wedge ending in this relation gains (*, y) columns; nothing
+            # to walk while the previous relation's heavy part is empty
+            cols = self.parts[i2].heavy.indexes[IDX1]
+            posts = cols.get(x) if cols else None
             if posts:
+                w = self.wedges[i2]
                 c.iterations += len(posts)
                 for u, mu in posts.items():
                     bump(w, (u[0], y), m * mu)
 
-        new = self.parts[i].side(side).upsert(t, m)
+        new = target.upsert(t, m)
         self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
         return dq
 

@@ -74,6 +74,99 @@ def grow_shrink_stream(seed: int, length: int, arities: dict, wide: int) -> list
     return grow + shrink[:length * 7 // 8]
 
 
+def swing_stream(seed: int, length: int, arities: dict, wide: int,
+                 mult_only: float = 0.35) -> list[Update]:
+    """A mixed stream aimed at the edges of minor rebalancing.
+
+    In waves of 180 updates, each on the next relation of arity two or
+    more, tuples whose first value is the hot value 0 or whose second value
+    is the hot value 1 are created for 90 updates, then cancelled, so the
+    degree of 0 on the first variable and of 1 on the second climbs from
+    nothing past one and a half times a small threshold and falls back
+    below half of it. Between the hot updates come:
+
+      * multiplicity changes of a stored tuple that neither create nor
+        cancel it, a share ``mult_only`` of all updates;
+      * exact cancellations of a stored tuple to zero;
+      * creates with negative as well as positive multiplicities;
+      * loops, tuples repeating one value.
+
+    ``arities`` maps relation names to tuple arities. The other values of
+    a hot tuple come from ``range(4 * wide)``, every other value from
+    ``range(wide)``.
+    """
+    rng = random.Random(seed)
+    names = list(arities)
+    live: dict = {}  # (relation, tuple) -> multiplicity
+    out = []
+
+    def emit(rel, t, m):
+        out.append(Update(rel, t, m))
+        v = live.get((rel, t), 0) + m
+        if v:
+            live[rel, t] = v
+        else:
+            del live[rel, t]
+
+    def fresh(arity):
+        return tuple(rng.randrange(wide) for _ in range(arity))
+
+    wide_names = [n for n in names if arities[n] > 1]
+    while len(out) < length:
+        wave, at = divmod(len(out), 180)
+        growing = at < 90
+        r = rng.random()
+        if r < mult_only and live:
+            (rel, t), m = rng.choice(list(live.items()))
+            emit(rel, t, rng.choice([d for d in (-2, -1, 1, 2) if d != -m]))
+        elif r < mult_only + 0.35:
+            hot = [(rel, t) for rel, t in live
+                   if len(t) > 1 and (t[0] == 0 or t[1] == 1)]
+            if growing or not hot:
+                rel = wide_names[wave % len(wide_names)]
+                t = tuple(rng.randrange(4 * wide) for _ in range(arities[rel]))
+                var = rng.randrange(2)
+                t = t[:var] + (var,) + t[var + 1:]
+                emit(rel, t, rng.choice((1, 1, 2, -1)))
+            else:
+                rel, t = rng.choice(hot)
+                emit(rel, t, -live[rel, t])
+        elif r < mult_only + 0.45 and live:
+            rel, t = rng.choice(list(live))
+            emit(rel, t, -live[rel, t])
+        else:
+            rel = names[rng.randrange(len(names))]
+            arity = arities[rel]
+            t = (rng.randrange(wide),) * arity if rng.random() < 0.2 else fresh(arity)
+            emit(rel, t, rng.choice((-2, -1, 1, 2)))
+    return out
+
+
+def multiplicity_churn(stream: list[Update], seed: int, per_update: int = 2) -> list[Update]:
+    """``stream`` with ``per_update`` multiplicity-only changes after each update.
+
+    Each change adds a nonzero delta to the multiplicity of a tuple stored
+    at that point without cancelling it, so it creates and destroys no
+    tuple; nothing is added while no tuple is stored.
+    """
+    rng = random.Random(seed)
+    live: dict = {}  # (relation, tuple) -> multiplicity
+    out = []
+    for upd in [u for u in stream for u in (u,) + (None,) * per_update]:
+        if upd is None:
+            if not live:
+                continue
+            (rel, t), m = rng.choice(list(live.items()))
+            upd = Update(rel, t, rng.choice([d for d in (-2, -1, 1, 2) if d != -m]))
+        out.append(upd)
+        v = live.get((upd.rel, upd.values), 0) + upd.mult
+        if v:
+            live[upd.rel, upd.values] = v
+        else:
+            del live[upd.rel, upd.values]
+    return out
+
+
 def synthetic_totals(n: int, per_step) -> int:
     """Sum of a per-step cost model over a run of length ``n``.
 
@@ -99,22 +192,23 @@ def replay_audit(engine_factory, stream) -> bool:
     return a.counters.snapshot() == b.counters.snapshot()
 
 
-# Read-only views of one index of a relation, for assertions.
+# Read-only views of one single-variable index of a relation, for
+# assertions; a variable without an index raises ``KeyError``.
 
-def matching(rel: Relation, var, key):
+def matching(rel: Relation, var: int, key):
     """``(tuple, multiplicity)`` pairs of ``rel`` whose ``var`` equals ``key``."""
-    return iter(rel._index_for(var).get(key, {}).items())
+    return iter(rel.indexes[(var,)].get(key, {}).items())
 
 
-def degree(rel: Relation, var, key) -> int:
+def degree(rel: Relation, var: int, key) -> int:
     """Number of tuples of ``rel`` whose ``var`` equals ``key``."""
-    return len(rel._index_for(var).get(key, ()))
+    return len(rel.indexes[(var,)].get(key, ()))
 
 
-def has_key(rel: Relation, var, key) -> bool:
-    return key in rel._index_for(var)
+def has_key(rel: Relation, var: int, key) -> bool:
+    return key in rel.indexes[(var,)]
 
 
-def keys(rel: Relation, var):
+def keys(rel: Relation, var: int):
     """The distinct values of ``var`` present in ``rel``."""
-    return rel._index_for(var).keys()
+    return rel.indexes[(var,)].keys()

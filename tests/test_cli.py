@@ -175,6 +175,32 @@ class TestBench:
                            for line in s.getvalue().splitlines()]  # drop wall time
         assert strip(a) == strip(b)
 
+    @pytest.mark.parametrize("gen", sorted(cli.GENERATORS))
+    @pytest.mark.parametrize("query", ["triangle", "triangle-selfjoin", "path4", "lw:4"])
+    def test_every_family_and_generator_runs_or_is_refused_up_front(
+            self, query, gen, monkeypatch, capsys):
+        built = []
+        real_build = cli.build_engine
+        monkeypatch.setattr(cli, "build_engine",
+                            lambda cfg: built.append(cfg) or real_build(cfg))
+        rc = cli.main(["bench", "--query", query, "--gen", gen, "--sizes", "40,90"])
+        if gen in ("hub", "space") and query != "triangle":
+            assert rc == 2
+            assert not built
+            assert "triangle streams only" in capsys.readouterr().err
+        else:
+            assert rc == 0
+            assert len(built) == 2
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert len(lines) == 3 and lines[1].startswith(f"{query},")
+
+    def test_er_emits_each_relation_at_its_arity(self):
+        for query in ("triangle", "triangle-selfjoin", "path4", "lw:4", "lw:5"):
+            arities = family_arities(query)
+            ups = cli.GENERATORS["er"](60, 2, query)
+            assert {u.rel for u in ups} == set(arities)
+            assert all(len(u.values) == arities[u.rel] for u in ups)
+
 
 def test_main_usage_error_returns_2():
     assert cli.main(["run", "--mode", "bogus"]) == 2

@@ -8,6 +8,13 @@ the engines before their shared maintenance code was factored out. A
 refactor that changes the work done, or the order in which rebalancing
 visits tuples, changes at least one of them.
 
+Three engines (a one-variable partition, the self-join and the quad
+partitions of path4) also replay their family's stream from empty with
+two multiplicity-only changes after every update (``CHURN_STREAMS``).
+Those rows were recorded before the kernel stopped checking anything
+after an update that changes no tuple's existence: a check skipped
+wrongly, or a rebalance fired on a multiplicity change, moves them.
+
 Re-recorded since, ``iterations`` only: ``triangle:0.5`` and ``selfjoin``
 walk the light postings at the join value once for both the light/heavy
 and the light/light case, and ``selfjoin`` moves a key's tuples in
@@ -64,7 +71,7 @@ from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import EpsConfig, TriangleEngine
 
-from helpers import grow_shrink_stream
+from helpers import grow_shrink_stream, multiplicity_churn
 
 PRELOAD = 300
 
@@ -75,6 +82,11 @@ STREAMS = {
     "path4": grow_shrink_stream(13, 900, family_arities("path4"), wide=60),
     "lw:4": grow_shrink_stream(14, 900, family_arities("lw:4"), wide=10),
 }
+
+# two of every three updates only change the multiplicity of a stored
+# tuple, after which the kernel checks nothing
+CHURN_STREAMS = {family: multiplicity_churn(STREAMS[family], 31)
+                 for family in ("triangle", "triangle-selfjoin", "path4")}
 
 # name -> (query family of the stream, empty engine, engine preprocessed from a database)
 ENGINES = {
@@ -175,6 +187,24 @@ GOLDEN = {
 }
 
 
+# engine -> (OpCounters snapshot, final answer, sum of prefix answers) over
+# its family's CHURN_STREAMS stream, from empty
+GOLDEN_CHURN = {
+    'path4': (
+        dict(lookups=9476, iterations=14467, moves=98,
+             rebalance_major=9, rebalance_minor=3),
+        -39101, 768775207),
+    'selfjoin': (
+        dict(lookups=5706, iterations=16383, moves=25,
+             rebalance_major=9, rebalance_minor=1),
+        -2291, 2435579),
+    'triangle:0.5': (
+        dict(lookups=10122, iterations=21137, moves=199,
+             rebalance_major=10, rebalance_minor=5),
+        202, 2369702),
+}
+
+
 def _database(updates, family):
     db = {name: {} for name in family_arities(family)}
     for rel, t, m in updates:
@@ -187,10 +217,10 @@ def _database(updates, family):
     return db
 
 
-def _replay(name, start):
+def _replay(name, start, streams=STREAMS):
     """Final counters, answer, prefix-answer sum and the threshold bases seen."""
     family, empty, build = ENGINES[name]
-    stream = STREAMS[family]
+    stream = streams[family]
     if start == "empty":
         eng = empty()
     else:
@@ -220,3 +250,9 @@ def test_streams_exercise_every_rebalance_path(name):
 def test_counts_and_answers_match_the_recording(name, start):
     ops, answer, total, _ = _replay(name, start)
     assert (ops, answer, total) == GOLDEN[name, start]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHURN))
+def test_mostly_multiplicity_only_stream_matches_the_recording(name):
+    ops, answer, total, _ = _replay(name, "empty", CHURN_STREAMS)
+    assert (ops, answer, total) == GOLDEN_CHURN[name]

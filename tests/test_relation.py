@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewivm.relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
-                              SchemaError, UnindexedVariable, bump)
+                              SchemaError, bump)
 
 from helpers import degree, keys, matching
 
@@ -76,7 +76,7 @@ class TestMatching:
     def test_unindexed_variable(self):
         r = Relation(2, index_specs=((0,),))
         r.upsert((1, 2), 1)
-        with pytest.raises(UnindexedVariable):
+        with pytest.raises(KeyError):
             list(matching(r, 1, 2))
 
 
