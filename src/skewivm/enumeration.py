@@ -23,10 +23,11 @@ factorized result is nonempty. Liveness therefore tracks support, not
 sums: the middle values per (x, z) pair, plus per-side sets of pairs
 whose third-part factor is present.
 
-Rebalancing comes from the shared kernel, which moves each tuple that
-changes part through ``apply_update``, so the structures above follow
-every move. ``recompute_views`` builds them all from the parts, for the
-kernel's loader and for tests.
+Routing and rebalancing come from the shared kernel, which moves each
+tuple that changes part through ``apply_update``, so the structures above
+follow every move. The engine keeps no count, so it supplies no
+``delta``. ``recompute_views`` builds the structures from the parts, for
+the kernel's loader.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class EnumTriangleEngine(MaintenanceKernel):
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
         super().__init__(REL_NAMES, (2, 2, 2), eps, counters)
-        self.parts = [Partition(2, IDX0, 1.0) for _ in range(3)]
+        self.parts = [Partition(2) for _ in range(3)]
         self.listing: dict[tuple, int] = {}
         self.tri: list[dict] = [{}, {}, {}]          # (x, y, z) -> mult
         self.pair_index: list[dict] = [{}, {}, {}]   # (x, z) -> set of y
@@ -113,9 +114,8 @@ class EnumTriangleEngine(MaintenanceKernel):
 
     # -- update procedure ---------------------------------------------------
 
-    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> None:
-        """Apply a routed delta to the listing views; this engine keeps no count."""
-        i = self._index[rel]
+    def apply_update(self, i: int, side: str, t: tuple, m: int) -> int:
+        """Apply a routed delta to the listing views; returns the stored multiplicity."""
         x, y = t
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
@@ -167,7 +167,6 @@ class EnumTriangleEngine(MaintenanceKernel):
                     self._tri_bump(i2, u[0], x, y, m * mu, nh, nl)
 
         new = self.parts[i].side(side).upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
         # liveness of family i+1 pairs keyed (y, x) follows this entry:
         # this relation is their third factor
         rk = (y, x)
@@ -176,10 +175,7 @@ class EnumTriangleEngine(MaintenanceKernel):
                 self.live[i1][side].add(rk)
         elif new == 0:
             self.live[i1][side].discard(rk)
-
-    def route(self, i: int, t: tuple) -> str:
-        self.counters.lookups += 1
-        return self.parts[i].route(t[0], self.eps == 0.0)
+        return new
 
     def rebuild_views(self) -> None:
         self.listing, self.tri, self.pair_index, self.live = self.recompute_views()

@@ -38,15 +38,23 @@ every query, so it lives here once:
     views and its answer once;
   * the invariant report.
 
-An engine supplies its partitions in ``parts``, ``route`` (the part an
-update goes to), ``apply_update`` (one routed delta, optionally without
-its change to the answer), ``space_used``, and for ``preprocess``
-``rebuild_views``, ``loaded_count`` and, when it keeps a relation whole,
-``load_whole``.
+The kernel routes each update itself (``Partition.route`` or
+``QuadPartition.route`` of the relation's partition, every tuple pinned
+heavy at ``eps == 0``), adds the answer's change before the update is
+applied, and keeps ``db_size`` from what the update step returns. An
+engine supplies its partitions in ``parts``; ``delta`` (the answer's
+change for one update, read before it is applied; ``None`` for an engine
+without a count); ``apply_update`` (one routed update to the parts and
+views, returning the tuple's stored multiplicity afterwards);
+``space_used``; and for ``preprocess`` ``rebuild_views`` and, when it
+keeps a relation whole, ``load_whole``. The loaded answer is the sum of
+relation 0's deltas over its rows (``loaded_count``), which an engine
+whose relation 0 joins with itself replaces.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import partial
 
 from .metrics import OpCounters
@@ -68,6 +76,8 @@ class MaintenanceKernel:
         self._index = {name: i for i, name in enumerate(self.names)}
         self._index.update((i, i) for i in range(len(self.names)))
         self.parts: list = [None] * len(self.names)
+        # an exponent of 0 pins every tuple of the relation heavy
+        self._pinned = tuple(value == 0.0 for value in self._eps)
         self.N = 1
         self._set_thetas()
         self.db_size = 0
@@ -76,15 +86,17 @@ class MaintenanceKernel:
 
     # -- engine hooks ---------------------------------------------------------
 
-    def route(self, i: int, t: tuple):
-        """Label of the part of relation ``i`` that receives ``t``."""
-        raise NotImplementedError
+    # ``delta(i, t, m)``: the answer's change when ``m`` is added to ``t`` of
+    # relation ``i``, read from the state before the update; ``None`` for an
+    # engine that keeps no count
+    delta = None
 
-    def apply_update(self, rel, label, t: tuple, m: int, count: bool = True):
-        """Apply one delta to the part ``label``, keeping answer and views exact.
+    def apply_update(self, i: int, label, t: tuple, m: int) -> int:
+        """Apply one delta to the part ``label`` of relation ``i``, keeping the views exact.
 
-        With ``count=False`` the caller guarantees that the answer's change
-        cancels against another delta, and the engine skips computing it.
+        Returns the multiplicity of ``t`` stored afterwards: ``m`` when the
+        update created the tuple, 0 when it deleted it. The answer is not
+        touched; ``on_update`` adds the ``delta``.
         """
         raise NotImplementedError
 
@@ -92,9 +104,17 @@ class MaintenanceKernel:
         """Build every view from the parts (after ``preprocess`` has filled them)."""
         raise NotImplementedError
 
-    def loaded_count(self) -> int:
-        """The answer over the freshly built parts and views; 0 without a count."""
-        return 0
+    def loaded_count(self, rows: dict) -> int:
+        """The answer over the freshly built parts and views; 0 without a count.
+
+        ``rows`` are relation 0's loaded rows. The answer is linear in
+        relation 0 and its delta does not read relation 0, so the sum of
+        the rows' deltas against the finished state is exact.
+        """
+        delta = self.delta
+        if delta is None:
+            return 0
+        return sum(delta(0, t, m) for t, m in rows.items())
 
     def load_whole(self, i: int, rows: dict) -> None:
         """Store the rows of relation ``i``, which the engine keeps unpartitioned."""
@@ -105,11 +125,10 @@ class MaintenanceKernel:
 
         A delete from ``src`` and an insert into ``dst``, both through
         ``apply_update``, so the views stay exact. The relation as a whole
-        does not change, so neither does the answer: the two deltas cancel,
-        and neither is computed.
+        does not change, so neither do the answer and the size.
         """
-        self.apply_update(i, src, t, -m, False)
-        self.apply_update(i, dst, t, m, False)
+        self.apply_update(i, src, t, -m)
+        self.apply_update(i, dst, t, m)
 
     # -- accessors --------------------------------------------------------------
 
@@ -138,19 +157,14 @@ class MaintenanceKernel:
 
     def lookup(self, rel, t: tuple) -> int:
         """Current multiplicity of ``t`` across all parts of ``rel``."""
-        return self.parts[self.rel_index(rel)].multiplicity(t)
+        return self.parts[self._checked_tuple(rel, t)].multiplicity(t)
 
-    # -- the update loop ----------------------------------------------------------
+    def _checked_tuple(self, rel, t) -> int:
+        """Position of relation ``rel``, once ``t`` is known to fit it.
 
-    def on_update(self, rel, t: tuple, m: int) -> None:
-        """Check, route and apply one update, then rebalance as needed.
-
-        An update that leaves ``db_size`` as it was changed only the
-        multiplicity of a stored tuple: no key degree and no size moved,
-        so no rebalance can be due and nothing more is checked. Otherwise
-        the size invariant is checked, and if it holds, the partition
-        checks the one key bound the update can have crossed, given the
-        part it was routed to and whether it created or destroyed a tuple.
+        Refuses with ``SchemaError`` an unknown relation, a ``t`` that is
+        not a tuple of the relation's arity, or one with an unhashable
+        value.
         """
         cls = rel.__class__
         i = self._index.get(rel) if cls is str or cls is int else None
@@ -159,30 +173,59 @@ class MaintenanceKernel:
         if not isinstance(t, tuple) or len(t) != self.arities[i]:
             raise SchemaError(f"{self.names[i]} takes tuples of arity {self.arities[i]}, "
                               f"got {t!r}")
-        if type(m) is not int or m == 0:
-            raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
         try:
             hash(t)
         except TypeError:
             raise SchemaError(f"tuple values must be hashable, got {t!r}") from None
-        size = self.db_size
-        label = self.route(i, t)
-        self.apply_update(i, label, t, m)
+        return i
 
-        if self.db_size == size:
-            return
-        if self.db_size == self.N:
-            self.N *= 2
-            self.major_rebalance()
-        elif self.db_size < self.N // 4:
-            self.N = self.N // 2 - 1
-            # the size invariant keeps N >= 4 whenever halving can fire
-            assert self.N >= 1
-            self.major_rebalance()
+    # -- the update loop ----------------------------------------------------------
+
+    def on_update(self, rel, t: tuple, m: int) -> None:
+        """Check, route and apply one update, then rebalance as needed.
+
+        The answer gains the update's ``delta``, read before the update;
+        then ``apply_update`` returns the stored multiplicity. If that is
+        neither ``m`` (a create) nor 0 (a delete), the update changed only
+        the multiplicity of a stored tuple: no key degree and no size
+        moved, so no rebalance can be due and nothing more is checked.
+        Otherwise the size changes by one and the size invariant is
+        checked; if it holds, the partition checks the one key bound the
+        update can have crossed, given the part it was routed to and
+        whether it created or destroyed a tuple.
+        """
+        if type(m) is not int or m == 0:
+            raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
+        i = self._checked_tuple(rel, t)
+        part = self.parts[i]
+        if part is None:
+            label = None
         else:
-            part = self.parts[i]
-            if part is not None:
-                part.minor_check(self, i, t, label, self.db_size > size, self._thetas[i])
+            self.counters.lookups += 1
+            label = part.route(t, self._pinned[i])
+        delta = self.delta
+        if delta is not None:
+            self.q += delta(i, t, m)
+        new = self.apply_update(i, label, t, m)
+
+        if new == m:
+            self.db_size += 1
+            if self.db_size == self.N:
+                self.N *= 2
+                self.major_rebalance()
+                return
+        elif new == 0:
+            self.db_size -= 1
+            if self.db_size < self.N // 4:
+                self.N = self.N // 2 - 1
+                # the size invariant keeps N >= 4 whenever halving can fire
+                assert self.N >= 1
+                self.major_rebalance()
+                return
+        else:
+            return
+        if part is not None:
+            part.minor_check(self, i, t, label, new == m, self._thetas[i])
 
     def major_rebalance(self) -> None:
         """Strictly repartition every relation in place for the current ``N``.
@@ -234,7 +277,8 @@ class MaintenanceKernel:
         size invariant. Each partition is filled strictly from its rows'
         key degrees (``load``) and each relation kept whole by
         ``load_whole``; then the views are built from the parts and the
-        answer is computed once, by ``loaded_count``.
+        answer is computed once, by ``loaded_count`` over relation 0's
+        rows.
         """
         eng = cls(*args, **kwargs)
         tables = eng._checked(db)
@@ -248,30 +292,41 @@ class MaintenanceKernel:
             else:
                 part.load(rows, eng._thetas[i])
         eng.rebuild_views()
-        eng.q = eng.loaded_count()
+        eng.q = eng.loaded_count(tables[0])
         return eng
 
     def _checked(self, db) -> list[dict]:
         """The rows of ``db`` per relation, checked, without zero multiplicities.
 
-        The caller's maps are returned, not copied, when they hold no zero.
+        ``db`` is a mapping from relations to rows or a list or tuple of
+        rows in relation order; the rows of a relation are a ``dict``, or
+        ``None`` (or absent) for none. Anything else is refused with
+        ``SchemaError``. The caller's dicts are returned, not copied, when
+        they hold no zero.
         """
         n = len(self.names)
         if isinstance(db, (list, tuple)):
             if len(db) != n:
                 raise SchemaError(f"{n} relations expected, got {len(db)}")
             tables = list(db)
-        else:
-            tables = [None] * n
+        elif isinstance(db, Mapping):
+            named: dict = {}
             for rel, rows in db.items():
                 i = self.rel_index(rel)
-                if tables[i] is not None:
+                if i in named:
                     raise SchemaError(f"relation {self.names[i]} given twice")
-                tables[i] = rows
+                named[i] = rows
+            tables = [named.get(i) for i in range(n)]
+        else:
+            raise SchemaError(f"a database maps relations to rows or lists them in order, "
+                              f"got {type(db).__name__}")
         checked = []
         for i, rows in enumerate(tables):
-            if not isinstance(rows, dict):
-                rows = dict(rows or {})
+            if rows is None:
+                rows = {}
+            elif not isinstance(rows, dict):
+                raise SchemaError(f"{self.names[i]} rows must be a dict of tuples to "
+                                  f"multiplicities, got {type(rows).__name__}")
             for t, m in rows.items():
                 if not isinstance(t, tuple) or len(t) != self.arities[i]:
                     raise SchemaError(f"{self.names[i]} takes tuples of arity "

@@ -49,7 +49,7 @@ class LWEngine(MaintenanceKernel):
         self.n = n
         self.arity = n - 1
         specs = self._index_specs()
-        self.parts = [Partition(self.arity, (0,), 1.0, specs) for _ in range(n)]
+        self.parts = [Partition(self.arity, specs) for _ in range(n)]
         self.views: list[dict] = [{} for _ in range(n)]
 
     def _index_specs(self):
@@ -91,7 +91,8 @@ class LWEngine(MaintenanceKernel):
 
     # -- update procedures ----------------------------------------------------
 
-    def _delta_sum(self, v: int, t: tuple) -> int:
+    def delta(self, v: int, t: tuple, m: int) -> int:
+        """Count change for the delta ``m`` of ``t`` in relation v."""
         n = self.n
         c = self.counters
         vals = self._fill(v, t)
@@ -127,7 +128,7 @@ class LWEngine(MaintenanceKernel):
                     prod *= mj
                 acc += prod
         vals[free] = None
-        return acc
+        return m * acc
 
     def _view_key(self, i: int, vals) -> tuple:
         return self._tuple_of(i, vals)
@@ -182,19 +183,10 @@ class LWEngine(MaintenanceKernel):
                         bump(view, self._view_key(i, vals), prod)
         vals[free] = None
 
-    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
-        """Apply a routed delta; returns the count change (0 when ``count`` is false)."""
-        v = self._index[rel]
-        dq = m * self._delta_sum(v, t) if count else 0
-        self.q += dq
+    def apply_update(self, v: int, side: str, t: tuple, m: int) -> int:
+        """Apply a routed delta; returns the stored multiplicity."""
         self._maintain_views(v, side, t, m)
-        new = self.parts[v].side(side).upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
-        return dq
-
-    def route(self, i: int, t: tuple) -> str:
-        self.counters.lookups += 1
-        return self.parts[i].route(t[0], self.eps == 0.0)
+        return self.parts[v].side(side).upsert(t, m)
 
     def rebuild_views(self) -> None:
         self.views = [self._build_view(i) for i in range(self.n)]
@@ -242,18 +234,3 @@ class LWEngine(MaintenanceKernel):
                 if prod:
                     bump(view, self._view_key(i, vals), prod)
         return view
-
-    def loaded_count(self) -> int:
-        """The count after ``preprocess``, by the delta strategies.
-
-        The count is linear in relation 0, so it is the one-hop delta sum
-        over relation 0's entries against the finished parts and views.
-        """
-        q = 0
-        for side in (self.parts[0].heavy, self.parts[0].light):
-            for t, m in side.items():
-                q += m * self._delta_sum(0, t)
-        return q
-
-    def recompute_view(self, i: int) -> dict:
-        return self._uncounted(self._build_view, i)

@@ -29,10 +29,13 @@ supporting tuple dies. A flip forces a rebuild of the one masked view that
 folds the indicator in, which stays within the per-update budget because
 the masked scans are light-bounded.
 
-Rebalancing comes from the shared kernel. R and U have no partition, so
-their updates only ever trigger the size-driven major rebalance; updates
-to S or T can each trigger up to two minor rebalances, one per variable,
-with the second check evaluated against the already-moved state.
+Routing and rebalancing come from the shared kernel. R and U have no
+partition, so their updates are not routed and only ever trigger the
+size-driven major rebalance; updates to S or T can each trigger up to two
+minor rebalances, one per variable, with the second check evaluated
+against the already-moved state. The delta of every relation is computed
+in ``delta``; the update procedures keep only the views and the stored
+relations.
 """
 
 from __future__ import annotations
@@ -76,12 +79,12 @@ class Path4Engine(MaintenanceKernel):
         self.s_hl_t_ll_u: dict = {}
 
     def lookup(self, rel, t: tuple) -> int:
-        i = self.rel_index(rel)
+        i = self._checked_tuple(rel, t)
         if i == 0:
             return self.r.get(t[0], 0)
         if i == 3:
             return self.u.get(t[0], 0)
-        return super().lookup(i, t)
+        return self.parts[i].multiplicity(t)
 
     def space_used(self) -> int:
         views = (len(self.rs_ll) + len(self.rs_lh) + len(self.rs_hh)
@@ -96,6 +99,33 @@ class Path4Engine(MaintenanceKernel):
                 + self.t.total_size() + views)
 
     # -- deltas ---------------------------------------------------------------
+
+    def delta(self, i: int, t: tuple, m: int) -> int:
+        """Count change for the delta ``m`` of ``t`` in relation i."""
+        c = self.counters
+        if i == 1:
+            a, b = t
+            ra = self.r.get(a)
+            if not ra:
+                return 0
+            t_parts = self.t.parts
+            acc = self._hop_sum(t_parts["ll"], b, IDX0, self.u)
+            acc += self._hop_sum(t_parts["lh"], b, IDX0, self.u)
+            c.lookups += 1
+            acc += self.t_hl_u.get(b, 0)
+            acc += self._hop_sum(t_parts["hh"], b, IDX0, self.u)
+            return ra * m * acc
+        if i == 2:
+            b, cval = t
+            ug = self.u.get(cval)
+            if not ug:
+                return 0
+            c.lookups += 3
+            acc = (self.rs_ll.get(b, 0) + self.rs_lh.get(b, 0)
+                   + self.rs_hh.get(b, 0))
+            acc += self._hop_sum(self.s.parts["hl"], b, IDX1, self.r)
+            return ug * m * acc
+        return m * (self._delta_sum_r(t[0]) if i == 0 else self._delta_sum_u(t[0]))
 
     def _delta_sum_r(self, a) -> int:
         """One-sided sum for an endpoint update to R, all 16 combinations."""
@@ -214,9 +244,6 @@ class Path4Engine(MaintenanceKernel):
 
     def update_r(self, a, m: int) -> int:
         c = self.counters
-        dq = m * self._delta_sum_r(a)
-        self.q += dq
-
         for lab, view in (("ll", self.rs_ll), ("lh", self.rs_lh), ("hh", self.rs_hh)):
             posts = self.s.parts[lab].indexes[IDX0].get(a)
             if posts:
@@ -237,21 +264,10 @@ class Path4Engine(MaintenanceKernel):
             for e, mv in posts.items():
                 bump(self.r_s_ll_t_lh, e[1], m * mv)
 
-        nv = self.r.get(a, 0) + m
-        if nv:
-            if a not in self.r:
-                self.db_size += 1
-            self.r[a] = nv
-        else:
-            del self.r[a]
-            self.db_size -= 1
-        return dq
+        return bump(self.r, a, m)
 
     def update_u(self, cval, m: int) -> int:
         c = self.counters
-        dq = m * self._delta_sum_u(cval)
-        self.q += dq
-
         for lab, view in (("ll", self.t_ll_u), ("hl", self.t_hl_u), ("hh", self.t_hh_u)):
             posts = self.t.parts[lab].indexes[IDX1].get(cval)
             if posts:
@@ -272,32 +288,13 @@ class Path4Engine(MaintenanceKernel):
             for e, mv in posts.items():
                 bump(self.s_hl_t_ll_u, e[0], m * mv)
 
-        nv = self.u.get(cval, 0) + m
-        if nv:
-            if cval not in self.u:
-                self.db_size += 1
-            self.u[cval] = nv
-        else:
-            del self.u[cval]
-            self.db_size -= 1
-        return dq
+        return bump(self.u, cval, m)
 
-    def update_s(self, lab: str, t: tuple, m: int, count: bool = True) -> int:
+    def update_s(self, lab: str, t: tuple, m: int) -> int:
         a, b = t
         c = self.counters
         ra = self.r.get(a, 0)
-        dq = 0
-        if ra and count:
-            acc = self._hop_sum(self.t.parts["ll"], b, IDX0, self.u)
-            acc += self._hop_sum(self.t.parts["lh"], b, IDX0, self.u)
-            c.lookups += 1
-            acc += self.t_hl_u.get(b, 0)
-            acc += self._hop_sum(self.t.parts["hh"], b, IDX0, self.u)
-            dq = ra * m * acc
-            self.q += dq
-
         new = self.s.parts[lab].upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
 
         if lab == "hh":
             if ra:
@@ -345,23 +342,13 @@ class Path4Engine(MaintenanceKernel):
                     up((a, e[1]), m * mt)
                     if ra:
                         bump(self.r_s_ll_t_lh, e[1], ra * m * mt)
-        return dq
+        return new
 
-    def update_t(self, lab: str, t: tuple, m: int, count: bool = True) -> int:
+    def update_t(self, lab: str, t: tuple, m: int) -> int:
         b, cval = t
         c = self.counters
         ug = self.u.get(cval, 0)
-        dq = 0
-        if ug and count:
-            c.lookups += 3
-            acc = (self.rs_ll.get(b, 0) + self.rs_lh.get(b, 0)
-                   + self.rs_hh.get(b, 0))
-            acc += self._hop_sum(self.s.parts["hl"], b, IDX1, self.r)
-            dq = ug * m * acc
-            self.q += dq
-
         new = self.t.parts[lab].upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
 
         if lab == "hh":
             if ug:
@@ -406,7 +393,7 @@ class Path4Engine(MaintenanceKernel):
                     up((e[0], cval), ms * m)
                     if ug:
                         bump(self.s_hl_t_ll_u, e[0], ms * m * ug)
-        return dq
+        return new
 
     def _join_scan(self, view: Relation, a, t_part: Relation, b, m: int) -> None:
         """view(a, c) += m * t_part(b, c) over the row of b."""
@@ -426,24 +413,15 @@ class Path4Engine(MaintenanceKernel):
             for e, ms in posts.items():
                 up((e[0], cval), ms * m)
 
-    # -- routing --------------------------------------------------------------
-
-    def route(self, i: int, t: tuple):
-        if i == 0 or i == 3:
-            return None
-        self.counters.lookups += 1
-        return self.parts[i].route(t, self.eps == 0.0)
-
-    def apply_update(self, rel, lab, t: tuple, m: int, count: bool = True) -> int:
+    def apply_update(self, i: int, lab, t: tuple, m: int) -> int:
         """Dispatch a routed delta to the update procedure of its relation.
 
-        ``count=False`` (a move between parts of S or T) skips the count.
+        Each procedure returns the stored multiplicity afterwards.
         """
-        i = self._index[rel]
         if i == 1:
-            return self.update_s(lab, t, m, count)
+            return self.update_s(lab, t, m)
         if i == 2:
-            return self.update_t(lab, t, m, count)
+            return self.update_t(lab, t, m)
         return self.update_r(t[0], m) if i == 0 else self.update_u(t[0], m)
 
     # -- recomputation -------------------------------------------------------
@@ -514,7 +492,3 @@ class Path4Engine(MaintenanceKernel):
 
     def load_whole(self, i: int, rows: dict) -> None:
         (self.r if i == 0 else self.u).update((t[0], m) for t, m in rows.items())
-
-    def loaded_count(self) -> int:
-        """The count after ``preprocess``: the endpoint sum over R."""
-        return sum(mr * self._delta_sum_r(a) for a, mr in self.r.items())

@@ -60,7 +60,9 @@ class RefinedTriangleEngine(MaintenanceKernel):
 
     # -- update procedures --------------------------------------------------
 
-    def _delta_sum(self, i: int, x, y) -> int:
+    def delta(self, i: int, t: tuple, m: int) -> int:
+        """Count change for the delta ``m`` of ``t = (x, y)`` in relation i."""
+        x, y = t
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
@@ -134,19 +136,12 @@ class RefinedTriangleEngine(MaintenanceKernel):
                         mt = s_ll.get((z, x), 0) + s_lh.get((z, x), 0)
                         if mt:
                             acc += mu * mt
-        return acc
+        return m * acc
 
-    def apply_update(self, rel, lab: str, t: tuple, m: int, count: bool = True) -> int:
-        """Apply a delta routed to part ``lab``; returns the count change.
-
-        ``count=False`` skips the count, as in ``TriangleEngine.apply_update``.
-        """
-        i = self._index[rel]
+    def apply_update(self, i: int, lab: str, t: tuple, m: int) -> int:
+        """Apply a delta routed to part ``lab``; returns the stored multiplicity."""
         x, y = t
         c = self.counters
-        dq = m * self._delta_sum(i, x, y) if count else 0
-        self.q += dq
-
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
         if lab == "hl":
@@ -166,28 +161,9 @@ class RefinedTriangleEngine(MaintenanceKernel):
                 for u, mu in posts.items():
                     bump(w, (u[0], y), m * mu)
 
-        new = self.parts[i].parts[lab].upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
-        return dq
-
-    def route(self, i: int, t: tuple) -> str:
-        self.counters.lookups += 1
-        return self.parts[i].route(t, self.eps == 0.0)
+        return self.parts[i].parts[lab].upsert(t, m)
 
     def rebuild_views(self) -> None:
-        self.wedges = [self._build_wedge(i) for i in range(3)]
-
-    def _build_wedge(self, i: int) -> dict:
-        i1 = i - 2 if i >= 2 else i + 1
-        return build_wedge(self.parts[i].parts["hl"], self.parts[i1].parts["lh"], self.counters)
-
-    def loaded_count(self) -> int:
-        """The count after ``preprocess``: the one-hop sum over R's entries."""
-        q = 0
-        for part in self.parts[0].parts.values():
-            for t, m in part.items():
-                q += m * self._delta_sum(0, t[0], t[1])
-        return q
-
-    def recompute_wedge(self, i: int) -> dict:
-        return self._uncounted(self._build_wedge, i)
+        parts = self.parts
+        self.wedges = [build_wedge(parts[i].parts["hl"], parts[(i + 1) % 3].parts["lh"],
+                                   self.counters) for i in range(3)]

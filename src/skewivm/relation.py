@@ -177,7 +177,7 @@ class Relation:
 
 
 class Partition:
-    """Heavy/light split of a relation keyed by the degree of one variable.
+    """Heavy/light split of a relation keyed by the degree of its first variable.
 
     The heavy part holds every tuple whose partition-key degree is high,
     the light part the rest; a key never appears on both sides. Between
@@ -185,31 +185,30 @@ class Partition:
     (heavy keys stay at or above half the threshold, light keys below one
     and a half times it).
 
-    The partition key's index comes first on both sides, so point lookups
-    go through it. By default the heavy side also indexes every other
-    variable and the light side nothing else, the layout the triangle
-    engines walk; ``index_specs`` gives both sides the same indexes instead.
+    The partition key's index (on variable 0) comes first on both sides,
+    so point lookups go through it. By default the heavy side also indexes
+    every other variable and the light side nothing else, the layout the
+    triangle engines walk; ``index_specs`` gives both sides the same
+    indexes instead.
     """
 
-    __slots__ = ("heavy", "light", "part_spec", "theta", "_heavy_keys", "_light_keys")
+    __slots__ = ("heavy", "light", "theta", "_heavy_keys", "_light_keys")
 
-    def __init__(self, arity: int, part_spec: tuple[int, ...] = IDX0,
-                 theta: float = 1.0,
-                 index_specs: Iterable[tuple[int, ...]] | None = None):
-        self.part_spec = tuple(part_spec)
+    def __init__(self, arity: int, index_specs: Iterable[tuple[int, ...]] | None = None):
         if index_specs is None:
-            light_specs = (self.part_spec,)
+            light_specs = (IDX0,)
             heavy_specs = light_specs + tuple((i,) for i in range(arity))
         else:
-            heavy_specs = light_specs = (self.part_spec,) + tuple(map(tuple, index_specs))
+            heavy_specs = light_specs = (IDX0,) + tuple(map(tuple, index_specs))
         self.heavy = Relation(arity, heavy_specs)
         self.light = Relation(arity, light_specs)
         # the partition-key index of each side; a relation builds its index
         # dicts once and never replaces them, so the references stay valid
-        self._heavy_keys = self.heavy.indexes[self.part_spec]
-        self._light_keys = self.light.indexes[self.part_spec]
-        self.theta = float(theta)
-        self.light.tall_at = math.ceil(theta)
+        self._heavy_keys = self.heavy.indexes[IDX0]
+        self._light_keys = self.light.indexes[IDX0]
+        # the threshold of an empty engine (N = 1); load and restrict set it
+        self.theta = 1.0
+        self.light.tall_at = 1
 
     def side(self, label: str) -> Relation:
         return self.heavy if label == HEAVY else self.light
@@ -217,21 +216,21 @@ class Partition:
     def sides(self):
         return ((HEAVY, self.heavy), (LIGHT, self.light))
 
-    def route(self, key, force_heavy: bool = False) -> str:
-        """Destination side for an update carrying ``key``: the key's side.
+    def route(self, t: tuple, force_heavy: bool = False) -> str:
+        """Destination side for an update of ``t``: the side of its partition key.
 
-        Heavy when the key is already present in the heavy side's
+        Heavy when the key ``t[0]`` is already present in the heavy side's
         partition-key index (cached at construction) or when
         ``force_heavy`` pins every tuple heavy; light otherwise. A key
         lives on one side, so the label is also where its degree is kept,
         which ``minor_check`` relies on.
         """
-        if force_heavy or key in self._heavy_keys:
+        if force_heavy or t[0] in self._heavy_keys:
             return HEAVY
         return LIGHT
 
     def degree(self, label: str, key) -> int:
-        return len(self.side(label).indexes[self.part_spec].get(key, ()))
+        return len(self.side(label).indexes[IDX0].get(key, ()))
 
     def multiplicity(self, t: tuple) -> int:
         return self.heavy.get(t) + self.light.get(t)
@@ -250,19 +249,17 @@ class Partition:
         half times ``theta`` (it moves heavy), and a delete on the heavy
         side can drop its key below half of it (it moves light). Only that
         side is read. The move goes through ``engine.minor_rebalance`` for
-        relation ``i``. The engines partition on one variable, so the key
-        is a single value of ``t``.
+        relation ``i``.
         """
-        spec = self.part_spec
-        key = t[spec[0]]
+        key = t[0]
         if grew:
             if label == LIGHT and len(self._light_keys[key]) >= 1.5 * theta:
-                engine.minor_rebalance(i, key, PROMOTE, spec)
+                engine.minor_rebalance(i, key, PROMOTE, IDX0)
         elif label == HEAVY and 0 < len(self._heavy_keys.get(key, ())) < 0.5 * theta:
-            engine.minor_rebalance(i, key, DEMOTE, spec)
+            engine.minor_rebalance(i, key, DEMOTE, IDX0)
 
     def move_key(self, key, src_label: str, sink: Callable[[tuple, int], None],
-                 spec: tuple[int, ...] | None = None) -> int:
+                 spec: tuple[int, ...] = IDX0) -> int:
         """Move every tuple carrying ``key`` out of one side.
 
         Each tuple is handed to ``sink(t, m)`` exactly once; the sink is
@@ -272,7 +269,7 @@ class Partition:
         looked up in, the partition key by default. Returns the number of
         moved tuples.
         """
-        posts = self.side(src_label).indexes[self.part_spec if spec is None else spec].get(key)
+        posts = self.side(src_label).indexes[spec].get(key)
         if not posts:
             return 0
         batch = list(posts.items())
@@ -288,16 +285,15 @@ class Partition:
         otherwise, so every light key stays below the light side's
         watermark, as after ``restrict``.
         """
-        lead = self.part_spec[0]
         degree: dict = {}
         for t in rows:
-            k = t[lead]
+            k = t[0]
             degree[k] = degree.get(k, 0) + 1
         self.theta = float(theta)
         self.light.tall_at = math.ceil(theta)
         heavy, light = self.heavy.upsert, self.light.upsert
         for t, m in rows.items():
-            (heavy if degree[t[lead]] >= theta else light)(t, m)
+            (heavy if degree[t[0]] >= theta else light)(t, m)
 
     def restrict(self, theta: float, move: Callable) -> int:
         """Re-establish the strict split for ``theta``; return tuples moved.
@@ -317,8 +313,7 @@ class Partition:
         it into ``dst`` (the kernel's ``apply_move``).
         """
         heavy, light = self.heavy, self.light
-        h_idx = heavy.indexes[self.part_spec]
-        l_idx = light.indexes[self.part_spec]
+        h_idx, l_idx = self._heavy_keys, self._light_keys
         tall_at = math.ceil(theta)
         demote = [k for k, posts in h_idx.items() if len(posts) < theta]
         if tall_at >= light.tall_at:
@@ -326,8 +321,8 @@ class Partition:
         else:
             promote = [k for k, posts in l_idx.items() if len(posts) >= theta]
         moved = 0
-        for keys, src, dst in ((demote, HEAVY, LIGHT), (promote, LIGHT, HEAVY)):
-            idx = self.side(src).indexes[self.part_spec]
+        for keys, idx, src, dst in ((demote, h_idx, HEAVY, LIGHT),
+                                    (promote, l_idx, LIGHT, HEAVY)):
             for k in keys:
                 batch = list(idx[k].items())
                 for t, m in batch:
@@ -345,8 +340,7 @@ class Partition:
         """Scan for broken partition conditions; empty list means healthy."""
         theta = self.theta if theta is None else theta
         out = []
-        h_idx = self.heavy.indexes[self.part_spec]
-        l_idx = self.light.indexes[self.part_spec]
+        h_idx, l_idx = self._heavy_keys, self._light_keys
         overlap = h_idx.keys() & l_idx.keys()
         if overlap:
             out.append(f"keys on both sides: {sorted(overlap)[:5]}")
@@ -385,9 +379,10 @@ class QuadPartition:
 
     __slots__ = ("parts", "theta", "_hl0", "_hh0", "_lh1", "_hh1", "_on_create", "_on_delete")
 
-    def __init__(self, theta: float = 1.0):
+    def __init__(self):
         self.parts: dict[str, Relation] = {lab: Relation(2) for lab in QUAD_LABELS}
-        self.theta = float(theta)
+        # the threshold of an empty engine (N = 1); load and restrict set it
+        self.theta = 1.0
         # index dicts read on every update, cached: a relation builds them
         # once and never replaces them. The heavy-key indexes of each
         # variable serve ``route``; per part label, the variables on which

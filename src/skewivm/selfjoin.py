@@ -12,6 +12,8 @@ One partition (on the source endpoint) and a single wedge view, the
 aggregated join of the heavy part with the light part, replace the three
 views of the three-relation engine. The wedge is built by the triangle
 engine's builder, and routing and rebalancing come from the shared kernel.
+The delta of relation 0 reads relation 0 itself, so unlike the other
+engines this one computes its loaded count from the query's definition.
 """
 
 from __future__ import annotations
@@ -29,33 +31,31 @@ class SelfJoinEngine(MaintenanceKernel):
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
         super().__init__(self.REL, (2,), eps, counters)
-        self.parts = [Partition(2, IDX0, 1.0)]
+        self.parts = [Partition(2)]
         # wedge[(a, c)] = sum_b heavy(a, b) * light(b, c)
         self.wedge: dict = {}
 
     def space_used(self) -> int:
         return self.parts[0].total_size() + len(self.wedge)
 
-    def _delta(self, t: tuple, m: int, h_col, l_row) -> int:
-        """Change of the count for the delta ``m`` of edge ``t``.
-
-        ``h_col`` is the heavy column at ``t``'s source and ``l_row`` the
-        light row at its target, which the caller reads as well.
-        """
-        dq = 3 * m * self._one_hop(t, h_col, l_row)
+    def delta(self, i: int, t: tuple, m: int) -> int:
+        """Change of the count for the delta ``m`` of edge ``t``."""
+        dq = 3 * m * self._one_hop(t)
         if t[0] == t[1]:
             self.counters.lookups += 2
             dq += 3 * m * m * self.parts[0].multiplicity(t)
             dq += m * m * m
         return dq
 
-    def _one_hop(self, t: tuple, h_col, l_row) -> int:
+    def _one_hop(self, t: tuple) -> int:
         """``sum_z R(b, z) * R(z, a)`` for the edge ``t = (a, b)``, split by part."""
         a, b = t
         c = self.counters
         part = self.parts[0]
         h_rows = part.heavy.indexes[IDX0]
         l_rows = part.light.indexes[IDX0]
+        h_col = part.heavy.indexes[IDX1].get(a)
+        l_row = l_rows.get(b)
         acc = 0
 
         # both heavy: scan heavy edges into a, they have distinct sources
@@ -108,43 +108,28 @@ class SelfJoinEngine(MaintenanceKernel):
                             acc += mu * mt
         return acc
 
-    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
-        """Apply a routed edge delta; returns the count change.
-
-        ``count=False`` skips the count, as in ``TriangleEngine.apply_update``.
-        """
+    def apply_update(self, i: int, side: str, t: tuple, m: int) -> int:
+        """Apply a routed edge delta; returns the stored multiplicity."""
         a, b = t
         c = self.counters
         part = self.parts[0]
-        h_col = part.heavy.indexes[IDX1].get(a)
-        l_row = part.light.indexes[IDX0].get(b)
-        dq = self._delta(t, m, h_col, l_row) if count else 0
-        self.q += dq
-
         if side == HEAVY:
+            l_row = part.light.indexes[IDX0].get(b)
             if l_row:
                 c.iterations += len(l_row)
                 for u, mu in l_row.items():
                     bump(self.wedge, (a, u[1]), m * mu)
-        elif h_col:
-            c.iterations += len(h_col)
-            for u, mu in h_col.items():
-                bump(self.wedge, (u[0], b), m * mu)
-
-        new = part.side(side).upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
-        return dq
-
-    def route(self, i: int, t: tuple) -> str:
-        self.counters.lookups += 1
-        return self.parts[0].route(t[0], self.eps == 0.0)
+        else:
+            h_col = part.heavy.indexes[IDX1].get(a)
+            if h_col:
+                c.iterations += len(h_col)
+                for u, mu in h_col.items():
+                    bump(self.wedge, (u[0], b), m * mu)
+        return part.side(side).upsert(t, m)
 
     def rebuild_views(self) -> None:
-        self.wedge = self._build_wedge()
-
-    def _build_wedge(self) -> dict:
         part = self.parts[0]
-        return build_wedge(part.heavy, part.light, self.counters)
+        self.wedge = build_wedge(part.heavy, part.light, self.counters)
 
     @classmethod
     def preprocess(cls, edges: dict, eps: float = 0.5,
@@ -152,23 +137,13 @@ class SelfJoinEngine(MaintenanceKernel):
         """Ready state from a full edge relation ``{edge: multiplicity}``."""
         return super().preprocess([edges], eps, counters)
 
-    def loaded_count(self) -> int:
+    def loaded_count(self, rows: dict) -> int:
         """The count after ``preprocess``: each edge's multiplicity times its one-hop sum.
 
         ``q = sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)`` is the query's
         definition, loops included, so no correction term enters.
         """
-        part = self.parts[0]
-        h_cols = part.heavy.indexes[IDX1]
-        l_rows = part.light.indexes[IDX0]
-        q = 0
-        for side in (part.heavy, part.light):
-            for t, m in side.items():
-                q += m * self._one_hop(t, h_cols.get(t[0]), l_rows.get(t[1]))
-        return q
-
-    def recompute_wedge(self) -> dict:
-        return self._uncounted(self._build_wedge)
+        return sum(m * self._one_hop(t) for t, m in rows.items())
 
 
 class ThreeCopiesEngine:

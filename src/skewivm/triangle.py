@@ -26,9 +26,10 @@ updates the wedge ending in it.
 The shared kernel (``skewivm.kernel``) keeps the degree bounds meaningful
 as the database grows and shrinks: major rebalances when the threshold
 base doubles or halves, minor rebalances that migrate one key's tuples
-through ``apply_update``, and loads a full database. This module supplies
-the partitions, routing on the join-out variable, the update step, the
-wedge builder the loader calls and the loaded count.
+through ``apply_update``, routes each update by its join-out value, and
+loads a full database. This module supplies the partitions on the
+join-out variable, the delta, the update step that keeps the wedges and
+parts, and the wedge builder the loader calls.
 
 The per-relation exponents recover classical first-order maintenance at 0
 or 1 (everything pinned heavy, resp. light, all wedges empty) and the
@@ -72,19 +73,6 @@ class EpsConfig:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.eps_r, self.eps_s, self.eps_t)
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.eps_r == self.eps_s == self.eps_t
-
-    @property
-    def is_classic(self) -> bool:
-        return self.is_uniform and self.eps_r in (0.0, 1.0)
-
-    @property
-    def is_factorized(self) -> bool:
-        vals = self.as_tuple()
-        return all(v in (0.0, 1.0) for v in vals) and not self.is_uniform
-
 
 def build_wedge(heavy: Relation, light: Relation, counters: OpCounters) -> dict:
     """Aggregated join ``heavy(x, y) * light(y, z)`` keyed ``(x, z)``.
@@ -117,7 +105,7 @@ class TriangleEngine(MaintenanceKernel):
             cfg = EpsConfig.uniform(float(cfg))
         super().__init__(REL_NAMES, (2, 2, 2), cfg.as_tuple(), counters)
         self.cfg = cfg
-        self.parts = [Partition(2, IDX0, self._theta(i)) for i in range(3)]
+        self.parts = [Partition(2) for _ in range(3)]
         # wedges[i][(x, z)] = sum_y heavy_i(x, y) * light_{i+1}(y, z);
         # wedge i answers the constant-time combination for updates to
         # relation i-1.
@@ -129,13 +117,15 @@ class TriangleEngine(MaintenanceKernel):
 
     # -- update procedures --------------------------------------------------
 
-    def _delta_sum(self, i: int, x, y) -> int:
-        """Combined one-hop sum for an update (x, y) to relation i.
+    def delta(self, i: int, t: tuple, m: int) -> int:
+        """Count change for the delta ``m`` of ``t = (x, y)`` in relation i.
 
-        Evaluates sum_z next(y, z) * second(z, x) decomposed over the four
-        part combinations of the two other relations. Independent of which
-        side of relation i the update lands on.
+        ``m`` times the one-hop sum ``sum_z next(y, z) * second(z, x)``,
+        decomposed over the four part combinations of the two other
+        relations. Independent of which side of relation i the update lands
+        on.
         """
+        x, y = t
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
@@ -196,22 +186,17 @@ class TriangleEngine(MaintenanceKernel):
                         mt = z_row.get((z, x))
                         if mt:
                             acc += mu * mt
-        return acc
+        return m * acc
 
-    def apply_update(self, rel, side: str, t: tuple, m: int, count: bool = True) -> int:
-        """Apply a routed single-tuple delta; returns the count change.
+    def apply_update(self, i: int, side: str, t: tuple, m: int) -> int:
+        """Apply a routed single-tuple delta; returns the stored multiplicity.
 
-        Maintains the count, the one affected wedge and the target part,
-        in that order; ``count=False`` skips the count (for moves, whose
-        two halves cancel). Does not rebalance; callers that need the loose
-        bounds preserved go through ``on_update``.
+        Maintains the one affected wedge and the target part, in that
+        order. Does not rebalance; callers that need the loose bounds
+        preserved go through ``on_update``.
         """
-        i = self._index[rel]
         x, y = t
         c = self.counters
-        dq = m * self._delta_sum(i, x, y) if count else 0
-        self.q += dq
-
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
         if side == HEAVY:
@@ -235,36 +220,13 @@ class TriangleEngine(MaintenanceKernel):
                 for u, mu in posts.items():
                     bump(w, (u[0], y), m * mu)
 
-        new = target.upsert(t, m)
-        self.db_size += (1 if new == m else 0) - (1 if new == 0 else 0)
-        return dq
-
-    def route(self, i: int, t: tuple) -> str:
-        self.counters.lookups += 1
-        return self.parts[i].route(t[0], self.eps[i] == 0.0)
+        return target.upsert(t, m)
 
     def rebuild_views(self) -> None:
-        self.wedges = [self._build_wedge(i) for i in range(3)]
-
-    def _build_wedge(self, i: int) -> dict:
-        """Wedge i: heavy part of relation i joined with the next light part."""
-        i1 = i - 2 if i >= 2 else i + 1
-        return build_wedge(self.parts[i].heavy, self.parts[i1].light, self.counters)
-
-    def loaded_count(self) -> int:
-        """The count after ``preprocess``, by the update path's strategies.
-
-        The count is linear in R, so summing the one-hop sum over R's
-        entries against the finished S and T parts is exact.
-        """
-        q = 0
-        for rel in (self.parts[0].heavy, self.parts[0].light):
-            for t, m in rel.items():
-                q += m * self._delta_sum(0, t[0], t[1])
-        return q
-
-    def recompute_wedge(self, i: int) -> dict:
-        return self._uncounted(self._build_wedge, i)
+        # wedge i: the heavy part of relation i joined with the next light part
+        parts = self.parts
+        self.wedges = [build_wedge(parts[i].heavy, parts[(i + 1) % 3].light, self.counters)
+                       for i in range(3)]
 
 
 def static_count(db: dict) -> int:

@@ -167,6 +167,17 @@ def multiplicity_churn(stream: list[Update], seed: int, per_update: int = 2) -> 
     return out
 
 
+def apply_routed(eng, i: int, label, t: tuple, m: int) -> int:
+    """One update of relation ``i`` to part ``label``, without routing or rebalancing.
+
+    The answer gains the update's ``delta`` and the engine's
+    ``apply_update`` keeps its parts and views; returns what it returns,
+    the stored multiplicity. The size is not kept.
+    """
+    eng.q += eng.delta(i, t, m)
+    return eng.apply_update(i, label, t, m)
+
+
 def synthetic_totals(n: int, per_step) -> int:
     """Sum of a per-step cost model over a run of length ``n``.
 
@@ -212,3 +223,29 @@ def has_key(rel: Relation, var: int, key) -> bool:
 def keys(rel: Relation, var: int):
     """The distinct values of ``var`` present in ``rel``."""
     return rel.indexes[(var,)].keys()
+
+
+# The maintained views of an engine against a fresh build from its parts.
+
+def _plain(view):
+    # path4's join views are relations; every other view compares as it is
+    return dict(view.items()) if isinstance(view, Relation) else view
+
+
+def views(eng, names) -> dict:
+    """The engine attributes ``names`` (its views), by name."""
+    return {name: _plain(getattr(eng, name)) for name in names}
+
+
+def fresh_views(eng, names) -> dict:
+    """The views ``rebuild_views`` computes from the current parts, by name.
+
+    The maintained views are put back afterwards, so a replay goes on
+    with whatever the engine kept.
+    """
+    kept = {name: getattr(eng, name) for name in names}
+    eng._uncounted(eng.rebuild_views)
+    fresh = views(eng, names)
+    for name, view in kept.items():
+        setattr(eng, name, view)
+    return fresh

@@ -30,7 +30,7 @@ from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import EpsConfig, TriangleEngine, static_count
 
-from helpers import lw_stream, mixed_stream, path4_stream, varied_length
+from helpers import fresh_views, lw_stream, mixed_stream, path4_stream, varied_length
 
 EPS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -95,8 +95,9 @@ def replayed(triangle_streams):
                         loose_breaks.append((eps, sid, i))
                         break
                 if eps == 0.5 and rng.random() < 0.01:
+                    fresh = fresh_views(eng, ("wedges",))["wedges"]
                     for j in range(3):
-                        if eng.wedges[j] != eng.recompute_wedge(j):
+                        if eng.wedges[j] != fresh[j]:
                             view_breaks.append((sid, i, j))
     return {
         "mismatches": mismatches,

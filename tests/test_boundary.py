@@ -3,9 +3,11 @@
 Every engine raises ``SchemaError`` for an unknown relation name, a tuple
 of the wrong arity or with an unhashable value, and a multiplicity that is
 zero or not a true ``int``, and leaves its answer, counters, size and
-invariant report as they were.
+invariant report as they were. ``lookup`` refuses the same relations and
+tuples.
 The preprocess loaders apply the same rules to every row of the database
-before they build anything.
+before they build anything, and refuse a database that is not a mapping
+or a list of relations, or rows that are not a dict.
 """
 
 import pytest
@@ -22,6 +24,9 @@ from skewivm.triangle import TriangleEngine
 from helpers import lw_stream, mixed_stream, path4_stream
 
 BAD_MULTS = (0, 1.0, 0.5, -1.0, True)
+
+# not a tuple, or an empty one, for any relation
+NOT_TUPLES = (5, None, [1, 2], (), "ab")
 
 # name -> (empty engine, warm-up stream, a well-formed (rel, tuple), bad updates)
 ENGINES = {
@@ -60,10 +65,15 @@ def test_malformed_updates_raise_and_change_nothing(name):
     for u in warmup:
         eng.on_update(*u)
     before = _state(eng)
-    for update in bad + [(rel, t, m) for m in BAD_MULTS] + _unhashable(rel, t):
+    bad_tuples = bad + [(rel, u, 1) for u in NOT_TUPLES] + _unhashable(rel, t)
+    for update in bad_tuples + [(rel, t, m) for m in BAD_MULTS]:
         with pytest.raises(SchemaError):
             eng.on_update(*update)
         assert _state(eng) == before, update
+    for bad_rel, u, _ in bad_tuples:
+        with pytest.raises(SchemaError):
+            eng.lookup(bad_rel, u)
+    assert _state(eng) == before
     eng.on_update(rel, t, 1)
     eng.on_update(rel, t, -1)
     assert eng.answer() == before[0]
@@ -101,28 +111,51 @@ def _triangle_db(**overrides):
     return db
 
 
+# Containers the loaders refuse whatever the engine: rows that are not a
+# dict (pairs, bare tuples, a number) and databases that are neither a
+# mapping nor a list of relations.
+BAD_CONTAINERS = ({"R": [(([1], 2), 1)]}, {"R": [(1, 2, 3)]}, {"R": 5}, {"R": "ab"},
+                  {"R": {(1, 2): 1}.items()}, None, 5, "R", {("R", (1, 2))})
+
+# rows of the one relation of the self-join loader, which takes the rows only
+BAD_EDGE_ROWS = ([((1, 2), 1)], [(1, 2, 3)], 5, "ab", {(1, 2)})
+
 # name -> (loader taking (db, counters), a well-formed database, malformed ones)
 LOADERS = {
     "triangle": (lambda db, c: TriangleEngine.preprocess(db, 0.5, c), _triangle_db(),
                  [{"R": {(1, 2): 0.5, (2, 3): True}}, {"X": {(1, 2): 1}},
                   _triangle_db(S={(2, 3, 4): 1}), _triangle_db(T={(3, 1): 1.0}),
-                  _triangle_db(R={(1,): 1}), {True: {(1, 2): 1}}, {"R": {5: 1}}]),
+                  _triangle_db(R={(1,): 1}), {True: {(1, 2): 1}}, {"R": {5: 1}},
+                  *BAD_CONTAINERS]),
     "selfjoin": (lambda db, c: SelfJoinEngine.preprocess(db, 0.5, c), {(1, 2): 1, (2, 2): 0},
-                 [{(1, 2): 0.5}, {(1, 2): True}, {(1, 2, 3): 1}, {(1, 2): 1, (3,): 1}]),
+                 [{(1, 2): 0.5}, {(1, 2): True}, {(1, 2, 3): 1}, {(1, 2): 1, (3,): 1},
+                  *BAD_EDGE_ROWS]),
     "refined": (lambda db, c: RefinedTriangleEngine.preprocess(db, 0.5, c), _triangle_db(),
-                [_triangle_db(R={(1, 2): 2.0}), {"X": {(1, 2): 1}}, _triangle_db(S={(2,): 1})]),
+                [_triangle_db(R={(1, 2): 2.0}), {"X": {(1, 2): 1}}, _triangle_db(S={(2,): 1}),
+                 *BAD_CONTAINERS]),
     "enum": (lambda db, c: preprocess_enum(db, 0.5, c), _triangle_db(),
-             [_triangle_db(T={(3, 1): False}), {"U": {}}, _triangle_db(R={(1, 2, 3): 1})]),
+             [_triangle_db(T={(3, 1): False}), {"U": {}}, _triangle_db(R={(1, 2, 3): 1}),
+              *BAD_CONTAINERS]),
     "path4": (lambda db, c: Path4Engine.preprocess(db, 0.5, c),
               {"R": {(1,): 1}, "S": {(1, 2): 1}, "T": {(2, 3): -1}, "U": {(3,): 0}},
               [{"R": {(1,): 0.5}}, {"X": {(1,): 1}}, {"R": {(1, 2): 1}},
-               {"S": {(1,): 1}}, {"U": {(3,): True}}]),
+               {"S": {(1,): 1}}, {"U": {(3,): True}}, *BAD_CONTAINERS]),
     "lw:4": (lambda db, c: LWEngine.preprocess(db, 4, 0.5, c),
              [{(1, 2, 3): 1}, {(2, 3, 1): 1}, {}, {(3, 1, 2): 0}],
              [{"R0": {(1, 2, 3): 1}}, {"R5": {}}, [{(1, 2, 3): 1.5}, {}, {}, {}],
               [{(1, 2): 1}, {}, {}, {}], [{}, {}, {}], {"R1": {}, 0: {}},
-              {-1: {(1, 2, 3): 1}}]),
+              {-1: {(1, 2, 3): 1}}, [[((1, 2, 3), 1)], {}, {}, {}], {"R1": 5}, None]),
 }
+
+
+def test_empty_rows_may_be_none_or_absent():
+    full = TriangleEngine.preprocess(_triangle_db(), 0.5)
+    for db in ({"R": {(1, 2): 1}, 1: {(2, 3): 2}, "T": {(3, 1): 1}},
+               [{(1, 2): 1}, {(2, 3): 2}, {(3, 1): 1}],
+               ({(1, 2): 1}, {(2, 3): 2}, {(3, 1): 1})):
+        assert TriangleEngine.preprocess(db, 0.5).answer() == full.answer() == 2
+    assert TriangleEngine.preprocess({"R": None, "S": {(2, 3): 1}}, 0.5).db_size == 1
+    assert SelfJoinEngine.preprocess(None, 0.5).db_size == 0
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))

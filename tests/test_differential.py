@@ -6,9 +6,10 @@ start. The streams mix multiplicity-only changes, cancellations to zero,
 negative multiplicities and loops with hot keys whose degrees swing past
 one and a half times the threshold and back below half of it, on both
 variables of a quad partition. After every update the loose bounds and
-the size invariant must hold (``check_invariants() == []``) and the
-answer must equal the oracle's: the first-order tracker of the query
-family, or for enumeration the brute-force result.
+the size invariant must hold (``check_invariants() == []``), the size
+the kernel keeps must equal the number of stored tuples of the oracle
+database, and the answer must equal the oracle's: the first-order tracker
+of the query family, or for enumeration the brute-force result.
 
 The kernel checks only the bound an update can cross, and nothing after
 an update that changed only a multiplicity; a key that crossed a bound
@@ -74,12 +75,13 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
             unchanged += eng.db_size == size
             where = (seed, step, eng.N, rel, t, m)
             assert eng.check_invariants() == [], where
+            v = db[rel].get(t, 0) + m
+            if v:
+                db[rel][t] = v
+            else:
+                del db[rel][t]
+            assert eng.db_size == sum(map(len, db.values())), where
             if name == "enum":
-                v = db[rel].get(t, 0) + m
-                if v:
-                    db[rel][t] = v
-                else:
-                    del db[rel][t]
                 assert eng.result_multiset() == brute_force_enumerate(
                     db["R"], db["S"], db["T"]), where
             else:

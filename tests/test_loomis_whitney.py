@@ -7,7 +7,7 @@ from skewivm.metrics import fit_scaling
 from skewivm.oracle import LWTracker, brute_force_lw
 from skewivm.triangle import EpsConfig, TriangleEngine
 
-from helpers import lw_stream, mixed_stream
+from helpers import fresh_views, lw_stream, mixed_stream
 
 
 class TestShape:
@@ -84,16 +84,14 @@ class TestOracleEquivalence:
             trk.update(i, t, m)
             assert eng.answer() == trk.count
         assert eng.counters.rebalance_minor > 0
-        for v in range(4):
-            assert eng.views[v] == eng.recompute_view(v)
+        assert fresh_views(eng, ("views",)) == {"views": eng.views}
 
     def test_views_recompute_consistent(self):
         for n in (3, 4, 5):
             eng = LWEngine(n, 0.5)
             for i, t, m in lw_stream(50 + n, 200, 5, n):
                 eng.on_update(i, t, m)
-            for v in range(n):
-                assert eng.views[v] == eng.recompute_view(v), (n, v)
+            assert fresh_views(eng, ("views",)) == {"views": eng.views}, n
 
 
 class TestConstruction:

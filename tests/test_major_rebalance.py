@@ -26,11 +26,10 @@ from skewivm.oracle import (brute_force_enumerate, brute_force_lw, brute_force_p
                             brute_force_selfjoin, brute_force_triangle)
 from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
-from skewivm.relation import Relation
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
 
-from helpers import grow_shrink_stream
+from helpers import fresh_views, grow_shrink_stream, views
 
 EPS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -67,29 +66,6 @@ ENGINES = {
 STREAMS = ((1, 12, 3), (2, 40, 4), (3, 150, 8), (4, 600, 30))
 
 
-def _plain(view):
-    # path4's join views are relations; every other view compares as it is
-    return dict(view.items()) if isinstance(view, Relation) else view
-
-
-def _views(eng, names):
-    return {name: _plain(getattr(eng, name)) for name in names}
-
-
-def _fresh_views(eng, names):
-    """The views ``rebuild_views`` computes from the current parts.
-
-    The maintained views are put back afterwards, so the replay goes on
-    with whatever the engine kept.
-    """
-    kept = {name: getattr(eng, name) for name in names}
-    eng._uncounted(eng.rebuild_views)
-    fresh = _views(eng, names)
-    for name, view in kept.items():
-        setattr(eng, name, view)
-    return fresh
-
-
 @pytest.mark.parametrize("eps", EPS_GRID)
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_majors_leave_strict_parts_and_exact_views(name, eps):
@@ -113,7 +89,7 @@ def test_majors_leave_strict_parts_and_exact_views(name, eps):
                 continue
             where = (seed, step, eng.N)
             assert eng.check_invariants(loose=False) == [], where
-            assert _views(eng, names) == _fresh_views(eng, names), where
+            assert views(eng, names) == fresh_views(eng, names), where
             before, after = majors[-1]
             if after["moves"] == before["moves"]:
                 assert after["iterations"] == before["iterations"], where
@@ -167,7 +143,7 @@ def test_preprocess_leaves_strict_parts_exact_views_and_the_answer(name, eps):
         where = (rows, eng.N)
         assert db == given, where  # the loader reads the caller's rows only
         assert eng.check_invariants(loose=False) == [], where
-        assert _views(eng, names) == _fresh_views(eng, names), where
+        assert views(eng, names) == fresh_views(eng, names), where
         nonzero = {rel: {t: m for t, m in table.items() if m} for rel, table in db.items()}
         assert eng.db_size == sum(map(len, nonzero.values())), where
         if name == "enum":

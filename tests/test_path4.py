@@ -6,7 +6,7 @@ import random
 from skewivm.oracle import Path4Tracker, brute_force_path4
 from skewivm.path4 import Path4Engine
 
-from helpers import path4_stream
+from helpers import apply_routed, path4_stream
 
 
 def view_fingerprint(eng: Path4Engine):
@@ -28,7 +28,8 @@ class TestDeltas:
 
     def test_endpoint_update_with_empty_middle_is_zero(self):
         eng = Path4Engine(0.5)
-        assert eng.update_r(1, 5) == 0
+        assert eng.delta(0, (1,), 5) == 0
+        assert eng.update_r(1, 5) == 5  # the stored multiplicity
         assert eng.answer() == 0
 
     def test_insert_then_delete_restores_count_and_every_view(self):
@@ -36,12 +37,12 @@ class TestDeltas:
         for rel, t, m in path4_stream(11, 250, 7):
             eng.on_update(rel, t, m)
         before = (eng.answer(), view_fingerprint(eng))
-        eng.update_r(3, 2)
-        eng.update_r(3, -2)
+        apply_routed(eng, 0, None, (3,), 2)
+        apply_routed(eng, 0, None, (3,), -2)
         assert (eng.answer(), view_fingerprint(eng)) == before
         lab = eng.s.route((3, 4))
-        eng.update_s(lab, (3, 4), 1)
-        eng.update_s(lab, (3, 4), -1)
+        apply_routed(eng, 1, lab, (3, 4), 1)
+        apply_routed(eng, 1, lab, (3, 4), -1)
         assert (eng.answer(), view_fingerprint(eng)) == before
 
 

@@ -6,7 +6,7 @@ from skewivm.oracle import TriangleTracker
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.triangle import EpsConfig, TriangleEngine
 
-from helpers import mixed_stream
+from helpers import fresh_views, mixed_stream
 
 
 class TestDeltasAndViews:
@@ -23,12 +23,12 @@ class TestDeltasAndViews:
         for rel, t, m in mixed_stream(21, 200, 6):
             eng.on_update(rel, t, m)
         before = [dict(w) for w in eng.wedges]
-        eng.apply_update("R", "ll", (97, 98), 1)  # fresh values, both light
+        eng.apply_update(0, "ll", (97, 98), 1)  # fresh values, both light
         assert [dict(w) for w in eng.wedges] == before
-        eng.apply_update("R", "ll", (97, 98), -1)
-        eng.apply_update("R", "hh", (97, 98), 1)
+        eng.apply_update(0, "ll", (97, 98), -1)
+        eng.apply_update(0, "hh", (97, 98), 1)
         assert [dict(w) for w in eng.wedges] == before
-        eng.apply_update("R", "hh", (97, 98), -1)
+        eng.apply_update(0, "hh", (97, 98), -1)
 
     def test_stepwise_equality_with_base_engine(self):
         for seed in range(4):
@@ -45,8 +45,7 @@ class TestDeltasAndViews:
         eng = RefinedTriangleEngine(0.5)
         for rel, t, m in mixed_stream(31, 600, 8):
             eng.on_update(rel, t, m)
-        for i in range(3):
-            assert eng.wedges[i] == eng.recompute_wedge(i)
+        assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
 
 
 class TestRoutingAndRebalancing:

@@ -113,27 +113,27 @@ class TestStrictPartition:
 class TestRoute:
     def test_key_in_heavy_routes_heavy(self):
         p = strict({(1, b): 1 for b in range(4)}, 2)
-        assert p.route(1) == HEAVY
+        assert p.route((1, 9)) == HEAVY
 
     def test_absent_key_routes_light(self):
         p = Partition(2)
-        assert p.route(42) == LIGHT
+        assert p.route((42, 1)) == LIGHT
 
     def test_force_heavy_overrides(self):
         p = Partition(2)
-        assert p.route(42, force_heavy=True) == HEAVY
+        assert p.route((42, 1), force_heavy=True) == HEAVY
 
     def test_idempotent_and_consistent_with_projection(self):
         p = strict({(1, 0): 1, (1, 1): 1, (2, 0): 1}, 2)
         for key in (1, 2, 3):
-            assert p.route(key) == p.route(key)
+            assert p.route((key, 0)) == p.route((key, 5))
         for key in keys(p.heavy, 0):
-            assert p.route(key) == HEAVY
+            assert p.route((key, 0)) == HEAVY
 
 
 class TestMoveKey:
     def _make(self):
-        p = Partition(2, theta=2)
+        p = Partition(2)
         for b, m in ((1, 1), (2, -2), (3, 1)):
             p.light.upsert((7, b), m)
 

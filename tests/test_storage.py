@@ -72,12 +72,12 @@ def test_posting_maps_follow_a_plain_dict_model():
     @given(st.data())
     def run(data):
         arity, specs = data.draw(st.sampled_from(LAYOUTS))
-        part = Partition(arity, IDX0, 1.0, specs)
+        part = Partition(arity, specs)
         model = {HEAVY: {}, LIGHT: {}}
         for op in data.draw(_ops(arity)):
             if op[0] == "upsert":
                 _, t, m = op
-                side = part.route(t[0])
+                side = part.route(t)
                 want = HEAVY if any(u[0] == t[0] for u in model[HEAVY]) else LIGHT
                 assert side == want
                 rows = model[side]

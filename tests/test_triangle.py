@@ -8,7 +8,7 @@ from skewivm.metrics import OpCounters
 from skewivm.oracle import TriangleTracker, brute_force_triangle
 from skewivm.triangle import EpsConfig, TriangleEngine, static_count
 
-from helpers import has_key, mixed_stream
+from helpers import apply_routed, fresh_views, has_key, mixed_stream
 
 
 def state_fingerprint(eng: TriangleEngine):
@@ -20,12 +20,6 @@ class TestEpsConfig:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             EpsConfig(1.5, 0.0, 0.0)
-
-    def test_classic_and_factorized_flags(self):
-        assert EpsConfig.uniform(1.0).is_classic
-        assert not EpsConfig.uniform(0.5).is_classic
-        assert EpsConfig(0.0, 0.0, 1.0).is_factorized
-        assert not EpsConfig(0.0, 0.0, 0.0).is_factorized
 
 
 class TestPreprocess:
@@ -44,8 +38,7 @@ class TestPreprocess:
         db = {"R": {(1, 2): 1, (4, 5): 2}, "S": {(8, 9): 1}, "T": {(6, 7): 3}}
         eng = TriangleEngine.preprocess(db, 0.5)
         assert eng.answer() == 0
-        for i in range(3):
-            assert eng.wedges[i] == eng.recompute_wedge(i)
+        assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
 
     def test_matches_brute_force_on_random_databases(self):
         rng = random.Random(2)
@@ -64,21 +57,28 @@ class TestApplyUpdate:
         eng = TriangleEngine(EpsConfig.uniform(0.5))
         eng.on_update("S", (2, 3), 1)
         eng.on_update("T", (3, 1), 1)
-        dq = eng.apply_update("R", "l", (1, 2), 1)
-        assert dq == 1 and eng.answer() == 1
+        assert eng.delta(0, (1, 2), 1) == 1
+        eng.on_update("R", (1, 2), 1)
+        assert eng.answer() == 1
 
     def test_delta_with_empty_neighbors_is_zero(self):
         eng = TriangleEngine(EpsConfig.uniform(0.5))
-        assert eng.apply_update("R", "l", (1, 2), 5) == 0
-        assert eng.answer() == 0
+        assert eng.delta(0, (1, 2), 5) == 0
+
+    def test_apply_update_returns_the_stored_multiplicity(self):
+        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        assert eng.apply_update(0, "l", (1, 2), 5) == 5  # a create returns m
+        assert eng.apply_update(0, "l", (1, 2), -2) == 3
+        assert eng.apply_update(0, "l", (1, 2), -3) == 0  # a delete returns 0
+        assert eng.answer() == 0  # the answer is on_update's to keep
 
     def test_insert_then_delete_restores_state_exactly(self):
         eng = TriangleEngine(EpsConfig.uniform(0.5))
         for rel, t, m in mixed_stream(3, 120, 6):
             eng.on_update(rel, t, m)
         before = state_fingerprint(eng)
-        eng.apply_update("R", "l", (1, 2), 1)
-        eng.apply_update("R", "l", (1, 2), -1)
+        apply_routed(eng, 0, "l", (1, 2), 1)
+        apply_routed(eng, 0, "l", (1, 2), -1)
         assert state_fingerprint(eng) == before
 
 
@@ -147,8 +147,7 @@ class TestOnUpdateRebalancing:
         eng.major_rebalance()
         assert eng.answer() == q_before == trk.count
         assert not eng.check_invariants(loose=False)
-        for i in range(3):
-            assert eng.wedges[i] == eng.recompute_wedge(i)
+        assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
 
     def test_minor_rebalance_moves_within_budget_and_keeps_count(self):
         eng = TriangleEngine(EpsConfig.uniform(0.5))
@@ -239,8 +238,7 @@ def test_oracle_equivalence_across_eps_and_views():
                 eng.on_update(rel, t, m)
                 assert eng.answer() == expected[i]
             assert not eng.check_invariants()
-            for i in range(3):
-                assert eng.wedges[i] == eng.recompute_wedge(i)
+            assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
 
 
 def test_amortized_budget_is_stable_as_streams_grow():
