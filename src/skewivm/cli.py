@@ -328,6 +328,7 @@ def _record(step: int, engine) -> dict:
         "db_size": engine.db_size,
         "ops": {k: ops[k] for k in ("lookups", "iterations", "moves")},
         "rebalances": {"major": ops["rebalance_major"], "minor": ops["rebalance_minor"]},
+        "pending_moves": engine.pending_moves(),
     }
 
 
@@ -426,7 +427,8 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
             "query": cfg.query, "mode": cfg.mode, "eps": cfg.eps, "gen": gen,
             "size": size, "lookups": ops["lookups"], "iterations": ops["iterations"],
             "moves": ops["moves"], "majors": ops["rebalance_major"],
-            "minors": ops["rebalance_minor"], "total_ops": total,
+            "minors": ops["rebalance_minor"], "pending_moves": engine.pending_moves(),
+            "total_ops": total,
             "peak_space": peak_space, "wall_s": round(wall, 4), "slope": "",
         })
     if len(sizes) >= 3:

@@ -13,25 +13,35 @@ every query, so it lives here once:
     before it builds anything;
   * the size invariant ``floor(N/4) <= db_size < N`` on the threshold base
     ``N``: reaching ``N`` doubles it, falling below a quarter roughly
-    halves it, and either triggers a major rebalance, which strictly
-    repartitions every relation in place (the answer never changes). A
-    doubling checks every heavy key but only the light keys that climbed
-    past the old threshold since the last split (``Partition.restrict``);
-    a halving checks every key;
+    halves it, and either triggers a major rebalance, which puts every
+    key whose strict status flips in transit (the answer never changes).
+    A doubling checks every heavy key but only the light keys that
+    climbed past the old threshold since the last split (the partitions'
+    degree watermarks); a halving checks every key;
   * minor rebalancing: a key that drifts past one and a half times, or
     below half of, its relation's threshold ``N ** eps`` (computed when
-    ``N`` changes, not per update) has its tuples moved to the other part.
-    Every key sits inside these loose bounds between updates (the loader
-    and majors leave the split strict, and each minor restores the bound
-    of the key it moves), so an update checks only the bound it can
-    cross: a create checks its key where the key is light, a delete where
-    it is heavy, and an update that only changes a stored tuple's
-    multiplicity moves no degree and no size and checks nothing;
-  * moves: a major or minor rebalance hands every tuple that changes part
-    to ``apply_move``, a delete/insert pair through the engine's own
-    update step, so the views stay exact and a rebalance costs what it
-    moves: a major that moves nothing does no view work, one that moves a
-    few tuples does not rebuild every view;
+    ``N`` changes, not per update) is put in transit to the other part.
+    Every key sits inside these loose bounds after every update, a key in
+    transit by its degree over all parts against the bound of the status
+    it is bound for (the loader and majors start from a strict split,
+    each minor restores the bound of the key it moves, and a key in
+    transit that crosses its destination's bound turns around), so an
+    update checks only the bound it can cross: a create checks its key
+    where the key is light, a delete where it is heavy, and an update
+    that only changes a stored tuple's multiplicity moves no degree and
+    no size and checks nothing;
+  * moves: a rebalance moves no tuple itself. It queues its keys, and
+    every later ``on_update`` first drains at most ``B`` tuple moves from
+    the queue, each through ``apply_move``, a delete/insert pair through
+    the engine's own update step, so the views stay exact after every
+    move and no update pays for more than ``B`` moves. While a key is in
+    transit its tuples may sit in both parts: routing sends a stored
+    tuple to the part that holds it and a new one to the key's
+    destination, and every engine's ``delta`` and update step combine the
+    parts tuple by tuple. A major that finds moves still queued makes
+    them first (``flushes`` counts those majors), so it starts from a
+    settled split; right after a major, ``finish_moves`` (which empties
+    the queue at once) leaves the split strict for the new ``N``;
   * the one loader, ``preprocess``, which sets ``N`` to twice the database
     size plus one, fills every partition strictly from its rows' key
     degrees, each tuple stored once, and then has the engine build its
@@ -54,18 +64,30 @@ whose relation 0 joins with itself replaces.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from collections.abc import Mapping
 from functools import partial
 
 from .metrics import OpCounters
 from .relation import SchemaError
 
+# tuple moves each update drains from the queue of rebalance moves
+B = 2
+
 
 class MaintenanceKernel:
     """Base class of the engines: size invariant, rebalancing, loading, checks."""
 
+    # whether the engine's strategies read one exponent per relation; an
+    # engine without them refuses a tuple of exponents
+    PER_RELATION_EPS = False
+
     def __init__(self, names, arities, eps, counters: OpCounters | None = None):
         # one exponent for all relations, or a tuple of one per relation
+        if isinstance(eps, tuple) and not self.PER_RELATION_EPS:
+            raise ValueError(f"{type(self).__name__} takes one eps for all relations, "
+                             f"got {eps!r}")
         self.eps = eps if isinstance(eps, tuple) else float(eps)
         self._eps = eps if isinstance(eps, tuple) else (self.eps,) * len(names)
         for value in self._eps:
@@ -83,6 +105,10 @@ class MaintenanceKernel:
         self.db_size = 0
         self.q = 0
         self.counters = counters if counters is not None else OpCounters()
+        # (relation, key) per key in transit, in the order its moves were queued
+        self._queue: deque = deque()
+        # majors that found moves still queued and made them first
+        self.flushes = 0
 
     # -- engine hooks ---------------------------------------------------------
 
@@ -184,19 +210,22 @@ class MaintenanceKernel:
     def on_update(self, rel, t: tuple, m: int) -> None:
         """Check, route and apply one update, then rebalance as needed.
 
-        The answer gains the update's ``delta``, read before the update;
-        then ``apply_update`` returns the stored multiplicity. If that is
-        neither ``m`` (a create) nor 0 (a delete), the update changed only
-        the multiplicity of a stored tuple: no key degree and no size
-        moved, so no rebalance can be due and nothing more is checked.
-        Otherwise the size changes by one and the size invariant is
-        checked; if it holds, the partition checks the one key bound the
-        update can have crossed, given the part it was routed to and
-        whether it created or destroyed a tuple.
+        Once the update is known to be valid, up to ``B`` queued tuple
+        moves are made first. The answer gains the update's ``delta``,
+        read before the update; then ``apply_update`` returns the stored
+        multiplicity. If that is neither ``m`` (a create) nor 0 (a
+        delete), the update changed only the multiplicity of a stored
+        tuple: no key degree and no size moved, so no rebalance can be
+        due and nothing more is checked. Otherwise the size changes by one
+        and the size invariant is checked; if it holds, the partition
+        checks the one key bound the update can have crossed, given the
+        part it was routed to and whether it created or destroyed a tuple.
         """
         if type(m) is not int or m == 0:
             raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
         i = self._checked_tuple(rel, t)
+        if self._queue:
+            self._drain(B)
         part = self.parts[i]
         if part is None:
             label = None
@@ -212,7 +241,7 @@ class MaintenanceKernel:
             self.db_size += 1
             if self.db_size == self.N:
                 self.N *= 2
-                self.major_rebalance()
+                self.major_rebalance(i, t)
                 return
         elif new == 0:
             self.db_size -= 1
@@ -227,40 +256,62 @@ class MaintenanceKernel:
         if part is not None:
             part.minor_check(self, i, t, label, new == m, self._thetas[i])
 
-    def major_rebalance(self) -> None:
-        """Strictly repartition every relation in place for the current ``N``.
+    def major_rebalance(self, i: int | None = None, grown: tuple | None = None) -> None:
+        """Put every key whose strict status for the current ``N`` differs in transit.
 
-        Every tuple that changes part goes through ``apply_move``, so the
-        views follow the parts and are never rebuilt: the work is that of
-        the moves, one update step each, and a major that moves
-        nothing costs only the key checks.
+        Moves still queued are made first, so each ``restrict`` starts
+        from a settled split; ``flushes`` counts the majors that found
+        any. Then every partition enters its flipped keys in its
+        ``moving`` map and they are queued, to be moved ``B`` tuples per
+        later update. A major that flips nothing does no view work.
+        ``grown`` is the tuple of relation ``i`` whose create doubled
+        ``N``, unchecked by ``minor_check``.
         """
         c = self.counters
         c.rebalance_major += 1
+        if self._queue:
+            self.flushes += 1
+            self.finish_moves()
         self._set_thetas()
-        moved = 0
-        for i, part in enumerate(self.parts):
-            if part is not None:
-                moved += part.restrict(self._thetas[i], partial(self.apply_move, i))
-        c.moves += moved
+        queue = self._queue
+        for j, part in enumerate(self.parts):
+            if part is not None and part.restrict(self._thetas[j], grown if j == i else None):
+                queue.extend((j, key) for key in part.moving)
 
-    def minor_rebalance(self, i: int, key, moves, spec) -> int:
-        """Move the tuples with ``key`` in index ``spec`` of relation ``i``.
+    def minor_rebalance(self, i: int, key) -> None:
+        """Queue the moves of ``key``, which partition ``i`` has just put in transit."""
+        self.counters.rebalance_minor += 1
+        self._queue.append((i, key))
 
-        ``moves`` lists ``(source, destination)`` part labels; each tuple
-        goes through ``apply_move``. Returns the number of tuples moved.
+    def _drain(self, budget: int) -> None:
+        """Make up to ``budget`` queued tuple moves, key by key in queue order.
+
+        A key leaves the queue once its partition has moved its last
+        tuple (``move_key``), which may be right away when every tuple
+        left the old part by deletes or the key turned around early.
         """
-        c = self.counters
-        c.rebalance_minor += 1
-        part = self.parts[i]
-        move = self.apply_move
+        queue = self._queue
         moved = 0
-        for src, dst in moves:
-            def sink(t, m, src=src, dst=dst):
-                move(i, src, dst, t, m)
-                c.moves += 1
-            moved += part.move_key(key, src, sink, spec)
-        return moved
+        while queue:
+            i, key = queue[0]
+            part = self.parts[i]
+            moved += part.move_key(key, budget - moved, partial(self.apply_move, i))
+            if key in part.moving:
+                break
+            queue.popleft()
+        self.counters.moves += moved
+
+    def finish_moves(self) -> None:
+        """Make every queued move now, whatever the per-update budget.
+
+        Right after a major the split is then strict; later, keys may
+        have drifted inside their loose bounds.
+        """
+        self._drain(sys.maxsize)
+
+    def pending_moves(self) -> int:
+        """Keys whose queued moves are not done yet."""
+        return len(self._queue)
 
     # -- construction and checks --------------------------------------------------
 
@@ -350,13 +401,19 @@ class MaintenanceKernel:
     def check_invariants(self, loose: bool = True) -> list[str]:
         """Broken size or partition conditions; empty when healthy.
 
-        ``loose=False`` checks the strict split a major rebalance leaves.
+        ``loose=False`` checks the strict split a major rebalance leaves
+        once its moves are done, so it refuses keys in transit. Every key
+        in transit must have its moves queued, and only those.
         """
         out = []
         if not (self.N // 4 <= self.db_size < self.N):
             out.append(f"size invariant broken: N={self.N} db={self.db_size}")
+        queued = set(self._queue)
         for i, part in enumerate(self.parts):
             if part is not None:
+                transit = {(i, key) for key in part.moving}
+                if transit != {entry for entry in queued if entry[0] == i}:
+                    out.append(f"{self.names[i]}: keys in transit and queued moves differ")
                 for v in part.violations(self._theta(i), strict=not loose):
                     out.append(f"{self.names[i]}: {v}")
         return out

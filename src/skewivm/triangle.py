@@ -18,7 +18,9 @@ specific strategies whose cost is sublinear in the database size:
     bounded by the light-degree cap. When the exponent picks the light
     side for the previous case too, one walk of those light postings
     serves both: each join value lives on one side of the second
-    neighbor, so a single probe finds its posting map.
+    neighbor, so a single probe finds its posting map; while the second
+    neighbor has keys in transit, the probe of its light rows chains
+    both sides' maps of such a key.
 
 Heavy updates maintain the wedge anchored at the updated relation, light
 updates the wedge ending in it.
@@ -99,6 +101,7 @@ class TriangleEngine(MaintenanceKernel):
     """Triangle count under single-tuple updates, constant answer time."""
 
     REL = REL_NAMES
+    PER_RELATION_EPS = True
 
     def __init__(self, cfg: EpsConfig | float = 0.5, counters: OpCounters | None = None):
         if not isinstance(cfg, EpsConfig):
@@ -154,10 +157,11 @@ class TriangleEngine(MaintenanceKernel):
         posts = nxt.light.indexes[IDX0].get(y)
         if self.eps[i1] <= 0.5:
             # next light against both sides of the second neighbor in one
-            # walk; a join value z keys one side only
+            # walk; a join value z keys one side only, unless it is in
+            # transit, when the light probe chains both sides' rows
             if posts:
                 c.iterations += len(posts)
-                sl = snd.light.indexes[IDX0]
+                sl = snd.light_rows if snd.moving else snd.light.indexes[IDX0]
                 sh = snd.heavy.indexes[IDX0]
                 for u, mu in posts.items():
                     z = u[1]

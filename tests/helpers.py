@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from skewivm.cli import Update
 from skewivm.relation import Relation
@@ -201,6 +202,15 @@ def replay_audit(engine_factory, stream) -> bool:
     for rel, t, m in stream:
         b.on_update(rel, t, m)
     return a.counters.snapshot() == b.counters.snapshot()
+
+
+def settle(part, move) -> int:
+    """Make every move of the keys in transit in ``part`` now; returns the tuples moved.
+
+    ``move(src, dst, t, m)`` must delete ``t`` from part ``src`` and
+    insert it into ``dst``, as the kernel's ``apply_move`` does.
+    """
+    return sum(part.move_key(key, sys.maxsize, move) for key in list(part.moving))
 
 
 # Read-only views of one single-variable index of a relation, for

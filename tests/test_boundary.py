@@ -7,7 +7,10 @@ invariant report as they were. ``lookup`` refuses the same relations and
 tuples.
 The preprocess loaders apply the same rules to every row of the database
 before they build anything, and refuse a database that is not a mapping
-or a list of relations, or rows that are not a dict.
+or a list of relations, or rows that are not a dict. Engines whose
+strategies read one exponent for all relations refuse a tuple of
+exponents with ``ValueError`` when they are built; the triangle engine
+takes one.
 """
 
 import pytest
@@ -19,7 +22,7 @@ from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.relation import SchemaError
 from skewivm.selfjoin import SelfJoinEngine
-from skewivm.triangle import TriangleEngine
+from skewivm.triangle import EpsConfig, TriangleEngine
 
 from helpers import lw_stream, mixed_stream, path4_stream
 
@@ -168,3 +171,33 @@ def test_loaders_refuse_malformed_rows_before_building(name):
         with pytest.raises(SchemaError):
             load(db, counters)
         assert counters.snapshot() == OpCounters().snapshot(), db
+
+
+# engines whose strategies read one exponent for all relations, built with
+# per-relation exponents
+ONE_EPS = {
+    "selfjoin": lambda eps: SelfJoinEngine(eps),
+    "refined": lambda eps: RefinedTriangleEngine(eps),
+    "enum": lambda eps: EnumTriangleEngine(eps),
+    "path4": lambda eps: Path4Engine(eps),
+    "lw:4": lambda eps: LWEngine(4, eps),
+    "refined preprocessed": lambda eps: RefinedTriangleEngine.preprocess({}, eps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_EPS))
+def test_one_exponent_engines_refuse_a_tuple_of_exponents(name):
+    with pytest.raises(ValueError, match="one eps for all relations"):
+        ONE_EPS[name]((0.5, 0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match="one eps for all relations"):
+        ONE_EPS[name]((0.5,))
+
+
+def test_triangle_engine_takes_one_exponent_per_relation():
+    eng = TriangleEngine(EpsConfig(0.0, 0.5, 1.0))
+    assert eng.eps == (0.0, 0.5, 1.0)
+    for rel, t, m in mixed_stream(5, 300, 6):
+        eng.on_update(rel, t, m)
+    assert not eng.check_invariants()
+    assert TriangleEngine.preprocess({"R": {(1, 2): 1}}, EpsConfig(0.5, 0.0, 1.0)).eps == \
+        (0.5, 0.0, 1.0)

@@ -94,7 +94,8 @@ class TestRun:
         assert rc == 0
         recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["answer"] for r in recs] == [0, 0, 1]
-        assert all({"step", "answer", "N", "db_size", "ops", "rebalances"} <= set(r) for r in recs)
+        assert all({"step", "answer", "N", "db_size", "ops", "rebalances",
+                    "pending_moves"} <= set(r) for r in recs)
 
     def test_verify_passes_on_generated_streams(self, tmp_path):
         for query, mode in (("triangle", "ivm-eps"), ("triangle", "refined"),
@@ -153,7 +154,7 @@ class TestBench:
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 4  # header + one row per size
         header = lines[0].split(",")
-        assert "slope" in header and "total_ops" in header
+        assert {"slope", "total_ops", "pending_moves"} <= set(header)
         slope_col = header.index("slope")
         slopes = {line.split(",")[slope_col] for line in lines[1:]}
         assert len(slopes) == 1 and "" not in slopes

@@ -6,13 +6,15 @@ cancelled rows, self-loops and negative multiplicities.
 
 Every engine replays skewed grow-then-shrink streams across the exponent
 grid, from a handful of tuples up to several hundred, so the threshold
-base doubles and halves many times. After every update that fires a
-major rebalance, the split must be strict for the new threshold base,
-every view must equal a fresh rebuild from the parts (the major keeps
-them up move by move), and a major rebalance that moved no tuple must
-have added no iterations. Small streams matter: there a single create can
-lift a key past the next threshold on the very update that triggers the
-doubling.
+base doubles and halves many times. A major rebalance only queues the
+moves of the keys whose status flips, so after every update that fires
+one the loose bounds must hold and every view must equal a fresh rebuild
+from the parts. Once the queue is empty (``finish_moves`` makes the
+queued moves at once) the split must be strict for the new threshold
+base and the views must still equal a fresh rebuild (they are kept up
+move by move), and a major whose moves moved no tuple must have added no
+iterations. Small streams matter: there a single create can lift a key
+past the next threshold on the very update that triggers the doubling.
 """
 
 import random
@@ -76,10 +78,9 @@ def test_majors_leave_strict_parts_and_exact_views(name, eps):
         eng = make(eps)
         inner = eng.major_rebalance
 
-        def major():
-            before = eng.counters.snapshot()
-            inner()
-            majors.append((before, eng.counters.snapshot()))
+        def major(*args):
+            majors.append(eng.counters.snapshot())
+            inner(*args)
 
         eng.major_rebalance = major
         for step, (rel, t, m) in enumerate(grow_shrink_stream(seed, length, arities, wide)):
@@ -88,9 +89,13 @@ def test_majors_leave_strict_parts_and_exact_views(name, eps):
             if len(majors) == seen:
                 continue
             where = (seed, step, eng.N)
+            assert eng.check_invariants() == [], where
+            assert views(eng, names) == fresh_views(eng, names), where
+            eng.finish_moves()
             assert eng.check_invariants(loose=False) == [], where
             assert views(eng, names) == fresh_views(eng, names), where
-            before, after = majors[-1]
+            before, after = majors[-1], eng.counters.snapshot()
+            majors[-1] = (before, after)
             if after["moves"] == before["moves"]:
                 assert after["iterations"] == before["iterations"], where
     assert majors

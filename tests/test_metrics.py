@@ -34,6 +34,24 @@ def test_zero_op_step_records_zeros():
     eng = TriangleEngine(EpsConfig.uniform(0.5))
     rec = _record(0, eng)
     assert rec["ops"]["iterations"] == 0 and rec["db_size"] == 0 and rec["answer"] == 0
+    assert rec["pending_moves"] == 0
+
+
+def test_record_counts_the_keys_whose_moves_are_queued():
+    # threshold base 8 holding two tuples: a fifth tuple at one key passes
+    # the light cap 4.24, and its five moves take three later updates
+    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    for b in range(4):
+        eng.on_update("S", (100 + b, 200 + b), 1)
+    eng.on_update("S", (100, 200), -1)
+    eng.on_update("S", (101, 201), -1)
+    for b in range(1, 6):
+        eng.on_update("R", (1, b), 1)
+    assert eng.counters.rebalance_minor == 1
+    assert _record(11, eng)["pending_moves"] == 1
+    for step in (12, 13, 14):
+        eng.on_update("S", (103, 203), 1)
+        assert _record(step, eng)["pending_moves"] == (step < 14)
 
 
 def test_fit_scaling_constant_per_step_cost():

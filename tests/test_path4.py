@@ -55,6 +55,7 @@ class TestIndicators:
         assert eng.N == 64
         for a in range(12):
             eng.on_update("S", (100 + a, 2), 1)
+        eng.finish_moves()
         assert eng.s.pair_degree(1, 2, "lh", "hh") == 12
         return eng
 
@@ -85,6 +86,7 @@ class TestIndicators:
         # make b=2 heavy on T's first variable, flipping its indicator
         for c in range(12):
             eng.on_update("T", (2, 700 + c), 1)
+        eng.finish_moves()
         assert eng.t_ind.get(2) == 1
         eng.on_update("S", (1, 2), 1)
         views = eng.recompute_views()
@@ -132,6 +134,8 @@ class TestRebalancing:
         assert eng.counters.rebalance_minor == 0
         eng.on_update("S", (1, 2), 1)
         assert eng.counters.rebalance_minor == 2
+        assert eng.s.moving == {(0, 1): "h", (1, 2): "h"}
+        eng.finish_moves()
         assert eng.s.pair_degree(0, 1, "hl", "hh") == 6
         assert eng.s.pair_degree(1, 2, "lh", "hh") == 6
         assert not eng.check_invariants()

@@ -76,6 +76,8 @@ class TestRoutingAndRebalancing:
         eng.on_update("R", (1, 2), 1)
         assert eng.counters.rebalance_minor - before == 2
         quad = eng.parts[0]
+        assert quad.moving == {(0, 1): "h", (1, 2): "h"}
+        eng.finish_moves()
         assert quad.pair_degree(0, 1, "hl", "hh") == 6
         assert quad.pair_degree(1, 2, "lh", "hh") == 6
         assert not eng.check_invariants()

@@ -1,6 +1,7 @@
 """Storage layer: Z-ring entries, indexes, degree-threshold partitioning."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from skewivm.relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
                               SchemaError, bump)
 
-from helpers import degree, keys, matching
+from helpers import degree, keys, matching, settle
 
 
 def rel_of(pairs: dict) -> Relation:
@@ -137,40 +138,48 @@ class TestMoveKey:
         for b, m in ((1, 1), (2, -2), (3, 1)):
             p.light.upsert((7, b), m)
 
-        def sink(t, m):
-            p.light.upsert(t, -m)
-            p.heavy.upsert(t, m)
-        return p, sink
+        def move(src, dst, t, m):
+            p.side(src).upsert(t, -m)
+            p.side(dst).upsert(t, m)
+        return p, move
 
     def test_moves_all_and_reports_count(self):
-        p, sink = self._make()
-        assert p.move_key(7, LIGHT, sink) == 3
+        p, move = self._make()
+        p.moving[7] = HEAVY
+        assert p.move_key(7, 10, move) == 3
         assert p.light.size() == 0
         assert p.heavy.size() == 3
+        assert not p.moving
+
+    def test_budget_bounds_each_call(self):
+        p, move = self._make()
+        p.moving[7] = HEAVY
+        assert p.move_key(7, 2, move) == 2
+        assert p.moving == {7: HEAVY}
+        assert p.route((7, 1)) == HEAVY and p.route((7, 3)) == LIGHT
+        assert p.route((7, 9)) == HEAVY
+        assert p.move_key(7, 2, move) == 1
+        assert not p.moving
 
     def test_absent_key_is_noop(self):
-        p, sink = self._make()
-        assert p.move_key(99, LIGHT, sink) == 0
+        p, move = self._make()
+        p.moving[99] = HEAVY
+        assert p.move_key(99, 5, move) == 0
+        assert not p.moving
 
     def test_multiplicities_survive_tuple_by_tuple(self):
-        p, sink = self._make()
-        p.move_key(7, LIGHT, sink)
+        p, move = self._make()
+        p.moving[7] = HEAVY
+        p.move_key(7, 10, move)
         assert p.heavy.get((7, 2)) == -2
 
     def test_round_trip_restores_partition(self):
-        p, _ = self._make()
+        p, move = self._make()
         before = (dict(p.heavy.items()), dict(p.light.items()))
-
-        def to_heavy(t, m):
-            p.light.upsert(t, -m)
-            p.heavy.upsert(t, m)
-
-        def to_light(t, m):
-            p.heavy.upsert(t, -m)
-            p.light.upsert(t, m)
-
-        p.move_key(7, LIGHT, to_heavy)
-        p.move_key(7, HEAVY, to_light)
+        p.moving[7] = HEAVY
+        p.move_key(7, 10, move)
+        p.moving[7] = LIGHT
+        p.move_key(7, 10, move)
         assert (dict(p.heavy.items()), dict(p.light.items())) == before
 
 
@@ -247,17 +256,25 @@ class TestQuadPartition:
         assert quad.route((98, 99), force_heavy=True) == "hh"
 
     def test_restrict_reassigns_everything(self):
-        quad = QuadPartition()
+        # everything starts light on both variables; a lower threshold
+        # checks every key
         rng = random.Random(3)
+        rows: dict = {}
         for _ in range(200):
-            quad.parts["ll"].upsert((rng.randrange(6), rng.randrange(6)), 1)
+            t = (rng.randrange(6), rng.randrange(6))
+            rows[t] = rows.get(t, 0) + 1
+        quad = strict_quad(rows, 1000)
+        assert len(quad.parts["ll"]) == len(rows)
 
         def move(src, dst, t, m):
             quad.parts[src].upsert(t, -m)
             quad.parts[dst].upsert(t, m)
 
-        quad.restrict(4, move)
-        assert not quad.violations(4)
+        quad.restrict(4)
+        assert quad.moving
+        settle(quad, move)
+        assert not quad.moving
+        assert not quad.violations(4, strict=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,14 +286,29 @@ class TestQuadPartition:
 def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, theta):
     """A major restrict moves exactly the tuples whose strict part changed.
 
-    The parts start strict for ``theta0`` and take routed updates, as an
-    engine's do; then ``restrict(theta, move)`` must hand every tuple whose
-    part under the strict split for ``theta`` differs to ``move`` once, from
-    its current part to that one, and leave the parts strict.
+    The parts start strict for ``theta0`` and take routed updates with
+    their minor checks, as an engine's do (a queued minor moves at once
+    here); then ``restrict(theta)`` and the moves of the keys it puts in
+    transit must hand every tuple whose part under the strict split for
+    ``theta`` differs to ``move`` once, from its current part to that one,
+    and leave the parts strict. A ``theta`` that rounds up to no less than
+    ``theta0`` checks only the light keys the watermark recorded.
     """
     quad = strict_quad({t: m for t, m in rows.items() if m}, theta0)
+
+    def shift(src, dst, t, m):
+        quad.parts[src].upsert(t, -m)
+        quad.parts[dst].upsert(t, m)
+
+    class Kernel:
+        def minor_rebalance(self, i, key):
+            quad.move_key(key, sys.maxsize, shift)
+
     for a, b, m in updates:
-        quad.parts[quad.route((a, b))].upsert((a, b), m)
+        lab = quad.route((a, b))
+        new = quad.parts[lab].upsert((a, b), m)
+        if new in (m, 0):
+            quad.minor_check(Kernel(), 0, (a, b), lab, new == m, theta0)
     where = {t: lab for lab, rel in quad.parts.items() for t, _ in rel.items()}
     union = {t: m for rel in quad.parts.values() for t, m in rel.items()}
     deg = [{}, {}]
@@ -293,7 +325,8 @@ def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, thet
         quad.parts[src].upsert(t, -m)
         quad.parts[dst].upsert(t, m)
 
-    moved = quad.restrict(theta, move)
+    quad.restrict(theta)
+    moved = settle(quad, move)
     expected = {(t, where[t], want[t]) for t in union if where[t] != want[t]}
     assert moved == len(seen) == len(expected)
     assert set(seen) == expected
@@ -310,9 +343,10 @@ def test_partition_restrict_hands_moves_to_the_callback():
         part.side(src).upsert(t, -m)
         part.side(dst).upsert(t, m)
 
-    assert part.restrict(2, move) == 2
+    assert part.restrict(2) == 1 and part.moving == {1: HEAVY}
+    assert seen == [] and settle(part, move) == 2
     assert sorted(seen) == [(LIGHT, HEAVY, (1, 1)), (LIGHT, HEAVY, (1, 2))]
-    assert part.restrict(4, move) == 5
+    assert part.restrict(4) == 2 and settle(part, move) == 5
     assert not part.violations(4, strict=True)
     assert len(part.heavy) == 0 and len(part.light) == 6
 

@@ -19,7 +19,7 @@ from skewivm.relation import HEAVY, IDX0, IDX1, LIGHT, Partition
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
 
-from helpers import mixed_stream
+from helpers import mixed_stream, settle
 
 # (arity, index specs passed to Partition): the triangle engines' default
 # layout, the full binary layout of quad parts and path4 views, and the
@@ -106,12 +106,13 @@ def test_posting_maps_follow_a_plain_dict_model():
                     part.side(src).upsert(t, -m)
                     part.side(dst).upsert(t, m)
 
-                assert part.restrict(theta, move) == moved
+                part.restrict(theta)
+                assert settle(part, move) == moved
             else:
                 _, key, src = op
                 dst = LIGHT if src == HEAVY else HEAVY
 
-                def sink(t, m):
+                def move(src, dst, t, m):
                     part.side(src).upsert(t, -m)
                     part.side(dst).upsert(t, m)
 
@@ -119,7 +120,9 @@ def test_posting_maps_follow_a_plain_dict_model():
                 for t, m in batch.items():
                     del model[src][t]
                     model[dst][t] = m
-                assert part.move_key(key, src, sink) == len(batch)
+                part.moving[key] = dst
+                assert part.move_key(key, len(batch) + 1, move) == len(batch)
+                assert not part.moving
             _check_side(part.heavy, model[HEAVY])
             _check_side(part.light, model[LIGHT])
             part.heavy.check_consistency()

@@ -116,11 +116,19 @@ class TestOnUpdateRebalancing:
         assert eng.counters.rebalance_minor == 0
         eng.on_update("R", (1, 5), 1)
         assert eng.counters.rebalance_minor == 1
-        assert eng.parts[0].degree("h", 1) == 5
-        assert eng.parts[0].degree("l", 1) == 0
-        # subsequent updates with that key route heavy
+        # the key is queued, bound heavy; its tuples move two per update
+        part = eng.parts[0]
+        assert part.moving == {1: "h"} and eng.pending_moves() == 1
+        assert part.degree("h", 1) == 0 and part.degree("l", 1) == 5
+        eng.on_update("S", (102, 202), -1)
+        assert part.degree("h", 1) == 2 and part.degree("l", 1) == 3
+        # a new tuple of the key goes where the key is bound
         eng.on_update("R", (1, 6), 1)
-        assert eng.parts[0].degree("h", 1) == 6
+        assert part.degree("h", 1) == 5 and part.degree("l", 1) == 1
+        eng.on_update("S", (103, 203), 5)
+        assert part.degree("h", 1) == 6 and part.degree("l", 1) == 0
+        assert not part.moving and eng.pending_moves() == 0
+        assert eng.counters.moves == 5
 
     def test_emptying_a_heavy_key_is_a_quiet_noop(self):
         eng = TriangleEngine(EpsConfig.uniform(0.5))
@@ -128,6 +136,7 @@ class TestOnUpdateRebalancing:
             eng.on_update("S", (100 + b, 200 + b), 1)
         for b in range(1, 6):
             eng.on_update("R", (1, b), 1)
+        eng.finish_moves()
         assert eng.parts[0].degree("h", 1) == 5
         for b in range(1, 6):
             eng.on_update("R", (1, b), -1)
