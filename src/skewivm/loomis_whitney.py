@@ -25,9 +25,12 @@ relation v-1's light part with the heavy parts of all remaining relations
 stays maintainable: an update to a heavy member scans the light member at
 its fixed leading key, an update to the light member scans relation v-2's
 heavy part, whose leading variable is again the free one. At degree 3 the
-views and all strategies coincide with the triangle engine's. Relations
-are named R1..Rn (or indexed 0..n-1); rebalancing comes from the shared
-kernel.
+views are the triangle engine's wedges, but the strategies differ: this
+engine evaluates each combination on its own, so it has no counterpart of
+the triangle engine's single light walk that probes both sides of the
+second neighbor, and at exponents above 1/2 it scans the heavy part for
+the light/heavy case instead. Relations are named R1..Rn (or indexed
+0..n-1); rebalancing comes from the shared kernel.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ the masked scans are light-bounded.
 Routing and rebalancing come from the shared kernel. R and U have no
 partition, so their updates are not routed and only ever trigger the
 size-driven major rebalance; updates to S or T can each trigger up to two
-minor rebalances, one per variable, with the second check evaluated
-against the already-moved state. The delta of every relation is computed
+minor rebalances, one per variable, both checked against the same state:
+a minor moves no tuple itself, its moves are drained by later updates.
+The delta of every relation is computed
 in ``delta``; the update procedures keep only the views and the stored
 relations.
 """

@@ -222,9 +222,6 @@ class Partition:
     def side(self, label: str) -> Relation:
         return self.heavy if label == HEAVY else self.light
 
-    def sides(self):
-        return ((HEAVY, self.heavy), (LIGHT, self.light))
-
     def route(self, t: tuple, force_heavy: bool = False) -> str:
         """Destination side for an update of ``t``: the side of its partition key.
 

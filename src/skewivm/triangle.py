@@ -12,15 +12,13 @@ specific strategies whose cost is sublinear in the database size:
   * next heavy, second light: constant-time lookup in an auxiliary wedge
     view (the aggregated join of a heavy part with the following light
     part), one such view per relation pair;
-  * next light, second heavy: scan whichever side the tuning exponent says
-    is smaller;
-  * both light: scan the next relation's light part at the shared value,
-    bounded by the light-degree cap. When the exponent picks the light
-    side for the previous case too, one walk of those light postings
-    serves both: each join value lives on one side of the second
-    neighbor, so a single probe finds its posting map; while the second
-    neighbor has keys in transit, the probe of its light rows chains
-    both sides' maps of such a key.
+  * next light, second either side: scan the next relation's light part
+    at the shared value, bounded by the light-degree cap, and probe both
+    sides of the second neighbor for each posting in one walk: each join
+    value lives on one side of the second neighbor, so a single probe
+    finds its posting map; while the second neighbor has keys in
+    transit, the probe of its light rows chains both sides' maps of such
+    a key.
 
 Heavy updates maintain the wedge anchored at the updated relation, light
 updates the wedge ending in it.
@@ -31,7 +29,10 @@ base doubles or halves, minor rebalances that migrate one key's tuples
 through ``apply_update``, routes each update by its join-out value, and
 loads a full database. This module supplies the partitions on the
 join-out variable, the delta, the update step that keeps the wedges and
-parts, and the wedge builder the loader calls.
+parts, and the wedge builder the loader calls. The delta and the update
+step read the partitions through ``ring``, R, S and T in the delta's
+order, so the self-join engine (``skewivm.selfjoin``) runs them over one
+partition standing in for all three.
 
 The per-relation exponents recover classical first-order maintenance at 0
 or 1 (everything pinned heavy, resp. light, all wedges empty) and the
@@ -107,8 +108,9 @@ class TriangleEngine(MaintenanceKernel):
         if not isinstance(cfg, EpsConfig):
             cfg = EpsConfig.uniform(float(cfg))
         super().__init__(REL_NAMES, (2, 2, 2), cfg.as_tuple(), counters)
-        self.cfg = cfg
         self.parts = [Partition(2) for _ in range(3)]
+        # the partitions the delta and the update step read, in ring order
+        self.ring = tuple(self.parts)
         # wedges[i][(x, z)] = sum_y heavy_i(x, y) * light_{i+1}(y, z);
         # wedge i answers the constant-time combination for updates to
         # relation i-1.
@@ -132,8 +134,9 @@ class TriangleEngine(MaintenanceKernel):
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
-        nxt = self.parts[i1]
-        snd = self.parts[i2]
+        ring = self.ring
+        nxt = ring[i1]
+        snd = ring[i2]
         # the heavy column at x; no probe while the heavy part is empty
         s_cols = snd.heavy.indexes[IDX1]
         s_col = s_cols.get(x) if s_cols else None
@@ -154,42 +157,21 @@ class TriangleEngine(MaintenanceKernel):
         c.lookups += 1
         acc += self.wedges[i1].get((y, x), 0)
 
+        # next light against both sides of the second neighbor in one walk;
+        # a join value z keys one side only, unless it is in transit, when
+        # the light probe chains both sides' rows
         posts = nxt.light.indexes[IDX0].get(y)
-        if self.eps[i1] <= 0.5:
-            # next light against both sides of the second neighbor in one
-            # walk; a join value z keys one side only, unless it is in
-            # transit, when the light probe chains both sides' rows
-            if posts:
-                c.iterations += len(posts)
-                sl = snd.light_rows if snd.moving else snd.light.indexes[IDX0]
-                sh = snd.heavy.indexes[IDX0]
-                for u, mu in posts.items():
-                    z = u[1]
-                    z_row = sl.get(z) or sh.get(z)
-                    if z_row:
-                        mt = z_row.get((z, x))
-                        if mt:
-                            acc += mu * mt
-        else:
-            # next light, second heavy: the heavy column at x is shorter
-            if s_col:
-                c.iterations += len(s_col)
-                if posts:
-                    for u, mu in s_col.items():
-                        ms = posts.get((y, u[0]))
-                        if ms:
-                            acc += ms * mu
-            # both light
-            if posts:
-                c.iterations += len(posts)
-                sl = snd.light.indexes[IDX0]
-                for u, mu in posts.items():
-                    z = u[1]
-                    z_row = sl.get(z)
-                    if z_row:
-                        mt = z_row.get((z, x))
-                        if mt:
-                            acc += mu * mt
+        if posts:
+            c.iterations += len(posts)
+            sl = snd.light_rows if snd.moving else snd.light.indexes[IDX0]
+            sh = snd.heavy.indexes[IDX0]
+            for u, mu in posts.items():
+                z = u[1]
+                z_row = sl.get(z) or sh.get(z)
+                if z_row:
+                    mt = z_row.get((z, x))
+                    if mt:
+                        acc += mu * mt
         return m * acc
 
     def apply_update(self, i: int, side: str, t: tuple, m: int) -> int:
@@ -203,20 +185,21 @@ class TriangleEngine(MaintenanceKernel):
         c = self.counters
         i1 = i - 2 if i >= 2 else i + 1
         i2 = i - 1 if i >= 1 else i + 2
+        ring = self.ring
         if side == HEAVY:
-            target = self.parts[i].heavy
+            target = ring[i].heavy
             # wedge anchored at this relation gains (x, *) rows
             w = self.wedges[i]
-            posts = self.parts[i1].light.indexes[IDX0].get(y)
+            posts = ring[i1].light.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
                 for u, mu in posts.items():
                     bump(w, (x, u[1]), m * mu)
         else:
-            target = self.parts[i].light
+            target = ring[i].light
             # wedge ending in this relation gains (*, y) columns; nothing
             # to walk while the previous relation's heavy part is empty
-            cols = self.parts[i2].heavy.indexes[IDX1]
+            cols = ring[i2].heavy.indexes[IDX1]
             posts = cols.get(x) if cols else None
             if posts:
                 w = self.wedges[i2]
@@ -228,8 +211,8 @@ class TriangleEngine(MaintenanceKernel):
 
     def rebuild_views(self) -> None:
         # wedge i: the heavy part of relation i joined with the next light part
-        parts = self.parts
-        self.wedges = [build_wedge(parts[i].heavy, parts[(i + 1) % 3].light, self.counters)
+        ring = self.ring
+        self.wedges = [build_wedge(ring[i].heavy, ring[(i + 1) % 3].light, self.counters)
                        for i in range(3)]
 
 

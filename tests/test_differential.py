@@ -1,7 +1,8 @@
 """Every engine against the oracle after every update, at the rebalancing edges.
 
 Each engine of ``test_major_rebalance.ENGINES`` replays ``swing_stream``
-streams across the exponent grid, from empty and from a preprocessed
+streams across the exponent grid (the triangle engine also at a few
+per-relation exponent triples), from empty and from a preprocessed
 start. The streams mix multiplicity-only changes, cancellations to zero,
 negative multiplicities and loops with hot keys whose degrees swing past
 one and a half times the threshold and back below half of it, on both
@@ -38,6 +39,7 @@ from skewivm.cli import Update, family_arities
 from skewivm.kernel import B
 from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, IDX0, IDX1, QuadPartition
+from skewivm.triangle import EpsConfig
 
 from helpers import swing_stream
 from test_major_rebalance import ENGINES, EPS_GRID
@@ -136,8 +138,17 @@ def _aimed(eng, names, arities, rng, fresh, seen):
     return None
 
 
-@pytest.mark.parametrize("eps", EPS_GRID)
-@pytest.mark.parametrize("name", sorted(ENGINES))
+# per-relation exponents of the triangle engine: its light walk next to a
+# neighbor pinned heavy (0) or light (1), and minors on relations whose
+# thresholds differ
+MIXED_EPS = {"0,0,1": EpsConfig(0.0, 0.0, 1.0), "1,0,0.5": EpsConfig(1.0, 0.0, 0.5),
+             "0.75,0,0.25": EpsConfig(0.75, 0.0, 0.25)}
+
+
+@pytest.mark.parametrize(
+    "name, eps",
+    [(name, eps) for name in sorted(ENGINES) for eps in EPS_GRID]
+    + [pytest.param("triangle", cfg, id=f"triangle-{label}") for label, cfg in MIXED_EPS.items()])
 def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
     family, make, _, load, _ = ENGINES[name]
     arities = family_arities(family)

@@ -50,7 +50,7 @@ def _path4_oracle(db):
 ENGINES = {
     "triangle": ("triangle", TriangleEngine, ("wedges",),
                  TriangleEngine.preprocess, _triangle_oracle),
-    "selfjoin": ("triangle-selfjoin", SelfJoinEngine, ("wedge",),
+    "selfjoin": ("triangle-selfjoin", SelfJoinEngine, ("wedges",),
                  lambda db, eps: SelfJoinEngine.preprocess(db["R"], eps),
                  lambda db: brute_force_selfjoin(db["R"])),
     "refined": ("triangle", RefinedTriangleEngine, ("wedges",),
