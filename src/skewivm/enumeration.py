@@ -7,27 +7,29 @@ eight part combinations split into:
   * all-heavy and all-light, kept in one listing-form dict keyed (a,b,c);
   * three factorized families, one per rotation. Family i covers the
     combinations "relation i heavy, relation i+1 light, relation i+2
-    either": a ternary wedge ``tri[i]`` holds the join of the heavy part
-    of relation i with the light part of relation i+1 (keyed in rotated
-    order (x, y, z) with y the middle variable), and ``pair_index[i]``
-    groups its middle values by the outer pair (x, z).
+    either". Its wedge ``tri[i]`` is the join of the heavy part of
+    relation i with the light part of relation i+1, in rotated order
+    (x, y, z) with y the middle variable, grouped by the outer pair:
+    ``tri[i][x, z]`` maps each middle value y to its multiplicity.
 
 Enumeration concatenates the listing with, per family and per third-part
-side, the live (x, z) pairs joined back against the middle values of
-``tri[i]``. Ownership is unique because the part domains are disjoint, so
-no deduplication structure is needed.
+side, the live (x, z) pairs joined back against their middle values.
+Ownership is unique because the part domains are disjoint, so no
+deduplication structure is needed.
 
 Signed multiplicities make a summed aggregate per pair unreliable as a
 liveness signal: opposite-sign middle values can cancel its sum while the
 factorized result is nonempty. Liveness therefore tracks support, not
-sums: the middle values per (x, z) pair, plus per-side sets of pairs
-whose third-part factor is present.
+sums: a pair is born with its first middle value, when its third factor
+is probed once per side, and dies with its last; per-side sets hold the
+live pairs whose third-part factor is present.
 
+The update step adds into the family maps inside its two walks and keeps
+``tri_size``, the number of family entries, for an O(1) ``space_used``.
 Routing and rebalancing come from the shared kernel, which moves each
-tuple that changes part through ``apply_update``, so the structures above
-follow every move. The engine keeps no count, so it supplies no
-``delta``. ``recompute_views`` builds the structures from the parts, for
-the kernel's loader.
+tuple that changes part through ``apply_update``. The engine keeps no
+count, so it supplies no ``delta``. ``recompute_views`` builds the
+structures from the parts, for the kernel's loader.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class EnumTriangleEngine(MaintenanceKernel):
         super().__init__(REL_NAMES, (2, 2, 2), eps, counters)
         self.parts = [Partition(2) for _ in range(3)]
         self.listing: dict[tuple, int] = {}
-        self.tri: list[dict] = [{}, {}, {}]          # (x, y, z) -> mult
-        self.pair_index: list[dict] = [{}, {}, {}]   # (x, z) -> set of y
+        self.tri: list[dict] = [{}, {}, {}]  # (x, z) -> {y: mult}
+        self.tri_size = 0                    # family entries, (x, y, z) triples
         self.live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
 
     def answer(self) -> int:
@@ -66,51 +68,7 @@ class EnumTriangleEngine(MaintenanceKernel):
         return sum(1 for _ in self.enumerate())
 
     def space_used(self) -> int:
-        return (sum(p.total_size() for p in self.parts)
-                + len(self.listing)
-                + sum(len(d) for d in self.tri))
-
-    # -- tree maintenance ---------------------------------------------------
-
-    def _tri_bump(self, i: int, x, y, z, d: int, third_h, third_l) -> None:
-        """Delta one ternary wedge entry, cascading into pair structures.
-
-        ``third_h`` and ``third_l`` are the posting maps at ``z`` of the
-        heavy and light parts of relation i+2 (``None`` when absent); a
-        new pair is live on each side that holds its third factor.
-        """
-        tri = self.tri[i]
-        key = (x, y, z)
-        old = tri.get(key, 0)
-        new = old + d
-        pk = (x, z)
-        if new:
-            tri[key] = new
-            if old == 0:
-                ys = self.pair_index[i].get(pk)
-                if ys is None:
-                    self.pair_index[i][pk] = {y}
-                    self._pair_born(i, pk, third_h, third_l)
-                else:
-                    ys.add(y)
-        else:
-            del tri[key]
-            ys = self.pair_index[i][pk]
-            ys.discard(y)
-            if not ys:
-                del self.pair_index[i][pk]
-                self._pair_died(i, pk)
-
-    def _pair_born(self, i: int, pk, third_h, third_l) -> None:
-        rk = (pk[1], pk[0])
-        if third_h and rk in third_h:
-            self.live[i][HEAVY].add(pk)
-        if third_l and rk in third_l:
-            self.live[i][LIGHT].add(pk)
-
-    def _pair_died(self, i: int, pk) -> None:
-        self.live[i][HEAVY].discard(pk)
-        self.live[i][LIGHT].discard(pk)
+        return sum(p.total_size() for p in self.parts) + len(self.listing) + self.tri_size
 
     # -- update procedure ---------------------------------------------------
 
@@ -139,11 +97,37 @@ class EnumTriangleEngine(MaintenanceKernel):
             posts = nxt.light.indexes[IDX0].get(y)
             if posts:
                 c.iterations += len(posts)
+                fam = self.tri[i]
+                live_h, live_l = self.live[i][HEAVY], self.live[i][LIGHT]
                 sh = snd.heavy.indexes[IDX0]
                 sl = snd.light.indexes[IDX0]
+                grown = 0
                 for u, mu in posts.items():
                     z = u[1]
-                    self._tri_bump(i, x, y, z, m * mu, sh.get(z), sl.get(z))
+                    pk = (x, z)
+                    ys = fam.get(pk)
+                    if ys is None:
+                        fam[pk] = {y: m * mu}
+                        grown += 1
+                        rk = (z, x)
+                        if rk in sh.get(z, ()):
+                            live_h.add(pk)
+                        if rk in sl.get(z, ()):
+                            live_l.add(pk)
+                        continue
+                    old = ys.get(y, 0)
+                    if old + m * mu:
+                        ys[y] = old + m * mu
+                        if not old:
+                            grown += 1
+                    else:
+                        del ys[y]
+                        grown -= 1
+                        if not ys:
+                            del fam[pk]
+                            live_h.discard(pk)
+                            live_l.discard(pk)
+                self.tri_size += grown
         else:
             # all-light listing entries
             posts = nxt.light.indexes[IDX0].get(y)
@@ -157,31 +141,58 @@ class EnumTriangleEngine(MaintenanceKernel):
                         mt = z_row.get((z, x))
                         if mt:
                             bump(self.listing, _rotate_back(i, x, y, z), m * mu * mt)
-            # family i+2: its heavy anchor joins this relation's light part
+            # family i+2: its heavy anchor (w, x) joins this relation's light part
             posts = snd.heavy.indexes[IDX1].get(x)
             if posts:
                 c.iterations += len(posts)
-                nh = nxt.heavy.indexes[IDX0].get(y)
-                nl = nxt.light.indexes[IDX0].get(y)
+                fam = self.tri[i2]
+                live_h, live_l = self.live[i2][HEAVY], self.live[i2][LIGHT]
+                nh = nxt.heavy.indexes[IDX0].get(y, ())
+                nl = nxt.light.indexes[IDX0].get(y, ())
+                grown = 0
                 for u, mu in posts.items():
-                    self._tri_bump(i2, u[0], x, y, m * mu, nh, nl)
+                    w = u[0]
+                    pk = (w, y)
+                    ys = fam.get(pk)
+                    if ys is None:
+                        fam[pk] = {x: m * mu}
+                        grown += 1
+                        rk = (y, w)
+                        if rk in nh:
+                            live_h.add(pk)
+                        if rk in nl:
+                            live_l.add(pk)
+                        continue
+                    old = ys.get(x, 0)
+                    if old + m * mu:
+                        ys[x] = old + m * mu
+                        if not old:
+                            grown += 1
+                    else:
+                        del ys[x]
+                        grown -= 1
+                        if not ys:
+                            del fam[pk]
+                            live_h.discard(pk)
+                            live_l.discard(pk)
+                self.tri_size += grown
 
         new = self.parts[i].side(side).upsert(t, m)
         # liveness of family i+1 pairs keyed (y, x) follows this entry:
         # this relation is their third factor
         rk = (y, x)
         if new == m:
-            if rk in self.pair_index[i1]:
+            if rk in self.tri[i1]:
                 self.live[i1][side].add(rk)
         elif new == 0:
             self.live[i1][side].discard(rk)
         return new
 
     def rebuild_views(self) -> None:
-        self.listing, self.tri, self.pair_index, self.live = self.recompute_views()
+        self.listing, self.tri, self.live, self.tri_size = self.recompute_views()
 
     def recompute_views(self):
-        """All view structures recomputed from the relation parts."""
+        """All view structures and the family entry count, recomputed from the parts."""
         c = self.counters
         listing: dict = {}
         for lab in (HEAVY, LIGHT):
@@ -197,31 +208,31 @@ class EnumTriangleEngine(MaintenanceKernel):
                         if mt:
                             bump(listing, (t[0], t[1], u[1]), mr * ms * mt)
         tri: list[dict] = [{}, {}, {}]
-        pair_index: list[dict] = [{}, {}, {}]
         live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
+        size = 0
         for i in range(3):
             i1 = i - 2 if i >= 2 else i + 1
             i2 = i - 1 if i >= 1 else i + 2
             # each (x, y, z) pairs one heavy tuple with one light tuple
+            fam = tri[i]
             h_idx = self.parts[i].heavy.indexes[IDX1]
             l_idx = self.parts[i1].light.indexes[IDX0]
             for y in h_idx.keys() & l_idx.keys():
                 h_posts = h_idx[y]
                 l_posts = l_idx[y]
                 c.iterations += len(h_posts) * len(l_posts)
+                size += len(h_posts) * len(l_posts)
                 for t, mh in h_posts.items():
                     x = t[0]
                     for u, ml in l_posts.items():
-                        z = u[1]
-                        tri[i][(x, y, z)] = mh * ml
-                        pair_index[i].setdefault((x, z), set()).add(y)
+                        fam.setdefault((x, u[1]), {})[y] = mh * ml
             third = self.parts[i2]
-            for pk in pair_index[i]:
+            for pk in fam:
                 x, z = pk
                 for lab in (HEAVY, LIGHT):
                     if third.side(lab).get((z, x)):
                         live[i][lab].add(pk)
-        return listing, tri, pair_index, live
+        return listing, tri, live, size
 
     # -- enumeration ----------------------------------------------------------
 
@@ -231,15 +242,14 @@ class EnumTriangleEngine(MaintenanceKernel):
             yield key, m
         for i in range(3):
             i2 = i - 1 if i >= 1 else i + 2
-            tri = self.tri[i]
-            pairs = self.pair_index[i]
+            fam = self.tri[i]
             for lab in (HEAVY, LIGHT):
                 factor = self.parts[i2].side(lab).indexes[IDX0]
                 for pk in self.live[i][lab]:
                     x, z = pk
                     f = factor[z][(z, x)]
-                    for y in pairs[pk]:
-                        yield _rotate_back(i, x, y, z), tri[(x, y, z)] * f
+                    for y, my in fam[pk].items():
+                        yield _rotate_back(i, x, y, z), my * f
 
     def enumerate_with_delays(self):
         """Like ``enumerate`` but reports primitive steps between yields.
@@ -254,8 +264,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             steps = 0
         for i in range(3):
             i2 = i - 1 if i >= 1 else i + 2
-            tri = self.tri[i]
-            pairs = self.pair_index[i]
+            fam = self.tri[i]
             for lab in (HEAVY, LIGHT):
                 factor = self.parts[i2].side(lab).indexes[IDX0]
                 steps += 1
@@ -263,9 +272,9 @@ class EnumTriangleEngine(MaintenanceKernel):
                     x, z = pk
                     steps += 2
                     f = factor[z][(z, x)]
-                    for y in pairs[pk]:
+                    for y, my in fam[pk].items():
                         steps += 2
-                        yield _rotate_back(i, x, y, z), tri[(x, y, z)] * f, steps
+                        yield _rotate_back(i, x, y, z), my * f, steps
                         steps = 0
 
     def result_multiset(self) -> dict[tuple, int]:

@@ -14,9 +14,8 @@ a log-log slope, the desk-scale stand-in for an asymptotic exponent.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
-
-import numpy as np
 
 
 class OpCounters:
@@ -52,7 +51,8 @@ def fit_scaling(sizes: Sequence[int], totals: Sequence[float]) -> float:
         raise ValueError("need at least three sizes to fit an exponent")
     if len(sizes) != len(totals):
         raise ValueError("sizes and totals must align")
-    xs = np.log([float(s) for s in sizes])
-    ys = np.log([max(1.0, float(t)) for t in totals])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [math.log(s) for s in sizes]
+    ys = [math.log(max(1.0, t)) for t in totals]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))

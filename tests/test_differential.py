@@ -10,7 +10,10 @@ variables of a quad partition. After every update the loose bounds and
 the size invariant must hold (``check_invariants() == []``), the size
 the kernel keeps must equal the number of stored tuples of the oracle
 database, and the answer must equal the oracle's: the first-order tracker
-of the query family, or for enumeration the brute-force result.
+of the query family, or for enumeration the brute-force result. At
+exponent 1/2 the enumeration engine's maintained views must also equal a
+fresh build from its parts, with no empty middle-value map and an entry
+count equal to a recount.
 
 A rebalance only queues its keys, and each later update makes at most
 ``B`` of the queued tuple moves, so a key in transit may have tuples in
@@ -41,7 +44,7 @@ from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, IDX0, IDX1, QuadPartition
 from skewivm.triangle import EpsConfig
 
-from helpers import swing_stream
+from helpers import fresh_views, swing_stream, views
 from test_major_rebalance import ENGINES, EPS_GRID
 
 # (seed, length, width of the other values, updates preprocessed first)
@@ -73,6 +76,18 @@ def _database(updates, arities):
         else:
             del rows[t]
     return db
+
+
+def _enum_views_exact(eng, names, where):
+    """The enumeration engine's views equal a fresh build and hold no dead pair.
+
+    ``names`` includes the entry count, so the fresh build does not
+    overwrite the maintained count before it is compared.
+    """
+    assert views(eng, names) == fresh_views(eng, names), where
+    middles = [ys for fam in eng.tri for ys in fam.values()]
+    assert all(middles), where
+    assert eng.tri_size == sum(map(len, middles)), where
 
 
 def _transit(part):
@@ -150,7 +165,7 @@ MIXED_EPS = {"0,0,1": EpsConfig(0.0, 0.0, 1.0), "1,0,0.5": EpsConfig(1.0, 0.0, 0
     [(name, eps) for name in sorted(ENGINES) for eps in EPS_GRID]
     + [pytest.param("triangle", cfg, id=f"triangle-{label}") for label, cfg in MIXED_EPS.items()])
 def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
-    family, make, _, load, _ = ENGINES[name]
+    family, make, view_names, load, _ = ENGINES[name]
     arities = family_arities(family)
     names = list(arities)
     minors: set = set()
@@ -196,6 +211,8 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
             if name == "enum":
                 assert eng.result_multiset() == brute_force_enumerate(
                     db["R"], db["S"], db["T"]), where
+                if eps == 0.5:
+                    _enum_views_exact(eng, view_names, where)
             else:
                 cli._tracker_update(tracker, upd)
                 assert eng.answer() == tracker.count, where

@@ -55,7 +55,7 @@ ENGINES = {
                  lambda db: brute_force_selfjoin(db["R"])),
     "refined": ("triangle", RefinedTriangleEngine, ("wedges",),
                 RefinedTriangleEngine.preprocess, _triangle_oracle),
-    "enum": ("triangle", EnumTriangleEngine, ("listing", "tri", "pair_index", "live"),
+    "enum": ("triangle", EnumTriangleEngine, ("listing", "tri", "live", "tri_size"),
              preprocess_enum, lambda db: brute_force_enumerate(db["R"], db["S"], db["T"])),
     "path4": ("path4", Path4Engine, Path4Engine.VIEW_NAMES,
               Path4Engine.preprocess, _path4_oracle),

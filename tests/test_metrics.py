@@ -1,6 +1,10 @@
-"""Counter plumbing and scaling-fit calibration."""
+"""Counter plumbing, scaling-fit calibration, and a library free of numpy."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,33 @@ def test_fit_scaling_sqrt_per_step_cost():
     sizes = [1000, 4000, 16000]
     totals = [synthetic_totals(n, lambda i: math.isqrt(i) + 1) for n in sizes]
     assert abs(fit_scaling(sizes, totals) - 1.5) < 0.05
+
+
+@pytest.mark.parametrize("exponent", (0.5, 1.0, 1.5, 2.0))
+def test_fit_scaling_recovers_an_exact_power_law(exponent):
+    sizes = [1, 2, 4, 8]
+    totals = [3 * s ** exponent for s in sizes]
+    assert abs(fit_scaling(sizes, totals) - exponent) < 1e-12
+
+
+def test_fit_scaling_matches_a_numpy_least_squares_fit():
+    np = pytest.importorskip("numpy")
+    sizes = [1000, 4000, 16000, 64000]
+    totals = [0.5, 2 * 4000 ** 1.2, 7e6, 3.3e8]  # the first clamps to one
+    want = np.polyfit(np.log(sizes), np.log(np.maximum(totals, 1.0)), 1)[0]
+    assert abs(fit_scaling(sizes, totals) - want) < 1e-9
+
+
+def test_library_and_cli_import_without_numpy():
+    # numpy stays a benchmark dependency; the library must not import it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"),
+                                                      env.get("PYTHONPATH"))))
+    code = "import sys; sys.modules['numpy'] = None; import skewivm, skewivm.cli"
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_fit_scaling_needs_three_sizes():
