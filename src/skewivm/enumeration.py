@@ -177,7 +177,7 @@ class EnumTriangleEngine(MaintenanceKernel):
                             live_l.discard(pk)
                 self.tri_size += grown
 
-        new = self.parts[i].side(side).upsert(t, m)
+        new = self.parts[i].parts[side].upsert(t, m)
         # liveness of family i+1 pairs keyed (y, x) follows this entry:
         # this relation is their third factor
         rk = (y, x)
@@ -196,9 +196,9 @@ class EnumTriangleEngine(MaintenanceKernel):
         c = self.counters
         listing: dict = {}
         for lab in (HEAVY, LIGHT):
-            r0 = self.parts[0].side(lab)
-            s_idx = self.parts[1].side(lab).indexes[IDX0]
-            t2 = self.parts[2].side(lab)
+            r0 = self.parts[0].parts[lab]
+            s_idx = self.parts[1].parts[lab].indexes[IDX0]
+            t2 = self.parts[2].parts[lab]
             for t, mr in r0.items():
                 posts = s_idx.get(t[1])
                 if posts:
@@ -230,7 +230,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             for pk in fam:
                 x, z = pk
                 for lab in (HEAVY, LIGHT):
-                    if third.side(lab).get((z, x)):
+                    if third.parts[lab].get((z, x)):
                         live[i][lab].add(pk)
         return listing, tri, live, size
 
@@ -244,7 +244,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             i2 = i - 1 if i >= 1 else i + 2
             fam = self.tri[i]
             for lab in (HEAVY, LIGHT):
-                factor = self.parts[i2].side(lab).indexes[IDX0]
+                factor = self.parts[i2].parts[lab].indexes[IDX0]
                 for pk in self.live[i][lab]:
                     x, z = pk
                     f = factor[z][(z, x)]
@@ -266,7 +266,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             i2 = i - 1 if i >= 1 else i + 2
             fam = self.tri[i]
             for lab in (HEAVY, LIGHT):
-                factor = self.parts[i2].side(lab).indexes[IDX0]
+                factor = self.parts[i2].parts[lab].indexes[IDX0]
                 steps += 1
                 for pk in self.live[i][lab]:
                     x, z = pk

@@ -48,14 +48,15 @@ every query, so it lives here once:
     views and its answer once;
   * the invariant report.
 
-The kernel routes each update itself (``Partition.route`` or
-``QuadPartition.route`` of the relation's partition, every tuple pinned
-heavy at ``eps == 0``), adds the answer's change before the update is
-applied, and keeps ``db_size`` from what the update step returns. An
-engine supplies its partitions in ``parts``; ``delta`` (the answer's
-change for one update, read before it is applied; ``None`` for an engine
-without a count); ``apply_update`` (one routed update to the parts and
-views, returning the tuple's stored multiplicity afterwards);
+The kernel routes each update itself (the ``route`` of the relation's
+split, a ``Partition`` on one variable or a ``QuadPartition`` on two,
+with one ``minor_check``, ``restrict`` and ``move_key`` for both; every
+tuple pinned heavy at ``eps == 0``), adds the answer's change before the
+update is applied, and keeps ``db_size`` from what the update step
+returns. An engine supplies its partitions in ``parts``; ``delta`` (the
+answer's change for one update, read before it is applied; ``None`` for
+an engine without a count); ``apply_update`` (one routed update to the
+parts and views, returning the tuple's stored multiplicity afterwards);
 ``space_used``; and for ``preprocess`` ``rebuild_views`` and, when it
 keeps a relation whole, ``load_whole``. The loaded answer is the sum of
 relation 0's deltas over its rows (``loaded_count``), which an engine

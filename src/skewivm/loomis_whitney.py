@@ -85,7 +85,7 @@ class LWEngine(MaintenanceKernel):
         """
         pc = (free_var - src) % self.n
         spec = tuple(q for q in range(self.arity) if q != pc)
-        rel = self.parts[src].side(side)
+        rel = self.parts[src].parts[side]
         if len(spec) == 1:
             key = vals[(src + spec[0]) % self.n]
         else:
@@ -124,7 +124,7 @@ class LWEngine(MaintenanceKernel):
             for u, prod in posts.items():
                 vals[free] = u[pc]
                 for j in rest:
-                    mj = self.parts[j].side(labs[j]).get(self._tuple_of(j, vals))
+                    mj = self.parts[j].parts[labs[j]].get(self._tuple_of(j, vals))
                     if not mj:
                         prod = 0
                         break
@@ -189,7 +189,7 @@ class LWEngine(MaintenanceKernel):
     def apply_update(self, v: int, side: str, t: tuple, m: int) -> int:
         """Apply a routed delta; returns the stored multiplicity."""
         self._maintain_views(v, side, t, m)
-        return self.parts[v].side(side).upsert(t, m)
+        return self.parts[v].parts[side].upsert(t, m)
 
     def rebuild_views(self) -> None:
         self.views = [self._build_view(i) for i in range(self.n)]
@@ -215,7 +215,7 @@ class LWEngine(MaintenanceKernel):
             outer, outer_side = light_member, LIGHT
             inner, inner_side = (light_member - 1) % n, HEAVY
             inner_free = (light_member - 1) % n
-        outer_rel = self.parts[outer].side(outer_side)
+        outer_rel = self.parts[outer].parts[outer_side]
         members = {j: (LIGHT if j == light_member else HEAVY)
                    for j in range(n) if j != i}
         rest = [j for j in members if j not in (outer, inner)]
@@ -229,7 +229,7 @@ class LWEngine(MaintenanceKernel):
                 vals[inner_free] = u[pc]
                 prod = mo * mi
                 for j in rest:
-                    mj = self.parts[j].side(members[j]).get(self._tuple_of(j, vals))
+                    mj = self.parts[j].parts[members[j]].get(self._tuple_of(j, vals))
                     if not mj:
                         prod = 0
                         break

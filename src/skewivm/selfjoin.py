@@ -71,23 +71,3 @@ class SelfJoinEngine(TriangleEngine):
         definition, loops included, so no correction term enters.
         """
         return sum(TriangleEngine.delta(self, 0, t, m) for t, m in rows.items())
-
-
-class ThreeCopiesEngine:
-    """Self-join count via three synchronized copies in the base engine.
-
-    Every edge update is replayed into all three relations of a
-    ``TriangleEngine``; after the third replay the copies agree and the
-    count equals the self-join count. A cross-check for the test suite,
-    which imports it from here; it is not exported at the package root.
-    """
-
-    def __init__(self, cfg=0.5):
-        self.inner = TriangleEngine(cfg)
-
-    def on_update(self, rel, t, m):
-        for name in ("R", "S", "T"):
-            self.inner.on_update(name, t, m)
-
-    def answer(self) -> int:
-        return self.inner.answer()

@@ -7,6 +7,7 @@ import sys
 
 from skewivm.cli import Update
 from skewivm.relation import Relation
+from skewivm.triangle import TriangleEngine
 
 
 def mixed_stream(seed: int, length: int, domain: int, rels=("R", "S", "T"),
@@ -177,6 +178,25 @@ def apply_routed(eng, i: int, label, t: tuple, m: int) -> int:
     """
     eng.q += eng.delta(i, t, m)
     return eng.apply_update(i, label, t, m)
+
+
+class ThreeCopiesEngine:
+    """Self-join count via three synchronized copies in the base engine.
+
+    Every edge update is replayed into all three relations of a
+    ``TriangleEngine``; after the third replay the copies agree and the
+    count equals the self-join count. A cross-check for ``SelfJoinEngine``.
+    """
+
+    def __init__(self, cfg=0.5):
+        self.inner = TriangleEngine(cfg)
+
+    def on_update(self, rel, t, m):
+        for name in ("R", "S", "T"):
+            self.inner.on_update(name, t, m)
+
+    def answer(self) -> int:
+        return self.inner.answer()
 
 
 def synthetic_totals(n: int, per_step) -> int:

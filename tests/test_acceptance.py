@@ -30,7 +30,8 @@ from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import EpsConfig, TriangleEngine, static_count
 
-from helpers import fresh_views, lw_stream, mixed_stream, path4_stream, varied_length
+from helpers import (ThreeCopiesEngine, fresh_views, lw_stream, mixed_stream, path4_stream,
+                     varied_length)
 
 EPS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -153,7 +154,7 @@ def test_c03_recovery_modes():
                     bad.append(("uniform", eps, sid))
                     break
                 empty_side = "l" if eps == 0.0 else "h"
-                if any(p.side(empty_side).size() for p in eng.parts):
+                if any(p.parts[empty_side].size() for p in eng.parts):
                     bad.append(("parts", eps, sid))
                     break
         for triple in ((0.0, 0.0, 1.0), (1.0, 0.0, 1.0)):
@@ -188,7 +189,6 @@ def test_c05_selfjoin():
         trk = SelfJoinTracker()
         copies = None
         if sid % 8 == 0:
-            from skewivm.selfjoin import ThreeCopiesEngine
             copies = ThreeCopiesEngine(0.5)
         for _ in range(length):
             a = gen.randrange(12)

@@ -41,7 +41,7 @@ from skewivm import cli
 from skewivm.cli import Update, family_arities
 from skewivm.kernel import B
 from skewivm.oracle import brute_force_enumerate
-from skewivm.relation import HEAVY, IDX0, IDX1, QuadPartition
+from skewivm.relation import HEAVY, QuadPartition
 from skewivm.triangle import EpsConfig
 
 from helpers import fresh_views, swing_stream, views
@@ -58,9 +58,7 @@ def _record_minors(eng, seen):
     inner = eng.minor_rebalance
 
     def minor(i, key):
-        part = eng.parts[i]
-        var = key[0] if isinstance(part, QuadPartition) else 0
-        seen.add((var, part.moving[key] == HEAVY))
+        seen.add((key[0], eng.parts[i].moving[key] == HEAVY))
         return inner(i, key)
 
     eng.minor_rebalance = minor
@@ -90,18 +88,10 @@ def _enum_views_exact(eng, names, where):
     assert eng.tri_size == sum(map(len, middles)), where
 
 
-def _transit(part):
-    """(variable, key) of every key in transit in ``part``."""
-    if isinstance(part, QuadPartition):
-        return list(part.moving)
-    return [(0, key) for key in part.moving]
-
-
 def _stored(part, var, key):
     """The stored ``(tuple, multiplicity)`` pairs of ``part`` carrying ``key`` on ``var``."""
-    spec = (IDX0, IDX1)[var]
-    rels = part.parts.values() if isinstance(part, QuadPartition) else (part.heavy, part.light)
-    return [item for rel in rels for item in rel.indexes[spec].get(key, {}).items()]
+    return [item for rel in part.parts.values()
+            for item in rel.indexes[(var,)].get(key, {}).items()]
 
 
 def _change(rng, t, m, kind):
@@ -130,16 +120,15 @@ def _aimed(eng, names, arities, rng, fresh, seen):
         if part is None or not part.moving:
             continue
         rel = names[i]
-        keys = _transit(part)
-        if isinstance(part, QuadPartition):
-            firsts = [k for v, k in keys if v == 0]
-            seconds = [k for v, k in keys if v == 1]
-            if firsts and seconds:
-                t = (rng.choice(firsts), rng.choice(seconds))
-                m = eng.lookup(rel, t)
-                kind = "create" if not m else KINDS[1 + rng.randrange(3)]
-                seen.add(("both", kind))
-                return Update(rel, t, 1 if not m else _change(rng, t, m, kind))
+        keys = list(part.moving)
+        firsts = [k for v, k in keys if v == 0]
+        seconds = [k for v, k in keys if v == 1]
+        if firsts and seconds:
+            t = (rng.choice(firsts), rng.choice(seconds))
+            m = eng.lookup(rel, t)
+            kind = "create" if not m else KINDS[1 + rng.randrange(3)]
+            seen.add(("both", kind))
+            return Update(rel, t, 1 if not m else _change(rng, t, m, kind))
         var, key = rng.choice(keys)
         kind = rng.choice(KINDS)
         stored = _stored(part, var, key)
@@ -318,14 +307,14 @@ def test_keys_in_transit_take_every_kind_of_update(name):
         assert part.moving
     else:
         b = count(1)
-        while 8 not in part.moving:
+        while (0, 8) not in part.moving:
             for key in (7, 8):
                 run(rel, (key,) + (next(b),) * (arity - 1), 1)
-        assert list(part.moving) == [7, 8]
+        assert list(part.moving) == [(0, 7), (0, 8)]
         stored = next(t for t in run.db[rel] if t[0] == 8)
-        _kinds(run, rel, stored, {8})
+        _kinds(run, rel, stored, {(0, 8)})
         run(rel, (8,) + (next(b),) * (arity - 1), -1)
-        assert 8 in part.moving and part.light.get(stored) == 0 and part.heavy.get(stored)
+        assert (0, 8) in part.moving and part.light.get(stored) == 0 and part.heavy.get(stored)
     flushes = eng.flushes
     while eng.flushes == flushes:
         assert eng.pending_moves() and eng.N == 64

@@ -6,7 +6,7 @@ import statistics
 from skewivm.enumeration import EnumTriangleEngine
 from skewivm.oracle import TriangleTracker, brute_force_enumerate
 
-from helpers import mixed_stream
+from helpers import degree, mixed_stream
 
 
 def tracker_db(trk: TriangleTracker):
@@ -54,7 +54,7 @@ class TestCancellationLiveness:
         assert eng.N == 64  # threshold 8, light cap 12
         for b in range(10, 30):
             eng.on_update("R", (1, b), 1)  # 20 partners push A=1 heavy
-        assert eng.parts[0].degree("h", 1) == 20
+        assert degree(eng.parts[0].heavy, 0, 1) == 20
         eng.on_update("R", (1, 10), 1)   # multiplicity 2
         eng.on_update("R", (1, 11), -3)  # multiplicity -2
         eng.on_update("S", (10, 77), 1)

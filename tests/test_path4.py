@@ -6,7 +6,7 @@ import random
 from skewivm.oracle import Path4Tracker, brute_force_path4
 from skewivm.path4 import Path4Engine
 
-from helpers import apply_routed, path4_stream
+from helpers import apply_routed, degree, path4_stream
 
 
 def view_fingerprint(eng: Path4Engine):
@@ -56,7 +56,7 @@ class TestIndicators:
         for a in range(12):
             eng.on_update("S", (100 + a, 2), 1)
         eng.finish_moves()
-        assert eng.s.pair_degree(1, 2, "lh", "hh") == 12
+        assert degree(eng.s.parts["lh"], 1, 2) + degree(eng.s.parts["hh"], 1, 2) == 12
         return eng
 
     def test_presence_not_count(self):
@@ -136,8 +136,8 @@ class TestRebalancing:
         assert eng.counters.rebalance_minor == 2
         assert eng.s.moving == {(0, 1): "h", (1, 2): "h"}
         eng.finish_moves()
-        assert eng.s.pair_degree(0, 1, "hl", "hh") == 6
-        assert eng.s.pair_degree(1, 2, "lh", "hh") == 6
+        assert degree(eng.s.parts["hl"], 0, 1) + degree(eng.s.parts["hh"], 0, 1) == 6
+        assert degree(eng.s.parts["lh"], 1, 2) + degree(eng.s.parts["hh"], 1, 2) == 6
         assert not eng.check_invariants()
 
     def test_counts_and_views_survive_rebalances(self):

@@ -6,7 +6,7 @@ from skewivm.oracle import TriangleTracker
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.triangle import EpsConfig, TriangleEngine
 
-from helpers import fresh_views, mixed_stream
+from helpers import degree, fresh_views, mixed_stream
 
 
 class TestDeltasAndViews:
@@ -78,8 +78,8 @@ class TestRoutingAndRebalancing:
         quad = eng.parts[0]
         assert quad.moving == {(0, 1): "h", (1, 2): "h"}
         eng.finish_moves()
-        assert quad.pair_degree(0, 1, "hl", "hh") == 6
-        assert quad.pair_degree(1, 2, "lh", "hh") == 6
+        assert degree(quad.parts["hl"], 0, 1) + degree(quad.parts["hh"], 0, 1) == 6
+        assert degree(quad.parts["lh"], 1, 2) + degree(quad.parts["hh"], 1, 2) == 6
         assert not eng.check_invariants()
 
     def test_count_invariant_across_rebalances(self):

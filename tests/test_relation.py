@@ -139,47 +139,47 @@ class TestMoveKey:
             p.light.upsert((7, b), m)
 
         def move(src, dst, t, m):
-            p.side(src).upsert(t, -m)
-            p.side(dst).upsert(t, m)
+            p.parts[src].upsert(t, -m)
+            p.parts[dst].upsert(t, m)
         return p, move
 
     def test_moves_all_and_reports_count(self):
         p, move = self._make()
-        p.moving[7] = HEAVY
-        assert p.move_key(7, 10, move) == 3
+        p.moving[0, 7] = HEAVY
+        assert p.move_key((0, 7), 10, move) == 3
         assert p.light.size() == 0
         assert p.heavy.size() == 3
         assert not p.moving
 
     def test_budget_bounds_each_call(self):
         p, move = self._make()
-        p.moving[7] = HEAVY
-        assert p.move_key(7, 2, move) == 2
-        assert p.moving == {7: HEAVY}
+        p.moving[0, 7] = HEAVY
+        assert p.move_key((0, 7), 2, move) == 2
+        assert p.moving == {(0, 7): HEAVY}
         assert p.route((7, 1)) == HEAVY and p.route((7, 3)) == LIGHT
         assert p.route((7, 9)) == HEAVY
-        assert p.move_key(7, 2, move) == 1
+        assert p.move_key((0, 7), 2, move) == 1
         assert not p.moving
 
     def test_absent_key_is_noop(self):
         p, move = self._make()
-        p.moving[99] = HEAVY
-        assert p.move_key(99, 5, move) == 0
+        p.moving[0, 99] = HEAVY
+        assert p.move_key((0, 99), 5, move) == 0
         assert not p.moving
 
     def test_multiplicities_survive_tuple_by_tuple(self):
         p, move = self._make()
-        p.moving[7] = HEAVY
-        p.move_key(7, 10, move)
+        p.moving[0, 7] = HEAVY
+        p.move_key((0, 7), 10, move)
         assert p.heavy.get((7, 2)) == -2
 
     def test_round_trip_restores_partition(self):
         p, move = self._make()
         before = (dict(p.heavy.items()), dict(p.light.items()))
-        p.moving[7] = HEAVY
-        p.move_key(7, 10, move)
-        p.moving[7] = LIGHT
-        p.move_key(7, 10, move)
+        p.moving[0, 7] = HEAVY
+        p.move_key((0, 7), 10, move)
+        p.moving[0, 7] = LIGHT
+        p.move_key((0, 7), 10, move)
         assert (dict(p.heavy.items()), dict(p.light.items())) == before
 
 
@@ -340,10 +340,10 @@ def test_partition_restrict_hands_moves_to_the_callback():
 
     def move(src, dst, t, m):
         seen.append((src, dst, t))
-        part.side(src).upsert(t, -m)
-        part.side(dst).upsert(t, m)
+        part.parts[src].upsert(t, -m)
+        part.parts[dst].upsert(t, m)
 
-    assert part.restrict(2) == 1 and part.moving == {1: HEAVY}
+    assert part.restrict(2) == 1 and part.moving == {(0, 1): HEAVY}
     assert seen == [] and settle(part, move) == 2
     assert sorted(seen) == [(LIGHT, HEAVY, (1, 1)), (LIGHT, HEAVY, (1, 2))]
     assert part.restrict(4) == 2 and settle(part, move) == 5

@@ -3,9 +3,9 @@
 import random
 
 from skewivm.oracle import SelfJoinTracker, brute_force_selfjoin
-from skewivm.selfjoin import SelfJoinEngine, ThreeCopiesEngine
+from skewivm.selfjoin import SelfJoinEngine
 
-from helpers import fresh_views, mixed_stream
+from helpers import ThreeCopiesEngine, fresh_views, mixed_stream
 
 
 def edge_stream(seed, length, domain, loop_bias=0.2, mults=(-2, -1, 1, 2)):

@@ -8,7 +8,7 @@ from skewivm.metrics import OpCounters
 from skewivm.oracle import TriangleTracker, brute_force_triangle
 from skewivm.triangle import EpsConfig, TriangleEngine, static_count
 
-from helpers import apply_routed, fresh_views, has_key, mixed_stream
+from helpers import apply_routed, degree, fresh_views, has_key, mixed_stream
 
 
 def state_fingerprint(eng: TriangleEngine):
@@ -112,21 +112,21 @@ class TestOnUpdateRebalancing:
         theta = 8 ** 0.5
         for b in range(1, 5):
             eng.on_update("R", (1, b), 1)
-            assert eng.parts[0].degree("l", 1) == b < 1.5 * theta
+            assert degree(eng.parts[0].light, 0, 1) == b < 1.5 * theta
         assert eng.counters.rebalance_minor == 0
         eng.on_update("R", (1, 5), 1)
         assert eng.counters.rebalance_minor == 1
         # the key is queued, bound heavy; its tuples move two per update
         part = eng.parts[0]
-        assert part.moving == {1: "h"} and eng.pending_moves() == 1
-        assert part.degree("h", 1) == 0 and part.degree("l", 1) == 5
+        assert part.moving == {(0, 1): "h"} and eng.pending_moves() == 1
+        assert degree(part.heavy, 0, 1) == 0 and degree(part.light, 0, 1) == 5
         eng.on_update("S", (102, 202), -1)
-        assert part.degree("h", 1) == 2 and part.degree("l", 1) == 3
+        assert degree(part.heavy, 0, 1) == 2 and degree(part.light, 0, 1) == 3
         # a new tuple of the key goes where the key is bound
         eng.on_update("R", (1, 6), 1)
-        assert part.degree("h", 1) == 5 and part.degree("l", 1) == 1
+        assert degree(part.heavy, 0, 1) == 5 and degree(part.light, 0, 1) == 1
         eng.on_update("S", (103, 203), 5)
-        assert part.degree("h", 1) == 6 and part.degree("l", 1) == 0
+        assert degree(part.heavy, 0, 1) == 6 and degree(part.light, 0, 1) == 0
         assert not part.moving and eng.pending_moves() == 0
         assert eng.counters.moves == 5
 
@@ -137,7 +137,7 @@ class TestOnUpdateRebalancing:
         for b in range(1, 6):
             eng.on_update("R", (1, b), 1)
         eng.finish_moves()
-        assert eng.parts[0].degree("h", 1) == 5
+        assert degree(eng.parts[0].heavy, 0, 1) == 5
         for b in range(1, 6):
             eng.on_update("R", (1, b), -1)
         # the key is gone from both sides, no stranded postings
