@@ -29,6 +29,14 @@ supporting tuple dies. A flip forces a rebuild of the one masked view that
 folds the indicator in, which stays within the per-update budget because
 the masked scans are light-bounded.
 
+The one-variable views are plain dicts ``{key: m}``. Each S-T join view
+is a ``JoinView``: nested maps ``rows = {a: {c: m}}`` and/or
+``cols = {c: {a: m}}``, only those the deltas walk it by
+(``JOIN_VIEWS``), and a running entry count. An upkeep walk adds a whole
+line of postings at one fixed key through ``add_line``, and every other
+view add happens inside the walk, so no view write costs a call per
+posting.
+
 Routing and rebalancing come from the shared kernel. R and U have no
 partition, so their updates are not routed and only ever trigger the
 size-driven major rebalance; updates to S or T can each trigger up to two
@@ -41,11 +49,117 @@ relations.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
 from .relation import IDX0, IDX1, QuadPartition, Relation, bump
 
 REL_NAMES = ("R", "S", "T", "U")
+
+
+class JoinView:
+    """Finite map ``(a, c) -> nonzero int`` kept as nested maps.
+
+    ``rows[a]`` maps each ``c`` to the multiplicity of ``(a, c)`` and
+    ``cols[c]`` each ``a``; either map is ``None`` when the view is not
+    walked by its variable, and with both they are exact transposes. No
+    inner map is empty. ``n`` counts the entries.
+    """
+
+    __slots__ = ("rows", "cols", "n")
+
+    def __init__(self, specs: tuple):
+        self.rows = {} if IDX0 in specs else None
+        self.cols = {} if IDX1 in specs else None
+        self.n = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def items(self):
+        """Every ``((a, c), multiplicity)``."""
+        if self.rows is not None:
+            for a, row in self.rows.items():
+                for c, m in row.items():
+                    yield (a, c), m
+        else:
+            for c, col in self.cols.items():
+                for a, m in col.items():
+                    yield (a, c), m
+
+
+def add_line(view: JoinView, key, by_row: bool, posts: dict, m: int) -> None:
+    """Z-ring add of ``m * mult`` along one line of ``view``, per posting ``(e, mult)``.
+
+    The postings are a T posting map ``{(b, c): mult}`` adding at
+    ``(key, c)`` when ``by_row``, else an S posting map ``{(a, b): mult}``
+    adding at ``(a, key)``.
+    Each write goes into the map keyed by ``key``'s variable (the near
+    map, one inner map for the whole walk) and is mirrored into the other;
+    an entry that cancels to zero is deleted, and so is an inner map it
+    leaves empty. ``view.n`` follows.
+    """
+    if by_row:
+        near, far, pos = view.rows, view.cols, 1
+    else:
+        near, far, pos = view.cols, view.rows, 0
+    n = view.n
+    if near is None:
+        # one inner map per posting, in the far map only
+        for e, w in posts.items():
+            o = e[pos]
+            line = far.get(o)
+            if line is None:
+                far[o] = {key: m * w}
+                n += 1
+                continue
+            old = line.get(key)
+            if old is None:
+                line[key] = m * w
+                n += 1
+            elif old + m * w:
+                line[key] = old + m * w
+            else:
+                del line[key]
+                n -= 1
+                if not line:
+                    del far[o]
+        view.n = n
+        return
+    line = near.get(key)
+    if line is None:
+        line = {}
+    for e, w in posts.items():
+        o = e[pos]
+        d = m * w
+        old = line.get(o)
+        if old is None:
+            line[o] = d
+            n += 1
+            if far is not None:
+                col = far.get(o)
+                if col is None:
+                    far[o] = {key: d}
+                else:
+                    col[key] = d
+        elif old + d:
+            line[o] = old + d
+            if far is not None:
+                far[o][key] = old + d
+        else:
+            del line[o]
+            n -= 1
+            if far is not None:
+                col = far[o]
+                del col[key]
+                if not col:
+                    del far[o]
+    if line:
+        near[key] = line
+    else:
+        near.pop(key, None)
+    view.n = n
 
 
 class Path4Engine(MaintenanceKernel):
@@ -68,7 +182,7 @@ class Path4Engine(MaintenanceKernel):
         self.rs_lh: dict = {}
         self.rs_hh: dict = {}
         for name, specs in self.JOIN_VIEWS.items():
-            setattr(self, name, Relation(2, specs))
+            setattr(self, name, JoinView(specs))
         self.t_ll_u: dict = {}
         self.t_hl_u: dict = {}
         self.t_hh_u: dict = {}
@@ -143,7 +257,7 @@ class Path4Engine(MaintenanceKernel):
                 w = t_ll_u.get(b, 0) + t_hl_u.get(b, 0) + t_hh_u.get(b, 0)
                 if w:
                     acc += ms * w
-        acc += self._hop_sum(self.s_ll_t_lh, a, IDX0, u)
+        acc += self._line_sum(self.s_ll_t_lh.rows.get(a), u)
         posts = self.s.parts["lh"].indexes[IDX0].get(a)
         if posts:
             c.iterations += len(posts)
@@ -165,7 +279,7 @@ class Path4Engine(MaintenanceKernel):
                     if ms:
                         acc += ms * w
         for view in (self.s_hl_t_lh, self.s_hl_t_hh, self.s_hh_t_lh):
-            acc += self._hop_sum(view, a, IDX0, u)
+            acc += self._line_sum(view.rows.get(a), u)
         posts = self.s.parts["hh"].indexes[IDX0].get(a)
         if posts:
             c.iterations += len(posts)
@@ -191,7 +305,7 @@ class Path4Engine(MaintenanceKernel):
                 w = rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
                 if w:
                     acc += mt * w
-        acc += self._hop_sum(self.s_hl_t_ll, cval, IDX1, r)
+        acc += self._line_sum(self.s_hl_t_ll.cols.get(cval), r)
         posts = self.t.parts["hl"].indexes[IDX1].get(cval)
         if posts:
             c.iterations += len(posts)
@@ -213,7 +327,7 @@ class Path4Engine(MaintenanceKernel):
                     if mt:
                         acc += w * mt
         for view in (self.s_hl_t_lh, self.s_hh_t_lh, self.s_hl_t_hh):
-            acc += self._hop_sum(view, cval, IDX1, r)
+            acc += self._line_sum(view.cols.get(cval), r)
         posts = self.t.parts["hh"].indexes[IDX1].get(cval)
         if posts:
             c.iterations += len(posts)
@@ -241,6 +355,18 @@ class Path4Engine(MaintenanceKernel):
                 acc += m * w
         return acc
 
+    def _line_sum(self, line: dict | None, weights: dict) -> int:
+        """Sum over a join view's line ``{other: multiplicity}`` of multiplicity * weight."""
+        if not line:
+            return 0
+        self.counters.iterations += len(line)
+        acc = 0
+        for k, m in line.items():
+            w = weights.get(k)
+            if w:
+                acc += m * w
+        return acc
+
     # -- update procedures ------------------------------------------------------
 
     def update_r(self, a, m: int) -> int:
@@ -250,20 +376,35 @@ class Path4Engine(MaintenanceKernel):
             if posts:
                 c.iterations += len(posts)
                 for e, ms in posts.items():
-                    bump(view, e[1], m * ms)
+                    b = e[1]
+                    v = view.get(b, 0) + m * ms
+                    if v:
+                        view[b] = v
+                    else:
+                        del view[b]
         if self.t_ind:
             c.iterations += len(self.t_ind)
             row = self.s.parts["hl"].indexes[IDX0].get(a)
             if row:
+                view = self.r_s_hl_t_ind
                 for b in self.t_ind:
                     ms = row.get((a, b))
                     if ms:
-                        bump(self.r_s_hl_t_ind, b, m * ms)
-        posts = self.s_ll_t_lh.indexes[IDX0].get(a)
-        if posts:
-            c.iterations += len(posts)
-            for e, mv in posts.items():
-                bump(self.r_s_ll_t_lh, e[1], m * mv)
+                        v = view.get(b, 0) + m * ms
+                        if v:
+                            view[b] = v
+                        else:
+                            del view[b]
+        line = self.s_ll_t_lh.rows.get(a)
+        if line:
+            c.iterations += len(line)
+            view = self.r_s_ll_t_lh
+            for cval, mv in line.items():
+                v = view.get(cval, 0) + m * mv
+                if v:
+                    view[cval] = v
+                else:
+                    del view[cval]
 
         return bump(self.r, a, m)
 
@@ -274,20 +415,35 @@ class Path4Engine(MaintenanceKernel):
             if posts:
                 c.iterations += len(posts)
                 for e, mt in posts.items():
-                    bump(view, e[0], m * mt)
+                    b = e[0]
+                    v = view.get(b, 0) + m * mt
+                    if v:
+                        view[b] = v
+                    else:
+                        del view[b]
         if self.s_ind:
             c.iterations += len(self.s_ind)
             col = self.t.parts["lh"].indexes[IDX1].get(cval)
             if col:
+                view = self.s_ind_t_lh_u
                 for b in self.s_ind:
                     mt = col.get((b, cval))
                     if mt:
-                        bump(self.s_ind_t_lh_u, b, m * mt)
-        posts = self.s_hl_t_ll.indexes[IDX1].get(cval)
-        if posts:
-            c.iterations += len(posts)
-            for e, mv in posts.items():
-                bump(self.s_hl_t_ll_u, e[0], m * mv)
+                        v = view.get(b, 0) + m * mt
+                        if v:
+                            view[b] = v
+                        else:
+                            del view[b]
+        line = self.s_hl_t_ll.cols.get(cval)
+        if line:
+            c.iterations += len(line)
+            view = self.s_hl_t_ll_u
+            for a, mv in line.items():
+                v = view.get(a, 0) + m * mv
+                if v:
+                    view[a] = v
+                else:
+                    del view[a]
 
         return bump(self.u, cval, m)
 
@@ -296,53 +452,55 @@ class Path4Engine(MaintenanceKernel):
         c = self.counters
         ra = self.r.get(a, 0)
         new = self.s.parts[lab].upsert(t, m)
+        t_parts = self.t.parts
 
         if lab == "hh":
             if ra:
                 bump(self.rs_hh, b, ra * m)
-            self._join_scan(self.s_hh_t_lh, a, self.t.parts["lh"], b, m)
+            self._join_scan(self.s_hh_t_lh, a, True, t_parts["lh"].indexes[IDX0].get(b), m)
         elif lab == "lh":
             if ra:
                 bump(self.rs_lh, b, ra * m)
             support = len(self.s.parts["lh"].indexes[IDX1].get(b, ()))
             if new == m and support == 1:
                 self.s_ind[b] = 1
-                w = self._hop_sum(self.t.parts["lh"], b, IDX0, self.u)
+                w = self._hop_sum(t_parts["lh"], b, IDX0, self.u)
                 if w:
                     self.s_ind_t_lh_u[b] = w
             elif new == 0 and support == 0:
                 self.s_ind.pop(b, None)
                 self.s_ind_t_lh_u.pop(b, None)
         elif lab == "hl":
-            w_sum = 0
-            posts = self.t.parts["ll"].indexes[IDX0].get(b)
+            posts = t_parts["ll"].indexes[IDX0].get(b)
+            self._join_scan(self.s_hl_t_ll, a, True, posts, m)
             if posts:
-                c.iterations += len(posts)
                 u = self.u
-                up = self.s_hl_t_ll.upsert
+                w_sum = 0
                 for e, mt in posts.items():
-                    up((a, e[1]), m * mt)
                     mu = u.get(e[1])
                     if mu:
                         w_sum += mt * mu
-            if w_sum:
-                bump(self.s_hl_t_ll_u, a, m * w_sum)
-            self._join_scan(self.s_hl_t_lh, a, self.t.parts["lh"], b, m)
-            self._join_scan(self.s_hl_t_hh, a, self.t.parts["hh"], b, m)
+                if w_sum:
+                    bump(self.s_hl_t_ll_u, a, m * w_sum)
+            self._join_scan(self.s_hl_t_lh, a, True, t_parts["lh"].indexes[IDX0].get(b), m)
+            self._join_scan(self.s_hl_t_hh, a, True, t_parts["hh"].indexes[IDX0].get(b), m)
             if ra and b in self.t_ind:
                 c.lookups += 1
                 bump(self.r_s_hl_t_ind, b, ra * m)
         else:  # ll
             if ra:
                 bump(self.rs_ll, b, ra * m)
-            posts = self.t.parts["lh"].indexes[IDX0].get(b)
-            if posts:
-                c.iterations += len(posts)
-                up = self.s_ll_t_lh.upsert
+            posts = t_parts["lh"].indexes[IDX0].get(b)
+            self._join_scan(self.s_ll_t_lh, a, True, posts, m)
+            if posts and ra:
+                view = self.r_s_ll_t_lh
                 for e, mt in posts.items():
-                    up((a, e[1]), m * mt)
-                    if ra:
-                        bump(self.r_s_ll_t_lh, e[1], ra * m * mt)
+                    cval = e[1]
+                    v = view.get(cval, 0) + ra * m * mt
+                    if v:
+                        view[cval] = v
+                    else:
+                        del view[cval]
         return new
 
     def update_t(self, lab: str, t: tuple, m: int) -> int:
@@ -350,69 +508,62 @@ class Path4Engine(MaintenanceKernel):
         c = self.counters
         ug = self.u.get(cval, 0)
         new = self.t.parts[lab].upsert(t, m)
+        s_parts = self.s.parts
 
         if lab == "hh":
             if ug:
                 bump(self.t_hh_u, b, ug * m)
-            self._join_scan_left(self.s_hl_t_hh, self.s.parts["hl"], b, cval, m)
+            self._join_scan(self.s_hl_t_hh, cval, False, s_parts["hl"].indexes[IDX1].get(b), m)
         elif lab == "hl":
             if ug:
                 bump(self.t_hl_u, b, ug * m)
             support = len(self.t.parts["hl"].indexes[IDX0].get(b, ()))
             if new == m and support == 1:
                 self.t_ind[b] = 1
-                w = self._hop_sum(self.s.parts["hl"], b, IDX1, self.r)
+                w = self._hop_sum(s_parts["hl"], b, IDX1, self.r)
                 if w:
                     self.r_s_hl_t_ind[b] = w
             elif new == 0 and support == 0:
                 self.t_ind.pop(b, None)
                 self.r_s_hl_t_ind.pop(b, None)
         elif lab == "lh":
-            posts = self.s.parts["ll"].indexes[IDX1].get(b)
+            posts = s_parts["ll"].indexes[IDX1].get(b)
+            self._join_scan(self.s_ll_t_lh, cval, False, posts, m)
             if posts:
-                c.iterations += len(posts)
                 r = self.r
-                up = self.s_ll_t_lh.upsert
+                w_sum = 0
                 for e, ms in posts.items():
-                    up((e[0], cval), ms * m)
                     mr = r.get(e[0])
                     if mr:
-                        bump(self.r_s_ll_t_lh, cval, mr * ms * m)
-            self._join_scan_left(self.s_hl_t_lh, self.s.parts["hl"], b, cval, m)
-            self._join_scan_left(self.s_hh_t_lh, self.s.parts["hh"], b, cval, m)
+                        w_sum += mr * ms
+                if w_sum:
+                    bump(self.r_s_ll_t_lh, cval, w_sum * m)
+            self._join_scan(self.s_hl_t_lh, cval, False, s_parts["hl"].indexes[IDX1].get(b), m)
+            self._join_scan(self.s_hh_t_lh, cval, False, s_parts["hh"].indexes[IDX1].get(b), m)
             if ug and b in self.s_ind:
                 c.lookups += 1
                 bump(self.s_ind_t_lh_u, b, ug * m)
         else:  # ll
             if ug:
                 bump(self.t_ll_u, b, ug * m)
-            posts = self.s.parts["hl"].indexes[IDX1].get(b)
-            if posts:
-                c.iterations += len(posts)
-                up = self.s_hl_t_ll.upsert
+            posts = s_parts["hl"].indexes[IDX1].get(b)
+            self._join_scan(self.s_hl_t_ll, cval, False, posts, m)
+            if posts and ug:
+                view = self.s_hl_t_ll_u
                 for e, ms in posts.items():
-                    up((e[0], cval), ms * m)
-                    if ug:
-                        bump(self.s_hl_t_ll_u, e[0], ms * m * ug)
+                    a = e[0]
+                    v = view.get(a, 0) + ms * m * ug
+                    if v:
+                        view[a] = v
+                    else:
+                        del view[a]
         return new
 
-    def _join_scan(self, view: Relation, a, t_part: Relation, b, m: int) -> None:
-        """view(a, c) += m * t_part(b, c) over the row of b."""
-        posts = t_part.indexes[IDX0].get(b)
+    def _join_scan(self, view: JoinView, key, by_row: bool, posts: dict | None, m: int) -> None:
+        """``add_line`` over a posting map that may be missing; its postings count as iterations."""
         if posts:
             self.counters.iterations += len(posts)
-            up = view.upsert
-            for e, mt in posts.items():
-                up((a, e[1]), m * mt)
-
-    def _join_scan_left(self, view: Relation, s_part: Relation, b, cval, m: int) -> None:
-        """view(a, c) += s_part(a, b) * m over the column of b."""
-        posts = s_part.indexes[IDX1].get(b)
-        if posts:
-            self.counters.iterations += len(posts)
-            up = view.upsert
-            for e, ms in posts.items():
-                up((e[0], cval), ms * m)
+            add_line(view, key, by_row, posts, m)
 
     def apply_update(self, i: int, lab, t: tuple, m: int) -> int:
         """Dispatch a routed delta to the update procedure of its relation.
@@ -441,15 +592,15 @@ class Path4Engine(MaintenanceKernel):
                       "t_ind", "s_ind", "r_s_hl_t_ind", "r_s_ll_t_lh",
                       "s_ind_t_lh_u", "s_hl_t_ll_u")}
         for lab in ("ll", "lh", "hh"):
-            self._fold(s_parts[lab], IDX0, self.r, out["rs_" + lab])
+            self._fold(s_parts[lab].indexes[IDX0], self.r, out["rs_" + lab], 1)
         for lab in ("ll", "hl", "hh"):
-            self._fold(t_parts[lab], IDX1, self.u, out[f"t_{lab}_u"])
+            self._fold(t_parts[lab].indexes[IDX1], self.u, out[f"t_{lab}_u"], 0)
         for name, s_lab, t_lab in (("s_ll_t_lh", "ll", "lh"),
                                    ("s_hl_t_ll", "hl", "ll"),
                                    ("s_hl_t_lh", "hl", "lh"),
                                    ("s_hl_t_hh", "hl", "hh"),
                                    ("s_hh_t_lh", "hh", "lh")):
-            rel = Relation(2, self.JOIN_VIEWS[name])
+            view = JoinView(self.JOIN_VIEWS[name])
             s_idx = s_parts[s_lab].indexes[IDX1]
             t_idx = t_parts[t_lab].indexes[IDX0]
             for b in s_idx.keys() & t_idx.keys():
@@ -457,34 +608,40 @@ class Path4Engine(MaintenanceKernel):
                 t_posts = t_idx[b]
                 c.iterations += len(s_posts) * len(t_posts)
                 for e, ms in s_posts.items():
-                    a = e[0]
-                    for f, mt in t_posts.items():
-                        rel.upsert((a, f[1]), ms * mt)
-            out[name] = rel
+                    add_line(view, e[0], True, t_posts, ms)
+            out[name] = view
         out["t_ind"] = {b: 1 for b in t_parts["hl"].indexes[IDX0]}
         out["s_ind"] = {b: 1 for b in s_parts["lh"].indexes[IDX1]}
         for b in out["t_ind"]:
             w = self._hop_sum(s_parts["hl"], b, IDX1, self.r)
             if w:
                 out["r_s_hl_t_ind"][b] = w
-        self._fold(out["s_ll_t_lh"], IDX0, self.r, out["r_s_ll_t_lh"])
+        self._fold(out["s_ll_t_lh"].rows, self.r, out["r_s_ll_t_lh"])
         for b in out["s_ind"]:
             w = self._hop_sum(t_parts["lh"], b, IDX0, self.u)
             if w:
                 out["s_ind_t_lh_u"][b] = w
-        self._fold(out["s_hl_t_ll"], IDX1, self.u, out["s_hl_t_ll_u"])
+        self._fold(out["s_hl_t_ll"].cols, self.u, out["s_hl_t_ll_u"])
         return out
 
-    def _fold(self, rel: Relation, idx, weights: dict, view: dict) -> None:
-        """view[other variable] += multiplicity * weights[key], per key of ``idx``."""
+    def _fold(self, lines: dict, weights: dict, view: dict, pos: int | None = None) -> None:
+        """view[other] += multiplicity * weights[key], per line ``key -> {other: multiplicity}``.
+
+        With ``pos`` the lines are an index's posting maps ``{tuple: multiplicity}``
+        and the other variable is ``tuple[pos]``.
+        """
         c = self.counters
-        pos = 1 - idx[0]
-        for key, posts in rel.indexes[idx].items():
-            c.iterations += len(posts)
+        for key, line in lines.items():
+            c.iterations += len(line)
             w = weights.get(key)
             if w:
-                for t, m in posts.items():
-                    bump(view, t[pos], m * w)
+                others = line if pos is None else map(itemgetter(pos), line)
+                for o, m in zip(others, line.values()):
+                    v = view.get(o, 0) + m * w
+                    if v:
+                        view[o] = v
+                    else:
+                        del view[o]
 
     def rebuild_views(self) -> None:
         views = self.recompute_views()

@@ -444,8 +444,16 @@ class Partition:
         for var, tall in enumerate(self.tall):
             ha, hb, la, lb = self._by_status[var]
             transit = {k: dst for (v, k), dst in self.moving.items() if v == var}
-            mixed = ((ha.keys() & la.keys()) | (ha.keys() & lb.keys())
-                     | (hb.keys() & la.keys()) | (hb.keys() & lb.keys())) - transit.keys()
+            # the second part of a status is empty on a one-variable split
+            mixed = ha.keys() & la.keys()
+            if lb:
+                mixed |= ha.keys() & lb.keys()
+            if hb:
+                mixed |= hb.keys() & la.keys()
+                if lb:
+                    mixed |= hb.keys() & lb.keys()
+            if transit:
+                mixed -= transit.keys()
             if mixed:
                 out.append(f"var {var} keys with mixed status: {sorted(mixed)[:5]}")
             unseen = []
@@ -481,15 +489,18 @@ class Partition:
         ha, hb, la, lb = self._by_status[var]
         if light is not None:
             up = [(k, d) for k in light if (d := len(la.get(k, ())) + len(lb.get(k, ()))) >= ceil]
-        else:
+        elif lb:
             up = [(k, d) for k, posts in la.items()
                   if (d := len(posts) + (len(lb[k]) if k in lb else 0)) >= ceil]
-            if lb:
-                up += [(k, len(p)) for k, p in lb.items() if k not in la and len(p) >= ceil]
-        down = [(k, d) for k, posts in ha.items()
-                if (d := len(posts) + (len(hb[k]) if k in hb else 0)) < floor]
+            up += [(k, len(p)) for k, p in lb.items() if k not in la and len(p) >= ceil]
+        else:
+            up = [(k, d) for k, posts in la.items() if (d := len(posts)) >= ceil]
         if hb:
+            down = [(k, d) for k, posts in ha.items()
+                    if (d := len(posts) + (len(hb[k]) if k in hb else 0)) < floor]
             down += [(k, len(p)) for k, p in hb.items() if k not in ha and len(p) < floor]
+        else:
+            down = [(k, d) for k, posts in ha.items() if (d := len(posts)) < floor]
         return up, down
 
 

@@ -6,6 +6,7 @@ import random
 import sys
 
 from skewivm.cli import Update
+from skewivm.path4 import JoinView
 from skewivm.relation import Relation
 from skewivm.triangle import TriangleEngine
 
@@ -258,8 +259,8 @@ def keys(rel: Relation, var: int):
 # The maintained views of an engine against a fresh build from its parts.
 
 def _plain(view):
-    # path4's join views are relations; every other view compares as it is
-    return dict(view.items()) if isinstance(view, Relation) else view
+    # path4's join views flatten to {(a, c): m}; every other view compares as it is
+    return dict(view.items()) if isinstance(view, JoinView) else view
 
 
 def views(eng, names) -> dict:
@@ -279,3 +280,23 @@ def fresh_views(eng, names) -> dict:
     for name, view in kept.items():
         setattr(eng, name, view)
     return fresh
+
+
+def path4_views_exact(eng, where=None) -> None:
+    """The path4 engine's views equal a fresh build, and its join views are well formed.
+
+    No inner map of a join view is empty, the two maps of a two-sided view
+    are exact transposes, and every entry count equals a recount.
+    """
+    assert views(eng, eng.VIEW_NAMES) == fresh_views(eng, eng.VIEW_NAMES), where
+    for name in eng.JOIN_VIEWS:
+        view = getattr(eng, name)
+        sides = [side for side in (view.rows, view.cols) if side is not None]
+        assert all(all(side.values()) for side in sides), (name, where)
+        if len(sides) == 2:
+            flipped: dict = {}
+            for a, row in view.rows.items():
+                for c, m in row.items():
+                    flipped.setdefault(c, {})[a] = m
+            assert flipped == view.cols, (name, where)
+        assert view.n == sum(map(len, sides[0].values())), (name, where)

@@ -13,7 +13,9 @@ database, and the answer must equal the oracle's: the first-order tracker
 of the query family, or for enumeration the brute-force result. At
 exponent 1/2 the enumeration engine's maintained views must also equal a
 fresh build from its parts, with no empty middle-value map and an entry
-count equal to a recount.
+count equal to a recount, and so must the path4 engine's, with no empty
+inner map in a join view, the two maps of a two-sided join view exact
+transposes of each other and each view's entry count equal to a recount.
 
 A rebalance only queues its keys, and each later update makes at most
 ``B`` of the queued tuple moves, so a key in transit may have tuples in
@@ -44,7 +46,7 @@ from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, QuadPartition
 from skewivm.triangle import EpsConfig
 
-from helpers import fresh_views, swing_stream, views
+from helpers import fresh_views, path4_views_exact, swing_stream, views
 from test_major_rebalance import ENGINES, EPS_GRID
 
 # (seed, length, width of the other values, updates preprocessed first)
@@ -205,6 +207,8 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
             else:
                 cli._tracker_update(tracker, upd)
                 assert eng.answer() == tracker.count, where
+                if name == "path4" and eps == 0.5:
+                    path4_views_exact(eng, where)
         eng.finish_moves()
         assert eng.check_invariants() == []
     # a third of the updates or more leave the size alone: the early return

@@ -4,9 +4,10 @@ import itertools
 import random
 
 from skewivm.oracle import Path4Tracker, brute_force_path4
-from skewivm.path4 import Path4Engine
+from skewivm.path4 import JoinView, Path4Engine, add_line
+from skewivm.relation import IDX0, IDX1
 
-from helpers import apply_routed, degree, path4_stream
+from helpers import apply_routed, degree, path4_stream, path4_views_exact
 
 
 def view_fingerprint(eng: Path4Engine):
@@ -162,6 +163,70 @@ class TestRebalancing:
             view = recomputed[name]
             want = dict(view.items())
             assert fp[name] == want, name
+
+
+def _lines(model: dict, var: int) -> dict:
+    """``{(a, c): m}`` grouped by variable ``var`` into ``{key: {other: m}}``."""
+    out: dict = {}
+    for t, m in model.items():
+        out.setdefault(t[var], {})[t[1 - var]] = m
+    return out
+
+
+class TestJoinViews:
+    def test_line_adds_follow_a_plain_map(self):
+        """Random line adds, with cancels to zero and re-creates, on every view shape."""
+        rng = random.Random(3)
+        for specs in ((IDX0,), (IDX1,), (IDX0, IDX1)):
+            view = JoinView(specs)
+            model: dict = {}
+            cancels = recreates = 0
+            dead: set = set()
+            for _ in range(600):
+                by_row = rng.random() < 0.5
+                key, b, m = rng.randrange(4), rng.randrange(3), rng.choice((-2, -1, 1, 2))
+                posts = {}
+                for other in rng.sample(range(6), rng.randrange(1, 5)):
+                    at = (key, other) if by_row else (other, key)
+                    old = model.get(at)
+                    # about a third of the stored entries a line meets cancel
+                    cancel = old and old % m == 0 and rng.random() < 0.35
+                    w = -old // m if cancel else rng.choice((-2, -1, 1, 2))
+                    posts[(b, other) if by_row else (other, b)] = w
+                    v = model.get(at, 0) + m * w
+                    if v:
+                        recreates += at in dead
+                        dead.discard(at)
+                        model[at] = v
+                    else:
+                        cancels += 1
+                        dead.add(at)
+                        del model[at]
+                add_line(view, key, by_row, posts, m)
+                assert dict(view.items()) == model
+                assert len(view) == view.n == len(model)
+                assert view.rows == (_lines(model, 0) if IDX0 in specs else None)
+                assert view.cols == (_lines(model, 1) if IDX1 in specs else None)
+            assert cancels > 50 and recreates > 20, (specs, cancels, recreates)
+
+    def test_two_sided_views_with_shared_columns_stay_exact(self):
+        # four heavy A values of S and four heavy C values of T meet over
+        # light B values, so each column of s_hl_t_lh holds several A values
+        rng = random.Random(7)
+        eng = Path4Engine(0.5)
+        seen = 0
+        for step in range(700):
+            rel = "RSTU"[rng.randrange(4)]
+            if rel == "S":
+                t = (rng.randrange(4), rng.randrange(40))
+            elif rel == "T":
+                t = (rng.randrange(40), rng.randrange(4))
+            else:
+                t = (rng.randrange(6),)
+            eng.on_update(rel, t, rng.choice((1, 1, 2, -1)))
+            path4_views_exact(eng, step)
+            seen = max(seen, max(map(len, eng.s_hl_t_lh.cols.values()), default=0))
+        assert seen >= 3
 
 
 class TestOracleEquivalence:
