@@ -401,6 +401,10 @@ def run(cfg: RunConfig, out=None) -> int:
 
 def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
     cfg.validate()
+    if cfg.mode == "static":
+        # a static count keeps no state between updates: there is nothing to
+        # time per update, and an engine run here would not be static
+        raise ConfigError("static mode has no bench; use run")
     if gen not in GENERATORS:
         raise ConfigError(f"unknown generator {gen!r}")
     out = out if out is not None else sys.stdout

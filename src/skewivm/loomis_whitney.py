@@ -39,7 +39,6 @@ from itertools import product
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .oracle import lw_schemas
 from .relation import HEAVY, LIGHT, Partition, bump
 
 
@@ -47,7 +46,8 @@ class LWEngine(MaintenanceKernel):
     """Cyclic count of degree n under single-tuple updates."""
 
     def __init__(self, n: int, eps: float = 0.5, counters: OpCounters | None = None):
-        self.schemas = lw_schemas(n)
+        if n < 3:
+            raise ValueError("degree must be at least 3")
         super().__init__([f"R{i+1}" for i in range(n)], [n - 1] * n, eps, counters)
         self.n = n
         self.arity = n - 1
@@ -133,57 +133,38 @@ class LWEngine(MaintenanceKernel):
         vals[free] = None
         return m * acc
 
-    def _view_key(self, i: int, vals) -> tuple:
-        return self._tuple_of(i, vals)
-
     def _maintain_views(self, v: int, side: str, t: tuple, m: int) -> None:
         n = self.n
         c = self.counters
         vals = self._fill(v, t)
         free = (v - 1) % n
         if side == HEAVY:
-            # heavy member of views[i] for every i outside {v, v+1}
-            for i in range(n):
-                if i == v or i == (v + 1) % n:
-                    continue
-                light_member = (i - 1) % n
-                posts, pc = self._scan(light_member, LIGHT, free, vals)
-                if not posts:
-                    continue
-                c.iterations += len(posts)
-                rest = [j for j in range(n) if j not in (v, i, light_member)]
-                view = self.views[i]
-                for u, mu in posts.items():
-                    vals[free] = u[pc]
-                    prod = m * mu
-                    for j in rest:
-                        mj = self.parts[j].heavy.get(self._tuple_of(j, vals))
-                        if not mj:
-                            prod = 0
-                            break
-                        prod *= mj
-                    if prod:
-                        bump(view, self._view_key(i, vals), prod)
+            # heavy member of views[i] for every i outside {v, v+1}; the
+            # light member, relation i-1, is scanned
+            sources = [(i, (i - 1) % n, LIGHT) for i in range(n)
+                       if i != v and i != (v + 1) % n]
         else:
-            # light member of exactly views[v+1]
-            i = (v + 1) % n
-            src = (v - 1) % n  # leading variable is the free one
-            posts, pc = self._scan(src, HEAVY, free, vals)
-            if posts:
-                c.iterations += len(posts)
-                rest = [j for j in range(n) if j not in (v, i, src)]
-                view = self.views[i]
-                for u, mu in posts.items():
-                    vals[free] = u[pc]
-                    prod = m * mu
-                    for j in rest:
-                        mj = self.parts[j].heavy.get(self._tuple_of(j, vals))
-                        if not mj:
-                            prod = 0
-                            break
-                        prod *= mj
-                    if prod:
-                        bump(view, self._view_key(i, vals), prod)
+            # light member of exactly views[v+1]; relation v-1's heavy part
+            # is scanned, its leading variable is the free one
+            sources = [((v + 1) % n, (v - 1) % n, HEAVY)]
+        for i, src, src_side in sources:
+            posts, pc = self._scan(src, src_side, free, vals)
+            if not posts:
+                continue
+            c.iterations += len(posts)
+            rest = [j for j in range(n) if j not in (v, i, src)]
+            view = self.views[i]
+            for u, mu in posts.items():
+                vals[free] = u[pc]
+                prod = m * mu
+                for j in rest:
+                    mj = self.parts[j].heavy.get(self._tuple_of(j, vals))
+                    if not mj:
+                        prod = 0
+                        break
+                    prod *= mj
+                if prod:
+                    bump(view, self._tuple_of(i, vals), prod)
         vals[free] = None
 
     def apply_update(self, v: int, side: str, t: tuple, m: int) -> int:
@@ -235,5 +216,5 @@ class LWEngine(MaintenanceKernel):
                         break
                     prod *= mj
                 if prod:
-                    bump(view, self._view_key(i, vals), prod)
+                    bump(view, self._tuple_of(i, vals), prod)
         return view

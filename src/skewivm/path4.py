@@ -6,22 +6,28 @@ relations R and U stay unpartitioned; the binary middle relations S and T
 are each partitioned on both variables into four parts, as in the refined
 triangle engine.
 
-A family of auxiliary views makes every one of the sixteen part
-combinations of a delta either a constant-time lookup or a scan bounded by
-a light-degree budget or by the distinct-key count of a heavy part:
+A family of auxiliary views, listed in ``VIEW_PAIRS``, makes every one of
+the sixteen part combinations of a delta either a constant-time lookup or
+a scan bounded by a light-degree budget or by the distinct-key count of a
+heavy part.
 
-  rs_xx(b)            endpoint-weighted S parts, per A-status
-  s_xx_t_yy(a, c)     S-part joined with T-part over the middle variable
-  t_xx_u(b)           T parts weighted by the far endpoint
-  t_ind(b), s_ind(b)  indicator projections: 1 when the B-heavy, C-light
-                      part of T (resp. the A-light, B-heavy part of S)
-                      carries b, regardless of multiplicities
-  r_s_hl_t_ind(b)     endpoint-weighted A-heavy/B-light S, masked by t_ind
-  r_s_ll_t_lh(c)      both-light S chained through B-light/C-heavy T, with
-                      the near endpoint folded in
-  s_ind_t_lh_u(b)     B-light/C-heavy T weighted by the far endpoint,
-                      masked by s_ind
-  s_hl_t_ll_u(a)      the s_hl/t_ll join weighted by the far endpoint
+The query reads the same from either end: read backwards, R and U swap
+and S(a,b) becomes T(b,a). A part label gives its statuses in end-first
+order, so T's ``hl`` (B heavy, C light) is ``lh`` seen from U, and ``ll``
+and ``hh`` stay. Under this mirror the views pair up, R end <-> U end:
+
+  rs_ll, rs_lh, rs_hh  <->  t_ll_u, t_hl_u, t_hh_u
+  t_ind                <->  s_ind
+  r_s_hl_t_ind         <->  s_ind_t_lh_u
+  r_s_ll_t_lh          <->  s_hl_t_ll_u
+  s_ll_t_lh            <->  s_hl_t_ll, transposed
+  s_hl_t_hh            <->  s_hh_t_lh, transposed
+  s_hl_t_lh            <->  itself, transposed
+
+so each end procedure (the update of an end relation, its delta, and the
+update of the middle relation next to it) is written once, in the R end's
+names, and runs on either end through an ``End`` descriptor; the view
+attributes read and write the descriptors' fields.
 
 The indicator views clamp to presence: internally their support is the
 B-degree of the masked part, and the flag flips only when the last
@@ -42,20 +48,36 @@ partition, so their updates are not routed and only ever trigger the
 size-driven major rebalance; updates to S or T can each trigger up to two
 minor rebalances, one per variable, both checked against the same state:
 a minor moves no tuple itself, its moves are drained by later updates.
-The delta of every relation is computed
-in ``delta``; the update procedures keep only the views and the stored
-relations.
+The delta of every relation is computed in ``delta``; the update
+procedures keep only the views and the stored relations.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import IDX0, IDX1, QuadPartition, Relation, bump
+from .relation import IDX0, IDX1, QUAD_LABELS, QuadPartition, bump
 
 REL_NAMES = ("R", "S", "T", "U")
+
+# Every view with its mirror partner: the field of ``End`` that keeps the
+# pair -> (the view at the R end, the view at the U end). Read from the end,
+# with ``a`` its value, ``b`` the middle one and ``c`` the far end's:
+VIEW_PAIRS = {
+    # near part xy weighted by the end, by b
+    "w_ll": ("rs_ll", "t_ll_u"), "w_lh": ("rs_lh", "t_hl_u"), "w_hh": ("rs_hh", "t_hh_u"),
+    # 1 for each b of the far part hl (B heavy, C light), whatever its multiplicity
+    "ind": ("t_ind", "s_ind"),
+    # near part hl weighted by the end, by b, masked by ind
+    "masked": ("r_s_hl_t_ind", "s_ind_t_lh_u"),
+    # near part xy joined with far part zw over b, by (a, c)
+    "ll_lh": ("s_ll_t_lh", "s_hl_t_ll"), "hl_hh": ("s_hl_t_hh", "s_hh_t_lh"),
+    "hl_lh": ("s_hl_t_lh", "s_hl_t_lh"),
+    # ll_lh weighted by the end, by c
+    "chain": ("r_s_ll_t_lh", "s_hl_t_ll_u"),
+}
 
 
 class JoinView:
@@ -162,36 +184,63 @@ def add_line(view: JoinView, key, by_row: bool, posts: dict, m: int) -> None:
     view.n = n
 
 
+class End:
+    """One end of the path as its procedures read it, with ``a`` the end's value.
+
+    The near relation is the middle one at the end (S at R, T at U), the
+    far one the other; ``labels`` maps the near ``parts``' labels to
+    end-first ones, which key the near indexes by ``a`` (``at``) and by
+    ``b`` (``near_b``) and the far ones by ``b`` (``far_b``). A near tuple
+    has ``a`` at ``apos`` and ``b`` at ``bpos``, a far tuple ``b`` at
+    ``apos`` and the far end's value at ``bpos``; ``by_row`` says whether
+    ``a`` is the row variable of the join views. ``w`` is the end's
+    weights, and the fields of ``VIEW_PAIRS`` hold its views.
+    """
+
+    __slots__ = ("w", "parts", "labels", "at", "near_b", "far_b", "apos", "bpos",
+                 "by_row", *VIEW_PAIRS)
+
+    def __init__(self, w: dict, near: QuadPartition, far: QuadPartition, by_row: bool):
+        self.w, self.parts, self.by_row = w, near.parts, by_row
+        self.labels = labels = {lab: lab if by_row else lab[::-1] for lab in QUAD_LABELS}
+        self.apos = apos = 0 if by_row else 1
+        self.bpos = bpos = 1 - apos
+        self.at, self.near_b, self.far_b = (
+            {labels[lab]: rel.indexes[(pos,)] for lab, rel in part.parts.items()}
+            for part, pos in ((near, apos), (near, bpos), (far, apos)))
+
+
+def _view_attr(name: str) -> property:
+    """Engine attribute ``name``: the view in the end descriptors (both, for its own mirror)."""
+    at = [(end, field) for field, pair in VIEW_PAIRS.items()
+          for end, held in zip(("r_end", "u_end"), pair) if held == name]
+
+    def put(self, view) -> None:
+        for end, field in at:
+            setattr(getattr(self, end), field, view)
+    return property(attrgetter("%s.%s" % at[0]), put)
+
+
 class Path4Engine(MaintenanceKernel):
     """Four-relation path count under single-tuple updates."""
 
     REL = REL_NAMES
 
+    VIEW_NAMES = tuple(dict.fromkeys(name for pair in VIEW_PAIRS.values() for name in pair))
     # the S-T join views with the indexes the delta procedures walk them by
     JOIN_VIEWS = {"s_ll_t_lh": (IDX0,), "s_hl_t_ll": (IDX1,), "s_hl_t_lh": (IDX0, IDX1),
                   "s_hl_t_hh": (IDX0, IDX1), "s_hh_t_lh": (IDX0, IDX1)}
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
         super().__init__(REL_NAMES, (1, 2, 2, 1), eps, counters)
-        self.r: dict = {}
-        self.u: dict = {}
+        self.r, self.u = {}, {}
         # S and T are the kernel's partitions of relations 1 and 2
         self.s, self.t = QuadPartition(), QuadPartition()
         self.parts = [None, self.s, self.t, None]
-        self.rs_ll: dict = {}
-        self.rs_lh: dict = {}
-        self.rs_hh: dict = {}
-        for name, specs in self.JOIN_VIEWS.items():
-            setattr(self, name, JoinView(specs))
-        self.t_ll_u: dict = {}
-        self.t_hl_u: dict = {}
-        self.t_hh_u: dict = {}
-        self.t_ind: dict = {}
-        self.s_ind: dict = {}
-        self.r_s_hl_t_ind: dict = {}
-        self.r_s_ll_t_lh: dict = {}
-        self.s_ind_t_lh_u: dict = {}
-        self.s_hl_t_ll_u: dict = {}
+        self.r_end = End(self.r, self.s, self.t, True)
+        self.u_end = End(self.u, self.t, self.s, False)
+        for name in self.VIEW_NAMES:
+            setattr(self, name, JoinView(self.JOIN_VIEWS[name]) if name in self.JOIN_VIEWS else {})
 
     def lookup(self, rel, t: tuple) -> int:
         i = self._checked_tuple(rel, t)
@@ -202,16 +251,8 @@ class Path4Engine(MaintenanceKernel):
         return self.parts[i].multiplicity(t)
 
     def space_used(self) -> int:
-        views = (len(self.rs_ll) + len(self.rs_lh) + len(self.rs_hh)
-                 + len(self.s_ll_t_lh) + len(self.s_hl_t_ll)
-                 + len(self.s_hl_t_lh) + len(self.s_hl_t_hh)
-                 + len(self.s_hh_t_lh)
-                 + len(self.t_ll_u) + len(self.t_hl_u) + len(self.t_hh_u)
-                 + len(self.t_ind) + len(self.s_ind)
-                 + len(self.r_s_hl_t_ind) + len(self.r_s_ll_t_lh)
-                 + len(self.s_ind_t_lh_u) + len(self.s_hl_t_ll_u))
-        return (len(self.r) + len(self.u) + self.s.total_size()
-                + self.t.total_size() + views)
+        return (len(self.r) + len(self.u) + self.s.total_size() + self.t.total_size()
+                + sum(len(getattr(self, name)) for name in self.VIEW_NAMES))
 
     # -- deltas ---------------------------------------------------------------
 
@@ -223,12 +264,12 @@ class Path4Engine(MaintenanceKernel):
             ra = self.r.get(a)
             if not ra:
                 return 0
-            t_parts = self.t.parts
-            acc = self._hop_sum(t_parts["ll"], b, IDX0, self.u)
-            acc += self._hop_sum(t_parts["lh"], b, IDX0, self.u)
+            t_by_b, u = self.r_end.far_b, self.u  # T's indexes by b, under T's own labels
+            acc = self._hop_sum(t_by_b["ll"], b, 1, u)
+            acc += self._hop_sum(t_by_b["lh"], b, 1, u)
             c.lookups += 1
-            acc += self.t_hl_u.get(b, 0)
-            acc += self._hop_sum(t_parts["hh"], b, IDX0, self.u)
+            acc += self.u_end.w_lh.get(b, 0)  # t_hl_u
+            acc += self._hop_sum(t_by_b["hh"], b, 1, u)
             return ra * m * acc
         if i == 2:
             b, cval = t
@@ -236,118 +277,59 @@ class Path4Engine(MaintenanceKernel):
             if not ug:
                 return 0
             c.lookups += 3
-            acc = (self.rs_ll.get(b, 0) + self.rs_lh.get(b, 0)
-                   + self.rs_hh.get(b, 0))
-            acc += self._hop_sum(self.s.parts["hl"], b, IDX1, self.r)
+            r_end = self.r_end
+            acc = r_end.w_ll.get(b, 0) + r_end.w_lh.get(b, 0) + r_end.w_hh.get(b, 0)
+            acc += self._hop_sum(self.s.parts["hl"].indexes[IDX1], b, 0, self.r)
             return ug * m * acc
-        return m * (self._delta_sum_r(t[0]) if i == 0 else self._delta_sum_u(t[0]))
+        if i == 0:
+            return m * self._delta_sum(self.r_end, self.u_end, t[0])
+        return m * self._delta_sum(self.u_end, self.r_end, t[0])
 
-    def _delta_sum_r(self, a) -> int:
-        """One-sided sum for an endpoint update to R, all 16 combinations."""
+    def _delta_sum(self, d: End, o: End, a) -> int:
+        """One-sided sum for an update at ``a`` to ``d``'s end relation, ``o`` the other end."""
         c = self.counters
         acc = 0
-        u = self.u
-        t_ll_u, t_hl_u, t_hh_u = self.t_ll_u, self.t_hl_u, self.t_hh_u
+        at, bpos, by_row, fw = d.at, d.bpos, d.by_row, o.w
+        o_ll, o_lh, o_hh = o.w_ll, o.w_lh, o.w_hh
 
-        posts = self.s.parts["ll"].indexes[IDX0].get(a)
+        for lab in ("ll", "hh"):
+            posts = at[lab].get(a)
+            if posts:
+                c.iterations += len(posts)
+                for e, ms in posts.items():
+                    b = e[bpos]
+                    w = o_ll.get(b, 0) + o_lh.get(b, 0) + o_hh.get(b, 0)
+                    if w:
+                        acc += ms * w
+        posts = at["lh"].get(a)
         if posts:
             c.iterations += len(posts)
+            masked = o.masked
             for e, ms in posts.items():
-                b = e[1]
-                w = t_ll_u.get(b, 0) + t_hl_u.get(b, 0) + t_hh_u.get(b, 0)
-                if w:
-                    acc += ms * w
-        acc += self._line_sum(self.s_ll_t_lh.rows.get(a), u)
-        posts = self.s.parts["lh"].indexes[IDX0].get(a)
-        if posts:
-            c.iterations += len(posts)
-            ind_w = self.s_ind_t_lh_u
-            for e, ms in posts.items():
-                b = e[1]
-                w = (t_ll_u.get(b, 0) + ind_w.get(b, 0)
-                     + t_hl_u.get(b, 0) + t_hh_u.get(b, 0))
+                b = e[bpos]
+                w = o_ll.get(b, 0) + masked.get(b, 0) + o_lh.get(b, 0) + o_hh.get(b, 0)
                 if w:
                     acc += ms * w
         c.lookups += 1
-        acc += self.s_hl_t_ll_u.get(a, 0)
-        if t_hl_u:
-            c.iterations += len(t_hl_u)
-            row = self.s.parts["hl"].indexes[IDX0].get(a)
+        acc += o.chain.get(a, 0)
+        if o_lh:
+            c.iterations += len(o_lh)
+            row = at["hl"].get(a)
             if row:
-                for b, w in t_hl_u.items():
-                    ms = row.get((a, b))
+                for b, w in o_lh.items():
+                    ms = row.get((a, b) if by_row else (b, a))
                     if ms:
                         acc += ms * w
-        for view in (self.s_hl_t_lh, self.s_hl_t_hh, self.s_hh_t_lh):
-            acc += self._line_sum(view.rows.get(a), u)
-        posts = self.s.parts["hh"].indexes[IDX0].get(a)
-        if posts:
-            c.iterations += len(posts)
-            for e, ms in posts.items():
-                b = e[1]
-                w = t_ll_u.get(b, 0) + t_hl_u.get(b, 0) + t_hh_u.get(b, 0)
-                if w:
-                    acc += ms * w
+        for view in (d.ll_lh, d.hl_lh, d.hl_hh, o.hl_hh):
+            acc += self._line_sum(view, a, by_row, fw)
         return acc
 
-    def _delta_sum_u(self, cval) -> int:
-        """Mirror of the R delta for an update to U."""
-        c = self.counters
-        acc = 0
-        r = self.r
-        rs_ll, rs_lh, rs_hh = self.rs_ll, self.rs_lh, self.rs_hh
-
-        posts = self.t.parts["ll"].indexes[IDX1].get(cval)
-        if posts:
-            c.iterations += len(posts)
-            for e, mt in posts.items():
-                b = e[0]
-                w = rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
-                if w:
-                    acc += mt * w
-        acc += self._line_sum(self.s_hl_t_ll.cols.get(cval), r)
-        posts = self.t.parts["hl"].indexes[IDX1].get(cval)
-        if posts:
-            c.iterations += len(posts)
-            masked = self.r_s_hl_t_ind
-            for e, mt in posts.items():
-                b = e[0]
-                w = (rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
-                     + masked.get(b, 0))
-                if w:
-                    acc += mt * w
-        c.lookups += 1
-        acc += self.r_s_ll_t_lh.get(cval, 0)
-        if rs_lh:
-            c.iterations += len(rs_lh)
-            col = self.t.parts["lh"].indexes[IDX1].get(cval)
-            if col:
-                for b, w in rs_lh.items():
-                    mt = col.get((b, cval))
-                    if mt:
-                        acc += w * mt
-        for view in (self.s_hl_t_lh, self.s_hh_t_lh, self.s_hl_t_hh):
-            acc += self._line_sum(view.cols.get(cval), r)
-        posts = self.t.parts["hh"].indexes[IDX1].get(cval)
-        if posts:
-            c.iterations += len(posts)
-            for e, mt in posts.items():
-                b = e[0]
-                w = rs_ll.get(b, 0) + rs_lh.get(b, 0) + rs_hh.get(b, 0)
-                if w:
-                    acc += mt * w
-        return acc
-
-    def _hop_sum(self, rel: Relation, key, idx, weights: dict) -> int:
-        """Sum over ``rel``'s postings at ``key`` of multiplicity * weight.
-
-        The weight of a posting is looked up by its other variable.
-        """
-        posts = rel.indexes[idx].get(key)
+    def _hop_sum(self, index: dict, key, pos: int, weights: dict) -> int:
+        """Sum of multiplicity * weights[t[pos]] over postings ``t`` of ``index`` at ``key``."""
+        posts = index.get(key)
         if not posts:
             return 0
         self.counters.iterations += len(posts)
-        pos = 1 - idx[0]
         acc = 0
         for t, m in posts.items():
             w = weights.get(t[pos])
@@ -355,8 +337,9 @@ class Path4Engine(MaintenanceKernel):
                 acc += m * w
         return acc
 
-    def _line_sum(self, line: dict | None, weights: dict) -> int:
-        """Sum over a join view's line ``{other: multiplicity}`` of multiplicity * weight."""
+    def _line_sum(self, view: JoinView, key, by_row: bool, weights: dict) -> int:
+        """Sum of multiplicity * weight over the row (``by_row``) or column ``key`` of ``view``."""
+        line = (view.rows if by_row else view.cols).get(key)
         if not line:
             return 0
         self.counters.iterations += len(line)
@@ -370,193 +353,115 @@ class Path4Engine(MaintenanceKernel):
     # -- update procedures ------------------------------------------------------
 
     def update_r(self, a, m: int) -> int:
+        return self._update_end(self.r_end, a, m)
+
+    def update_u(self, cval, m: int) -> int:
+        return self._update_end(self.u_end, cval, m)
+
+    def _update_end(self, d: End, a, m: int) -> int:
+        """Add ``m`` at ``a`` to the end relation of ``d``; returns the stored multiplicity."""
         c = self.counters
-        for lab, view in (("ll", self.rs_ll), ("lh", self.rs_lh), ("hh", self.rs_hh)):
-            posts = self.s.parts[lab].indexes[IDX0].get(a)
+        at, bpos = d.at, d.bpos
+        for lab, view in (("ll", d.w_ll), ("lh", d.w_lh), ("hh", d.w_hh)):
+            posts = at[lab].get(a)
             if posts:
                 c.iterations += len(posts)
                 for e, ms in posts.items():
-                    b = e[1]
+                    b = e[bpos]
                     v = view.get(b, 0) + m * ms
                     if v:
                         view[b] = v
                     else:
                         del view[b]
-        if self.t_ind:
-            c.iterations += len(self.t_ind)
-            row = self.s.parts["hl"].indexes[IDX0].get(a)
+        ind = d.ind
+        if ind:
+            c.iterations += len(ind)
+            row = at["hl"].get(a)
             if row:
-                view = self.r_s_hl_t_ind
-                for b in self.t_ind:
-                    ms = row.get((a, b))
+                view = d.masked
+                by_row = d.by_row
+                for b in ind:
+                    ms = row.get((a, b) if by_row else (b, a))
                     if ms:
                         v = view.get(b, 0) + m * ms
                         if v:
                             view[b] = v
                         else:
                             del view[b]
-        line = self.s_ll_t_lh.rows.get(a)
+        joined = d.ll_lh
+        line = (joined.rows if d.by_row else joined.cols).get(a)
         if line:
             c.iterations += len(line)
-            view = self.r_s_ll_t_lh
+            view = d.chain
             for cval, mv in line.items():
                 v = view.get(cval, 0) + m * mv
                 if v:
                     view[cval] = v
                 else:
                     del view[cval]
-
-        return bump(self.r, a, m)
-
-    def update_u(self, cval, m: int) -> int:
-        c = self.counters
-        for lab, view in (("ll", self.t_ll_u), ("hl", self.t_hl_u), ("hh", self.t_hh_u)):
-            posts = self.t.parts[lab].indexes[IDX1].get(cval)
-            if posts:
-                c.iterations += len(posts)
-                for e, mt in posts.items():
-                    b = e[0]
-                    v = view.get(b, 0) + m * mt
-                    if v:
-                        view[b] = v
-                    else:
-                        del view[b]
-        if self.s_ind:
-            c.iterations += len(self.s_ind)
-            col = self.t.parts["lh"].indexes[IDX1].get(cval)
-            if col:
-                view = self.s_ind_t_lh_u
-                for b in self.s_ind:
-                    mt = col.get((b, cval))
-                    if mt:
-                        v = view.get(b, 0) + m * mt
-                        if v:
-                            view[b] = v
-                        else:
-                            del view[b]
-        line = self.s_hl_t_ll.cols.get(cval)
-        if line:
-            c.iterations += len(line)
-            view = self.s_hl_t_ll_u
-            for a, mv in line.items():
-                v = view.get(a, 0) + m * mv
-                if v:
-                    view[a] = v
-                else:
-                    del view[a]
-
-        return bump(self.u, cval, m)
+        return bump(d.w, a, m)
 
     def update_s(self, lab: str, t: tuple, m: int) -> int:
-        a, b = t
-        c = self.counters
-        ra = self.r.get(a, 0)
-        new = self.s.parts[lab].upsert(t, m)
-        t_parts = self.t.parts
+        return self._update_near(self.r_end, self.u_end, lab, t, m)
+
+    def update_t(self, lab: str, t: tuple, m: int) -> int:
+        return self._update_near(self.u_end, self.r_end, lab, t, m)
+
+    def _update_near(self, d: End, o: End, lab: str, t: tuple, m: int) -> int:
+        """Add ``m`` to ``t`` in part ``lab`` of ``d``'s near relation, ``o`` the other end."""
+        a, b = t[d.apos], t[d.bpos]
+        ra = d.w.get(a, 0)
+        new = d.parts[lab].upsert(t, m)
+        far_b, by_row = d.far_b, d.by_row
+        lab = d.labels[lab]
 
         if lab == "hh":
             if ra:
-                bump(self.rs_hh, b, ra * m)
-            self._join_scan(self.s_hh_t_lh, a, True, t_parts["lh"].indexes[IDX0].get(b), m)
+                bump(d.w_hh, b, ra * m)
+            self._join_scan(o.hl_hh, a, by_row, far_b["lh"].get(b), m)
         elif lab == "lh":
             if ra:
-                bump(self.rs_lh, b, ra * m)
-            support = len(self.s.parts["lh"].indexes[IDX1].get(b, ()))
+                bump(d.w_lh, b, ra * m)
+            support = len(d.near_b["lh"].get(b, ()))
             if new == m and support == 1:
-                self.s_ind[b] = 1
-                w = self._hop_sum(t_parts["lh"], b, IDX0, self.u)
+                o.ind[b] = 1
+                w = self._hop_sum(far_b["lh"], b, d.bpos, o.w)
                 if w:
-                    self.s_ind_t_lh_u[b] = w
+                    o.masked[b] = w
             elif new == 0 and support == 0:
-                self.s_ind.pop(b, None)
-                self.s_ind_t_lh_u.pop(b, None)
+                o.ind.pop(b, None)
+                o.masked.pop(b, None)
         elif lab == "hl":
-            posts = t_parts["ll"].indexes[IDX0].get(b)
-            self._join_scan(self.s_hl_t_ll, a, True, posts, m)
+            posts = far_b["ll"].get(b)
+            self._join_scan(o.ll_lh, a, by_row, posts, m)
             if posts:
-                u = self.u
+                fw, pos = o.w, d.bpos
                 w_sum = 0
                 for e, mt in posts.items():
-                    mu = u.get(e[1])
+                    mu = fw.get(e[pos])
                     if mu:
                         w_sum += mt * mu
                 if w_sum:
-                    bump(self.s_hl_t_ll_u, a, m * w_sum)
-            self._join_scan(self.s_hl_t_lh, a, True, t_parts["lh"].indexes[IDX0].get(b), m)
-            self._join_scan(self.s_hl_t_hh, a, True, t_parts["hh"].indexes[IDX0].get(b), m)
-            if ra and b in self.t_ind:
-                c.lookups += 1
-                bump(self.r_s_hl_t_ind, b, ra * m)
+                    bump(o.chain, a, m * w_sum)
+            self._join_scan(d.hl_lh, a, by_row, far_b["lh"].get(b), m)
+            self._join_scan(d.hl_hh, a, by_row, far_b["hh"].get(b), m)
+            if ra and b in d.ind:
+                self.counters.lookups += 1
+                bump(d.masked, b, ra * m)
         else:  # ll
             if ra:
-                bump(self.rs_ll, b, ra * m)
-            posts = t_parts["lh"].indexes[IDX0].get(b)
-            self._join_scan(self.s_ll_t_lh, a, True, posts, m)
+                bump(d.w_ll, b, ra * m)
+            posts = far_b["lh"].get(b)
+            self._join_scan(d.ll_lh, a, by_row, posts, m)
             if posts and ra:
-                view = self.r_s_ll_t_lh
+                view, pos = d.chain, d.bpos
                 for e, mt in posts.items():
-                    cval = e[1]
+                    cval = e[pos]
                     v = view.get(cval, 0) + ra * m * mt
                     if v:
                         view[cval] = v
                     else:
                         del view[cval]
-        return new
-
-    def update_t(self, lab: str, t: tuple, m: int) -> int:
-        b, cval = t
-        c = self.counters
-        ug = self.u.get(cval, 0)
-        new = self.t.parts[lab].upsert(t, m)
-        s_parts = self.s.parts
-
-        if lab == "hh":
-            if ug:
-                bump(self.t_hh_u, b, ug * m)
-            self._join_scan(self.s_hl_t_hh, cval, False, s_parts["hl"].indexes[IDX1].get(b), m)
-        elif lab == "hl":
-            if ug:
-                bump(self.t_hl_u, b, ug * m)
-            support = len(self.t.parts["hl"].indexes[IDX0].get(b, ()))
-            if new == m and support == 1:
-                self.t_ind[b] = 1
-                w = self._hop_sum(s_parts["hl"], b, IDX1, self.r)
-                if w:
-                    self.r_s_hl_t_ind[b] = w
-            elif new == 0 and support == 0:
-                self.t_ind.pop(b, None)
-                self.r_s_hl_t_ind.pop(b, None)
-        elif lab == "lh":
-            posts = s_parts["ll"].indexes[IDX1].get(b)
-            self._join_scan(self.s_ll_t_lh, cval, False, posts, m)
-            if posts:
-                r = self.r
-                w_sum = 0
-                for e, ms in posts.items():
-                    mr = r.get(e[0])
-                    if mr:
-                        w_sum += mr * ms
-                if w_sum:
-                    bump(self.r_s_ll_t_lh, cval, w_sum * m)
-            self._join_scan(self.s_hl_t_lh, cval, False, s_parts["hl"].indexes[IDX1].get(b), m)
-            self._join_scan(self.s_hh_t_lh, cval, False, s_parts["hh"].indexes[IDX1].get(b), m)
-            if ug and b in self.s_ind:
-                c.lookups += 1
-                bump(self.s_ind_t_lh_u, b, ug * m)
-        else:  # ll
-            if ug:
-                bump(self.t_ll_u, b, ug * m)
-            posts = s_parts["hl"].indexes[IDX1].get(b)
-            self._join_scan(self.s_hl_t_ll, cval, False, posts, m)
-            if posts and ug:
-                view = self.s_hl_t_ll_u
-                for e, ms in posts.items():
-                    a = e[0]
-                    v = view.get(a, 0) + ms * m * ug
-                    if v:
-                        view[a] = v
-                    else:
-                        del view[a]
         return new
 
     def _join_scan(self, view: JoinView, key, by_row: bool, posts: dict | None, m: int) -> None:
@@ -578,50 +483,37 @@ class Path4Engine(MaintenanceKernel):
 
     # -- recomputation -------------------------------------------------------
 
-    VIEW_NAMES = ("rs_ll", "rs_lh", "rs_hh", "s_ll_t_lh", "s_hl_t_ll",
-                  "s_hl_t_lh", "s_hl_t_hh", "s_hh_t_lh", "t_ll_u", "t_hl_u",
-                  "t_hh_u", "t_ind", "s_ind", "r_s_hl_t_ind", "r_s_ll_t_lh",
-                  "s_ind_t_lh_u", "s_hl_t_ll_u")
-
     def recompute_views(self) -> dict:
-        """All auxiliary views rebuilt from the base relations."""
+        """All auxiliary views rebuilt from the base relations, by name."""
         c = self.counters
-        s_parts, t_parts = self.s.parts, self.t.parts
-        out: dict = {name: {} for name in
-                     ("rs_ll", "rs_lh", "rs_hh", "t_ll_u", "t_hl_u", "t_hh_u",
-                      "t_ind", "s_ind", "r_s_hl_t_ind", "r_s_ll_t_lh",
-                      "s_ind_t_lh_u", "s_hl_t_ll_u")}
-        for lab in ("ll", "lh", "hh"):
-            self._fold(s_parts[lab].indexes[IDX0], self.r, out["rs_" + lab], 1)
-        for lab in ("ll", "hl", "hh"):
-            self._fold(t_parts[lab].indexes[IDX1], self.u, out[f"t_{lab}_u"], 0)
-        for name, s_lab, t_lab in (("s_ll_t_lh", "ll", "lh"),
-                                   ("s_hl_t_ll", "hl", "ll"),
-                                   ("s_hl_t_lh", "hl", "lh"),
-                                   ("s_hl_t_hh", "hl", "hh"),
-                                   ("s_hh_t_lh", "hh", "lh")):
-            view = JoinView(self.JOIN_VIEWS[name])
-            s_idx = s_parts[s_lab].indexes[IDX1]
-            t_idx = t_parts[t_lab].indexes[IDX0]
-            for b in s_idx.keys() & t_idx.keys():
-                s_posts = s_idx[b]
-                t_posts = t_idx[b]
-                c.iterations += len(s_posts) * len(t_posts)
-                for e, ms in s_posts.items():
-                    add_line(view, e[0], True, t_posts, ms)
-            out[name] = view
-        out["t_ind"] = {b: 1 for b in t_parts["hl"].indexes[IDX0]}
-        out["s_ind"] = {b: 1 for b in s_parts["lh"].indexes[IDX1]}
-        for b in out["t_ind"]:
-            w = self._hop_sum(s_parts["hl"], b, IDX1, self.r)
-            if w:
-                out["r_s_hl_t_ind"][b] = w
-        self._fold(out["s_ll_t_lh"].rows, self.r, out["r_s_ll_t_lh"])
-        for b in out["s_ind"]:
-            w = self._hop_sum(t_parts["lh"], b, IDX0, self.u)
-            if w:
-                out["s_ind_t_lh_u"][b] = w
-        self._fold(out["s_hl_t_ll"].cols, self.u, out["s_hl_t_ll_u"])
+        out: dict = {}
+        for k, d in enumerate((self.r_end, self.u_end)):
+            views: dict = {}
+            for lab in ("ll", "lh", "hh"):
+                views["w_" + lab] = view = {}
+                self._fold(d.at[lab], d.w, view, d.bpos)
+            for field in ("ll_lh", "hl_hh", "hl_lh"):  # near part _ far part
+                name = VIEW_PAIRS[field][k]
+                if name in out:  # s_hl_t_lh, its own mirror, is built once
+                    views[field] = out[name]
+                    continue
+                views[field] = view = JoinView(self.JOIN_VIEWS[name])
+                near, far = d.near_b[field[:2]], d.far_b[field[3:]]
+                for b in near.keys() & far.keys():
+                    c.iterations += len(near[b]) * len(far[b])
+                    for e, mn in near[b].items():
+                        add_line(view, e[d.apos], d.by_row, far[b], mn)
+            views["ind"] = ind = dict.fromkeys(d.far_b["hl"], 1)
+            views["masked"] = masked = {}
+            for b in ind:
+                w = self._hop_sum(d.near_b["hl"], b, d.apos, d.w)
+                if w:
+                    masked[b] = w
+            joined = views["ll_lh"]
+            views["chain"] = chain = {}
+            self._fold(joined.rows if d.by_row else joined.cols, d.w, chain)
+            for field, view in views.items():
+                out[VIEW_PAIRS[field][k]] = view
         return out
 
     def _fold(self, lines: dict, weights: dict, view: dict, pos: int | None = None) -> None:
@@ -650,3 +542,8 @@ class Path4Engine(MaintenanceKernel):
 
     def load_whole(self, i: int, rows: dict) -> None:
         (self.r if i == 0 else self.u).update((t[0], m) for t, m in rows.items())
+
+
+for _name in Path4Engine.VIEW_NAMES:
+    setattr(Path4Engine, _name, _view_attr(_name))
+del _name

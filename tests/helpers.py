@@ -78,7 +78,7 @@ def grow_shrink_stream(seed: int, length: int, arities: dict, wide: int) -> list
 
 
 def swing_stream(seed: int, length: int, arities: dict, wide: int,
-                 mult_only: float = 0.35) -> list[Update]:
+                 mult_only: float = 0.35, hot: list | None = None) -> list[Update]:
     """A mixed stream aimed at the edges of minor rebalancing.
 
     In waves of 180 updates, each on the next relation of arity two or
@@ -86,7 +86,10 @@ def swing_stream(seed: int, length: int, arities: dict, wide: int,
     is the hot value 1 are created for 90 updates, then cancelled, so the
     degree of 0 on the first variable and of 1 on the second climbs from
     nothing past one and a half times a small threshold and falls back
-    below half of it. Between the hot updates come:
+    below half of it. ``hot``, when given, lists the hot keys
+    ``(relation, variable, value)`` of every wave instead (on variable 0
+    or 1, all relations of one arity), so the keys of several relations
+    swing together. Between the hot updates come:
 
       * multiplicity changes of a stored tuple that neither create nor
         cancel it, a share ``mult_only`` of all updates;
@@ -114,7 +117,9 @@ def swing_stream(seed: int, length: int, arities: dict, wide: int,
     def fresh(arity):
         return tuple(rng.randrange(wide) for _ in range(arity))
 
-    wide_names = [n for n in names if arities[n] > 1]
+    waves = ([[(n, 0, 0), (n, 1, 1)] for n in names if arities[n] > 1]
+             if hot is None else [hot])
+    hot_keys = {key for wave in waves for key in wave}
     while len(out) < length:
         wave, at = divmod(len(out), 180)
         growing = at < 90
@@ -123,16 +128,16 @@ def swing_stream(seed: int, length: int, arities: dict, wide: int,
             (rel, t), m = rng.choice(list(live.items()))
             emit(rel, t, rng.choice([d for d in (-2, -1, 1, 2) if d != -m]))
         elif r < mult_only + 0.35:
-            hot = [(rel, t) for rel, t in live
-                   if len(t) > 1 and (t[0] == 0 or t[1] == 1)]
-            if growing or not hot:
-                rel = wide_names[wave % len(wide_names)]
-                t = tuple(rng.randrange(4 * wide) for _ in range(arities[rel]))
-                var = rng.randrange(2)
-                t = t[:var] + (var,) + t[var + 1:]
+            stored = [(rel, t) for rel, t in live if len(t) > 1
+                      and ((rel, 0, t[0]) in hot_keys or (rel, 1, t[1]) in hot_keys)]
+            if growing or not stored:
+                keys = waves[wave % len(waves)]
+                t = tuple(rng.randrange(4 * wide) for _ in range(arities[keys[0][0]]))
+                rel, var, value = keys[rng.randrange(len(keys))]
+                t = t[:var] + (value,) + t[var + 1:]
                 emit(rel, t, rng.choice((1, 1, 2, -1)))
             else:
-                rel, t = rng.choice(hot)
+                rel, t = rng.choice(stored)
                 emit(rel, t, -live[rel, t])
         elif r < mult_only + 0.45 and live:
             rel, t = rng.choice(list(live))

@@ -195,6 +195,18 @@ class TestBench:
             lines = capsys.readouterr().out.strip().splitlines()
             assert len(lines) == 3 and lines[1].startswith(f"{query},")
 
+    def test_static_mode_is_refused_before_any_stream(self, monkeypatch, capsys):
+        made = []
+        real_er = cli.GENERATORS["er"]
+        monkeypatch.setitem(cli.GENERATORS, "er",
+                            lambda *args: made.append(args) or real_er(*args))
+        rc = cli.main(["bench", "--mode", "static", "--gen", "er", "--sizes", "300,600,1200"])
+        captured = capsys.readouterr()
+        assert rc == 2 and not made and not captured.out
+        assert "static mode" in captured.err
+        with pytest.raises(ConfigError):
+            cli.bench(RunConfig(mode="static"), [40], gen="er", out=io.StringIO())
+
     def test_er_emits_each_relation_at_its_arity(self):
         for query in ("triangle", "triangle-selfjoin", "path4", "lw:4", "lw:5"):
             arities = family_arities(query)

@@ -3,10 +3,13 @@
 Each engine of ``test_major_rebalance.ENGINES`` replays ``swing_stream``
 streams across the exponent grid (the triangle engine also at a few
 per-relation exponent triples), from empty and from a preprocessed
-start. The streams mix multiplicity-only changes, cancellations to zero,
-negative multiplicities and loops with hot keys whose degrees swing past
-one and a half times the threshold and back below half of it, on both
-variables of a quad partition. After every update the loose bounds and
+start; the path4 engine also replays one stream whose hot waves on S and
+T overlap, which at exponent 1/4 fills the two-sided join views and adds
+entries to columns that already hold one. The streams mix
+multiplicity-only changes, cancellations to zero, negative multiplicities
+and loops with hot keys whose degrees swing past one and a half times the
+threshold and back below half of it, on both variables of a quad
+partition. After every update the loose bounds and
 the size invariant must hold (``check_invariants() == []``), the size
 the kernel keeps must equal the number of stored tuples of the oracle
 database, and the answer must equal the oracle's: the first-order tracker
@@ -51,6 +54,9 @@ from test_major_rebalance import ENGINES, EPS_GRID
 
 # (seed, length, width of the other values, updates preprocessed first)
 STREAMS = ((1, 540, 12, 0), (2, 540, 40, 120), (3, 720, 6, 0), (4, 720, 20, 300))
+# one more path4 stream whose hot waves on S and T overlap: two hot A values
+# of S and a hot C value of T at once fill the two-sided join views
+PATH4_OVERLAP = ((6, 720, 8, 0), [("S", 0, 0), ("S", 0, 2), ("T", 1, 1)])
 
 KINDS = ("create", "down", "up", "cancel")
 
@@ -162,8 +168,9 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
     minors: set = set()
     aimed: set = set()
     unchanged = updates = flushes = queued = 0
-    for seed, length, wide, preload in STREAMS:
-        stream = swing_stream(seed, length, arities, wide)
+    runs = [(spec, None) for spec in STREAMS] + ([PATH4_OVERLAP] if name == "path4" else [])
+    for (seed, length, wide, preload), hot in runs:
+        stream = swing_stream(seed, length, arities, wide, hot=hot)
         db = _database(stream[:preload], arities)
         eng = load(db, eps) if preload else make(eps)
         _record_minors(eng, minors)

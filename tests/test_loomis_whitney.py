@@ -2,9 +2,9 @@
 
 import pytest
 
-from skewivm.loomis_whitney import LWEngine, lw_schemas
+from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import fit_scaling
-from skewivm.oracle import LWTracker, brute_force_lw
+from skewivm.oracle import LWTracker, brute_force_lw, lw_schemas
 from skewivm.triangle import EpsConfig, TriangleEngine
 
 from helpers import fresh_views, lw_stream, mixed_stream

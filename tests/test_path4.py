@@ -3,11 +3,12 @@
 import itertools
 import random
 
+from skewivm.cli import family_arities
 from skewivm.oracle import Path4Tracker, brute_force_path4
-from skewivm.path4 import JoinView, Path4Engine, add_line
+from skewivm.path4 import VIEW_PAIRS, JoinView, Path4Engine, add_line
 from skewivm.relation import IDX0, IDX1
 
-from helpers import apply_routed, degree, path4_stream, path4_views_exact
+from helpers import apply_routed, degree, path4_stream, path4_views_exact, swing_stream
 
 
 def view_fingerprint(eng: Path4Engine):
@@ -245,3 +246,47 @@ class TestOracleEquivalence:
                     eng.on_update(rel, t, m)
                     assert eng.answer() == expected[i]
                 assert not eng.check_invariants()
+
+
+MIRROR_REL = {"R": "U", "S": "T", "T": "S", "U": "R"}
+
+
+def _mirror_view(view) -> dict:
+    """A view as its mirror partner reads it: a join view transposed."""
+    if isinstance(view, JoinView):
+        return {(c, a): m for (a, c), m in view.items()}
+    return view
+
+
+class TestMirror:
+    def test_a_reversed_stream_mirrors_answers_views_and_end_op_counts(self):
+        """The path read backwards: R and U swap, S(a,b) becomes T(b,a).
+
+        An engine fed the reversed stream keeps the same answer after every
+        update, each view equal to its mirror partner's whenever neither
+        engine has moves queued, and every R or U update that drains no move
+        costs the same ops as its mirror, as the end descriptors assume.
+        """
+        arities = family_arities("path4")
+        streams = [swing_stream(seed, 1500, arities, 12) for seed in (0, 1)]
+        streams += [path4_stream(seed, 1500, 9) for seed in (0, 1)]
+        compared = ends = 0
+        for stream in streams:
+            eng, mir = Path4Engine(0.5), Path4Engine(0.5)
+            for step, (rel, t, m) in enumerate(stream):
+                before = eng.counters.snapshot(), mir.counters.snapshot()
+                eng.on_update(rel, t, m)
+                mir.on_update(MIRROR_REL[rel], t[::-1], m)
+                assert eng.answer() == mir.answer(), step
+                spent = [{k: v - was[k] for k, v in e.counters.snapshot().items()}
+                         for e, was in zip((eng, mir), before)]
+                if rel in "RU" and not spent[0]["moves"] and not spent[1]["moves"]:
+                    ends += 1
+                    assert spent[0] == spent[1], step
+                if not eng.pending_moves() and not mir.pending_moves():
+                    compared += 1
+                    for r_name, u_name in VIEW_PAIRS.values():
+                        for name, partner in ((r_name, u_name), (u_name, r_name)):
+                            assert (dict(getattr(eng, name).items())
+                                    == _mirror_view(getattr(mir, partner))), (step, name)
+        assert compared > 5000 and ends > 1800, (compared, ends)
