@@ -13,13 +13,13 @@ family: triangle (R, S, T binary), triangle-selfjoin (R binary), path4
 {step, answer, N, db_size, ops, rebalances}, one per update or only the
 final one. ``--verify`` cross-checks every prefix against the oracle
 trackers and exits nonzero on the first mismatch. ``bench`` generates
-seeded insert streams at several sizes, replays them, and emits a CSV of
-operation totals, peak state size, wall time, and the fitted log-log
-exponent per configuration. The wall time sums the ``on_update`` calls
-alone; the state size is sampled between them, untimed. ``mixed`` and
-``er`` emit every family's relations and arities; ``hub`` and ``space``
-emit triangle streams only and refuse other families (exit 2) before
-any engine is built.
+insert streams seeded by ``--seed`` (a ``bench`` option only) at several
+sizes, replays them, and emits a CSV of operation totals, peak state
+size, wall time, and the fitted log-log exponent per configuration. The
+wall time sums the ``on_update`` calls alone; the state size is sampled
+between them, untimed. ``mixed`` and ``er`` emit every family's relations
+and arities; ``hub`` and ``space`` emit triangle streams only and refuse
+other families (exit 2) before any engine is built.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.
@@ -275,6 +275,8 @@ class RunConfig:
             if any(v not in (0.0, 1.0) for v in t) or len(set(t)) == 1:
                 raise ConfigError(
                     "factorized mode needs per-relation epsilons in {0,1}, not all equal")
+        elif self.eps_rst is not None:
+            raise ConfigError("--epsilon-rst applies to factorized mode only")
         if self.mode in ("refined", "enum") and self.query != "triangle":
             raise ConfigError(f"{self.mode} mode applies to the triangle family")
         if self.mode == "static" and self.query != "triangle":
@@ -464,7 +466,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon-rst", default=None,
                    help="per-relation epsilons 'r,s,t' for factorized mode")
     p.add_argument("--metrics", default=None, help="write records to this path")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -482,6 +483,7 @@ def make_parser() -> argparse.ArgumentParser:
     benchp.add_argument("--sizes", default="4000,16000,64000",
                         help="comma-separated stream lengths")
     benchp.add_argument("--gen", default="hub", choices=sorted(GENERATORS))
+    benchp.add_argument("--seed", type=int, default=0, help="seed of the generated streams")
     return parser
 
 
@@ -495,7 +497,7 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         query=args.query, mode=args.mode, eps=args.epsilon, eps_rst=eps_rst,
         stream=getattr(args, "stream", "-"), verify=getattr(args, "verify", False),
-        metrics=args.metrics, seed=args.seed, emit=getattr(args, "emit", "final"),
+        metrics=args.metrics, seed=getattr(args, "seed", 0), emit=getattr(args, "emit", "final"),
     )
 
 

@@ -8,38 +8,49 @@ on its leading variable.
 An update to relation v fixes every variable except v-1, so all delta work
 reduces to enumerating candidates for that one free variable:
 
+  * every non-aggregated relation heavy, relation v-1 light: a
+    constant-time lookup in the auxiliary view keyed by the update tuple;
   * all parts heavy: candidates from relation v-1's heavy part, whose
     leading variable is the free one, so candidates are capped by the
     number of distinct heavy keys;
-  * every non-aggregated relation heavy, relation v-1 light: a
-    constant-time lookup in the auxiliary view keyed by the update tuple;
-  * some other relation light, relation v-1 heavy: candidates from the
-    first light relation (per-key light budget) or from relation v-1's
-    heavy part, whichever side the tuning exponent favors;
-  * some other relation light, relation v-1 light: candidates from the
-    first light relation.
+  * some other relation light: candidates from the first light relation
+    (per-key light budget), or from relation v-1's heavy part when that is
+    heavy and the tuning exponent is above 1/2.
+
+The strategies are planned once, at construction, as walks. A walk scans
+one part at a key read from the update tuple and, for each candidate,
+probes the tuples of the other relations, read from the update tuple
+extended by the candidate. The combinations that scan the same part share
+one walk, which probes every part any of them probes: a tuple sits in
+exactly one part, even while its key is in transit, so the first part
+holding it gives its multiplicity, and the sum over the combinations is
+one product. Relation v's delta thus runs n walks: the view lookup, the
+scan of relation v-1's heavy part, and one scan of the light part of each
+of the n-2 other relations.
 
 The auxiliary view ``views[v]`` aggregates variable v-1 out of the join of
 relation v-1's light part with the heavy parts of all remaining relations
 (other than v). That shape makes the constant-time case above work and
 stays maintainable: an update to a heavy member scans the light member at
 its fixed leading key, an update to the light member scans relation v-2's
-heavy part, whose leading variable is again the free one. At degree 3 the
-views are the triangle engine's wedges, but the strategies differ: this
-engine evaluates each combination on its own, so it has no counterpart of
-the triangle engine's single light walk that probes both sides of the
-second neighbor, and at exponents above 1/2 it scans the heavy part for
-the light/heavy case instead. Relations are named R1..Rn (or indexed
+heavy part, whose leading variable is again the free one. A view is built
+by one member's upkeep walk, run over that member's part. At degree 3 the
+views are the triangle engine's wedges and the walks scan what its walks
+scan, so the two engines count the same lookups and iterations on every
+update, at every exponent. Relations are named R1..Rn (or indexed
 0..n-1); rebalancing comes from the shared kernel.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from operator import itemgetter
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
 from .relation import HEAVY, LIGHT, Partition, bump
+
+# the probe of a second part, for a relation probed in one part only
+_absent = {}.get
 
 
 class LWEngine(MaintenanceKernel):
@@ -54,6 +65,39 @@ class LWEngine(MaintenanceKernel):
         specs = self._index_specs()
         self.parts = [Partition(self.arity, specs) for _ in range(n)]
         self.views: list[dict] = [{} for _ in range(n)]
+        # The walks bind parts and index dicts: a Partition never replaces
+        # its Relations, nor a Relation its index dicts. Views and counters
+        # are read when a walk runs: rebuild_views replaces the view list
+        # and _uncounted swaps the counters.
+        both, heavy = (LIGHT, HEAVY), (HEAVY,)
+        # above 1/2, relation v-1's heavy scan takes every combination with
+        # v-1 heavy and the light scans the rest; else the heavy scan takes
+        # only the all-heavy one
+        scan_sides, prev_sides = (both, (LIGHT,)) if self.eps > 0.5 else (heavy, both)
+
+        def heavy_rest(*skip):
+            return [(j, heavy) for j in range(n) if j not in skip]
+        # per relation v: its delta's scans; per relation and part: the
+        # upkeep walks of the views it is a member of, by view
+        self._deltas = []
+        self._upkeep = []
+        for v in range(n):
+            prev, nxt = (v - 1) % n, (v + 1) % n
+            middle = [(v + d) % n for d in range(1, n - 1)]
+            # v-1's heavy scan, then the k-th light scan: the relations
+            # before it heavy, the others either
+            self._deltas.append(
+                [self._plan(v, prev, HEAVY, [(j, scan_sides) for j in middle])]
+                + [self._plan(v, j, LIGHT, [(h, heavy) for h in middle[:k]]
+                              + [(r, both) for r in middle[k + 1:]] + [(prev, prev_sides)])
+                   for k, j in enumerate(middle)])
+            # a heavy member of every view i outside {v, v+1} scans the light
+            # member, relation i-1; the light member of view v+1 scans v-1's
+            # heavy part
+            self._upkeep.append({
+                HEAVY: {i: self._plan(v, (i - 1) % n, LIGHT, heavy_rest(v, i, (i - 1) % n), i)
+                        for i in range(n) if i not in (v, nxt)},
+                LIGHT: {nxt: self._plan(v, prev, HEAVY, heavy_rest(v, nxt, prev), nxt)}})
 
     def _index_specs(self):
         arity = self.arity
@@ -66,155 +110,85 @@ class LWEngine(MaintenanceKernel):
         return (sum(p.total_size() for p in self.parts)
                 + sum(len(v) for v in self.views))
 
-    # -- variable/tuple plumbing ---------------------------------------------
+    # -- walks ----------------------------------------------------------------
 
-    def _fill(self, v: int, t: tuple) -> list:
-        vals = [None] * self.n
-        for pos in range(self.arity):
-            vals[(v + pos) % self.n] = t[pos]
-        return vals
+    def _plan(self, v: int, src: int, side: str, probes, view: int | None = None) -> tuple:
+        """The walk, for an update to relation v, that scans part ``side`` of ``src``.
 
-    def _tuple_of(self, j: int, vals) -> tuple:
-        n = self.n
-        return tuple(vals[(j + k) % n] for k in range(self.arity))
-
-    def _scan(self, src: int, side: str, free_var: int, vals):
-        """Posting map of src's part matching ``vals`` with one variable free.
-
-        Returns (postings, position of the free variable) or (None, pos).
+        Candidates for the free variable v-1 come from the scanned part's
+        index on its other variables. ``probes`` lists ``(j, sides)``, the
+        parts of relation j a tuple may sit in, light first. A walk given
+        a ``view`` adds into ``views[view]``, keyed by relation ``view``'s
+        tuple; one without returns its sum. Tuples are read from
+        ``t + (candidate,)``, where variable x sits at position
+        ``(x - v) % n``.
         """
-        pc = (free_var - src) % self.n
-        spec = tuple(q for q in range(self.arity) if q != pc)
-        rel = self.parts[src].parts[side]
-        if len(spec) == 1:
-            key = vals[(src + spec[0]) % self.n]
-        else:
-            key = tuple(vals[(src + q) % self.n] for q in spec)
-        return rel.indexes[spec].get(key), pc
+        n, arity = self.n, self.arity
+
+        def at(j):
+            return itemgetter(*((j + k - v) % n for k in range(arity)))
+        pc = (v - 1 - src) % n
+        spec = tuple(q for q in range(arity) if q != pc)
+        key_of = itemgetter(*((src + q - v) % n for q in spec))
+        probes = tuple((at(j), *[self.parts[j].parts[s].get for s in sides], _absent)[:3]
+                       for j, sides in probes)
+        return (self.parts[src].parts[side].indexes[spec], key_of, pc, probes,
+                view, None if view is None else at(view))
+
+    def _run(self, walk: tuple, t: tuple, m: int) -> int:
+        """Run ``walk`` for the delta ``m`` of ``t``: its sum, or 0 after adding to its view."""
+        idx, key_of, pc, probes, view, view_key = walk
+        posts = idx.get(key_of(t))
+        if not posts:
+            return 0
+        self.counters.iterations += len(posts)
+        if view is not None:
+            view = self.views[view]
+        acc = 0
+        for u, prod in posts.items():
+            ext = t + (u[pc],)
+            for tuple_of, first, second in probes:
+                key = tuple_of(ext)
+                mj = first(key) or second(key)
+                if not mj:
+                    break
+                prod *= mj
+            else:
+                if view is None:
+                    acc += prod
+                else:
+                    bump(view, view_key(ext), m * prod)
+        return m * acc
 
     # -- update procedures ----------------------------------------------------
 
     def delta(self, v: int, t: tuple, m: int) -> int:
         """Count change for the delta ``m`` of ``t`` in relation v."""
-        n = self.n
-        c = self.counters
-        vals = self._fill(v, t)
-        free = (v - 1) % n
-        others = [(v + d) % n for d in range(1, n)]
-        acc = 0
-        for combo in product((HEAVY, LIGHT), repeat=n - 1):
-            labs = dict(zip(others, combo))
-            u_prev = labs[free]  # relation v-1 owns the free variable
-            early_lights = [j for j in others if j != free and labs[j] == LIGHT]
-            if not early_lights:
-                if u_prev == LIGHT:
-                    c.lookups += 1
-                    acc += self.views[v].get(t, 0)
-                    continue
-                src, side = free, HEAVY
-            elif u_prev == HEAVY and self.eps > 0.5:
-                src, side = free, HEAVY
-            else:
-                src, side = early_lights[0], LIGHT
-            posts, pc = self._scan(src, side, free, vals)
-            if not posts:
-                continue
-            c.iterations += len(posts)
-            rest = [j for j in others if j != src]
-            for u, prod in posts.items():
-                vals[free] = u[pc]
-                for j in rest:
-                    mj = self.parts[j].parts[labs[j]].get(self._tuple_of(j, vals))
-                    if not mj:
-                        prod = 0
-                        break
-                    prod *= mj
-                acc += prod
-        vals[free] = None
-        return m * acc
-
-    def _maintain_views(self, v: int, side: str, t: tuple, m: int) -> None:
-        n = self.n
-        c = self.counters
-        vals = self._fill(v, t)
-        free = (v - 1) % n
-        if side == HEAVY:
-            # heavy member of views[i] for every i outside {v, v+1}; the
-            # light member, relation i-1, is scanned
-            sources = [(i, (i - 1) % n, LIGHT) for i in range(n)
-                       if i != v and i != (v + 1) % n]
-        else:
-            # light member of exactly views[v+1]; relation v-1's heavy part
-            # is scanned, its leading variable is the free one
-            sources = [((v + 1) % n, (v - 1) % n, HEAVY)]
-        for i, src, src_side in sources:
-            posts, pc = self._scan(src, src_side, free, vals)
-            if not posts:
-                continue
-            c.iterations += len(posts)
-            rest = [j for j in range(n) if j not in (v, i, src)]
-            view = self.views[i]
-            for u, mu in posts.items():
-                vals[free] = u[pc]
-                prod = m * mu
-                for j in rest:
-                    mj = self.parts[j].heavy.get(self._tuple_of(j, vals))
-                    if not mj:
-                        prod = 0
-                        break
-                    prod *= mj
-                if prod:
-                    bump(view, self._tuple_of(i, vals), prod)
-        vals[free] = None
+        self.counters.lookups += 1
+        acc = m * self.views[v].get(t, 0)
+        for walk in self._deltas[v]:
+            acc += self._run(walk, t, m)
+        return acc
 
     def apply_update(self, v: int, side: str, t: tuple, m: int) -> int:
         """Apply a routed delta; returns the stored multiplicity."""
-        self._maintain_views(v, side, t, m)
+        for walk in self._upkeep[v][side].values():
+            self._run(walk, t, m)
         return self.parts[v].parts[side].upsert(t, m)
 
     def rebuild_views(self) -> None:
-        self.views = [self._build_view(i) for i in range(self.n)]
-
-    def _build_view(self, i: int) -> dict:
-        """Aggregated join behind views[i], outer side chosen by cost."""
+        """Build each view by one member's upkeep walk over its part, chosen by cost."""
         n = self.n
-        c = self.counters
-        light_member = (i - 1) % n
-        anchor = (i + 1) % n
-        lrel = self.parts[light_member].light
-        arel = self.parts[anchor].heavy
-        view: dict = {}
-        if not lrel or not arel:
-            return view
-        est_anchor = len(arel) * 1.5 * self._theta()
-        est_light = len(lrel) * 2 * (self.N ** (1.0 - self.eps))
-        if est_anchor <= est_light:
-            outer, outer_side = anchor, HEAVY
-            inner, inner_side = light_member, LIGHT
-            inner_free = (anchor - 1) % n  # the one variable outer leaves open
-        else:
-            outer, outer_side = light_member, LIGHT
-            inner, inner_side = (light_member - 1) % n, HEAVY
-            inner_free = (light_member - 1) % n
-        outer_rel = self.parts[outer].parts[outer_side]
-        members = {j: (LIGHT if j == light_member else HEAVY)
-                   for j in range(n) if j != i}
-        rest = [j for j in members if j not in (outer, inner)]
-        for t, mo in outer_rel.items():
-            vals = self._fill(outer, t)
-            posts, pc = self._scan(inner, members[inner], inner_free, vals)
-            if not posts:
+        self.views = [{} for _ in range(n)]
+        for i in range(n):
+            light_member, anchor = (i - 1) % n, (i + 1) % n
+            lrel = self.parts[light_member].light
+            arel = self.parts[anchor].heavy
+            if not lrel or not arel:
                 continue
-            c.iterations += len(posts)
-            for u, mi in posts.items():
-                vals[inner_free] = u[pc]
-                prod = mo * mi
-                for j in rest:
-                    mj = self.parts[j].parts[members[j]].get(self._tuple_of(j, vals))
-                    if not mj:
-                        prod = 0
-                        break
-                    prod *= mj
-                if prod:
-                    bump(view, self._tuple_of(i, vals), prod)
-        return view
+            if len(arel) * 1.5 * self._theta() <= len(lrel) * 2 * (self.N ** (1.0 - self.eps)):
+                walk, rel = self._upkeep[anchor][HEAVY][i], arel
+            else:
+                walk, rel = self._upkeep[light_member][LIGHT][i], lrel
+            for t, m in rel.items():
+                self._run(walk, t, m)

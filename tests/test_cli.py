@@ -68,6 +68,16 @@ class TestConfigValidation:
             RunConfig(mode="factorized", eps_rst=(1.0, 1.0, 1.0)).validate()
         RunConfig(mode="factorized", eps_rst=(0.0, 0.0, 1.0)).validate()
 
+    def test_epsilon_rst_is_refused_outside_factorized_mode(self, tmp_path):
+        # without factorized mode the per-relation exponents would be ignored
+        with pytest.raises(ConfigError):
+            RunConfig(eps_rst=(0.0, 0.0, 1.0)).validate()
+        path = tmp_path / "stream.txt"
+        path.write_text("R + 1 2\n", encoding="utf-8")
+        assert cli.main(["run", "--epsilon-rst", "0,0,1", "--stream", str(path)]) == 2
+        assert cli.main(["run", "--mode", "factorized", "--epsilon-rst", "0,0,1",
+                         "--stream", str(path)]) == 0
+
     def test_refined_and_enum_are_triangle_only(self):
         with pytest.raises(ConfigError):
             RunConfig(query="path4", mode="refined").validate()
@@ -175,6 +185,20 @@ class TestBench:
         strip = lambda s: [line.rsplit(",", 2)[0] + line.rsplit(",", 1)[1]
                            for line in s.getvalue().splitlines()]  # drop wall time
         assert strip(a) == strip(b)
+
+    def test_seed_is_a_bench_option(self, tmp_path, capsys):
+        # run replays a given stream, so a seed there would do nothing
+        path = tmp_path / "stream.txt"
+        path.write_text("R + 1 2\n", encoding="utf-8")
+        assert cli.main(["run", "--seed", "3", "--stream", str(path)]) == 2
+        capsys.readouterr()
+        outs = []
+        for seed in ("1", "1", "2"):
+            assert cli.main(["bench", "--gen", "er", "--sizes", "300", "--seed", seed]) == 0
+            header, row = capsys.readouterr().out.strip().splitlines()
+            wall = header.split(",").index("wall_s")
+            outs.append(row.split(",")[:wall])
+        assert outs[0] == outs[1] != outs[2]
 
     @pytest.mark.parametrize("gen", sorted(cli.GENERATORS))
     @pytest.mark.parametrize("query", ["triangle", "triangle-selfjoin", "path4", "lw:4"])

@@ -214,7 +214,9 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
             else:
                 cli._tracker_update(tracker, upd)
                 assert eng.answer() == tracker.count, where
-                if name == "path4" and eps == 0.5:
+                # at 1/4 the two-sided S-T join views fill: entries are
+                # created in columns that already hold others
+                if name == "path4" and eps in (0.25, 0.5):
                     path4_views_exact(eng, where)
         eng.finish_moves()
         assert eng.check_invariants() == []

@@ -2,12 +2,13 @@
 
 import pytest
 
+from skewivm.cli import family_arities
 from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import fit_scaling
 from skewivm.oracle import LWTracker, brute_force_lw, lw_schemas
 from skewivm.triangle import EpsConfig, TriangleEngine
 
-from helpers import fresh_views, lw_stream, mixed_stream
+from helpers import fresh_views, grow_shrink_stream, lw_stream, mixed_stream
 
 
 class TestShape:
@@ -27,13 +28,19 @@ class TestShape:
 
 class TestDegree3IsTheTriangle:
     def test_stepwise_equality_with_triangle_engine(self):
-        for eps in (0.25, 0.5, 0.75):
-            lw = LWEngine(3, eps)
-            tri = TriangleEngine(EpsConfig.uniform(eps))
-            for rel, t, m in mixed_stream(901, 500, 10):
-                lw.on_update({"R": 0, "S": 1, "T": 2}[rel], t, m)
-                tri.on_update(rel, t, m)
-                assert lw.answer() == tri.answer()
+        # the grow-and-shrink stream runs moves and majors; the two engines
+        # scan the same parts, so their op counts agree as well
+        streams = (mixed_stream(901, 500, 10),
+                   grow_shrink_stream(11, 900, family_arities("triangle"), wide=60))
+        for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for stream in streams:
+                lw = LWEngine(3, eps)
+                tri = TriangleEngine(EpsConfig.uniform(eps))
+                for rel, t, m in stream:
+                    lw.on_update({"R": 0, "S": 1, "T": 2}[rel], t, m)
+                    tri.on_update(rel, t, m)
+                    assert lw.answer() == tri.answer()
+                assert lw.counters.snapshot() == tri.counters.snapshot(), eps
 
 
 class TestDegree4:
