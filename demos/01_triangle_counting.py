@@ -7,10 +7,10 @@ base double as the database grows.
 
 import random
 
-from skewivm import EpsConfig, TriangleEngine
+from skewivm import TriangleEngine
 from skewivm.oracle import brute_force_triangle
 
-eng = TriangleEngine(EpsConfig.uniform(0.5))
+eng = TriangleEngine(0.5)
 
 print("one triangle, one edge at a time:")
 for rel, t in (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1))):
@@ -23,7 +23,7 @@ print(f"  count={eng.answer()}")
 
 print("\nnow a fresh engine on a random stream; the count always matches a "
       "from-scratch recount:")
-eng = TriangleEngine(EpsConfig.uniform(0.5))
+eng = TriangleEngine(0.5)
 rng = random.Random(7)
 shadow = {"R": {}, "S": {}, "T": {}}
 for step in range(2000):

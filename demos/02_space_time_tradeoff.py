@@ -7,7 +7,7 @@ light (same problem mirrored); the balanced middle pays a square-root
 budget per update and materializes moderately sized views.
 """
 
-from skewivm import EpsConfig, TriangleEngine
+from skewivm import TriangleEngine
 from skewivm.cli import hub_insert_stream
 
 STREAM = hub_insert_stream(20000, seed=11)
@@ -15,7 +15,7 @@ STREAM = hub_insert_stream(20000, seed=11)
 print(f"{'eps':>5} | {'total ops':>12} | {'peak state':>10} | {'majors':>6} | {'minors':>6}")
 print("-" * 55)
 for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
-    eng = TriangleEngine(EpsConfig.uniform(eps))
+    eng = TriangleEngine(eps)
     peak = 0
     for rel, t, m in STREAM:
         eng.on_update(rel, t, m)

@@ -9,7 +9,7 @@ updates for the relation outside the view, linear-time for the others.
 
 import random
 
-from skewivm import EpsConfig, TriangleEngine
+from skewivm import TriangleEngine
 
 rng = random.Random(3)
 stream = [("RST"[rng.randrange(3)], (rng.randrange(12), rng.randrange(12)),
@@ -23,18 +23,21 @@ def replay(cfg):
     return eng
 
 
-for label, cfg in (("classical, everything heavy (eps=0)", EpsConfig.uniform(0.0)),
-                   ("classical, everything light (eps=1)", EpsConfig.uniform(1.0))):
+for label, cfg in (("classical, everything heavy (eps=0)", 0.0),
+                   ("classical, everything light (eps=1)", 1.0)):
     eng = replay(cfg)
-    sizes = [len(w) for w in eng.wedges]
+    sizes = [len(view) for view in eng.views]
     print(f"{label}: count={eng.answer()}, view sizes={sizes}")
     assert sizes == [0, 0, 0]
 
 print()
-eng = replay(EpsConfig(0.0, 0.0, 1.0))
+eng = replay((0.0, 0.0, 1.0))
 print("factorized (eps_r=0, eps_s=0, eps_t=1):")
 print(f"  count={eng.answer()}")
-print(f"  views: between R and S: {len(eng.wedges[0])} entries, "
-      f"between S and T: {len(eng.wedges[1])}, between T and R: {len(eng.wedges[2])}")
-assert len(eng.wedges[0]) == 0 and len(eng.wedges[2]) == 0
+# the view of relation v joins the previous relation's light part with the
+# next one's heavy part, and answers updates to v in constant time
+print(f"  views: for R updates (T light, S heavy): {len(eng.views[0])} entries, "
+      f"for S (R light, T heavy): {len(eng.views[1])}, "
+      f"for T (S light, R heavy): {len(eng.views[2])}")
+assert len(eng.views[1]) == 0 and len(eng.views[2]) == 0
 print("  only the S-T view is materialized, so updates to R are constant time")

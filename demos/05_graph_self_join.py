@@ -40,5 +40,5 @@ for _ in range(1500):
         copies.on_update(rel, t, m)
 assert reduced.answer() == copies.answer()
 print(f"  both report {reduced.answer()} after 1500 mixed updates")
-print(f"  reduced engine holds one view with {len(reduced.wedges[0])} entries "
+print(f"  reduced engine holds one view with {len(reduced.views[0])} entries "
       f"instead of three")

@@ -10,7 +10,7 @@ stream and leans hard on deletions and rebalancing.
 
 import random
 
-from skewivm import EpsConfig, TriangleEngine
+from skewivm import TriangleEngine
 from skewivm.oracle import OuMvInstance, oumv_direct, solve_oumv_via_engine
 
 rng = random.Random(2024)
@@ -22,12 +22,12 @@ print(f"direct products:   {direct}")
 
 for eps in (0.0, 0.5, 1.0):
     bits = solve_oumv_via_engine(
-        inst, lambda: TriangleEngine(EpsConfig.uniform(eps)))
+        inst, lambda: TriangleEngine(eps))
     marker = "ok" if bits == direct else "MISMATCH"
     print(f"via engine eps={eps}: {bits}  {marker}")
     assert bits == direct
 
-counters_engine = TriangleEngine(EpsConfig.uniform(0.5))
+counters_engine = TriangleEngine(0.5)
 solve_oumv_via_engine(inst, lambda: counters_engine)
 ops = counters_engine.counters.snapshot()
 print(f"\nwork at the balanced exponent: {ops['iterations']} scan steps, "

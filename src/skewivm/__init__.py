@@ -13,7 +13,7 @@ written once, in ``skewivm.kernel``, and shared by every engine.
 from .metrics import OpCounters, fit_scaling
 from .relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
                        SchemaError)
-from .triangle import EpsConfig, TriangleEngine, static_count
+from .triangle import TriangleEngine, static_count
 from .selfjoin import SelfJoinEngine
 from .refined import RefinedTriangleEngine
 from .enumeration import EnumTriangleEngine, preprocess_enum
@@ -25,7 +25,7 @@ __all__ = [
     "OpCounters", "fit_scaling",
     "HEAVY", "LIGHT", "Partition", "QuadPartition", "Relation",
     "SchemaError",
-    "EpsConfig", "TriangleEngine", "static_count",
+    "TriangleEngine", "static_count",
     "SelfJoinEngine",
     "RefinedTriangleEngine",
     "EnumTriangleEngine", "preprocess_enum",

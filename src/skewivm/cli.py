@@ -48,7 +48,7 @@ from .oracle import (LWTracker, Path4Tracker, SelfJoinTracker, TriangleTracker,
 from .path4 import Path4Engine
 from .refined import RefinedTriangleEngine
 from .selfjoin import SelfJoinEngine
-from .triangle import EpsConfig, TriangleEngine, static_count
+from .triangle import TriangleEngine, static_count
 
 
 class Update(NamedTuple):
@@ -251,7 +251,8 @@ GENERATORS = {
 class RunConfig:
     query: str = "triangle"
     mode: str = "ivm-eps"
-    eps: float = 0.5
+    # None when not given: 0.5 where it is used, refused where it is not
+    eps: float | None = None
     eps_rst: tuple[float, float, float] | None = None
     stream: str = "-"
     verify: bool = False
@@ -266,6 +267,8 @@ class RunConfig:
         if self.mode == "classic":
             if self.eps not in (0.0, 1.0):
                 raise ConfigError("classic mode requires epsilon 0 or 1")
+        if self.mode in ("factorized", "static") and self.eps is not None:
+            raise ConfigError(f"--epsilon does not apply to {self.mode} mode")
         if self.mode == "factorized":
             if self.query != "triangle":
                 raise ConfigError("factorized mode applies to the triangle family")
@@ -287,19 +290,20 @@ class RunConfig:
 
 def build_engine(cfg: RunConfig):
     q = cfg.query
+    eps = 0.5 if cfg.eps is None else cfg.eps
     if q == "triangle":
         if cfg.mode == "factorized":
-            return TriangleEngine(EpsConfig(*cfg.eps_rst))
+            return TriangleEngine(cfg.eps_rst)
         if cfg.mode == "refined":
-            return RefinedTriangleEngine(cfg.eps)
+            return RefinedTriangleEngine(eps)
         if cfg.mode == "enum":
-            return EnumTriangleEngine(cfg.eps)
-        return TriangleEngine(EpsConfig.uniform(cfg.eps))
+            return EnumTriangleEngine(eps)
+        return TriangleEngine(eps)
     if q == "triangle-selfjoin":
-        return SelfJoinEngine(cfg.eps)
+        return SelfJoinEngine(eps)
     if q == "path4":
-        return Path4Engine(cfg.eps)
-    return LWEngine(int(q.split(":", 1)[1]), cfg.eps)
+        return Path4Engine(eps)
+    return LWEngine(int(q.split(":", 1)[1]), eps)
 
 
 def build_tracker(query: str):
@@ -462,7 +466,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query", default="triangle",
                    help="triangle | triangle-selfjoin | path4 | lw:<n>")
     p.add_argument("--mode", default="ivm-eps", choices=MODES)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="tuning exponent in [0, 1], 0.5 when not given")
     p.add_argument("--epsilon-rst", default=None,
                    help="per-relation epsilons 'r,s,t' for factorized mode")
     p.add_argument("--metrics", default=None, help="write records to this path")

@@ -91,6 +91,8 @@ class MaintenanceKernel:
                              f"got {eps!r}")
         self.eps = eps if isinstance(eps, tuple) else float(eps)
         self._eps = eps if isinstance(eps, tuple) else (self.eps,) * len(names)
+        if len(self._eps) != len(names):
+            raise ValueError(f"{type(self).__name__} takes one eps per relation, got {eps!r}")
         for value in self._eps:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"eps={value} outside [0, 1]")
@@ -389,15 +391,6 @@ class MaintenanceKernel:
             # as given: a copy would raise the load's peak memory
             checked.append(rows if all(rows.values()) else {t: m for t, m in rows.items() if m})
         return checked
-
-    def _uncounted(self, build, *args):
-        """``build(*args)`` with its work kept out of the engine's counters."""
-        saved = self.counters
-        self.counters = OpCounters()
-        try:
-            return build(*args)
-        finally:
-            self.counters = saved
 
     def check_invariants(self, loose: bool = True) -> list[str]:
         """Broken size or partition conditions; empty when healthy.

@@ -1,4 +1,4 @@
-"""Cyclic count queries of configurable degree.
+"""Cyclic count queries of configurable degree, maintained by generated code.
 
 Degree n joins n relations of arity n-1 over variables 0..n-1; relation i
 ranges over variables i, i+1, ..., i+n-2 (cyclically) and omits variable
@@ -14,19 +14,17 @@ reduces to enumerating candidates for that one free variable:
     leading variable is the free one, so candidates are capped by the
     number of distinct heavy keys;
   * some other relation light: candidates from the first light relation
-    (per-key light budget), or from relation v-1's heavy part when that is
-    heavy and the tuning exponent is above 1/2.
+    (per-key light budget), or from relation v-1's heavy part when its
+    distinct keys, about N^(1 - eps), are fewer than the light budget
+    N^eps of every other relation (the plan's choice for relation v).
 
-The strategies are planned once, at construction, as walks. A walk scans
-one part at a key read from the update tuple and, for each candidate,
-probes the tuples of the other relations, read from the update tuple
-extended by the candidate. The combinations that scan the same part share
-one walk, which probes every part any of them probes: a tuple sits in
-exactly one part, even while its key is in transit, so the first part
-holding it gives its multiplicity, and the sum over the combinations is
-one product. Relation v's delta thus runs n walks: the view lookup, the
-scan of relation v-1's heavy part, and one scan of the light part of each
-of the n-2 other relations.
+The strategies are planned as walks. A walk scans one part at a key read
+from the update tuple and, for each candidate, probes the other
+relations' tuples, read from the update tuple extended by the candidate.
+The combinations that scan the same part share one walk, which probes
+every part any of them probes (a tuple sits in one part, even while its
+key is in transit). Relation v's delta thus runs the view lookup, the
+scan of relation v-1's heavy part, and one light scan per other relation.
 
 The auxiliary view ``views[v]`` aggregates variable v-1 out of the join of
 relation v-1's light part with the heavy parts of all remaining relations
@@ -34,161 +32,241 @@ relation v-1's light part with the heavy parts of all remaining relations
 stays maintainable: an update to a heavy member scans the light member at
 its fixed leading key, an update to the light member scans relation v-2's
 heavy part, whose leading variable is again the free one. A view is built
-by one member's upkeep walk, run over that member's part. At degree 3 the
-views are the triangle engine's wedges and the walks scan what its walks
-scan, so the two engines count the same lookups and iterations on every
-update, at every exponent. Relations are named R1..Rn (or indexed
-0..n-1); rebalancing comes from the shared kernel.
+by one member's upkeep walk, run over that member's part.
+
+The walks are not interpreted: the plan becomes Python source
+(``plan_source()``) of integers and fixed names, one ``delta`` and one
+``apply_update`` with a branch per relation and side, and a ``build`` of
+each view from a whole part. It is compiled once per plan shape (degree
+and choices) and bound per engine to its index dicts, relations,
+``moving`` maps, counters and views. A probed row whose leading key the
+update fixes is read once per walk; a probe that may hit either part
+reads one row while the partition has no key in transit, both parts'
+rows while one is. Each part keeps only its lookup index (on the
+partition key) and the indexes some walk scans.
+
+At degree 3 the views are the triangle's wedges: the plan is the triangle
+engine (``skewivm.triangle``), and over one partition standing in for all
+three relations, the self-join engine (``skewivm.selfjoin``). Relations
+are named R1..Rn (or indexed 0..n-1); rebalancing comes from the kernel.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import ChainMap
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import HEAVY, LIGHT, Partition, bump
+from .relation import HEAVY, IDX0, LIGHT, Partition
 
-# the probe of a second part, for a relation probed in one part only
-_absent = {}.get
+
+def _plan(n: int, choices: tuple) -> tuple[list, list]:
+    """The walks of the degree-n plan: per relation, its delta walks and its upkeep walks by side.
+
+    A walk ``(v, src, side, probes, view)``, for an update to relation v,
+    scans part ``side`` of relation ``src`` on its index over every
+    variable but v-1 and, per candidate, probes ``(j, sides)``: the parts
+    of relation j a tuple may sit in, light first. It adds into
+    ``views[view]``, or to the delta. ``choices[v]`` gives v-1's heavy scan
+    every combination with v-1 heavy, else only the all-heavy one.
+    """
+    both, heavy = (LIGHT, HEAVY), (HEAVY,)
+    deltas, upkeep = [], []
+    for v in range(n):
+        prev, nxt = (v - 1) % n, (v + 1) % n
+        middle = [(v + d) % n for d in range(1, n - 1)]
+        scan_sides, prev_sides = (both, (LIGHT,)) if choices[v] else (heavy, both)
+
+        def heavy_rest(*skip):
+            return tuple((j, heavy) for j in range(n) if j not in skip)
+        # v-1's heavy scan, then the k-th light scan: the relations before
+        # it heavy, the others either
+        deltas.append(
+            [(v, prev, HEAVY, tuple((j, scan_sides) for j in middle), None)]
+            + [(v, j, LIGHT, tuple((h, heavy) for h in middle[:k])
+                + tuple((r, both) for r in middle[k + 1:]) + ((prev, prev_sides),), None)
+               for k, j in enumerate(middle)])
+        # a heavy member of every view i outside {v, v+1} scans the light
+        # member, relation i-1; the light member of view v+1 scans v-1's
+        # heavy part
+        upkeep.append({
+            HEAVY: [(v, (i - 1) % n, LIGHT, heavy_rest(v, i, (i - 1) % n), i)
+                    for i in range(n) if i not in (v, nxt)],
+            LIGHT: [(v, prev, HEAVY, heavy_rest(v, nxt, prev), nxt)]})
+    return deltas, upkeep
+
+
+def _index_name(j: int, side: str, spec: tuple) -> str:
+    return f"I{j}{side}_" + "_".join(map(str, spec))
+
+
+def _source(n: int, choices: tuple) -> tuple[str, dict]:
+    """The source of the degree-n plan, and the indexes it reads per part label."""
+    deltas, upkeep = _plan(n, choices)
+    specs = {HEAVY: {IDX0}, LIGHT: {IDX0}}
+    lines: list[str] = []
+
+    def emit(depth, *code):
+        lines.extend("    " * depth + line for line in code)
+
+    def walk(d, v, src, side, probes, view):
+        # reads t0.. (the update tuple) and m; adds to acc or to its view
+        pc = (v - 1 - src) % n
+        spec = tuple(q for q in range(n - 1) if q != pc)
+        specs[side].add(spec)
+
+        def var(p):  # position p of the update tuple extended by the candidate z
+            return "z" if p == n - 1 else f"t{p}"
+
+        def tup(j, positions=range(n - 1)):  # relation j's tuple, or its variables at positions
+            return "(" + ", ".join(var((j + k - v) % n) for k in positions) + ")"
+
+        def row(j, sides, lead):  # relation j's row at lead in the parts it may sit in
+            gets = [f"{_index_name(j, s, IDX0)}.get({lead})" for s in sides]
+            return gets[0] if len(gets) == 1 else (f"({' or '.join(gets)} if not M{j} else "
+                                                   f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY))")
+        key = tup(src, spec) if len(spec) > 1 else var((src + spec[0] - v) % n)
+        emit(d, f"posts = {_index_name(src, side, spec)}.get({key})", "if posts:",
+             "    C.iterations += len(posts)", *([f"    W = VB[0][{view}]"] if view is not None else []))
+        # rows whose leading key the update fixes, read once per walk
+        fixed = {j: row(j, sides, var((j - v) % n)) for j, sides in probes if (j - v) % n != n - 1}
+        emit(d + 1, *(f"r{j} = {r}" for j, r in fixed.items()))
+        if fixed:
+            emit(d + 1, "if " + " and ".join(f"r{j} is not None" for j in fixed) + ":")
+        d += 2 if fixed else 1
+        emit(d, "for u, prod in posts.items():", f"    z = u[{pc}]")
+        product = "prod"
+        for j, sides in probes:
+            d += 1
+            source = f"r{j}" if j in fixed else f"({row(j, sides, 'z')} or EMPTY)"
+            emit(d, f"m{j} = {source}.get({tup(j)})", f"if m{j}:")
+            product += f" * m{j}"
+        if view is None:
+            emit(d + 1, f"acc += {product}")
+        else:
+            emit(d + 1, f"k = {tup(view)}", f"w = W.get(k, 0) + m * {product}",
+                 "if w:", "    W[k] = w", "else:", "    del W[k]")
+
+    def branches(name):
+        # an ``if`` per relation but the last, which falls through
+        for v in range(n):
+            if v < n - 1:
+                emit(2, f"if {name} == {v}:")
+            yield v, 3 if v < n - 1 else 2
+
+    unpack = ", ".join(f"t{p}" for p in range(n - 1)) + " = t"
+    emit(1, "def delta(v, t, m):", "    C.lookups += 1")
+    for v, d in branches("v"):
+        emit(d, unpack, f"acc = VB[0][{v}].get(t, 0)")
+        for w in deltas[v]:
+            walk(d, *w)
+        emit(d, "return m * acc")
+    emit(1, "def apply_update(v, side, t, m):")
+    for v, d in branches("v"):
+        emit(d, unpack, "if side == HEAVY:")
+        for w in upkeep[v][HEAVY]:
+            walk(d + 1, *w)
+        emit(d + 1, f"return PH{v}.upsert(t, m)")
+        for w in upkeep[v][LIGHT]:
+            walk(d, *w)
+        emit(d, f"return PL{v}.upsert(t, m)")
+    # view i from its light member's light part, or from its anchor's heavy part
+    emit(1, "def build(i, light, rows):")
+    for i, d in branches("i"):
+        emit(d, "if light:")
+        anchor = next(w for w in upkeep[(i + 1) % n][HEAVY] if w[4] == i)
+        for depth, w in ((d + 1, upkeep[(i - 1) % n][LIGHT][0]), (d, anchor)):
+            emit(depth, "for t, m in rows:", "    " + unpack)
+            walk(depth + 1, *w)
+            emit(depth, "return")
+    emit(1, "return delta, apply_update, build")
+    specs = {side: sorted(s) for side, s in specs.items()}
+    params = [f"M{j}, PH{j}, PL{j}, " + ", ".join(_index_name(j, side, spec)
+                                                   for side in specs for spec in specs[side])
+              for j in range(n)]
+    return "\n".join([f"def bind(C, VB, {', '.join(params)}):"] + lines) + "\n", specs
+
+
+# (degree, per-relation choices) -> (bind, source, index specs), shared by every engine of the shape
+_COMPILED: dict[tuple, tuple] = {}
+
+
+def _compiled(n: int, choices: tuple) -> tuple:
+    if (n, choices) not in _COMPILED:
+        source, specs = _source(n, choices)
+        namespace = {"HEAVY": HEAVY, "EMPTY": {}, "ChainMap": ChainMap}
+        exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
+        _COMPILED[n, choices] = (namespace["bind"], source, specs)
+    return _COMPILED[n, choices]
 
 
 class LWEngine(MaintenanceKernel):
     """Cyclic count of degree n under single-tuple updates."""
 
+    # the relation names; None names them R1..Rn
+    REL: tuple | None = None
+
     def __init__(self, n: int, eps: float = 0.5, counters: OpCounters | None = None):
         if n < 3:
             raise ValueError("degree must be at least 3")
-        super().__init__([f"R{i+1}" for i in range(n)], [n - 1] * n, eps, counters)
-        self.n = n
-        self.arity = n - 1
-        specs = self._index_specs()
-        self.parts = [Partition(self.arity, specs) for _ in range(n)]
-        self.views: list[dict] = [{} for _ in range(n)]
-        # The walks bind parts and index dicts: a Partition never replaces
-        # its Relations, nor a Relation its index dicts. Views and counters
-        # are read when a walk runs: rebuild_views replaces the view list
-        # and _uncounted swaps the counters.
-        both, heavy = (LIGHT, HEAVY), (HEAVY,)
-        # above 1/2, relation v-1's heavy scan takes every combination with
-        # v-1 heavy and the light scans the rest; else the heavy scan takes
-        # only the all-heavy one
-        scan_sides, prev_sides = (both, (LIGHT,)) if self.eps > 0.5 else (heavy, both)
+        super().__init__(self.REL or [f"R{i+1}" for i in range(n)], [n - 1] * n, eps, counters)
+        self.delta = self._setup(self._eps)
 
-        def heavy_rest(*skip):
-            return [(j, heavy) for j in range(n) if j not in skip]
-        # per relation v: its delta's scans; per relation and part: the
-        # upkeep walks of the views it is a member of, by view
-        self._deltas = []
-        self._upkeep = []
-        for v in range(n):
-            prev, nxt = (v - 1) % n, (v + 1) % n
-            middle = [(v + d) % n for d in range(1, n - 1)]
-            # v-1's heavy scan, then the k-th light scan: the relations
-            # before it heavy, the others either
-            self._deltas.append(
-                [self._plan(v, prev, HEAVY, [(j, scan_sides) for j in middle])]
-                + [self._plan(v, j, LIGHT, [(h, heavy) for h in middle[:k]]
-                              + [(r, both) for r in middle[k + 1:]] + [(prev, prev_sides)])
-                   for k, j in enumerate(middle)])
-            # a heavy member of every view i outside {v, v+1} scans the light
-            # member, relation i-1; the light member of view v+1 scans v-1's
-            # heavy part
-            self._upkeep.append({
-                HEAVY: {i: self._plan(v, (i - 1) % n, LIGHT, heavy_rest(v, i, (i - 1) % n), i)
-                        for i in range(n) if i not in (v, nxt)},
-                LIGHT: {nxt: self._plan(v, prev, HEAVY, heavy_rest(v, nxt, prev), nxt)}})
+    def _setup(self, eps: tuple, shared: bool = False):
+        """Build the partitions and views of the plan for the exponents ``eps``, and bind it.
 
-    def _index_specs(self):
-        arity = self.arity
-        specs = {(0,)}
-        for p in range(arity):
-            specs.add(tuple(q for q in range(arity) if q != p))
-        return tuple(sorted(specs))
+        The plan is compiled once per shape; relation v's choice is whether
+        v-1's heavy scan, about N^(1 - eps) keys, beats every other
+        relation's light scan. With ``shared``, one partition and one view
+        stand for every relation of the plan. The views are read through a
+        one-slot list, so ``rebuild_views`` and callers may replace the
+        view list; nothing bound refers to the engine. Sets
+        ``apply_update`` and returns the delta.
+        """
+        n = self.n = len(eps)
+        self._plan_eps = eps
+        bind, self._source, specs = _compiled(n, tuple(
+            1.0 - eps[v - 1] < min(eps[(v + d) % n] for d in range(1, n - 1)) for v in range(n)))
+        self.parts = [Partition(n - 1, specs) for _ in range(1 if shared else n)]
+        self._ring = self.parts * n if shared else self.parts
+        self._views = [[{}] * n if shared else [{} for _ in range(n)]]
+        bindings = {"C": self.counters, "VB": self._views}
+        for j, part in enumerate(self._ring):
+            bindings.update({f"M{j}": part.moving, f"PH{j}": part.heavy, f"PL{j}": part.light})
+            for side, rel in part.parts.items():
+                bindings.update((_index_name(j, side, spec), idx)
+                                for spec, idx in rel.indexes.items())
+        delta, self.apply_update, self._build = bind(**bindings)
+        return delta
+
+    @property
+    def views(self) -> list[dict]:
+        """``views[v]``, keyed by relation v's tuples."""
+        return self._views[0]
+
+    @views.setter
+    def views(self, views: list[dict]) -> None:
+        self._views[0] = views
+
+    def plan_source(self) -> str:
+        """The generated source of the plan, shared by every engine of its shape."""
+        return self._source
 
     def space_used(self) -> int:
         return (sum(p.total_size() for p in self.parts)
                 + sum(len(v) for v in self.views))
 
-    # -- walks ----------------------------------------------------------------
-
-    def _plan(self, v: int, src: int, side: str, probes, view: int | None = None) -> tuple:
-        """The walk, for an update to relation v, that scans part ``side`` of ``src``.
-
-        Candidates for the free variable v-1 come from the scanned part's
-        index on its other variables. ``probes`` lists ``(j, sides)``, the
-        parts of relation j a tuple may sit in, light first. A walk given
-        a ``view`` adds into ``views[view]``, keyed by relation ``view``'s
-        tuple; one without returns its sum. Tuples are read from
-        ``t + (candidate,)``, where variable x sits at position
-        ``(x - v) % n``.
-        """
-        n, arity = self.n, self.arity
-
-        def at(j):
-            return itemgetter(*((j + k - v) % n for k in range(arity)))
-        pc = (v - 1 - src) % n
-        spec = tuple(q for q in range(arity) if q != pc)
-        key_of = itemgetter(*((src + q - v) % n for q in spec))
-        probes = tuple((at(j), *[self.parts[j].parts[s].get for s in sides], _absent)[:3]
-                       for j, sides in probes)
-        return (self.parts[src].parts[side].indexes[spec], key_of, pc, probes,
-                view, None if view is None else at(view))
-
-    def _run(self, walk: tuple, t: tuple, m: int) -> int:
-        """Run ``walk`` for the delta ``m`` of ``t``: its sum, or 0 after adding to its view."""
-        idx, key_of, pc, probes, view, view_key = walk
-        posts = idx.get(key_of(t))
-        if not posts:
-            return 0
-        self.counters.iterations += len(posts)
-        if view is not None:
-            view = self.views[view]
-        acc = 0
-        for u, prod in posts.items():
-            ext = t + (u[pc],)
-            for tuple_of, first, second in probes:
-                key = tuple_of(ext)
-                mj = first(key) or second(key)
-                if not mj:
-                    break
-                prod *= mj
-            else:
-                if view is None:
-                    acc += prod
-                else:
-                    bump(view, view_key(ext), m * prod)
-        return m * acc
-
-    # -- update procedures ----------------------------------------------------
-
-    def delta(self, v: int, t: tuple, m: int) -> int:
-        """Count change for the delta ``m`` of ``t`` in relation v."""
-        self.counters.lookups += 1
-        acc = m * self.views[v].get(t, 0)
-        for walk in self._deltas[v]:
-            acc += self._run(walk, t, m)
-        return acc
-
-    def apply_update(self, v: int, side: str, t: tuple, m: int) -> int:
-        """Apply a routed delta; returns the stored multiplicity."""
-        for walk in self._upkeep[v][side].values():
-            self._run(walk, t, m)
-        return self.parts[v].parts[side].upsert(t, m)
-
     def rebuild_views(self) -> None:
-        """Build each view by one member's upkeep walk over its part, chosen by cost."""
-        n = self.n
-        self.views = [{} for _ in range(n)]
-        for i in range(n):
-            light_member, anchor = (i - 1) % n, (i + 1) % n
-            lrel = self.parts[light_member].light
-            arel = self.parts[anchor].heavy
-            if not lrel or not arel:
-                continue
-            if len(arel) * 1.5 * self._theta() <= len(lrel) * 2 * (self.N ** (1.0 - self.eps)):
-                walk, rel = self._upkeep[anchor][HEAVY][i], arel
-            else:
-                walk, rel = self._upkeep[light_member][LIGHT][i], lrel
-            for t, m in rel.items():
-                self._run(walk, t, m)
+        self.views = [{} for _ in range(self.n)]
+        for i in range(self.n):
+            self._build_view(i)
+
+    def _build_view(self, i: int) -> None:
+        """Build view i by one member's upkeep walk over its part, chosen by cost."""
+        n, eps, N = self.n, self._plan_eps, self.N
+        lrel, arel = self._ring[(i - 1) % n].light, self._ring[(i + 1) % n].heavy
+        if lrel and arel:
+            # a heavy tuple walks a light row, a light tuple the heavy keys of relation i-2
+            light = (len(arel) * 1.5 * N ** eps[(i - 1) % n]
+                     > len(lrel) * 2 * N ** (1.0 - eps[(i - 2) % n]))
+            self._build(i, light, (lrel if light else arel).items())

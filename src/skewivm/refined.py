@@ -33,13 +33,30 @@ from __future__ import annotations
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
-from .relation import IDX0, IDX1, QUAD_LABELS, QuadPartition, bump
-from .triangle import build_wedge
+from .relation import IDX0, IDX1, QUAD_LABELS, QuadPartition, Relation, bump
 
 REL_NAMES = ("R", "S", "T")
 
 # stands in for an absent posting map; only ever read
 _NONE: dict = {}
+
+
+def build_wedge(heavy: Relation, light: Relation, counters: OpCounters) -> dict:
+    """Aggregated join ``heavy(x, y) * light(y, z)`` keyed ``(x, z)``.
+
+    Walks the join values present on both sides, pairing the heavy
+    postings at each value with the light ones: ``sum_y |H_y| * |L_y|``
+    pairs, which is what probing every tuple of either side costs.
+    """
+    w: dict = {}
+    h_idx, l_idx = heavy.indexes[IDX1], light.indexes[IDX0]
+    for y in h_idx.keys() & l_idx.keys():
+        h_posts, l_posts = h_idx[y], l_idx[y]
+        counters.iterations += len(h_posts) * len(l_posts)
+        for t, mh in h_posts.items():
+            for u, ml in l_posts.items():
+                bump(w, (t[0], u[1]), mh * ml)
+    return w
 
 
 class RefinedTriangleEngine(MaintenanceKernel):

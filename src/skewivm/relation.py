@@ -35,7 +35,7 @@ tuples in parts of both statuses until its last tuple has moved.
 from __future__ import annotations
 
 import math
-from collections import ChainMap, Counter
+from collections import Counter
 from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
@@ -181,31 +181,26 @@ class Partition:
     that reached ``tall_at``, the last split's threshold rounded up, so
     that a doubling checks only those light keys.
 
-    Here the partition key's index (on variable 0) comes first in both
-    parts, so point lookups go through it. By default the heavy part also
-    indexes every other variable and the light part nothing else, the
-    layout the triangle engines walk; ``index_specs`` gives both parts the
-    same indexes instead. ``heavy`` and ``light`` name the two parts, and
-    ``light_rows`` probes the light rows of a key in transit on both sides.
+    Each part's indexes are given per part label (``index_specs``), after
+    the partition key's index (on variable 0), which comes first in both
+    parts, so point lookups and degrees go through it. By default the
+    heavy part also indexes every other variable and the light part
+    nothing else, the layout the triangle's walks scan. ``heavy`` and
+    ``light`` name the two parts.
     """
 
     __slots__ = ("parts", "theta", "moving", "tall_at", "tall", "heavy", "light",
-                 "light_rows", "_heavy_keys", "_light_keys", "_by_status", "_on_create",
-                 "_on_delete", "_away")
+                 "_heavy_keys", "_light_keys", "_by_status", "_on_create", "_on_delete",
+                 "_away")
 
-    def __init__(self, arity: int, index_specs: Iterable[tuple[int, ...]] | None = None):
+    def __init__(self, arity: int, index_specs: dict | None = None):
         if index_specs is None:
-            light_specs = (IDX0,)
-            heavy_specs = light_specs + tuple((i,) for i in range(arity))
-        else:
-            heavy_specs = light_specs = (IDX0,) + tuple(map(tuple, index_specs))
-        self.heavy = Relation(arity, heavy_specs)
-        self.light = Relation(arity, light_specs)
+            index_specs = {HEAVY: tuple((i,) for i in range(arity)), LIGHT: ()}
+        self.heavy, self.light = (Relation(arity, (IDX0, *index_specs[lab]))
+                                  for lab in (HEAVY, LIGHT))
         self._split({HEAVY: self.heavy, LIGHT: self.light})
         self._heavy_keys = self.heavy.indexes[IDX0]
         self._light_keys = self.light.indexes[IDX0]
-        # the light rows as a probe that sees both sides of a key in transit
-        self.light_rows = _TransitRows(self._light_keys, self._heavy_keys, self.moving)
 
     def _split(self, parts: dict[str, Relation]) -> None:
         """Take ``parts``, labelled one status per variable, and cache their indexes.
@@ -562,28 +557,6 @@ class QuadPartition(Partition):
 
     # perfbench's tracer wraps ``restrict`` through each class's own __dict__
     restrict = Partition.restrict
-
-
-class _TransitRows:
-    """``get(key)``: the light posting map of ``key`` while it is not in transit.
-
-    For a key in transit with tuples on both sides, a read-only chain of
-    both sides' posting maps (a tuple sits on one side). It holds the
-    partition's dicts, not the partition, so it makes no reference cycle.
-    """
-
-    __slots__ = ("_light", "_heavy", "_moving")
-
-    def __init__(self, light: dict, heavy: dict, moving: dict):
-        self._light, self._heavy, self._moving = light, heavy, moving
-
-    def get(self, key):
-        row = self._light.get(key)
-        if row and (0, key) in self._moving:
-            other = self._heavy.get(key)
-            if other:
-                return ChainMap(row, other)
-        return row
 
 
 def bump(d: dict, key, delta: int) -> int:

@@ -1,32 +1,26 @@
 """Triangle counting over a single self-joined edge relation.
 
 Maintains ``q = sum_{a,b,c} R(a,b) * R(b,c) * R(c,a)`` under single-tuple
-updates to R. Algebraically the delta of the triple self-join collapses to
-three times the triangle delta with R = S = T, plus two diagonal
-correction terms that are only active for loop edges (a, a): a quadratic
-term against the stored loop multiplicity and a cubic term from the update
-alone. Multiplicities beyond +-1 are honored, so the quadratic term uses m
-squared and the cubic term m cubed.
+updates to R. The delta of the triple self-join is three times the
+triangle delta with R = S = T, plus two correction terms active only for
+loop edges (a, a): a quadratic one against the stored loop multiplicity
+and a cubic one from the update alone (m squared and m cubed).
 
-So the engine is the triangle engine over one partition (on the source
-endpoint): that partition stands in for all three relations of the
-triangle engine's ``ring``, and one wedge view, the aggregated join of its
-heavy part with its light part, fills all three wedge slots. The triangle
-engine's delta, update step and wedge builder run on them unchanged, and
-routing and rebalancing come from the shared kernel. The delta of
-relation 0 reads relation 0 itself, so unlike the other engines this one
-computes its loaded count from the query's definition.
+So the engine is the triangle's generated plan (``LWEngine`` at degree 3)
+bound to one partition (on the source endpoint) standing in for all three
+relations and one wedge view, built once, in all three view slots. The
+delta of relation 0 reads relation 0 itself, so this engine computes its
+loaded count from the query's definition.
 """
 
 from __future__ import annotations
 
 from .kernel import MaintenanceKernel
+from .loomis_whitney import LWEngine
 from .metrics import OpCounters
-from .relation import Partition
-from .triangle import TriangleEngine, build_wedge
 
 
-class SelfJoinEngine(TriangleEngine):
+class SelfJoinEngine(LWEngine):
     """Self-join triangle count under single-tuple edge updates."""
 
     REL = ("R",)
@@ -34,19 +28,14 @@ class SelfJoinEngine(TriangleEngine):
 
     def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
         MaintenanceKernel.__init__(self, self.REL, (2,), eps, counters)
-        part = Partition(2)
-        self.parts = [part]
-        self.ring = (part, part, part)
-        # wedges[i][(a, c)] = sum_b heavy(a, b) * light(b, c), one dict for all i
-        wedge: dict = {}
-        self.wedges = [wedge, wedge, wedge]
+        self._delta = self._setup(self._eps * 3, shared=True)
 
     def space_used(self) -> int:
-        return self.parts[0].total_size() + len(self.wedges[0])
+        return self.parts[0].total_size() + len(self.views[0])
 
     def delta(self, i: int, t: tuple, m: int) -> int:
         """Change of the count for the delta ``m`` of edge ``t``."""
-        dq = 3 * TriangleEngine.delta(self, 0, t, m)
+        dq = 3 * self._delta(0, t, m)
         if t[0] == t[1]:
             self.counters.lookups += 2
             dq += 3 * m * m * self.parts[0].multiplicity(t)
@@ -54,9 +43,9 @@ class SelfJoinEngine(TriangleEngine):
         return dq
 
     def rebuild_views(self) -> None:
-        part = self.parts[0]
-        wedge = build_wedge(part.heavy, part.light, self.counters)
-        self.wedges = [wedge, wedge, wedge]
+        view: dict = {}
+        self.views = [view] * 3
+        self._build_view(0)
 
     @classmethod
     def preprocess(cls, edges: dict, eps: float = 0.5,
@@ -70,4 +59,4 @@ class SelfJoinEngine(TriangleEngine):
         ``q = sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)`` is the query's
         definition, loops included, so no correction term enters.
         """
-        return sum(TriangleEngine.delta(self, 0, t, m) for t, m in rows.items())
+        return sum(self._delta(0, t, m) for t, m in rows.items())

@@ -276,14 +276,18 @@ def views(eng, names) -> dict:
 def fresh_views(eng, names) -> dict:
     """The views ``rebuild_views`` computes from the current parts, by name.
 
-    The maintained views are put back afterwards, so a replay goes on
-    with whatever the engine kept.
+    The maintained views and the counters' values are put back
+    afterwards, so a replay goes on with whatever the engine kept and
+    counts only its own work.
     """
     kept = {name: getattr(eng, name) for name in names}
-    eng._uncounted(eng.rebuild_views)
+    counted = eng.counters.snapshot()
+    eng.rebuild_views()
     fresh = views(eng, names)
     for name, view in kept.items():
         setattr(eng, name, view)
+    for name, value in counted.items():
+        setattr(eng.counters, name, value)
     return fresh
 
 

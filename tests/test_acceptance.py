@@ -28,7 +28,7 @@ from skewivm.oracle import (LWTracker, OuMvInstance, Path4Tracker,
 from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
-from skewivm.triangle import EpsConfig, TriangleEngine, static_count
+from skewivm.triangle import TriangleEngine, static_count
 
 from helpers import (ThreeCopiesEngine, fresh_views, lw_stream, mixed_stream, path4_stream,
                      varied_length)
@@ -80,7 +80,7 @@ def replayed(triangle_streams):
     loose_breaks = []
     view_breaks = []
     for eps in EPS_GRID:
-        cfg = EpsConfig.uniform(eps)
+        cfg = (eps,) * 3
         for sid, (stream, expected) in enumerate(triangle_streams):
             eng = TriangleEngine(cfg)
             parts = eng.parts
@@ -96,9 +96,9 @@ def replayed(triangle_streams):
                         loose_breaks.append((eps, sid, i))
                         break
                 if eps == 0.5 and rng.random() < 0.01:
-                    fresh = fresh_views(eng, ("wedges",))["wedges"]
+                    fresh = fresh_views(eng, ("views",))["views"]
                     for j in range(3):
-                        if eng.wedges[j] != fresh[j]:
+                        if eng.views[j] != fresh[j]:
                             view_breaks.append((sid, i, j))
     return {
         "mismatches": mismatches,
@@ -120,7 +120,7 @@ def test_c02_cross_engine_equivalence(triangle_streams):
     static_bad = []
     for sid in range(100):
         stream, expected = triangle_streams[sid]
-        core = TriangleEngine(EpsConfig.uniform(0.5))
+        core = TriangleEngine(0.5)
         refined = RefinedTriangleEngine(0.5)
         lw3 = LWEngine(3, 0.5)
         db = {"R": {}, "S": {}, "T": {}}
@@ -147,10 +147,10 @@ def test_c03_recovery_modes():
     for sid in range(30):
         stream = mixed_stream(3000 + sid, 400, 16)
         for eps in (0.0, 1.0):
-            eng = TriangleEngine(EpsConfig.uniform(eps))
+            eng = TriangleEngine(eps)
             for rel, t, m in stream:
                 eng.on_update(rel, t, m)
-                if any(eng.wedges):
+                if any(eng.views):
                     bad.append(("uniform", eps, sid))
                     break
                 empty_side = "l" if eps == 0.0 else "h"
@@ -158,12 +158,12 @@ def test_c03_recovery_modes():
                     bad.append(("parts", eps, sid))
                     break
         for triple in ((0.0, 0.0, 1.0), (1.0, 0.0, 1.0)):
-            eng = TriangleEngine(EpsConfig(*triple))
+            eng = TriangleEngine(tuple(triple))
             trk = TriangleTracker()
             for rel, t, m in stream:
                 eng.on_update(rel, t, m)
                 trk.update(rel, t, m)
-                if eng.wedges[0] or eng.wedges[2] or eng.answer() != trk.count:
+                if eng.views[1] or eng.views[2] or eng.answer() != trk.count:
                     bad.append(("factorized", triple, sid))
                     break
     verdict(3, "extreme exponents keep views empty; factorized keeps one",
@@ -280,7 +280,7 @@ def test_c07_path4_and_lw():
                 bad.append(("lw4-anchor", sid))
     for sid in range(30):
         lw3 = LWEngine(3, 0.5)
-        tri = TriangleEngine(EpsConfig.uniform(0.5))
+        tri = TriangleEngine(0.5)
         for rel, t, m in mixed_stream(7800 + sid, 400, 14):
             lw3.on_update({"R": 0, "S": 1, "T": 2}[rel], t, m)
             tri.on_update(rel, t, m)
@@ -301,7 +301,7 @@ def test_c08_oumv_harness():
         want = oumv_direct(inst)
         for eps in (0.0, 0.5, 1.0):
             got = solve_oumv_via_engine(
-                inst, lambda: TriangleEngine(EpsConfig.uniform(eps)))
+                inst, lambda: TriangleEngine(eps))
             if got != want:
                 bad.append((k, n, eps))
     verdict(8, "reduction harness bits equal direct vector-matrix-vector products",
@@ -321,7 +321,7 @@ def _total_ops(engine, stream) -> int:
 def test_c09_update_scaling_separation():
     slopes = {}
     for eps in (0.5, 0.0, 1.0):
-        totals = [_total_ops(TriangleEngine(EpsConfig.uniform(eps)),
+        totals = [_total_ops(TriangleEngine(eps),
                              hub_insert_stream(n, seed=101)) for n in SCALE_SIZES]
         slopes[eps] = fit_scaling(SCALE_SIZES, totals)
     ok = slopes[0.5] <= 1.65 and slopes[0.0] >= 1.85 and slopes[1.0] >= 1.85
@@ -332,7 +332,7 @@ def test_c09_update_scaling_separation():
 
 def test_c10_space_profiles():
     peaks = {}
-    for name, factory in (("core", lambda: TriangleEngine(EpsConfig.uniform(0.5))),
+    for name, factory in (("core", lambda: TriangleEngine(0.5)),
                           ("refined", lambda: RefinedTriangleEngine(0.5))):
         per_size = []
         for n in SCALE_SIZES:

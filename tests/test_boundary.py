@@ -22,7 +22,7 @@ from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.relation import SchemaError
 from skewivm.selfjoin import SelfJoinEngine
-from skewivm.triangle import EpsConfig, TriangleEngine
+from skewivm.triangle import TriangleEngine
 
 from helpers import lw_stream, mixed_stream, path4_stream
 
@@ -194,10 +194,10 @@ def test_one_exponent_engines_refuse_a_tuple_of_exponents(name):
 
 
 def test_triangle_engine_takes_one_exponent_per_relation():
-    eng = TriangleEngine(EpsConfig(0.0, 0.5, 1.0))
+    eng = TriangleEngine((0.0, 0.5, 1.0))
     assert eng.eps == (0.0, 0.5, 1.0)
     for rel, t, m in mixed_stream(5, 300, 6):
         eng.on_update(rel, t, m)
     assert not eng.check_invariants()
-    assert TriangleEngine.preprocess({"R": {(1, 2): 1}}, EpsConfig(0.5, 0.0, 1.0)).eps == \
+    assert TriangleEngine.preprocess({"R": {(1, 2): 1}}, (0.5, 0.0, 1.0)).eps == \
         (0.5, 0.0, 1.0)

@@ -47,7 +47,6 @@ from skewivm.cli import Update, family_arities
 from skewivm.kernel import B
 from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, QuadPartition
-from skewivm.triangle import EpsConfig
 
 from helpers import fresh_views, path4_views_exact, swing_stream, views
 from test_major_rebalance import ENGINES, EPS_GRID
@@ -153,8 +152,8 @@ def _aimed(eng, names, arities, rng, fresh, seen):
 # per-relation exponents of the triangle engine: its light walk next to a
 # neighbor pinned heavy (0) or light (1), and minors on relations whose
 # thresholds differ
-MIXED_EPS = {"0,0,1": EpsConfig(0.0, 0.0, 1.0), "1,0,0.5": EpsConfig(1.0, 0.0, 0.5),
-             "0.75,0,0.25": EpsConfig(0.75, 0.0, 0.25)}
+MIXED_EPS = {"0,0,1": (0.0, 0.0, 1.0), "1,0,0.5": (1.0, 0.0, 0.5),
+             "0.75,0,0.25": (0.75, 0.0, 0.25)}
 
 
 @pytest.mark.parametrize(

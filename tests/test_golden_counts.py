@@ -109,7 +109,7 @@ from skewivm.loomis_whitney import LWEngine
 from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
-from skewivm.triangle import EpsConfig, TriangleEngine
+from skewivm.triangle import TriangleEngine
 
 from helpers import grow_shrink_stream, multiplicity_churn
 
@@ -136,8 +136,8 @@ ENGINES = {
                      lambda db: TriangleEngine.preprocess(db, 0.5)),
     "triangle:1": ("triangle", lambda: TriangleEngine(1.0),
                    lambda db: TriangleEngine.preprocess(db, 1.0)),
-    "triangle:0,0,1": ("triangle", lambda: TriangleEngine(EpsConfig(0.0, 0.0, 1.0)),
-                       lambda db: TriangleEngine.preprocess(db, EpsConfig(0.0, 0.0, 1.0))),
+    "triangle:0,0,1": ("triangle", lambda: TriangleEngine((0.0, 0.0, 1.0)),
+                       lambda db: TriangleEngine.preprocess(db, (0.0, 0.0, 1.0))),
     "selfjoin": ("triangle-selfjoin", lambda: SelfJoinEngine(0.5),
                  lambda db: SelfJoinEngine.preprocess(db["R"], 0.5)),
     "refined": ("triangle", lambda: RefinedTriangleEngine(0.5),

@@ -6,7 +6,7 @@ from skewivm.cli import family_arities
 from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import fit_scaling
 from skewivm.oracle import LWTracker, brute_force_lw, lw_schemas
-from skewivm.triangle import EpsConfig, TriangleEngine
+from skewivm.triangle import TriangleEngine
 
 from helpers import fresh_views, grow_shrink_stream, lw_stream, mixed_stream
 
@@ -35,7 +35,7 @@ class TestDegree3IsTheTriangle:
         for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
             for stream in streams:
                 lw = LWEngine(3, eps)
-                tri = TriangleEngine(EpsConfig.uniform(eps))
+                tri = TriangleEngine(eps)
                 for rel, t, m in stream:
                     lw.on_update({"R": 0, "S": 1, "T": 2}[rel], t, m)
                     tri.on_update(rel, t, m)

@@ -48,9 +48,9 @@ def _path4_oracle(db):
 # name -> (query family, engine for an exponent, attributes rebuild_views sets,
 #          loader taking (database, exponent), oracle answer of a database)
 ENGINES = {
-    "triangle": ("triangle", TriangleEngine, ("wedges",),
+    "triangle": ("triangle", TriangleEngine, ("views",),
                  TriangleEngine.preprocess, _triangle_oracle),
-    "selfjoin": ("triangle-selfjoin", SelfJoinEngine, ("wedges",),
+    "selfjoin": ("triangle-selfjoin", SelfJoinEngine, ("views",),
                  lambda db, eps: SelfJoinEngine.preprocess(db["R"], eps),
                  lambda db: brute_force_selfjoin(db["R"])),
     "refined": ("triangle", RefinedTriangleEngine, ("wedges",),

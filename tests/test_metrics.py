@@ -10,13 +10,13 @@ import pytest
 
 from skewivm.cli import _record
 from skewivm.metrics import OpCounters, fit_scaling
-from skewivm.triangle import EpsConfig, TriangleEngine
+from skewivm.triangle import TriangleEngine
 
 from helpers import mixed_stream, replay_audit, synthetic_totals
 
 
 def test_counters_monotone_under_use():
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    eng = TriangleEngine(0.5)
     prev = eng.counters.snapshot()
     for rel, t, m in mixed_stream(1, 400, 10):
         eng.on_update(rel, t, m)
@@ -26,7 +26,7 @@ def test_counters_monotone_under_use():
 
 
 def test_record_captures_rebalance_events():
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    eng = TriangleEngine(0.5)
     eng.on_update("R", (1, 2), 1)  # first insert doubles the threshold base
     rec = _record(1, eng)
     assert rec["rebalances"] == {"major": 1, "minor": 0}
@@ -35,7 +35,7 @@ def test_record_captures_rebalance_events():
 
 
 def test_zero_op_step_records_zeros():
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    eng = TriangleEngine(0.5)
     rec = _record(0, eng)
     assert rec["ops"]["iterations"] == 0 and rec["db_size"] == 0 and rec["answer"] == 0
     assert rec["pending_moves"] == 0
@@ -44,7 +44,7 @@ def test_zero_op_step_records_zeros():
 def test_record_counts_the_keys_whose_moves_are_queued():
     # threshold base 8 holding two tuples: a fifth tuple at one key passes
     # the light cap 4.24, and its five moves take three later updates
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    eng = TriangleEngine(0.5)
     for b in range(4):
         eng.on_update("S", (100 + b, 200 + b), 1)
     eng.on_update("S", (100, 200), -1)
@@ -105,13 +105,13 @@ def test_fit_scaling_needs_three_sizes():
 
 def test_replay_audit_deterministic_counters():
     stream = mixed_stream(7, 700, 12)
-    assert replay_audit(lambda: TriangleEngine(EpsConfig.uniform(0.5)), stream)
-    assert replay_audit(lambda: TriangleEngine(EpsConfig.uniform(0.25)), stream)
+    assert replay_audit(lambda: TriangleEngine(0.5), stream)
+    assert replay_audit(lambda: TriangleEngine(0.25), stream)
 
 
 def test_update_paths_account_their_work():
     # every update must tick at least the routing lookup; scans add more
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    eng = TriangleEngine(0.5)
     before = eng.counters.total_steps()
     for rel, t, m in mixed_stream(11, 300, 8):
         prev = eng.counters.total_steps()

@@ -11,7 +11,7 @@ from skewivm.oracle import (LWTracker, OuMvInstance, Path4Tracker,
                             brute_force_path4, brute_force_selfjoin,
                             brute_force_triangle, lw_schemas, oumv_direct,
                             solve_oumv_via_engine)
-from skewivm.triangle import EpsConfig, TriangleEngine
+from skewivm.triangle import TriangleEngine
 
 from helpers import lw_stream, mixed_stream, path4_stream
 
@@ -101,23 +101,23 @@ class TestOuMvHarness:
     def test_identity_hit(self):
         inst = OuMvInstance(2, [[1, 0], [0, 1]], [([1, 0], [1, 0])])
         assert oumv_direct(inst) == [1]
-        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(EpsConfig.uniform(0.5)))
+        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(0.5))
         assert bits == [1]
 
     def test_identity_miss(self):
         inst = OuMvInstance(2, [[1, 0], [0, 1]], [([1, 0], [0, 1])])
         assert oumv_direct(inst) == [0]
-        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(EpsConfig.uniform(0.5)))
+        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(0.5))
         assert bits == [0]
 
     def test_random_instance_matches_direct(self):
         rng = random.Random(17)
         inst = OuMvInstance.random(16, rng)
-        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(EpsConfig.uniform(0.5)))
+        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(0.5))
         assert bits == oumv_direct(inst)
 
     def test_zero_deltas_are_skipped(self):
         # repeating the same vector pair must not emit zero-multiplicity updates
         inst = OuMvInstance(3, [[0, 1, 0]] * 3, [([1, 1, 0], [0, 1, 1])] * 3)
-        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(EpsConfig.uniform(0.0)))
+        bits = solve_oumv_via_engine(inst, lambda: TriangleEngine(0.0))
         assert bits == oumv_direct(inst)

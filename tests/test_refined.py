@@ -4,7 +4,7 @@ import random
 
 from skewivm.oracle import TriangleTracker
 from skewivm.refined import RefinedTriangleEngine
-from skewivm.triangle import EpsConfig, TriangleEngine
+from skewivm.triangle import TriangleEngine
 
 from helpers import degree, fresh_views, mixed_stream
 
@@ -35,7 +35,7 @@ class TestDeltasAndViews:
             stream = mixed_stream(400 + seed, 400, 9)
             for eps in (0.0, 0.5, 1.0):
                 refined = RefinedTriangleEngine(eps)
-                base = TriangleEngine(EpsConfig.uniform(eps))
+                base = TriangleEngine(eps)
                 for rel, t, m in stream:
                     refined.on_update(rel, t, m)
                     base.on_update(rel, t, m)

@@ -75,7 +75,7 @@ class TestRebalancing:
         eng = SelfJoinEngine(1.0)
         for rel, t, m in edge_stream(10, 500, 8):
             eng.on_update(rel, t, m)
-            assert not eng.wedges[0]
+            assert not eng.views[0]
             assert eng.parts[0].heavy.size() == 0
 
 
@@ -91,7 +91,7 @@ class TestEquivalences:
                     assert eng.answer() == trk.count
                 assert trk.count == brute_force_selfjoin(dict(trk.rel))
                 assert not eng.check_invariants()
-                assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
+                assert fresh_views(eng, ("views",)) == {"views": eng.views}
 
     def test_three_copies_encoding_agrees_stepwise(self):
         for eps in (0.0, 0.5, 1.0):

@@ -23,14 +23,21 @@ from skewivm.triangle import TriangleEngine
 
 from helpers import mixed_stream, settle
 
+
+
+def _layout(part):
+    """The index specs of a partition's parts, as ``Partition`` takes them."""
+    return {label: tuple(rel.indexes) for label, rel in part.parts.items()}
+
+
 # (arity, index specs passed to Partition): the triangle engines' default
 # layout, the full binary layout of quad parts and path4 views, and the
 # multi-column layouts of the degree-4 and degree-5 cyclic engines
 LAYOUTS = (
     (2, None),
-    (2, (IDX0, IDX1)),
-    (3, LWEngine(4)._index_specs()),
-    (4, LWEngine(5)._index_specs()),
+    (2, {HEAVY: (IDX0, IDX1), LIGHT: (IDX0, IDX1)}),
+    (3, _layout(LWEngine(4).parts[0])),
+    (4, _layout(LWEngine(5).parts[0])),
 )
 DOMAIN = 3
 

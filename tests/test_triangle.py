@@ -6,20 +6,20 @@ import pytest
 
 from skewivm.metrics import OpCounters
 from skewivm.oracle import TriangleTracker, brute_force_triangle
-from skewivm.triangle import EpsConfig, TriangleEngine, static_count
+from skewivm.triangle import TriangleEngine, static_count
 
 from helpers import apply_routed, degree, fresh_views, has_key, mixed_stream
 
 
 def state_fingerprint(eng: TriangleEngine):
     parts = tuple((dict(p.heavy.items()), dict(p.light.items())) for p in eng.parts)
-    return (eng.q, parts, tuple(dict(w) for w in eng.wedges))
+    return (eng.q, parts, tuple(dict(w) for w in eng.views))
 
 
 class TestEpsConfig:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            EpsConfig(1.5, 0.0, 0.0)
+            TriangleEngine((1.5, 0.0, 0.0))
 
 
 class TestPreprocess:
@@ -38,7 +38,7 @@ class TestPreprocess:
         db = {"R": {(1, 2): 1, (4, 5): 2}, "S": {(8, 9): 1}, "T": {(6, 7): 3}}
         eng = TriangleEngine.preprocess(db, 0.5)
         assert eng.answer() == 0
-        assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
+        assert fresh_views(eng, ("views",)) == {"views": eng.views}
 
     def test_matches_brute_force_on_random_databases(self):
         rng = random.Random(2)
@@ -54,7 +54,7 @@ class TestPreprocess:
 
 class TestApplyUpdate:
     def test_closing_edge_counts_the_triangle(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         eng.on_update("S", (2, 3), 1)
         eng.on_update("T", (3, 1), 1)
         assert eng.delta(0, (1, 2), 1) == 1
@@ -62,18 +62,18 @@ class TestApplyUpdate:
         assert eng.answer() == 1
 
     def test_delta_with_empty_neighbors_is_zero(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         assert eng.delta(0, (1, 2), 5) == 0
 
     def test_apply_update_returns_the_stored_multiplicity(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         assert eng.apply_update(0, "l", (1, 2), 5) == 5  # a create returns m
         assert eng.apply_update(0, "l", (1, 2), -2) == 3
         assert eng.apply_update(0, "l", (1, 2), -3) == 0  # a delete returns 0
         assert eng.answer() == 0  # the answer is on_update's to keep
 
     def test_insert_then_delete_restores_state_exactly(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         for rel, t, m in mixed_stream(3, 120, 6):
             eng.on_update(rel, t, m)
         before = state_fingerprint(eng)
@@ -84,13 +84,13 @@ class TestApplyUpdate:
 
 class TestOnUpdateRebalancing:
     def test_first_insert_doubles_the_base(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         eng.on_update("R", (1, 2), 1)
         assert eng.N == 2
         assert eng.counters.rebalance_major == 1
 
     def test_db_is_half_the_base_after_doubling(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         seen = []
         for rel, t, m in mixed_stream(9, 400, 16, mults=(1,)):
             before = eng.counters.rebalance_major
@@ -101,7 +101,7 @@ class TestOnUpdateRebalancing:
 
     def test_minor_rebalance_promotes_a_crowded_key(self):
         # reach threshold base 8 with a small database, then stack one key
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         for b in range(4):
             eng.on_update("S", (100 + b, 200 + b), 1)
         assert eng.N == 8 and eng.db_size == 4
@@ -131,7 +131,7 @@ class TestOnUpdateRebalancing:
         assert eng.counters.moves == 5
 
     def test_emptying_a_heavy_key_is_a_quiet_noop(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         for b in range(4):
             eng.on_update("S", (100 + b, 200 + b), 1)
         for b in range(1, 6):
@@ -146,7 +146,7 @@ class TestOnUpdateRebalancing:
         assert eng.answer() == 0
 
     def test_major_rebalance_preserves_count_and_strictness(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         trk = TriangleTracker()
         for rel, t, m in mixed_stream(13, 500, 8):
             eng.on_update(rel, t, m)
@@ -156,10 +156,10 @@ class TestOnUpdateRebalancing:
         eng.major_rebalance()
         assert eng.answer() == q_before == trk.count
         assert not eng.check_invariants(loose=False)
-        assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
+        assert fresh_views(eng, ("views",)) == {"views": eng.views}
 
     def test_minor_rebalance_moves_within_budget_and_keeps_count(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         trk = TriangleTracker()
         rng = random.Random(77)
         moved_events = 0
@@ -181,7 +181,7 @@ class TestOnUpdateRebalancing:
 
 class TestAnswerAndStatic:
     def test_answer_examples(self):
-        assert TriangleEngine(EpsConfig.uniform(0.5)).answer() == 0
+        assert TriangleEngine(0.5).answer() == 0
         db = {"R": {(1, 2): 2}, "S": {(2, 3): 3}, "T": {(3, 1): 1}}
         eng = TriangleEngine.preprocess(db, 0.5)
         assert eng.answer() == 6
@@ -206,29 +206,29 @@ class TestAnswerAndStatic:
 
 class TestRecoveryModes:
     def test_all_light_mode_keeps_heavy_parts_and_wedges_empty(self):
-        eng = TriangleEngine(EpsConfig.uniform(1.0))
+        eng = TriangleEngine(1.0)
         for rel, t, m in mixed_stream(15, 800, 10):
             eng.on_update(rel, t, m)
             assert all(p.heavy.size() == 0 for p in eng.parts)
-            assert all(not w for w in eng.wedges)
+            assert all(not w for w in eng.views)
 
     def test_all_heavy_mode_keeps_light_parts_and_wedges_empty(self):
-        eng = TriangleEngine(EpsConfig.uniform(0.0))
+        eng = TriangleEngine(0.0)
         for rel, t, m in mixed_stream(16, 800, 10):
             eng.on_update(rel, t, m)
             assert all(p.light.size() == 0 for p in eng.parts)
-            assert all(not w for w in eng.wedges)
+            assert all(not w for w in eng.views)
 
     def test_factorized_mode_materializes_one_wedge_only(self):
-        eng = TriangleEngine(EpsConfig(0.0, 0.0, 1.0))
+        eng = TriangleEngine((0.0, 0.0, 1.0))
         trk = TriangleTracker()
         saw_nonempty = False
         for rel, t, m in mixed_stream(17, 800, 8):
             eng.on_update(rel, t, m)
             trk.update(rel, t, m)
             assert eng.answer() == trk.count
-            assert not eng.wedges[0] and not eng.wedges[2]
-            saw_nonempty = saw_nonempty or bool(eng.wedges[1])
+            assert not eng.views[1] and not eng.views[2]
+            saw_nonempty = saw_nonempty or bool(eng.views[0])
         assert saw_nonempty
 
 
@@ -242,12 +242,12 @@ def test_oracle_equivalence_across_eps_and_views():
             expected.append(trk.count)
         assert expected[-1] == brute_force_triangle(*(dict(r) for r in trk.rels))
         for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
-            eng = TriangleEngine(EpsConfig.uniform(eps))
+            eng = TriangleEngine(eps)
             for i, (rel, t, m) in enumerate(stream):
                 eng.on_update(rel, t, m)
                 assert eng.answer() == expected[i]
             assert not eng.check_invariants()
-            assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
+            assert fresh_views(eng, ("views",)) == {"views": eng.views}
 
 
 def test_amortized_budget_is_stable_as_streams_grow():
@@ -256,7 +256,7 @@ def test_amortized_budget_is_stable_as_streams_grow():
     import math
     ratios = []
     for n in (2000, 8000):
-        eng = TriangleEngine(EpsConfig.uniform(0.5))
+        eng = TriangleEngine(0.5)
         rng = random.Random(55)
         nodes = max(8, math.isqrt(2 * n))
         budget = 0.0
@@ -270,7 +270,7 @@ def test_amortized_budget_is_stable_as_streams_grow():
 
 
 def test_lookup_reads_through_both_parts():
-    eng = TriangleEngine(EpsConfig.uniform(0.5))
+    eng = TriangleEngine(0.5)
     eng.on_update("R", (1, 2), 3)
     assert eng.lookup("R", (1, 2)) == 3
     assert eng.lookup("R", (9, 9)) == 0
@@ -278,6 +278,6 @@ def test_lookup_reads_through_both_parts():
 
 def test_shared_counters_object_is_respected():
     c = OpCounters()
-    eng = TriangleEngine(EpsConfig.uniform(0.5), counters=c)
+    eng = TriangleEngine(0.5, counters=c)
     eng.on_update("R", (1, 2), 1)
     assert c.total_steps() > 0
