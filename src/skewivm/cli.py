@@ -434,7 +434,8 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
         total = ops["lookups"] + ops["iterations"] + ops["moves"]
         totals.append(total)
         rows.append({
-            "query": cfg.query, "mode": cfg.mode, "eps": cfg.eps, "gen": gen,
+            "query": cfg.query, "mode": cfg.mode,
+            "eps": 0.5 if cfg.eps is None else cfg.eps, "gen": gen,
             "size": size, "lookups": ops["lookups"], "iterations": ops["iterations"],
             "moves": ops["moves"], "majors": ops["rebalance_major"],
             "minors": ops["rebalance_minor"], "pending_moves": engine.pending_moves(),

@@ -123,11 +123,13 @@ def _source(n: int, choices: tuple) -> tuple[str, dict]:
 
         def row(j, sides, lead):  # relation j's row at lead in the parts it may sit in
             gets = [f"{_index_name(j, s, IDX0)}.get({lead})" for s in sides]
-            return gets[0] if len(gets) == 1 else (f"({' or '.join(gets)} if not M{j} else "
-                                                   f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY))")
+            both = f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY)"
+            return gets[0] if len(gets) == 1 else f"({' or '.join(gets)} if not M{j} else {both})"
         key = tup(src, spec) if len(spec) > 1 else var((src + spec[0] - v) % n)
         emit(d, f"posts = {_index_name(src, side, spec)}.get({key})", "if posts:",
-             "    C.iterations += len(posts)", *([f"    W = VB[0][{view}]"] if view is not None else []))
+             "    C.iterations += len(posts)")
+        if view is not None:
+            emit(d + 1, f"W = VB[0][{view}]")
         # rows whose leading key the update fixes, read once per walk
         fixed = {j: row(j, sides, var((j - v) % n)) for j, sides in probes if (j - v) % n != n - 1}
         emit(d + 1, *(f"r{j} = {r}" for j, r in fixed.items()))
@@ -147,35 +149,28 @@ def _source(n: int, choices: tuple) -> tuple[str, dict]:
             emit(d + 1, f"k = {tup(view)}", f"w = W.get(k, 0) + m * {product}",
                  "if w:", "    W[k] = w", "else:", "    del W[k]")
 
-    def branches(name):
-        # an ``if`` per relation but the last, which falls through
-        for v in range(n):
-            if v < n - 1:
-                emit(2, f"if {name} == {v}:")
-            yield v, 3 if v < n - 1 else 2
-
     unpack = ", ".join(f"t{p}" for p in range(n - 1)) + " = t"
     emit(1, "def delta(v, t, m):", "    C.lookups += 1")
-    for v, d in branches("v"):
-        emit(d, unpack, f"acc = VB[0][{v}].get(t, 0)")
+    for v in range(n):
+        emit(2, f"if v == {v}:", "    " + unpack, f"    acc = VB[0][{v}].get(t, 0)")
         for w in deltas[v]:
-            walk(d, *w)
-        emit(d, "return m * acc")
+            walk(3, *w)
+        emit(3, "return m * acc")
     emit(1, "def apply_update(v, side, t, m):")
-    for v, d in branches("v"):
-        emit(d, unpack, "if side == HEAVY:")
+    for v in range(n):
+        emit(2, f"if v == {v}:", "    " + unpack, "    if side == HEAVY:")
         for w in upkeep[v][HEAVY]:
-            walk(d + 1, *w)
-        emit(d + 1, f"return PH{v}.upsert(t, m)")
+            walk(4, *w)
+        emit(4, f"return PH{v}.upsert(t, m)")
         for w in upkeep[v][LIGHT]:
-            walk(d, *w)
-        emit(d, f"return PL{v}.upsert(t, m)")
+            walk(3, *w)
+        emit(3, f"return PL{v}.upsert(t, m)")
     # view i from its light member's light part, or from its anchor's heavy part
     emit(1, "def build(i, light, rows):")
-    for i, d in branches("i"):
-        emit(d, "if light:")
+    for i in range(n):
+        emit(2, f"if i == {i}:", "    if light:")
         anchor = next(w for w in upkeep[(i + 1) % n][HEAVY] if w[4] == i)
-        for depth, w in ((d + 1, upkeep[(i - 1) % n][LIGHT][0]), (d, anchor)):
+        for depth, w in ((4, upkeep[(i - 1) % n][LIGHT][0]), (3, anchor)):
             emit(depth, "for t, m in rows:", "    " + unpack)
             walk(depth + 1, *w)
             emit(depth, "return")
@@ -187,17 +182,8 @@ def _source(n: int, choices: tuple) -> tuple[str, dict]:
     return "\n".join([f"def bind(C, VB, {', '.join(params)}):"] + lines) + "\n", specs
 
 
-# (degree, per-relation choices) -> (bind, source, index specs), shared by every engine of the shape
+# (degree, per-relation choices) -> (bind, source, index specs), shared by the engines of a shape
 _COMPILED: dict[tuple, tuple] = {}
-
-
-def _compiled(n: int, choices: tuple) -> tuple:
-    if (n, choices) not in _COMPILED:
-        source, specs = _source(n, choices)
-        namespace = {"HEAVY": HEAVY, "EMPTY": {}, "ChainMap": ChainMap}
-        exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
-        _COMPILED[n, choices] = (namespace["bind"], source, specs)
-    return _COMPILED[n, choices]
 
 
 class LWEngine(MaintenanceKernel):
@@ -225,8 +211,14 @@ class LWEngine(MaintenanceKernel):
         """
         n = self.n = len(eps)
         self._plan_eps = eps
-        bind, self._source, specs = _compiled(n, tuple(
-            1.0 - eps[v - 1] < min(eps[(v + d) % n] for d in range(1, n - 1)) for v in range(n)))
+        shape = (n, tuple(1.0 - eps[v - 1] < min(eps[(v + d) % n] for d in range(1, n - 1))
+                          for v in range(n)))
+        if shape not in _COMPILED:
+            source, specs = _source(*shape)
+            namespace = {"HEAVY": HEAVY, "EMPTY": {}, "ChainMap": ChainMap}
+            exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
+            _COMPILED[shape] = (namespace["bind"], source, specs)
+        bind, self._source, specs = _COMPILED[shape]
         self.parts = [Partition(n - 1, specs) for _ in range(1 if shared else n)]
         self._ring = self.parts * n if shared else self.parts
         self._views = [[{}] * n if shared else [{} for _ in range(n)]]

@@ -21,9 +21,10 @@ map of one key, as large as that key's degree. The size is a counter.
 On top of that sits the one degree split all maintenance engines use. It
 compares the degree of a key on each partition variable against a
 threshold and labels its parts with one status, heavy or light, per
-variable: ``Partition`` splits on variable 0 into two parts,
-``QuadPartition`` on both variables of a binary relation into four, and
-the two differ only in routing. The engines' shared kernel calls ``load``
+variable: ``Partition`` splits on variable 0 into two parts, each with
+the indexes its engine gives that part label, ``QuadPartition`` on both
+variables of a binary relation into four, and the two differ only in
+routing. The engines' shared kernel calls ``load``
 to fill the parts strictly from a full database, ``restrict`` to put the
 keys a major rebalance flips in transit, ``minor_check`` to put in transit
 a key an update moved past its loose bound (only the bound that update can
@@ -190,8 +191,7 @@ class Partition:
     """
 
     __slots__ = ("parts", "theta", "moving", "tall_at", "tall", "heavy", "light",
-                 "_heavy_keys", "_light_keys", "_by_status", "_on_create", "_on_delete",
-                 "_away")
+                 "_heavy_keys", "_light_keys", "_by_status", "_on_create", "_on_delete", "_away")
 
     def __init__(self, arity: int, index_specs: dict | None = None):
         if index_specs is None:

@@ -78,6 +78,28 @@ class TestConfigValidation:
         assert cli.main(["run", "--mode", "factorized", "--epsilon-rst", "0,0,1",
                          "--stream", str(path)]) == 0
 
+    def test_epsilon_is_refused_where_no_engine_reads_it(self, tmp_path, capsys):
+        # factorized mode takes its exponents from --epsilon-rst, and static
+        # mode counts at 1/2: an explicit --epsilon would be ignored there
+        for mode, extra in (("factorized", ["--epsilon-rst", "0,0,1"]), ("static", [])):
+            with pytest.raises(ConfigError, match="--epsilon"):
+                RunConfig(mode=mode, eps=0.1,
+                          eps_rst=(0.0, 0.0, 1.0) if extra else None).validate()
+            path = tmp_path / "stream.txt"
+            path.write_text("R + 1 2\nS + 2 3\nT + 3 1\n", encoding="utf-8")
+            args = ["run", "--mode", mode, *extra, "--stream", str(path)]
+            assert cli.main(args + ["--epsilon", "0.1"]) == 2
+            assert "--epsilon" in capsys.readouterr().err
+            assert cli.main(args) == 0
+            assert json.loads(capsys.readouterr().out)["answer"] == 1
+
+    def test_epsilon_defaults_to_one_half_where_it_is_read(self):
+        assert RunConfig().eps is None
+        assert cli.build_engine(RunConfig()).eps == 0.5
+        assert cli.build_engine(RunConfig(query="lw:4", eps=0.25)).eps == 0.25
+        assert cli.build_engine(RunConfig(mode="factorized",
+                                          eps_rst=(0.0, 0.0, 1.0))).eps == (0.0, 0.0, 1.0)
+
     def test_refined_and_enum_are_triangle_only(self):
         with pytest.raises(ConfigError):
             RunConfig(query="path4", mode="refined").validate()

@@ -34,6 +34,10 @@ are still queued. Every update may add at most ``B`` to
 The kernel checks only the bound an update can cross, and nothing after
 an update that changed only a multiplicity; a key that crossed a bound
 unchecked shows here as a loose-bound violation.
+
+One more stream per engine (``_size_swing_stream``) drives the size
+across N and below N/4 on purpose, several times each, with a hot key
+whose moves are still queued when later majors come.
 """
 
 import math
@@ -333,3 +337,67 @@ def test_keys_in_transit_take_every_kind_of_update(name):
         run(rel, tuple(next(fresh) for _ in range(arity)), 1)
     eng.finish_moves()
     assert eng.check_invariants(loose=False) == []
+
+
+# sizes a replay from empty climbs to and falls back to, in turn: on the way
+# up the size reaches N, on the way down it falls below N/4, several times
+SIZE_SWINGS = (48, 6, 100, 12, 60, 3, 90)
+
+
+def _size_swing_stream(seed, arities, wide=12, targets=SIZE_SWINGS):
+    """Creates up to each even-indexed target size, cancellations down to each odd-indexed one.
+
+    The size is the number of stored tuples, as the kernel counts it. Most
+    creates take the hot leading value 0, with their other values drawn
+    from ``range(4 * wide)``, so that key turns heavy as the size climbs
+    and light again as it falls; the other creates draw every value from
+    ``range(wide)``. A create may carry a negative multiplicity or hit a
+    stored tuple. Each cancellation takes a stored tuple to zero.
+    """
+    rng = random.Random(seed)
+    names = list(arities)
+    live: dict = {}  # (relation, tuple) -> multiplicity
+    out = []
+    for k, target in enumerate(targets):
+        while len(live) < target if k % 2 == 0 else len(live) > target:
+            if k % 2 == 0:
+                rel = names[rng.randrange(len(names))]
+                hot = rng.random() < 0.6
+                t = tuple(0 if hot and p == 0 else rng.randrange(4 * wide if hot else wide)
+                          for p in range(arities[rel]))
+                m = rng.choice((1, 2, -1))
+            else:
+                (rel, t), m = rng.choice(list(live.items()))
+                m = -m
+            out.append(Update(rel, t, m))
+            v = live.get((rel, t), 0) + m
+            if v:
+                live[rel, t] = v
+            else:
+                del live[rel, t]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_the_size_swings_across_both_bounds_of_the_threshold_base(name):
+    """The size crosses N and N/4 on purpose, and every update is checked.
+
+    From empty, at exponent 1/2, the size climbs to and falls from the
+    ``SIZE_SWINGS`` targets, so the threshold base doubles and halves
+    several times each, and the hot keys' moves are still queued while
+    later updates, and later majors, arrive. After every update the
+    bounds, the move budget and the oracle's answer are checked
+    (``_Checked``).
+    """
+    run = _Checked(name)
+    eng = run.eng
+    bases = [eng.N]
+    queued = 0
+    for upd in _size_swing_stream(5, family_arities(ENGINES[name][0])):
+        queued += eng.pending_moves() > 0
+        run(*upd)
+        if eng.N != bases[-1]:
+            bases.append(eng.N)
+    doublings = sum(b > a for a, b in zip(bases, bases[1:]))
+    assert doublings >= 8 and len(bases) - 1 - doublings >= 6, bases
+    assert eng.counters.moves and queued

@@ -99,6 +99,11 @@ part any of them probes, instead of once per combination (8339 -> 4555
 from empty, 8148 -> 4418 preprocessed). Its view build now runs the chosen
 member's upkeep walk over that member's part; that walk scans what the
 build's own join loop scanned, so the build's count is unchanged.
+
+Every row held, unchanged, when the walks became generated code and the
+triangle and self-join engines became the compiled degree-3 plan: the
+generated walks scan the parts the hand-written ones scanned and tick
+the same counters.
 """
 
 import pytest

@@ -1,11 +1,16 @@
 """Cyclic counts of configurable degree, including the degree-3 reduction."""
 
+import io
+import re
+import tokenize
+
 import pytest
 
 from skewivm.cli import family_arities
 from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import fit_scaling
-from skewivm.oracle import LWTracker, brute_force_lw, lw_schemas
+from skewivm.oracle import LWTracker, TriangleTracker, brute_force_lw, lw_schemas
+from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
 
 from helpers import fresh_views, grow_shrink_stream, lw_stream, mixed_stream
@@ -28,19 +33,67 @@ class TestShape:
 
 class TestDegree3IsTheTriangle:
     def test_stepwise_equality_with_triangle_engine(self):
-        # the grow-and-shrink stream runs moves and majors; the two engines
-        # scan the same parts, so their op counts agree as well
+        # both engines against the first-order tracker after every update;
+        # the grow-and-shrink stream runs moves and majors. The op counts
+        # are pinned by the triangle:* and lw:4 rows of test_golden_counts
         streams = (mixed_stream(901, 500, 10),
                    grow_shrink_stream(11, 900, family_arities("triangle"), wide=60))
         for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
             for stream in streams:
                 lw = LWEngine(3, eps)
                 tri = TriangleEngine(eps)
+                trk = TriangleTracker()
                 for rel, t, m in stream:
                     lw.on_update({"R": 0, "S": 1, "T": 2}[rel], t, m)
                     tri.on_update(rel, t, m)
-                    assert lw.answer() == tri.answer()
+                    trk.update(rel, t, m)
+                    assert lw.answer() == tri.answer() == trk.count
                 assert lw.counters.snapshot() == tri.counters.snapshot(), eps
+
+
+def _read_indexes(eng):
+    """``(relation, part, spec)`` of every index the generated walks read."""
+    body = eng.plan_source().split("\n", 1)[1]  # past the header that binds them all
+    return {(int(j), side, tuple(map(int, spec.split("_"))))
+            for j, side, spec in re.findall(r"\bI(\d+)([hl])_(\d+(?:_\d+)*)\b", body)}
+
+
+def _held_indexes(eng):
+    return {(j, side, spec) for j, part in enumerate(eng.parts)
+            for side, rel in part.parts.items() for spec in rel.indexes}
+
+
+class TestPlan:
+    def test_parts_hold_only_the_indexes_the_walks_read(self):
+        for eng in (TriangleEngine(0.5), TriangleEngine((0.0, 0.75, 1.0)), LWEngine(3, 0.25),
+                    SelfJoinEngine(0.5)):
+            for part in eng.parts:
+                assert set(part.heavy.indexes) == {(0,), (1,)}
+                assert set(part.light.indexes) == {(0,)}
+        # every other index the full layout kept (32 at n = 4, 50 at n = 5) is gone
+        for n, held in ((3, 9), (4, 20), (5, 30)):
+            for eps in (0.25, 0.75):
+                eng = LWEngine(n, eps)
+                assert _held_indexes(eng) == _read_indexes(eng)
+                assert len(_held_indexes(eng)) == held
+
+    def test_one_compiled_plan_per_shape(self):
+        shape = [TriangleEngine(0.5), TriangleEngine((0.25, 0.5, 0.5)), LWEngine(3, 0.5)]
+        other = [TriangleEngine(0.75), LWEngine(3, 0.75)]
+        for same in (shape, other):
+            for eng in same[1:]:
+                assert eng.delta.__code__ is same[0].delta.__code__
+                assert eng.apply_update.__code__ is same[0].apply_update.__code__
+                assert eng.plan_source() is same[0].plan_source()
+        assert shape[0].delta.__code__ is not other[0].delta.__code__
+        # the self-join binds the same plan to its one partition
+        assert SelfJoinEngine(0.5).apply_update.__code__ is shape[0].apply_update.__code__
+
+    def test_generated_source_names_no_relation(self):
+        for eng in (TriangleEngine(0.5), LWEngine(4, 0.5), SelfJoinEngine(0.5)):
+            tokens = list(tokenize.generate_tokens(io.StringIO(eng.plan_source()).readline))
+            assert not [tok for tok in tokens if tok.type == tokenize.STRING]
+            assert not {tok.string for tok in tokens if tok.type == tokenize.NAME} & set(eng.names)
 
 
 class TestDegree4:
