@@ -49,13 +49,16 @@ def build_wedge(heavy: Relation, light: Relation, counters: OpCounters) -> dict:
     pairs, which is what probing every tuple of either side costs.
     """
     w: dict = {}
-    h_idx, l_idx = heavy.indexes[IDX1], light.indexes[IDX0]
+    h_idx = heavy.indexes[IDX1]
+    l_idx = light.indexes[IDX0]
     for y in h_idx.keys() & l_idx.keys():
-        h_posts, l_posts = h_idx[y], l_idx[y]
+        h_posts = h_idx[y]
+        l_posts = l_idx[y]
         counters.iterations += len(h_posts) * len(l_posts)
         for t, mh in h_posts.items():
+            x = t[0]
             for u, ml in l_posts.items():
-                bump(w, (t[0], u[1]), mh * ml)
+                bump(w, (x, u[1]), mh * ml)
     return w
 
 

@@ -24,8 +24,8 @@ threshold and labels its parts with one status, heavy or light, per
 variable: ``Partition`` splits on variable 0 into two parts, each with
 the indexes its engine gives that part label, ``QuadPartition`` on both
 variables of a binary relation into four, and the two differ only in
-routing. The engines' shared kernel calls ``load``
-to fill the parts strictly from a full database, ``restrict`` to put the
+routing. The engines' shared kernel calls ``load`` to fill the parts
+strictly from a full database, ``restrict`` to put the
 keys a major rebalance flips in transit, ``minor_check`` to put in transit
 a key an update moved past its loose bound (only the bound that update can
 cross is read) and ``move_key`` to have up to a budget of a key's tuples
