@@ -14,9 +14,7 @@ reduces to enumerating candidates for that one free variable:
     leading variable is the free one, so candidates are capped by the
     number of distinct heavy keys;
   * some other relation light: candidates from the first light relation
-    (per-key light budget), or from relation v-1's heavy part when its
-    distinct keys, about N^(1 - eps), are fewer than the light budget
-    N^eps of every other relation (the plan's choice for relation v).
+    (per-key light budget).
 
 The strategies are planned as walks. A walk scans one part at a key read
 from the update tuple and, for each candidate, probes the other
@@ -37,10 +35,9 @@ by one member's upkeep walk, run over that member's part.
 The walks are not interpreted: the plan becomes Python source
 (``plan_source()``) of integers and fixed names, one ``delta`` and one
 ``apply_update`` with a branch per relation and side, and a ``build`` of
-each view from a whole part. It is compiled once per plan shape (degree
-and choices) and bound per engine to its index dicts, relations,
-``moving`` maps, counters and views. A probed row whose leading key the
-update fixes is read once per walk; a probe that may hit either part
+each view from a whole part. It is compiled once per degree and bound per
+engine to its index dicts, relations, ``moving`` maps, counters and views.
+A probed row whose leading key the update fixes is read once per walk; a probe that may hit either part
 reads one row while the partition has no key in transit, both parts'
 rows while one is. Each part keeps only its lookup index (on the
 partition key) and the indexes some walk scans.
@@ -60,31 +57,30 @@ from .metrics import OpCounters
 from .relation import HEAVY, IDX0, LIGHT, Partition
 
 
-def _plan(n: int, choices: tuple) -> tuple[list, list]:
+def _plan(n: int) -> tuple[list, list]:
     """The walks of the degree-n plan: per relation, its delta walks and its upkeep walks by side.
 
     A walk ``(v, src, side, probes, view)``, for an update to relation v,
     scans part ``side`` of relation ``src`` on its index over every
     variable but v-1 and, per candidate, probes ``(j, sides)``: the parts
     of relation j a tuple may sit in, light first. It adds into
-    ``views[view]``, or to the delta. ``choices[v]`` gives v-1's heavy scan
-    every combination with v-1 heavy, else only the all-heavy one.
+    ``views[view]``, or to the delta. v-1's heavy scan takes only the
+    all-heavy combination; the light scans probe v-1 in both parts.
     """
     both, heavy = (LIGHT, HEAVY), (HEAVY,)
     deltas, upkeep = [], []
     for v in range(n):
         prev, nxt = (v - 1) % n, (v + 1) % n
         middle = [(v + d) % n for d in range(1, n - 1)]
-        scan_sides, prev_sides = (both, (LIGHT,)) if choices[v] else (heavy, both)
 
         def heavy_rest(*skip):
             return tuple((j, heavy) for j in range(n) if j not in skip)
         # v-1's heavy scan, then the k-th light scan: the relations before
         # it heavy, the others either
         deltas.append(
-            [(v, prev, HEAVY, tuple((j, scan_sides) for j in middle), None)]
+            [(v, prev, HEAVY, tuple((j, heavy) for j in middle), None)]
             + [(v, j, LIGHT, tuple((h, heavy) for h in middle[:k])
-                + tuple((r, both) for r in middle[k + 1:]) + ((prev, prev_sides),), None)
+                + tuple((r, both) for r in middle[k + 1:]) + ((prev, both),), None)
                for k, j in enumerate(middle)])
         # a heavy member of every view i outside {v, v+1} scans the light
         # member, relation i-1; the light member of view v+1 scans v-1's
@@ -100,9 +96,9 @@ def _index_name(j: int, side: str, spec: tuple) -> str:
     return f"I{j}{side}_" + "_".join(map(str, spec))
 
 
-def _source(n: int, choices: tuple) -> tuple[str, dict]:
+def _source(n: int) -> tuple[str, dict]:
     """The source of the degree-n plan, and the indexes it reads per part label."""
-    deltas, upkeep = _plan(n, choices)
+    deltas, upkeep = _plan(n)
     specs = {HEAVY: {IDX0}, LIGHT: {IDX0}}
     lines: list[str] = []
 
@@ -182,8 +178,8 @@ def _source(n: int, choices: tuple) -> tuple[str, dict]:
     return "\n".join([f"def bind(C, VB, {', '.join(params)}):"] + lines) + "\n", specs
 
 
-# (degree, per-relation choices) -> (bind, source, index specs), shared by the engines of a shape
-_COMPILED: dict[tuple, tuple] = {}
+# degree -> (bind, source, index specs), shared by the engines of that degree
+_COMPILED: dict[int, tuple] = {}
 
 
 class LWEngine(MaintenanceKernel):
@@ -201,9 +197,7 @@ class LWEngine(MaintenanceKernel):
     def _setup(self, eps: tuple, shared: bool = False):
         """Build the partitions and views of the plan for the exponents ``eps``, and bind it.
 
-        The plan is compiled once per shape; relation v's choice is whether
-        v-1's heavy scan, about N^(1 - eps) keys, beats every other
-        relation's light scan. With ``shared``, one partition and one view
+        The plan is compiled once per degree. With ``shared``, one partition and one view
         stand for every relation of the plan. The views are read through a
         one-slot list, so ``rebuild_views`` and callers may replace the
         view list; nothing bound refers to the engine. Sets
@@ -211,14 +205,12 @@ class LWEngine(MaintenanceKernel):
         """
         n = self.n = len(eps)
         self._plan_eps = eps
-        shape = (n, tuple(1.0 - eps[v - 1] < min(eps[(v + d) % n] for d in range(1, n - 1))
-                          for v in range(n)))
-        if shape not in _COMPILED:
-            source, specs = _source(*shape)
+        if n not in _COMPILED:
+            source, specs = _source(n)
             namespace = {"HEAVY": HEAVY, "EMPTY": {}, "ChainMap": ChainMap}
             exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
-            _COMPILED[shape] = (namespace["bind"], source, specs)
-        bind, self._source, specs = _COMPILED[shape]
+            _COMPILED[n] = (namespace["bind"], source, specs)
+        bind, self._source, specs = _COMPILED[n]
         self.parts = [Partition(n - 1, specs) for _ in range(1 if shared else n)]
         self._ring = self.parts * n if shared else self.parts
         self._views = [[{}] * n if shared else [{} for _ in range(n)]]
@@ -241,7 +233,7 @@ class LWEngine(MaintenanceKernel):
         self._views[0] = views
 
     def plan_source(self) -> str:
-        """The generated source of the plan, shared by every engine of its shape."""
+        """The generated source of the plan, shared by every engine of its degree."""
         return self._source
 
     def space_used(self) -> int:

@@ -8,9 +8,7 @@ for T). For an update the generated plan scans the previous relation's
 heavy part at the shared value (both other relations heavy), looks the
 update up in a wedge view (next heavy, previous light), and scans the next
 relation's light part, probing both parts of the previous one (next
-light); where the previous relation's heavy keys are fewer than the next
-one's light budget, its heavy scan takes the next-light, previous-heavy
-case instead. Heavy updates keep the wedge their relation anchors, light
+light). Heavy updates keep the wedge their relation anchors, light
 updates the one it ends. Heavy parts are indexed on both variables, light
 parts on their partition key only.
 

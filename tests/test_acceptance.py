@@ -281,14 +281,16 @@ def test_c07_path4_and_lw():
     for sid in range(30):
         lw3 = LWEngine(3, 0.5)
         tri = TriangleEngine(0.5)
+        trk = TriangleTracker()
         for rel, t, m in mixed_stream(7800 + sid, 400, 14):
             lw3.on_update({"R": 0, "S": 1, "T": 2}[rel], t, m)
             tri.on_update(rel, t, m)
-            if lw3.answer() != tri.answer():
+            trk.update(rel, t, m)
+            if not lw3.answer() == tri.answer() == trk.count:
                 bad.append(("lw3", sid))
                 break
     verdict(7, "path-of-four and degree-4 cyclic counts equal brute force; "
-               "degree 3 tracks the triangle engine exactly",
+               "degree 3 and the triangle engine track the first-order count exactly",
             not bad, "300 + 150 + 30 streams, exact")
 
 

@@ -48,7 +48,6 @@ class TestDegree3IsTheTriangle:
                     tri.on_update(rel, t, m)
                     trk.update(rel, t, m)
                     assert lw.answer() == tri.answer() == trk.count
-                assert lw.counters.snapshot() == tri.counters.snapshot(), eps
 
 
 def _read_indexes(eng):
@@ -77,17 +76,18 @@ class TestPlan:
                 assert _held_indexes(eng) == _read_indexes(eng)
                 assert len(_held_indexes(eng)) == held
 
-    def test_one_compiled_plan_per_shape(self):
-        shape = [TriangleEngine(0.5), TriangleEngine((0.25, 0.5, 0.5)), LWEngine(3, 0.5)]
-        other = [TriangleEngine(0.75), LWEngine(3, 0.75)]
-        for same in (shape, other):
+    def test_one_compiled_plan_per_degree(self):
+        degree3 = [TriangleEngine(0.5), TriangleEngine((0.25, 0.5, 0.75)), LWEngine(3, 0.0),
+                   LWEngine(3, 1.0)]
+        degree4 = [LWEngine(4, 0.25), LWEngine(4, 0.75)]
+        for same in (degree3, degree4):
             for eng in same[1:]:
                 assert eng.delta.__code__ is same[0].delta.__code__
                 assert eng.apply_update.__code__ is same[0].apply_update.__code__
                 assert eng.plan_source() is same[0].plan_source()
-        assert shape[0].delta.__code__ is not other[0].delta.__code__
+        assert degree3[0].delta.__code__ is not degree4[0].delta.__code__
         # the self-join binds the same plan to its one partition
-        assert SelfJoinEngine(0.5).apply_update.__code__ is shape[0].apply_update.__code__
+        assert SelfJoinEngine(0.5).apply_update.__code__ is degree3[0].apply_update.__code__
 
     def test_generated_source_names_no_relation(self):
         for eng in (TriangleEngine(0.5), LWEngine(4, 0.5), SelfJoinEngine(0.5)):
