@@ -39,8 +39,8 @@ each view from a whole part. It is compiled once per degree and bound per
 engine to its index dicts, relations, ``moving`` maps, counters and views.
 A probed row whose leading key the update fixes is read once per walk; a
 probe that may hit either part reads one row while the partition has no
-key in transit, both parts' rows while one is. Each part keeps only its lookup index (on the
-partition key) and the indexes some walk scans.
+key in transit, both parts' rows while one is. Each part keeps only its
+lookup index (on the partition key) and the indexes some walk scans.
 
 At degree 3 the views are the triangle's wedges: the plan is the triangle
 engine (``skewivm.triangle``), and over one partition standing in for all
