@@ -8,12 +8,13 @@ the engines before their shared maintenance code was factored out. A
 refactor that changes the work done, or the order in which rebalancing
 visits tuples, changes at least one of them.
 
-Three engines (a one-variable partition, the self-join and the quad
-partitions of path4) also replay their family's stream from empty with
-two multiplicity-only changes after every update (``CHURN_STREAMS``).
-Those rows were recorded before the kernel stopped checking anything
-after an update that changes no tuple's existence: a check skipped
-wrongly, or a rebalance fired on a multiplicity change, moves them.
+Four engines (a one-variable partition, the self-join, the quad
+partitions of path4 and of the refined triangle) also replay their
+family's stream from empty with two multiplicity-only changes after every
+update (``CHURN_STREAMS``). The first three rows were recorded before the
+kernel stopped checking anything after an update that changes no tuple's
+existence: a check skipped wrongly, or a rebalance fired on a
+multiplicity change, moves them.
 
 Re-recorded since, ``iterations`` only: ``triangle:0.5`` and ``selfjoin``
 walk the light postings at the join value once for both the light/heavy
@@ -104,6 +105,10 @@ Every row held, unchanged, when the walks became generated code and the
 triangle and self-join engines became the compiled degree-3 plan: the
 generated walks scan the parts the hand-written ones scanned and tick
 the same counters.
+
+The ``refined:0`` and ``refined:1`` rows and the multiplicity-only
+``refined`` row were recorded from the hand-written refined engine, to
+pin it at every exponent before it became a compiled plan.
 """
 
 import pytest
@@ -147,6 +152,10 @@ ENGINES = {
                  lambda db: SelfJoinEngine.preprocess(db["R"], 0.5)),
     "refined": ("triangle", lambda: RefinedTriangleEngine(0.5),
                 lambda db: RefinedTriangleEngine.preprocess(db, 0.5)),
+    "refined:0": ("triangle", lambda: RefinedTriangleEngine(0.0),
+                  lambda db: RefinedTriangleEngine.preprocess(db, 0.0)),
+    "refined:1": ("triangle", lambda: RefinedTriangleEngine(1.0),
+                  lambda db: RefinedTriangleEngine.preprocess(db, 1.0)),
     "enum": ("triangle", lambda: EnumTriangleEngine(0.5),
              lambda db: preprocess_enum(db, 0.5)),
     "path4": ("path4", lambda: Path4Engine(0.5),
@@ -188,6 +197,22 @@ GOLDEN = {
     ('refined', 'preprocessed'): (
         dict(lookups=2855, iterations=5633, moves=251,
              rebalance_major=3, rebalance_minor=6),
+        0, 197134),
+    ('refined:0', 'empty'): (
+        dict(lookups=3374, iterations=7342, moves=0,
+             rebalance_major=12, rebalance_minor=0),
+        0, 198610),
+    ('refined:0', 'preprocessed'): (
+        dict(lookups=2855, iterations=7152, moves=0,
+             rebalance_major=3, rebalance_minor=0),
+        0, 197134),
+    ('refined:1', 'empty'): (
+        dict(lookups=3374, iterations=7342, moves=0,
+             rebalance_major=12, rebalance_minor=0),
+        0, 198610),
+    ('refined:1', 'preprocessed'): (
+        dict(lookups=2855, iterations=7152, moves=0,
+             rebalance_major=3, rebalance_minor=0),
         0, 197134),
     ('selfjoin', 'empty'): (
         dict(lookups=1902, iterations=4656, moves=29,
@@ -239,6 +264,10 @@ GOLDEN_CHURN = {
         dict(lookups=9476, iterations=14482, moves=98,
              rebalance_major=9, rebalance_minor=3),
         -39101, 768775207),
+    'refined': (
+        dict(lookups=10122, iterations=21704, moves=199,
+             rebalance_major=10, rebalance_minor=5),
+        202, 2369702),
     'selfjoin': (
         dict(lookups=5706, iterations=16379, moves=25,
              rebalance_major=9, rebalance_minor=1),
