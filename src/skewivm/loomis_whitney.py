@@ -32,41 +32,57 @@ its fixed leading key, an update to the light member scans relation v-2's
 heavy part, whose leading variable is again the free one. A view is built
 by one member's upkeep walk, run over that member's part.
 
-The walks are not interpreted: the plan becomes Python source
-(``plan_source()``) of integers and fixed names, one ``delta`` and one
-``apply_update`` with a branch per relation and side, and a ``build`` of
-each view from a whole part. It is compiled once per degree and bound per
-engine to its index dicts, relations, ``moving`` maps, counters and views.
-A probed row whose leading key the update fixes is read once per walk; a
-probe that may hit either part reads one row while the partition has no
-key in transit, both parts' rows while one is. Each part keeps only its
-lookup index (on the partition key) and the indexes some walk scans.
+The walks are not interpreted: a plan (``Plan``, plain data) becomes
+Python source (``plan_source()``) of integers and fixed names, one
+``delta`` and one ``apply_update`` with a branch per relation and part
+label, and a ``build`` of each view from a whole part. It is compiled once
+per plan and degree and bound per engine to its index dicts, relations,
+``moving`` maps, counters and views. A probe reads the partition key's
+index or one the plan names; the parts it may hit that differ only in the
+status of that index's variables are read as one row while the partition
+has no key in transit, all their rows while one is. A row whose key the
+update fixes is read once per walk. Each part keeps only its lookup index
+(on the partition key) and the indexes some walk reads.
 
 At degree 3 the views are the triangle's wedges: the plan is the triangle
 engine (``skewivm.triangle``), and over one partition standing in for all
-three relations, the self-join engine (``skewivm.selfjoin``). Relations
-are named R1..Rn (or indexed 0..n-1); rebalancing comes from the kernel.
+three relations, the self-join engine (``skewivm.selfjoin``); a plan over
+two-variable splits is the refined engine (``skewivm.refined``).
+Relations are named R1..Rn (or indexed 0..n-1); rebalancing comes from
+the kernel.
 """
 
 from __future__ import annotations
 
 from collections import ChainMap
+from typing import NamedTuple
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
 from .relation import HEAVY, IDX0, LIGHT, Partition
 
 
-def _plan(n: int) -> tuple[list, list]:
-    """The walks of the degree-n plan: per relation, its delta walks and its upkeep walks by side.
+class Plan(NamedTuple):
+    """A cyclic-count plan as data: part labels, per relation its delta and upkeep walks.
 
     A walk ``(v, src, side, probes, view)``, for an update to relation v,
     scans part ``side`` of relation ``src`` on its index over every
-    variable but v-1 and, per candidate, probes ``(j, sides)``: the parts
-    of relation j a tuple may sit in, light first. It adds into
-    ``views[view]``, or to the delta. v-1's heavy scan takes only the
-    all-heavy combination; the light scans probe v-1 in both parts.
+    variable but v-1 and, per candidate, probes ``(j, sides)`` or ``(j,
+    sides, spec)``: the parts of relation j a tuple may sit in, through the
+    index ``spec`` (the partition key by default). It adds into
+    ``views[view]``, or to the delta. ``upkeep[v][label]`` are the walks of
+    an update to that part; ``builds[i]`` names view i's light member and
+    anchor as ``(relation, label)``, each of which builds it by its upkeep walk.
     """
+
+    labels: tuple
+    deltas: list
+    upkeep: list
+    builds: list
+
+
+def _plan(n: int) -> Plan:
+    """The degree-n plan over splits of each relation's leading variable."""
     both, heavy = (LIGHT, HEAVY), (HEAVY,)
     deltas, upkeep = [], []
     for v in range(n):
@@ -89,17 +105,17 @@ def _plan(n: int) -> tuple[list, list]:
             HEAVY: [(v, (i - 1) % n, LIGHT, heavy_rest(v, i, (i - 1) % n), i)
                     for i in range(n) if i not in (v, nxt)],
             LIGHT: [(v, prev, HEAVY, heavy_rest(v, nxt, prev), nxt)]})
-    return deltas, upkeep
+    builds = [(((i - 1) % n, LIGHT), ((i + 1) % n, HEAVY)) for i in range(n)]
+    return Plan((HEAVY, LIGHT), deltas, upkeep, builds)
 
 
 def _index_name(j: int, side: str, spec: tuple) -> str:
     return f"I{j}{side}_" + "_".join(map(str, spec))
 
 
-def _source(n: int) -> tuple[str, dict]:
-    """The source of the degree-n plan, and the indexes it reads per part label."""
-    deltas, upkeep = _plan(n)
-    specs = {HEAVY: {IDX0}, LIGHT: {IDX0}}
+def _source(plan: Plan, n: int) -> tuple[str, dict]:
+    """The source of ``plan`` at degree n, and the indexes it reads per part label."""
+    specs = {lab: {IDX0} for lab in plan.labels}
     lines: list[str] = []
 
     def emit(depth, *code):
@@ -117,27 +133,44 @@ def _source(n: int) -> tuple[str, dict]:
         def tup(j, positions=range(n - 1)):  # relation j's tuple, or its variables at positions
             return "(" + ", ".join(var((j + k - v) % n) for k in positions) + ")"
 
-        def row(j, sides, lead):  # relation j's row at lead in the parts it may sit in
-            gets = [f"{_index_name(j, s, IDX0)}.get({lead})" for s in sides]
+        def key(j, spec):  # relation j's key on the index spec
+            return tup(j, spec) if len(spec) > 1 else var((j + spec[0] - v) % n)
+
+        def row(j, group, spec):  # relation j's row at its key on spec in a group of parts
+            gets = [f"{_index_name(j, s, spec)}.get({key(j, spec)})" for s in group]
             both = f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY)"
             return gets[0] if len(gets) == 1 else f"({' or '.join(gets)} if not M{j} else {both})"
-        key = tup(src, spec) if len(spec) > 1 else var((src + spec[0] - v) % n)
-        emit(d, f"posts = {_index_name(src, side, spec)}.get({key})", "if posts:",
+        emit(d, f"posts = {_index_name(src, side, spec)}.get({key(src, spec)})", "if posts:",
              "    C.iterations += len(posts)")
         if view is not None:
             emit(d + 1, f"W = VB[0][{view}]")
-        # rows whose leading key the update fixes, read once per walk
-        fixed = {j: row(j, sides, var((j - v) % n)) for j, sides in probes if (j - v) % n != n - 1}
-        emit(d + 1, *(f"r{j} = {r}" for j, r in fixed.items()))
+        # one row per group of parts that differ only in the status of the
+        # index's variables; rows whose key the update fixes are read once
+        fixed, gets = [], {}
+        for j, sides, *index in probes:
+            index = index[0] if index else IDX0
+            rest: dict = {}
+            for s in sides:
+                specs[s].add(index)
+                rest.setdefault(tuple(c for q, c in enumerate(s) if q not in index), []).append(s)
+            groups = [row(j, group, index) for group in rest.values()]
+            if any((j + p - v) % n == n - 1 for p in index):
+                gets[j] = " or ".join(f"({r} or EMPTY).get({tup(j)})" for r in groups)
+            else:  # one row may be None; of several, each is a dict
+                one = len(groups) == 1
+                names = [f"r{j}"] if one else [f"r{j}_{g}" for g in range(len(groups))]
+                emit(d + 1, *(f"{r} = {g}" + ("" if one else " or EMPTY")
+                              for r, g in zip(names, groups)))
+                fixed.append(f"r{j} is not None" if one else f"({' or '.join(names)})")
+                gets[j] = " or ".join(f"{r}.get({tup(j)})" for r in names)
         if fixed:
-            emit(d + 1, "if " + " and ".join(f"r{j} is not None" for j in fixed) + ":")
+            emit(d + 1, "if " + " and ".join(fixed) + ":")
         d += 2 if fixed else 1
         emit(d, "for u, prod in posts.items():", f"    z = u[{pc}]")
         product = "prod"
-        for j, sides in probes:
+        for j, get in gets.items():
             d += 1
-            source = f"r{j}" if j in fixed else f"({row(j, sides, 'z')} or EMPTY)"
-            emit(d, f"m{j} = {source}.get({tup(j)})", f"if m{j}:")
+            emit(d, f"m{j} = {get}", f"if m{j}:")
             product += f" * m{j}"
         if view is None:
             emit(d + 1, f"acc += {product}")
@@ -149,77 +182,89 @@ def _source(n: int) -> tuple[str, dict]:
     emit(1, "def delta(v, t, m):", "    C.lookups += 1")
     for v in range(n):
         emit(2, f"if v == {v}:", "    " + unpack, f"    acc = VB[0][{v}].get(t, 0)")
-        for w in deltas[v]:
+        for w in plan.deltas[v]:
             walk(3, *w)
         emit(3, "return m * acc")
     emit(1, "def apply_update(v, side, t, m):")
+    *tested, last = plan.labels
     for v in range(n):
-        emit(2, f"if v == {v}:", "    " + unpack, "    if side == HEAVY:")
-        for w in upkeep[v][HEAVY]:
-            walk(4, *w)
-        emit(4, f"return PH{v}.upsert(t, m)")
-        for w in upkeep[v][LIGHT]:
+        emit(2, f"if v == {v}:", "    " + unpack)
+        for lab in tested:
+            emit(3, f"if side == L{lab}:")
+            for w in plan.upkeep[v][lab]:
+                walk(4, *w)
+            emit(4, f"return P{v}{lab}.upsert(t, m)")
+        for w in plan.upkeep[v][last]:
             walk(3, *w)
-        emit(3, f"return PL{v}.upsert(t, m)")
-    # view i from its light member's light part, or from its anchor's heavy part
+        emit(3, f"return P{v}{last}.upsert(t, m)")
+    # view i from its light member's part, or from its anchor's
     emit(1, "def build(i, light, rows):")
     for i in range(n):
         emit(2, f"if i == {i}:", "    if light:")
-        anchor = next(w for w in upkeep[(i + 1) % n][HEAVY] if w[4] == i)
-        for depth, w in ((4, upkeep[(i - 1) % n][LIGHT][0]), (3, anchor)):
+        for depth, (j, lab) in zip((4, 3), plan.builds[i]):
             emit(depth, "for t, m in rows:", "    " + unpack)
-            walk(depth + 1, *w)
+            walk(depth + 1, *next(w for w in plan.upkeep[j][lab] if w[4] == i))
             emit(depth, "return")
     emit(1, "return delta, apply_update, build")
-    specs = {side: sorted(s) for side, s in specs.items()}
-    params = [f"M{j}, PH{j}, PL{j}, " + ", ".join(_index_name(j, side, spec)
-                                                   for side in specs for spec in specs[side])
+    specs = {lab: sorted(s) for lab, s in specs.items()}
+    params = [f"M{j}, " + ", ".join(f"P{j}{lab}" for lab in plan.labels) + ", "
+              + ", ".join(_index_name(j, lab, spec) for lab in specs for spec in specs[lab])
               for j in range(n)]
     return "\n".join([f"def bind(C, VB, {', '.join(params)}):"] + lines) + "\n", specs
 
 
-# degree -> (bind, source, index specs), shared by the engines of that degree
-_COMPILED: dict[int, tuple] = {}
+# (plan, degree) -> (bind, source, index specs, plan), shared by their engines
+_COMPILED: dict[tuple, tuple] = {}
 
 
 class LWEngine(MaintenanceKernel):
-    """Cyclic count of degree n under single-tuple updates."""
+    """Cyclic count of degree n under single-tuple updates, one exponent per relation."""
 
     # the relation names; None names them R1..Rn
     REL: tuple | None = None
+    PER_RELATION_EPS = True
+    # the plan of the walks, by degree
+    PLAN = staticmethod(_plan)
 
-    def __init__(self, n: int, eps: float = 0.5, counters: OpCounters | None = None):
+    def __init__(self, n: int, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         if n < 3:
             raise ValueError("degree must be at least 3")
         super().__init__(self.REL or [f"R{i+1}" for i in range(n)], [n - 1] * n, eps, counters)
         self.delta = self._setup(self._eps)
 
+    def _partition(self, specs: dict) -> Partition:
+        """An empty split of one relation whose parts hold the indexes ``specs`` per label."""
+        return Partition(self.n - 1, specs)
+
     def _setup(self, eps: tuple, shared: bool = False):
         """Build the partitions and views of the plan for the exponents ``eps``, and bind it.
 
-        The plan is compiled once per degree. With ``shared``, one partition and one view
-        stand for every relation of the plan. The views are read through a
-        one-slot list, so ``rebuild_views`` and callers may replace the
-        view list; nothing bound refers to the engine. Sets
-        ``apply_update`` and returns the delta.
+        The plan is compiled once per plan and degree. With ``shared``, one
+        partition and one view stand for every relation of the plan. The
+        views are read through a one-slot list, so ``rebuild_views`` and
+        callers may replace the view list; nothing bound refers to the
+        engine. Sets ``apply_update`` and returns the delta.
         """
         n = self.n = len(eps)
         self._plan_eps = eps
-        if n not in _COMPILED:
-            source, specs = _source(n)
-            namespace = {"HEAVY": HEAVY, "EMPTY": {}, "ChainMap": ChainMap}
+        key = (self.PLAN, n)
+        if key not in _COMPILED:
+            plan = self.PLAN(n)
+            source, specs = _source(plan, n)
+            namespace = {"EMPTY": {}, "ChainMap": ChainMap, **{f"L{x}": x for x in plan.labels}}
             exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
-            _COMPILED[n] = (namespace["bind"], source, specs)
-        bind, self._source, specs = _COMPILED[n]
-        self.parts = [Partition(n - 1, specs) for _ in range(1 if shared else n)]
+            _COMPILED[key] = (namespace["bind"], source, specs, plan)
+        bind, self._source, specs, plan = _COMPILED[key]
+        self._builds = plan.builds
+        self.parts = [self._partition(specs) for _ in range(1 if shared else n)]
         self._ring = self.parts * n if shared else self.parts
         self._views = [[{}] * n if shared else [{} for _ in range(n)]]
         bindings = {"C": self.counters, "VB": self._views}
         for j, part in enumerate(self._ring):
-            bindings.update({f"M{j}": part.moving, f"PH{j}": part.heavy, f"PL{j}": part.light})
-            for side, rel in part.parts.items():
-                bindings.update((_index_name(j, side, spec), idx)
-                                for spec, idx in rel.indexes.items())
+            bindings[f"M{j}"] = part.moving
+            for lab, held in specs.items():
+                rel = bindings[f"P{j}{lab}"] = part.parts[lab]
+                bindings.update((_index_name(j, lab, spec), rel.indexes[spec]) for spec in held)
         delta, self.apply_update, self._build = bind(**bindings)
         return delta
 
@@ -233,7 +278,7 @@ class LWEngine(MaintenanceKernel):
         self._views[0] = views
 
     def plan_source(self) -> str:
-        """The generated source of the plan, shared by every engine of its degree."""
+        """The generated source of the plan, shared by every engine of its plan and degree."""
         return self._source
 
     def space_used(self) -> int:
@@ -246,11 +291,15 @@ class LWEngine(MaintenanceKernel):
             self._build_view(i)
 
     def _build_view(self, i: int) -> None:
-        """Build view i by one member's upkeep walk over its part, chosen by cost."""
+        """Build view i by one member's upkeep walk over its part, chosen by cost.
+
+        A light member's tuple (relation i-1) walks heavy keys of relation
+        i-2, an anchor's a light row of relation i-1.
+        """
         n, eps, N = self.n, self._plan_eps, self.N
-        lrel, arel = self._ring[(i - 1) % n].light, self._ring[(i + 1) % n].heavy
+        (lj, llab), (aj, alab) = self._builds[i]
+        lrel, arel = self._ring[lj].parts[llab], self._ring[aj].parts[alab]
         if lrel and arel:
-            # a heavy tuple walks a light row, a light tuple the heavy keys of relation i-2
-            light = (len(arel) * 1.5 * N ** eps[(i - 1) % n]
+            light = (len(arel) * 1.5 * N ** eps[lj]
                      > len(lrel) * 2 * N ** (1.0 - eps[(i - 2) % n]))
             self._build(i, light, (lrel if light else arel).items())

@@ -111,8 +111,8 @@ class Relation:
         """
         if len(t) != self.arity:
             raise SchemaError(f"arity {len(t)} tuple in arity {self.arity} relation")
-        if m == 0:
-            raise ValueError("updates must carry a nonzero multiplicity")
+        if type(m) is not int or not m:
+            raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
         k = t[self._lead]
         first = self._first
         posts = first.get(k)

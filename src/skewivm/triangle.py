@@ -31,7 +31,6 @@ class TriangleEngine(LWEngine):
     """Triangle count under single-tuple updates, constant answer time."""
 
     REL = REL_NAMES
-    PER_RELATION_EPS = True
 
     # perfbench's tracer wraps the update methods in each engine class's own
     # __dict__; this engine's delta and update step are bound per engine

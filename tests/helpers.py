@@ -7,7 +7,7 @@ import sys
 
 from skewivm.cli import Update
 from skewivm.path4 import JoinView
-from skewivm.relation import Relation
+from skewivm.relation import IDX0, IDX1, Relation
 from skewivm.triangle import TriangleEngine
 
 
@@ -289,6 +289,35 @@ def fresh_views(eng, names) -> dict:
     for name, value in counted.items():
         setattr(eng.counters, name, value)
     return fresh
+
+
+def build_wedge(hl: Relation, lh: Relation) -> dict:
+    """The join ``hl(y, z) * lh(z, x)`` summed over z, keyed ``(x, y)``.
+
+    Pairs the postings of each z present on both sides, so it shares no
+    code with the engines' walks.
+    """
+    w: dict = {}
+    h_idx, l_idx = hl.indexes[IDX1], lh.indexes[IDX0]
+    for z in h_idx.keys() & l_idx.keys():
+        for (y, _), mh in h_idx[z].items():
+            for (_, x), ml in l_idx[z].items():
+                v = w.get((x, y), 0) + mh * ml
+                if v:
+                    w[x, y] = v
+                else:
+                    del w[x, y]
+    return w
+
+
+def refined_views(eng) -> list[dict]:
+    """The refined triangle engine's ``views``, built independently from its parts.
+
+    ``views[v][(x, y)]`` sums, over z, the next relation's hl part at
+    ``(y, z)`` times the previous relation's lh part at ``(z, x)``.
+    """
+    return [build_wedge(eng.parts[(v + 1) % 3].parts["hl"], eng.parts[(v - 1) % 3].parts["lh"])
+            for v in range(3)]
 
 
 def path4_views_exact(eng, where=None) -> None:

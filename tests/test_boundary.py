@@ -9,8 +9,8 @@ The preprocess loaders apply the same rules to every row of the database
 before they build anything, and refuse a database that is not a mapping
 or a list of relations, or rows that are not a dict. Engines whose
 strategies read one exponent for all relations refuse a tuple of
-exponents with ``ValueError`` when they are built; the triangle engine
-takes one.
+exponents with ``ValueError`` when they are built; the cyclic engines
+(``LWEngine``, and the triangle engine) take one.
 """
 
 import pytest
@@ -180,7 +180,6 @@ ONE_EPS = {
     "refined": lambda eps: RefinedTriangleEngine(eps),
     "enum": lambda eps: EnumTriangleEngine(eps),
     "path4": lambda eps: Path4Engine(eps),
-    "lw:4": lambda eps: LWEngine(4, eps),
     "refined preprocessed": lambda eps: RefinedTriangleEngine.preprocess({}, eps),
 }
 

@@ -5,7 +5,8 @@ streams across the exponent grid (the triangle engine also at a few
 per-relation exponent triples), from empty and from a preprocessed
 start; the path4 engine also replays one stream whose hot waves on S and
 T overlap, which at exponent 1/4 fills the two-sided join views and adds
-entries to columns that already hold one. The streams mix
+entries to columns that already hold one, and the refined triangle engine
+one whose hot S and T keys fill its views. The streams mix
 multiplicity-only changes, cancellations to zero, negative multiplicities
 and loops with hot keys whose degrees swing past one and a half times the
 threshold and back below half of it, on both variables of a quad
@@ -19,6 +20,11 @@ fresh build from its parts, with no empty middle-value map and an entry
 count equal to a recount, and so must the path4 engine's, with no empty
 inner map in a join view, the two maps of a two-sided join view exact
 transposes of each other and each view's entry count equal to a recount.
+The path4 engine's checks run at exponent 1/4 too, and at both exponents
+the refined triangle engine's views must equal a join of its parts built
+without its walks (``helpers.refined_views``): its ``rebuild_views`` runs
+the same generated walks as its upkeep, so a fresh rebuild would share
+their faults.
 
 A rebalance only queues its keys, and each later update makes at most
 ``B`` of the queued tuple moves, so a key in transit may have tuples in
@@ -52,7 +58,7 @@ from skewivm.kernel import B
 from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, QuadPartition
 
-from helpers import fresh_views, path4_views_exact, swing_stream, views
+from helpers import fresh_views, path4_views_exact, refined_views, swing_stream, views
 from test_major_rebalance import ENGINES, EPS_GRID
 
 # (seed, length, width of the other values, updates preprocessed first)
@@ -60,6 +66,10 @@ STREAMS = ((1, 540, 12, 0), (2, 540, 40, 120), (3, 720, 6, 0), (4, 720, 20, 300)
 # one more path4 stream whose hot waves on S and T overlap: two hot A values
 # of S and a hot C value of T at once fill the two-sided join views
 PATH4_OVERLAP = ((6, 720, 8, 0), [("S", 0, 0), ("S", 0, 2), ("T", 1, 1)])
+# one more refined stream: hot first values of S and hot second values of T
+# meet on light C values, which fills the views; the other streams leave
+# them empty at 1/2 and nearly so at 1/4
+REFINED_OVERLAP = ((6, 720, 8, 0), [("S", 0, 0), ("T", 1, 1)])
 
 KINDS = ("create", "down", "up", "cancel")
 
@@ -171,7 +181,8 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
     minors: set = set()
     aimed: set = set()
     unchanged = updates = flushes = queued = 0
-    runs = [(spec, None) for spec in STREAMS] + ([PATH4_OVERLAP] if name == "path4" else [])
+    runs = [(spec, None) for spec in STREAMS] + {"path4": [PATH4_OVERLAP],
+                                                 "refined": [REFINED_OVERLAP]}.get(name, [])
     for (seed, length, wide, preload), hot in runs:
         stream = swing_stream(seed, length, arities, wide, hot=hot)
         db = _database(stream[:preload], arities)
@@ -221,6 +232,8 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
                 # created in columns that already hold others
                 if name == "path4" and eps in (0.25, 0.5):
                     path4_views_exact(eng, where)
+                if name == "refined" and eps in (0.25, 0.5):
+                    assert eng.views == refined_views(eng), where
         eng.finish_moves()
         assert eng.check_invariants() == []
     # a third of the updates or more leave the size alone: the early return

@@ -10,6 +10,7 @@ from skewivm.cli import family_arities
 from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import fit_scaling
 from skewivm.oracle import LWTracker, TriangleTracker, brute_force_lw, lw_schemas
+from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
 
@@ -54,7 +55,7 @@ def _read_indexes(eng):
     """``(relation, part, spec)`` of every index the generated walks read."""
     body = eng.plan_source().split("\n", 1)[1]  # past the header that binds them all
     return {(int(j), side, tuple(map(int, spec.split("_"))))
-            for j, side, spec in re.findall(r"\bI(\d+)([hl])_(\d+(?:_\d+)*)\b", body)}
+            for j, side, spec in re.findall(r"\bI(\d+)([hl]+)_(\d+(?:_\d+)*)\b", body)}
 
 
 def _held_indexes(eng):
@@ -75,8 +76,12 @@ class TestPlan:
                 eng = LWEngine(n, eps)
                 assert _held_indexes(eng) == _read_indexes(eng)
                 assert len(_held_indexes(eng)) == held
+        # a quad split indexes both variables of every part; the refined
+        # walks read no other index
+        eng = RefinedTriangleEngine(0.5)
+        assert _read_indexes(eng) and _read_indexes(eng) <= _held_indexes(eng)
 
-    def test_one_compiled_plan_per_degree(self):
+    def test_one_compiled_plan_per_plan_and_degree(self):
         degree3 = [TriangleEngine(0.5), TriangleEngine((0.25, 0.5, 0.75)), LWEngine(3, 0.0),
                    LWEngine(3, 1.0)]
         degree4 = [LWEngine(4, 0.25), LWEngine(4, 0.75)]
@@ -88,9 +93,16 @@ class TestPlan:
         assert degree3[0].delta.__code__ is not degree4[0].delta.__code__
         # the self-join binds the same plan to its one partition
         assert SelfJoinEngine(0.5).apply_update.__code__ is degree3[0].apply_update.__code__
+        # the refined plan is compiled once, apart from LW's plan of degree 3
+        refined = [RefinedTriangleEngine(0.25), RefinedTriangleEngine(1.0)]
+        for name in ("delta", "apply_update", "_build"):
+            assert getattr(refined[1], name).__code__ is getattr(refined[0], name).__code__
+            assert getattr(refined[0], name).__code__ is not getattr(degree3[0], name).__code__
+        assert refined[1].plan_source() is refined[0].plan_source()
 
     def test_generated_source_names_no_relation(self):
-        for eng in (TriangleEngine(0.5), LWEngine(4, 0.5), SelfJoinEngine(0.5)):
+        for eng in (TriangleEngine(0.5), LWEngine(4, 0.5), SelfJoinEngine(0.5),
+                    RefinedTriangleEngine(0.5)):
             tokens = list(tokenize.generate_tokens(io.StringIO(eng.plan_source()).readline))
             assert not [tok for tok in tokens if tok.type == tokenize.STRING]
             assert not {tok.string for tok in tokens if tok.type == tokenize.NAME} & set(eng.names)
@@ -152,6 +164,42 @@ class TestOracleEquivalence:
             for i, t, m in lw_stream(50 + n, 200, 5, n):
                 eng.on_update(i, t, m)
             assert fresh_views(eng, ("views",)) == {"views": eng.views}, n
+
+
+class TestPerRelationExponents:
+    def test_every_update_matches_the_tracker(self):
+        # six tuples per degree: three that keep one relation light and the
+        # others heavy, which fills the views, rotated, and three drawn
+        # from the grid; the grow-and-shrink stream runs moves and majors
+        import random
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        rng = random.Random(13)
+        for n, domain in ((3, 4), (4, 4), (5, 3)):
+            names = [f"R{i + 1}" for i in range(n)]
+            streams = (lw_stream(40 + n, 300, domain, n),
+                       [(names.index(rel), t, m) for rel, t, m in grow_shrink_stream(
+                           n, 300, dict.fromkeys(names, n - 1), wide=domain)])
+            lean = [(0.25,) * (n - 1) + (1.0,), (0.0,) * (n - 1) + (0.75,),
+                    (0.25, 0.0) + (0.25,) * (n - 3) + (1.0,)]
+            tuples = [eps[k:] + eps[:k] for k, eps in enumerate(lean)]
+            while len(tuples) < 6:
+                eps = tuple(rng.choice(grid) for _ in range(n))
+                if len(set(eps)) > 1:
+                    tuples.append(eps)
+            filled = 0
+            for eps in tuples:
+                for stream in streams:
+                    eng = LWEngine(n, eps)
+                    trk = LWTracker(n)
+                    for i, t, m in stream:
+                        eng.on_update(i, t, m)
+                        trk.update(i, t, m)
+                        assert eng.answer() == trk.count, (n, eps, i, t, m)
+                        filled += any(eng.views)
+                    assert eng.eps == eps
+                    assert not eng.check_invariants()
+                    assert fresh_views(eng, ("views",)) == {"views": eng.views}
+            assert filled, n
 
 
 class TestConstruction:

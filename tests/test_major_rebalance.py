@@ -53,7 +53,7 @@ ENGINES = {
     "selfjoin": ("triangle-selfjoin", SelfJoinEngine, ("views",),
                  lambda db, eps: SelfJoinEngine.preprocess(db["R"], eps),
                  lambda db: brute_force_selfjoin(db["R"])),
-    "refined": ("triangle", RefinedTriangleEngine, ("wedges",),
+    "refined": ("triangle", RefinedTriangleEngine, ("views",),
                 RefinedTriangleEngine.preprocess, _triangle_oracle),
     "enum": ("triangle", EnumTriangleEngine, ("listing", "tri", "live", "tri_size"),
              preprocess_enum, lambda db: brute_force_enumerate(db["R"], db["S"], db["T"])),

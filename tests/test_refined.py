@@ -6,7 +6,7 @@ from skewivm.oracle import TriangleTracker
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.triangle import TriangleEngine
 
-from helpers import degree, fresh_views, mixed_stream
+from helpers import degree, fresh_views, mixed_stream, refined_views, swing_stream
 
 
 class TestDeltasAndViews:
@@ -16,18 +16,18 @@ class TestDeltasAndViews:
             eng.on_update(rel, t, 1)
         assert eng.answer() == 1
 
-    def test_corner_part_updates_leave_wedges_alone(self):
+    def test_corner_part_updates_leave_views_alone(self):
         # updates landing in the both-heavy or both-light part of a fresh
-        # relation touch neither adjacent wedge
+        # relation touch neither adjacent view
         eng = RefinedTriangleEngine(0.5)
         for rel, t, m in mixed_stream(21, 200, 6):
             eng.on_update(rel, t, m)
-        before = [dict(w) for w in eng.wedges]
+        before = [dict(w) for w in eng.views]
         eng.apply_update(0, "ll", (97, 98), 1)  # fresh values, both light
-        assert [dict(w) for w in eng.wedges] == before
+        assert [dict(w) for w in eng.views] == before
         eng.apply_update(0, "ll", (97, 98), -1)
         eng.apply_update(0, "hh", (97, 98), 1)
-        assert [dict(w) for w in eng.wedges] == before
+        assert [dict(w) for w in eng.views] == before
         eng.apply_update(0, "hh", (97, 98), -1)
 
     def test_stepwise_equality_with_base_engine(self):
@@ -41,11 +41,35 @@ class TestDeltasAndViews:
                     base.on_update(rel, t, m)
                     assert refined.answer() == base.answer()
 
-    def test_wedges_recompute_consistent_after_random_runs(self):
+    def test_views_equal_an_independent_build_after_every_update(self):
+        # hot first values of S and hot second values of T meet on light C
+        # values, so views[0] fills. The rebuild runs the generated upkeep
+        # walks; the reference joins the parts itself
+        stream = swing_stream(6, 720, dict.fromkeys("RST", 2), 8, hot=[("S", 0, 0), ("T", 1, 1)])
+        db: dict = {rel: {} for rel in "RST"}
+        for rel, t, m in stream[:420]:
+            db[rel][t] = db[rel].get(t, 0) + m
+        db = {rel: {t: m for t, m in rows.items() if m} for rel, rows in db.items()}
+        for eps in (0.25, 0.5):
+            eng = RefinedTriangleEngine(eps)
+            filled = 0
+            for rel, t, m in stream:
+                eng.on_update(rel, t, m)
+                assert eng.views == refined_views(eng), (eps, rel, t, m)
+                filled += any(eng.views)
+            assert filled > 40
+            assert fresh_views(eng, ("views",)) == {"views": eng.views}
+            pre = RefinedTriangleEngine.preprocess(db, eps)
+            assert pre.views == refined_views(pre)
+            assert any(pre.views) or eps == 0.5
+
+    def test_view_of_a_relation_is_keyed_by_its_tuples(self):
+        # views[0][(x, y)]: S's hl part at (y, z) times T's lh part at (z, x)
         eng = RefinedTriangleEngine(0.5)
-        for rel, t, m in mixed_stream(31, 600, 8):
-            eng.on_update(rel, t, m)
-        assert fresh_views(eng, ("wedges",)) == {"wedges": eng.wedges}
+        eng.apply_update(1, "hl", (2, 3), 2)
+        eng.apply_update(2, "lh", (3, 1), 5)
+        assert eng.views[0] == {(1, 2): 10}
+        assert not eng.views[1] and not eng.views[2]
 
 
 class TestRoutingAndRebalancing:

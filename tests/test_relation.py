@@ -56,8 +56,20 @@ class TestUpsert:
             Relation(2).upsert((1, 2, 3), 1)
 
     def test_zero_delta_rejected(self):
-        with pytest.raises(ValueError):
-            Relation(2).upsert((1, 2), 0)
+        r = rel_of({(1, 2): 1})
+        with pytest.raises(SchemaError):
+            r.upsert((1, 2), 0)
+        assert dict(r.items()) == {(1, 2): 1}
+
+    def test_multiplicity_that_is_not_an_int_rejected(self):
+        r = rel_of({(1, 2): 1})
+        for m in (1.5, 1.0, True, None):
+            with pytest.raises(SchemaError):
+                r.upsert((1, 2), m)
+            with pytest.raises(SchemaError):
+                r.upsert((3, 4), m)
+        assert dict(r.items()) == {(1, 2): 1} and r.size() == 1
+        r.check_consistency()
 
 
 class TestMatching:
