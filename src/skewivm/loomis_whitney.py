@@ -218,7 +218,7 @@ _COMPILED: dict[tuple, tuple] = {}
 
 
 class LWEngine(MaintenanceKernel):
-    """Cyclic count of degree n under single-tuple updates, one exponent per relation."""
+    """Cyclic count of degree n under single-tuple updates; eps may be one per relation."""
 
     # the relation names; None names them R1..Rn
     REL: tuple | None = None

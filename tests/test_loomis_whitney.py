@@ -1,6 +1,7 @@
 """Cyclic counts of configurable degree, including the degree-3 reduction."""
 
 import io
+import random
 import re
 import tokenize
 
@@ -144,7 +145,6 @@ class TestOracleEquivalence:
                 assert not eng.check_invariants()
 
     def test_counts_survive_minor_rebalances(self):
-        import random
         rng = random.Random(19)
         eng = LWEngine(4, 0.5)
         trk = LWTracker(4)
@@ -171,7 +171,6 @@ class TestPerRelationExponents:
         # six tuples per degree: three that keep one relation light and the
         # others heavy, which fills the views, rotated, and three drawn
         # from the grid; the grow-and-shrink stream runs moves and majors
-        import random
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         rng = random.Random(13)
         for n, domain in ((3, 4), (4, 4), (5, 3)):
@@ -206,7 +205,6 @@ class TestConstruction:
     def test_preprocess_opcount_envelope_at_degree_4(self):
         # build cost at the balanced exponent should scale no worse than
         # size^(3/2); measured as a log-log fit over growing databases
-        import random
         sizes = (400, 1600, 6400)
         totals = []
         for size in sizes:
