@@ -8,8 +8,9 @@ the engines before their shared maintenance code was factored out. A
 refactor that changes the work done, or the order in which rebalancing
 visits tuples, changes at least one of them.
 
-Four engines (a one-variable partition, the self-join, the quad
-partitions of path4 and of the refined triangle) also replay their
+Five engines (a one-variable partition, the self-join, the quad
+partitions of path4 and of the refined triangle, and the enumeration
+engine) also replay their
 family's stream from empty with two multiplicity-only changes after every
 update (``CHURN_STREAMS``). The first three rows were recorded before the
 kernel stopped checking anything after an update that changes no tuple's
@@ -109,6 +110,10 @@ the same counters.
 The ``refined:0`` and ``refined:1`` rows and the multiplicity-only
 ``refined`` row were recorded from the hand-written refined engine, to
 pin it at every exponent before it became a compiled plan.
+
+The ``enum:0`` and ``enum:1`` rows and the multiplicity-only ``enum`` row
+were recorded from the enumeration engine as it stood, to pin it at both
+extremes and under churn before its move path changes.
 """
 
 import pytest
@@ -158,6 +163,10 @@ ENGINES = {
                   lambda db: RefinedTriangleEngine.preprocess(db, 1.0)),
     "enum": ("triangle", lambda: EnumTriangleEngine(0.5),
              lambda db: preprocess_enum(db, 0.5)),
+    "enum:0": ("triangle", lambda: EnumTriangleEngine(0.0),
+               lambda db: preprocess_enum(db, 0.0)),
+    "enum:1": ("triangle", lambda: EnumTriangleEngine(1.0),
+               lambda db: preprocess_enum(db, 1.0)),
     "path4": ("path4", lambda: Path4Engine(0.5),
               lambda db: Path4Engine.preprocess(db, 0.5)),
     "lw:4": ("lw:4", lambda: LWEngine(4, 0.5),
@@ -173,6 +182,22 @@ GOLDEN = {
     ('enum', 'preprocessed'): (
         dict(lookups=1387, iterations=4902, moves=251,
              rebalance_major=3, rebalance_minor=6),
+        0, 25418),
+    ('enum:0', 'empty'): (
+        dict(lookups=1687, iterations=3443, moves=0,
+             rebalance_major=12, rebalance_minor=0),
+        0, 25768),
+    ('enum:0', 'preprocessed'): (
+        dict(lookups=1387, iterations=3298, moves=0,
+             rebalance_major=3, rebalance_minor=0),
+        0, 25418),
+    ('enum:1', 'empty'): (
+        dict(lookups=1687, iterations=3899, moves=0,
+             rebalance_major=12, rebalance_minor=0),
+        0, 25768),
+    ('enum:1', 'preprocessed'): (
+        dict(lookups=1387, iterations=3772, moves=0,
+             rebalance_major=3, rebalance_minor=0),
         0, 25418),
     ('lw:4', 'empty'): (
         dict(lookups=3374, iterations=4555, moves=395,
@@ -260,6 +285,10 @@ GOLDEN = {
 # engine -> (OpCounters snapshot, final answer, sum of prefix answers) over
 # its family's CHURN_STREAMS stream, from empty
 GOLDEN_CHURN = {
+    'enum': (
+        dict(lookups=5061, iterations=15071, moves=199,
+             rebalance_major=10, rebalance_minor=5),
+        24, 119520),
     'path4': (
         dict(lookups=9476, iterations=14482, moves=98,
              rebalance_major=9, rebalance_minor=3),
