@@ -10,16 +10,20 @@ family: triangle (R, S, T binary), triangle-selfjoin (R binary), path4
 (R unary, S, T binary, U unary), lw:<n> (R1..Rn of arity n-1).
 
 ``run`` replays a stream into the selected engine and prints JSON records
-{step, answer, N, db_size, ops, rebalances}, one per update or only the
-final one. ``--verify`` cross-checks every prefix against the oracle
-trackers and exits nonzero on the first mismatch. ``bench`` generates
-insert streams seeded by ``--seed`` (a ``bench`` option only) at several
-sizes, replays them, and emits a CSV of operation totals, peak state
-size, wall time, and the fitted log-log exponent per configuration. The
-wall time sums the ``on_update`` calls alone; the state size is sampled
-between them, untimed. ``mixed`` and ``er`` emit every family's relations
-and arities; ``hub`` and ``space`` emit triangle streams only and refuse
-other families (exit 2) before any engine is built.
+{step, answer, N, db_size, ops, rebalances, pending_moves}, one per
+update or only the final one; ``static`` mode loads the stream's final
+database instead and prints one. ``--epsilon`` takes one exponent in
+[0, 1] or one per relation (``0,0,1``: classical and factorized
+maintenance are exponents), and the engine checks it. ``--verify``
+cross-checks every prefix against the oracle trackers and exits nonzero
+on the first mismatch. ``bench`` generates insert streams seeded by
+``--seed`` (a ``bench`` option only) at several sizes, replays them, and
+emits a CSV of operation totals, peak state size, wall time, and the
+fitted log-log exponent per configuration. The wall time sums the
+``on_update`` calls alone; the state size is sampled between them,
+untimed. ``mixed`` and ``er`` emit every family's relations and arities;
+``hub`` and ``space`` emit triangle streams only and refuse other
+families (exit 2) before any engine is built.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.
@@ -37,6 +41,7 @@ import math
 import random
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -48,7 +53,7 @@ from .oracle import (LWTracker, Path4Tracker, SelfJoinTracker, TriangleTracker,
 from .path4 import Path4Engine
 from .refined import RefinedTriangleEngine
 from .selfjoin import SelfJoinEngine
-from .triangle import TriangleEngine, static_count
+from .triangle import TriangleEngine
 
 
 class Update(NamedTuple):
@@ -65,7 +70,7 @@ class ConfigError(ValueError):
     """Inconsistent run configuration."""
 
 
-MODES = ("ivm-eps", "classic", "factorized", "refined", "enum", "static")
+MODES = ("ivm-eps", "refined", "enum", "static")
 
 
 def family_arities(query: str) -> dict[str, int]:
@@ -251,9 +256,8 @@ GENERATORS = {
 class RunConfig:
     query: str = "triangle"
     mode: str = "ivm-eps"
-    # None when not given: 0.5 where it is used, refused where it is not
-    eps: float | None = None
-    eps_rst: tuple[float, float, float] | None = None
+    # one exponent, or a tuple of one per relation; the engine checks it
+    eps: float | tuple = 0.5
     stream: str = "-"
     verify: bool = False
     metrics: str | None = None
@@ -264,36 +268,15 @@ class RunConfig:
         family_arities(self.query)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "classic":
-            if self.eps not in (0.0, 1.0):
-                raise ConfigError("classic mode requires epsilon 0 or 1")
-        if self.mode in ("factorized", "static") and self.eps is not None:
-            raise ConfigError(f"--epsilon does not apply to {self.mode} mode")
-        if self.mode == "factorized":
-            if self.query != "triangle":
-                raise ConfigError("factorized mode applies to the triangle family")
-            t = self.eps_rst
-            if t is None:
-                raise ConfigError("factorized mode requires --epsilon-rst")
-            if any(v not in (0.0, 1.0) for v in t) or len(set(t)) == 1:
-                raise ConfigError(
-                    "factorized mode needs per-relation epsilons in {0,1}, not all equal")
-        elif self.eps_rst is not None:
-            raise ConfigError("--epsilon-rst applies to factorized mode only")
-        if self.mode in ("refined", "enum") and self.query != "triangle":
+        if self.mode != "ivm-eps" and self.query != "triangle":
             raise ConfigError(f"{self.mode} mode applies to the triangle family")
-        if self.mode == "static" and self.query != "triangle":
-            raise ConfigError("static mode applies to the triangle family")
         if self.emit not in ("final", "per-step"):
             raise ConfigError("emit must be 'final' or 'per-step'")
 
 
 def build_engine(cfg: RunConfig):
-    q = cfg.query
-    eps = 0.5 if cfg.eps is None else cfg.eps
+    q, eps = cfg.query, cfg.eps
     if q == "triangle":
-        if cfg.mode == "factorized":
-            return TriangleEngine(cfg.eps_rst)
         if cfg.mode == "refined":
             return RefinedTriangleEngine(eps)
         if cfg.mode == "enum":
@@ -349,34 +332,24 @@ def _read_stream(cfg: RunConfig) -> list[Update]:
 def run(cfg: RunConfig, out=None) -> int:
     cfg.validate()
     out = out if out is not None else sys.stdout
+    # built first, so a bad exponent is refused before any input is read
+    engine = build_engine(cfg)
     updates = _read_stream(cfg)
 
     metrics_fh = open(cfg.metrics, "w", encoding="utf-8") if cfg.metrics else None
     try:
         if cfg.mode == "static":
-            db: dict[str, dict] = {"R": {}, "S": {}, "T": {}}
+            tracker = TriangleTracker()
             for rel, values, m in updates:
-                nv = db[rel].get(values, 0) + m
-                if nv:
-                    db[rel][values] = nv
-                else:
-                    del db[rel][values]
-            answer = static_count(db)
-            if cfg.verify:
-                from .oracle import brute_force_triangle
-                expect = brute_force_triangle(db["R"], db["S"], db["T"])
-                if answer != expect:
-                    print(f"verification failed: {answer} != {expect}", file=sys.stderr)
-                    return 1
-            rec = {"step": len(updates), "answer": answer, "N": None,
-                   "db_size": sum(len(r) for r in db.values()),
-                   "ops": {}, "rebalances": {}}
-            print(json.dumps(rec), file=out)
-            if metrics_fh:
-                print(json.dumps(rec), file=metrics_fh)
+                tracker.update(rel, values, m)
+            engine = TriangleEngine.preprocess(tracker.db(), cfg.eps)
+            if cfg.verify and engine.answer() != tracker.count:
+                print(f"verification failed at step {len(updates)}", file=sys.stderr)
+                return 1
+            for fh in filter(None, (out, metrics_fh)):
+                print(json.dumps(_record(len(updates), engine)), file=fh)
             return 0
 
-        engine = build_engine(cfg)
         tracker = build_tracker(cfg.query) if cfg.verify else None
         for step, upd in enumerate(updates, 1):
             engine.on_update(upd.rel, upd.values, upd.mult)
@@ -411,6 +384,8 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
         # a static count keeps no state between updates: there is nothing to
         # time per update, and an engine run here would not be static
         raise ConfigError("static mode has no bench; use run")
+    if not sizes or min(sizes) < 1:
+        raise ConfigError("bench takes one or more stream lengths of at least 1")
     if gen not in GENERATORS:
         raise ConfigError(f"unknown generator {gen!r}")
     out = out if out is not None else sys.stdout
@@ -435,7 +410,7 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
         totals.append(total)
         rows.append({
             "query": cfg.query, "mode": cfg.mode,
-            "eps": 0.5 if cfg.eps is None else cfg.eps, "gen": gen,
+            "eps": _spell_exponent(cfg.eps), "gen": gen,
             "size": size, "lookups": ops["lookups"], "iterations": ops["iterations"],
             "moves": ops["moves"], "majors": ops["rebalance_major"],
             "minors": ops["rebalance_minor"], "pending_moves": engine.pending_moves(),
@@ -446,16 +421,12 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
         slope = round(fit_scaling(sizes, totals), 4)
         for row in rows:
             row["slope"] = slope
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    if cfg.metrics:
-        with open(cfg.metrics, "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            for row in rows:
-                w.writerow(row)
+    metrics_fh = open(cfg.metrics, "w", encoding="utf-8", newline="") if cfg.metrics else None
+    with metrics_fh or nullcontext():
+        for fh in filter(None, (out, metrics_fh)):
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     return 0
 
 
@@ -463,14 +434,24 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
 # argument parsing
 
 
+def exponent(text: str) -> float | tuple:
+    """``--epsilon``'s value: ``0.5`` -> 0.5, ``0,0,1`` -> (0.0, 0.0, 1.0)."""
+    values = tuple(float(v) for v in text.split(","))
+    return values[0] if len(values) == 1 else values
+
+
+def _spell_exponent(eps) -> str:
+    """The exponent as ``--epsilon`` takes it (``0.5``, ``0,0,1``), exactly."""
+    values = eps if isinstance(eps, tuple) else (eps,)
+    return ",".join(repr(float(v)).removesuffix(".0") for v in values)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query", default="triangle",
                    help="triangle | triangle-selfjoin | path4 | lw:<n>")
     p.add_argument("--mode", default="ivm-eps", choices=MODES)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="tuning exponent in [0, 1], 0.5 when not given")
-    p.add_argument("--epsilon-rst", default=None,
-                   help="per-relation epsilons 'r,s,t' for factorized mode")
+    p.add_argument("--epsilon", type=exponent, default=0.5,
+                   help="tuning exponent in [0, 1], or one per relation ('0,0,1')")
     p.add_argument("--metrics", default=None, help="write records to this path")
 
 
@@ -494,14 +475,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    eps_rst = None
-    if args.epsilon_rst:
-        parts = [float(x) for x in args.epsilon_rst.split(",")]
-        if len(parts) != 3:
-            raise ConfigError("--epsilon-rst takes three comma-separated values")
-        eps_rst = tuple(parts)
     return RunConfig(
-        query=args.query, mode=args.mode, eps=args.epsilon, eps_rst=eps_rst,
+        query=args.query, mode=args.mode, eps=args.epsilon,
         stream=getattr(args, "stream", "-"), verify=getattr(args, "verify", False),
         metrics=args.metrics, seed=getattr(args, "seed", 0), emit=getattr(args, "emit", "final"),
     )

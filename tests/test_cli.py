@@ -1,7 +1,10 @@
 """Stream grammar, engine selection, exit codes, benchmark output."""
 
+import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -55,50 +58,11 @@ class TestParseStream:
 
 
 class TestConfigValidation:
-    def test_classic_requires_extreme_epsilon(self):
-        cfg = RunConfig(mode="classic", eps=0.5)
-        with pytest.raises(ConfigError):
-            cfg.validate()
-        RunConfig(mode="classic", eps=1.0).validate()
-
-    def test_factorized_requires_mixed_binary_triple(self):
-        with pytest.raises(ConfigError):
-            RunConfig(mode="factorized", eps_rst=(0.5, 0.0, 1.0)).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(mode="factorized", eps_rst=(1.0, 1.0, 1.0)).validate()
-        RunConfig(mode="factorized", eps_rst=(0.0, 0.0, 1.0)).validate()
-
-    def test_epsilon_rst_is_refused_outside_factorized_mode(self, tmp_path):
-        # without factorized mode the per-relation exponents would be ignored
-        with pytest.raises(ConfigError):
-            RunConfig(eps_rst=(0.0, 0.0, 1.0)).validate()
-        path = tmp_path / "stream.txt"
-        path.write_text("R + 1 2\n", encoding="utf-8")
-        assert cli.main(["run", "--epsilon-rst", "0,0,1", "--stream", str(path)]) == 2
-        assert cli.main(["run", "--mode", "factorized", "--epsilon-rst", "0,0,1",
-                         "--stream", str(path)]) == 0
-
-    def test_epsilon_is_refused_where_no_engine_reads_it(self, tmp_path, capsys):
-        # factorized mode takes its exponents from --epsilon-rst, and static
-        # mode counts at 1/2: an explicit --epsilon would be ignored there
-        for mode, extra in (("factorized", ["--epsilon-rst", "0,0,1"]), ("static", [])):
-            with pytest.raises(ConfigError, match="--epsilon"):
-                RunConfig(mode=mode, eps=0.1,
-                          eps_rst=(0.0, 0.0, 1.0) if extra else None).validate()
-            path = tmp_path / "stream.txt"
-            path.write_text("R + 1 2\nS + 2 3\nT + 3 1\n", encoding="utf-8")
-            args = ["run", "--mode", mode, *extra, "--stream", str(path)]
-            assert cli.main(args + ["--epsilon", "0.1"]) == 2
-            assert "--epsilon" in capsys.readouterr().err
-            assert cli.main(args) == 0
-            assert json.loads(capsys.readouterr().out)["answer"] == 1
-
     def test_epsilon_defaults_to_one_half_where_it_is_read(self):
-        assert RunConfig().eps is None
+        assert RunConfig().eps == 0.5
         assert cli.build_engine(RunConfig()).eps == 0.5
         assert cli.build_engine(RunConfig(query="lw:4", eps=0.25)).eps == 0.25
-        assert cli.build_engine(RunConfig(mode="factorized",
-                                          eps_rst=(0.0, 0.0, 1.0))).eps == (0.0, 0.0, 1.0)
+        assert cli.build_engine(RunConfig(eps=(0.0, 0.0, 1.0))).eps == (0.0, 0.0, 1.0)
 
     def test_refined_and_enum_are_triangle_only(self):
         with pytest.raises(ConfigError):
@@ -148,10 +112,39 @@ class TestRun:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["answer"] == 3
 
-    def test_exit_code_config_error(self, tmp_path):
+    def test_exit_code_config_error(self, tmp_path, capsys):
         path = self.triangle_file(tmp_path, ["R + 1 2"])
-        assert cli.main(["run", "--mode", "classic", "--epsilon", "0.5",
+        assert cli.main(["run", "--query", "path4", "--mode", "refined",
                          "--stream", path]) == 2
+        assert "triangle family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query,epsilon", [("triangle", "0,0,1"), ("lw:4", "0,1,0.5,1")])
+    def test_per_relation_exponents_verify(self, tmp_path, query, epsilon):
+        ups = cli.random_mixed_stream(query, 120, 6, seed=5)
+        path = self.triangle_file(tmp_path, format_stream(ups))
+        assert cli.main(["run", "--query", query, "--epsilon", epsilon,
+                         "--stream", path, "--verify"]) == 0
+
+    def mixed_file(self, tmp_path):
+        return self.triangle_file(
+            tmp_path, format_stream(cli.GENERATORS["mixed"](300, 2, "triangle")))
+
+    def test_static_record_has_the_run_record_keys(self, tmp_path, capsys):
+        path = self.mixed_file(tmp_path)
+        assert cli.main(["run", "--stream", path]) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        assert cli.main(["run", "--mode", "static", "--stream", path, "--verify"]) == 0
+        static = json.loads(capsys.readouterr().out)
+        assert static.keys() == replayed.keys()
+        assert static["answer"] == replayed["answer"] and static["step"] == replayed["step"]
+
+    def test_static_mode_reads_epsilon(self, tmp_path, capsys):
+        path = self.mixed_file(tmp_path)
+        answers = []
+        for extra in ([], ["--epsilon", "0.25"]):
+            assert cli.main(["run", "--mode", "static", "--stream", path, *extra]) == 0
+            answers.append(json.loads(capsys.readouterr().out)["answer"])
+        assert answers[0] == answers[1] != 0
 
     def test_exit_code_io_error(self):
         assert cli.main(["run", "--stream", "/nonexistent/stream.txt"]) == 3
@@ -208,6 +201,18 @@ class TestBench:
                            for line in s.getvalue().splitlines()]  # drop wall time
         assert strip(a) == strip(b)
 
+    def test_metrics_file_holds_the_printed_csv(self, tmp_path):
+        # the eps column spells a per-relation exponent as --epsilon takes it
+        metrics = tmp_path / "bench.csv"
+        cfg = RunConfig(eps=(0.0, 0.0, 1.0), seed=1, metrics=str(metrics))
+        buf = io.StringIO()
+        assert cli.bench(cfg, [40, 90], gen="er", out=buf) == 0
+        with open(metrics, encoding="utf-8", newline="") as fh:
+            assert fh.read() == buf.getvalue()
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert [row["eps"] for row in rows] == ["0,0,1", "0,0,1"]
+        assert cli._spell_exponent(0.5) == "0.5" and cli._spell_exponent(1.0) == "1"
+
     def test_seed_is_a_bench_option(self, tmp_path, capsys):
         # run replays a given stream, so a seed there would do nothing
         path = tmp_path / "stream.txt"
@@ -263,3 +268,56 @@ class TestBench:
 
 def test_main_usage_error_returns_2():
     assert cli.main(["run", "--mode", "bogus"]) == 2
+
+
+# (arguments, the refusal's message on stderr): the engine's own, or
+# argparse's for a value that is not a number
+MALFORMED_EXPONENTS = [
+    (["--epsilon", "0,1"], "TriangleEngine takes one eps per relation"),
+    (["--mode", "refined", "--epsilon", "0,0,1"],
+     "RefinedTriangleEngine takes one eps for all relations"),
+    (["--epsilon", "1.5"], "outside [0, 1]"),
+    (["--epsilon", "x"], "invalid exponent value"),
+]
+
+
+@pytest.mark.parametrize("args,message", MALFORMED_EXPONENTS)
+def test_malformed_exponent_exits_2_with_the_engines_message(args, message, tmp_path, capsys):
+    path = tmp_path / "stream.txt"
+    path.write_text("R + 1 2\n", encoding="utf-8")
+    for command in (["run", "--stream", str(path)], ["bench", "--gen", "er", "--sizes", "40"]):
+        assert cli.main(command + args) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err
+
+
+@pytest.mark.parametrize("sizes", [",", "0,100,200", "-5"])
+def test_bench_refuses_sizes_it_cannot_run(sizes, monkeypatch, capsys):
+    made = []
+    real_er = cli.GENERATORS["er"]
+    monkeypatch.setitem(cli.GENERATORS, "er",
+                        lambda *args: made.append(args) or real_er(*args))
+    assert cli.main(["bench", "--gen", "er", "--sizes", sizes]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and not made
+    assert "at least 1" in captured.err
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("skewivm ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 4
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses_and_validates(line):
+    # nothing is run: each example must parse, pass validation and name an
+    # exponent its engine takes
+    args = cli.make_parser().parse_args(shlex.split(line)[1:])
+    cfg = cli._config_from_args(args)
+    cfg.validate()
+    cli.build_engine(cfg)
