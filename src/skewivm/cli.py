@@ -389,12 +389,12 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
     if gen not in GENERATORS:
         raise ConfigError(f"unknown generator {gen!r}")
     out = out if out is not None else sys.stdout
-    # every stream is generated before any engine is built, so a generator
-    # that refuses the family stops the run up front
-    streams = [GENERATORS[gen](size, cfg.seed, cfg.query) for size in sizes]
     rows = []
     totals = []
-    for size, stream in zip(sizes, streams):
+    for size in sizes:
+        # a generator that refuses the family raises before any engine is
+        # built, and a bad exponent is refused after one stream, not all
+        stream = GENERATORS[gen](size, cfg.seed, cfg.query)
         engine = build_engine(cfg)
         peak_space = 0
         wall = 0.0

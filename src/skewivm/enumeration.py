@@ -12,8 +12,8 @@ eight part combinations split into:
     (x, y, z) with y the middle variable, grouped by the outer pair:
     ``tri[i][x, z]`` maps each middle value y to its multiplicity.
 
-Enumeration concatenates the listing with, per family and per third-part
-side, the live (x, z) pairs joined back against their middle values.
+Enumeration concatenates the listing with, per family, the live (x, z)
+pairs joined back against their middle values and their third factor.
 Ownership is unique because the part domains are disjoint, so no
 deduplication structure is needed.
 
@@ -21,8 +21,10 @@ Signed multiplicities make a summed aggregate per pair unreliable as a
 liveness signal: opposite-sign middle values can cancel its sum while the
 factorized result is nonempty. Liveness therefore tracks support, not
 sums: a pair is born with its first middle value, when its third factor
-is probed once per side, and dies with its last; per-side sets hold the
-live pairs whose third-part factor is present.
+is probed in both parts, and dies with its last; one set per family holds
+the live pairs whose third factor is stored. A tuple sits in one part and
+a move is a delete followed by an insert, so the set stays exact while
+keys are in transit.
 
 The update step adds into the family maps inside its two walks and keeps
 ``tri_size``, the number of family entries, for an O(1) ``space_used``.
@@ -55,13 +57,13 @@ class EnumTriangleEngine(MaintenanceKernel):
 
     REL = REL_NAMES
 
-    def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
+    def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(REL_NAMES, (2, 2, 2), eps, counters)
         self.parts = [Partition(2) for _ in range(3)]
         self.listing: dict[tuple, int] = {}
         self.tri: list[dict] = [{}, {}, {}]  # (x, z) -> {y: mult}
         self.tri_size = 0                    # family entries, (x, y, z) triples
-        self.live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
+        self.live: list[set] = [set(), set(), set()]  # live (x, z) pairs per family
 
     def answer(self) -> int:
         """Number of distinct result tuples currently enumerable."""
@@ -98,7 +100,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             if posts:
                 c.iterations += len(posts)
                 fam = self.tri[i]
-                live_h, live_l = self.live[i][HEAVY], self.live[i][LIGHT]
+                live = self.live[i]
                 sh = snd.heavy.indexes[IDX0]
                 sl = snd.light.indexes[IDX0]
                 grown = 0
@@ -110,10 +112,8 @@ class EnumTriangleEngine(MaintenanceKernel):
                         fam[pk] = {y: m * mu}
                         grown += 1
                         rk = (z, x)
-                        if rk in sh.get(z, ()):
-                            live_h.add(pk)
-                        if rk in sl.get(z, ()):
-                            live_l.add(pk)
+                        if rk in sh.get(z, ()) or rk in sl.get(z, ()):
+                            live.add(pk)
                         continue
                     old = ys.get(y, 0)
                     if old + m * mu:
@@ -125,8 +125,7 @@ class EnumTriangleEngine(MaintenanceKernel):
                         grown -= 1
                         if not ys:
                             del fam[pk]
-                            live_h.discard(pk)
-                            live_l.discard(pk)
+                            live.discard(pk)
                 self.tri_size += grown
         else:
             # all-light listing entries
@@ -146,7 +145,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             if posts:
                 c.iterations += len(posts)
                 fam = self.tri[i2]
-                live_h, live_l = self.live[i2][HEAVY], self.live[i2][LIGHT]
+                live = self.live[i2]
                 nh = nxt.heavy.indexes[IDX0].get(y, ())
                 nl = nxt.light.indexes[IDX0].get(y, ())
                 grown = 0
@@ -158,10 +157,8 @@ class EnumTriangleEngine(MaintenanceKernel):
                         fam[pk] = {x: m * mu}
                         grown += 1
                         rk = (y, w)
-                        if rk in nh:
-                            live_h.add(pk)
-                        if rk in nl:
-                            live_l.add(pk)
+                        if rk in nh or rk in nl:
+                            live.add(pk)
                         continue
                     old = ys.get(x, 0)
                     if old + m * mu:
@@ -173,19 +170,18 @@ class EnumTriangleEngine(MaintenanceKernel):
                         grown -= 1
                         if not ys:
                             del fam[pk]
-                            live_h.discard(pk)
-                            live_l.discard(pk)
+                            live.discard(pk)
                 self.tri_size += grown
 
         new = self.parts[i].parts[side].upsert(t, m)
         # liveness of family i+1 pairs keyed (y, x) follows this entry:
-        # this relation is their third factor
+        # this relation is their third factor, and a tuple sits in one part
         rk = (y, x)
         if new == m:
             if rk in self.tri[i1]:
-                self.live[i1][side].add(rk)
+                self.live[i1].add(rk)
         elif new == 0:
-            self.live[i1][side].discard(rk)
+            self.live[i1].discard(rk)
         return new
 
     def rebuild_views(self) -> None:
@@ -208,7 +204,7 @@ class EnumTriangleEngine(MaintenanceKernel):
                         if mt:
                             bump(listing, (t[0], t[1], u[1]), mr * ms * mt)
         tri: list[dict] = [{}, {}, {}]
-        live = [{HEAVY: set(), LIGHT: set()} for _ in range(3)]
+        live: list[set] = [set(), set(), set()]
         size = 0
         for i in range(3):
             i1 = i - 2 if i >= 2 else i + 1
@@ -226,12 +222,8 @@ class EnumTriangleEngine(MaintenanceKernel):
                     x = t[0]
                     for u, ml in l_posts.items():
                         fam.setdefault((x, u[1]), {})[y] = mh * ml
-            third = self.parts[i2]
-            for pk in fam:
-                x, z = pk
-                for lab in (HEAVY, LIGHT):
-                    if third.parts[lab].get((z, x)):
-                        live[i][lab].add(pk)
+            sh, sl = self.parts[i2].heavy.indexes[IDX0], self.parts[i2].light.indexes[IDX0]
+            live[i] = {(x, z) for x, z in fam if (z, x) in sh.get(z, ()) or (z, x) in sl.get(z, ())}
         return listing, tri, live, size
 
     # -- enumeration ----------------------------------------------------------
@@ -243,13 +235,12 @@ class EnumTriangleEngine(MaintenanceKernel):
         for i in range(3):
             i2 = i - 1 if i >= 1 else i + 2
             fam = self.tri[i]
-            for lab in (HEAVY, LIGHT):
-                factor = self.parts[i2].parts[lab].indexes[IDX0]
-                for pk in self.live[i][lab]:
-                    x, z = pk
-                    f = factor[z][(z, x)]
-                    for y, my in fam[pk].items():
-                        yield _rotate_back(i, x, y, z), my * f
+            sh, sl = self.parts[i2].heavy.indexes[IDX0], self.parts[i2].light.indexes[IDX0]
+            for pk in self.live[i]:
+                x, z = pk
+                f = sh[z][(z, x)] if (z, x) in sh.get(z, ()) else sl[z][(z, x)]
+                for y, my in fam[pk].items():
+                    yield _rotate_back(i, x, y, z), my * f
 
     def enumerate_with_delays(self):
         """Like ``enumerate`` but reports primitive steps between yields.
@@ -265,17 +256,16 @@ class EnumTriangleEngine(MaintenanceKernel):
         for i in range(3):
             i2 = i - 1 if i >= 1 else i + 2
             fam = self.tri[i]
-            for lab in (HEAVY, LIGHT):
-                factor = self.parts[i2].parts[lab].indexes[IDX0]
-                steps += 1
-                for pk in self.live[i][lab]:
-                    x, z = pk
+            sh, sl = self.parts[i2].heavy.indexes[IDX0], self.parts[i2].light.indexes[IDX0]
+            steps += 1
+            for pk in self.live[i]:
+                x, z = pk
+                steps += 2
+                f = sh[z][(z, x)] if (z, x) in sh.get(z, ()) else sl[z][(z, x)]
+                for y, my in fam[pk].items():
                     steps += 2
-                    f = factor[z][(z, x)]
-                    for y, my in fam[pk].items():
-                        steps += 2
-                        yield _rotate_back(i, x, y, z), my * f, steps
-                        steps = 0
+                    yield _rotate_back(i, x, y, z), my * f, steps
+                    steps = 0
 
     def result_multiset(self) -> dict[tuple, int]:
         out: dict = {}
@@ -286,7 +276,7 @@ class EnumTriangleEngine(MaintenanceKernel):
         return out
 
 
-def preprocess_enum(db: dict, eps: float = 0.5,
+def preprocess_enum(db: dict, eps: float | tuple = 0.5,
                     counters: OpCounters | None = None) -> EnumTriangleEngine:
     """Ready enumeration state from a full database."""
     return EnumTriangleEngine.preprocess(db, eps, counters)

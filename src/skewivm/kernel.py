@@ -80,15 +80,8 @@ B = 2
 class MaintenanceKernel:
     """Base class of the engines: size invariant, rebalancing, loading, checks."""
 
-    # whether the engine's strategies read one exponent per relation; an
-    # engine without them refuses a tuple of exponents
-    PER_RELATION_EPS = False
-
     def __init__(self, names, arities, eps, counters: OpCounters | None = None):
         # one exponent for all relations, or a tuple of one per relation
-        if isinstance(eps, tuple) and not self.PER_RELATION_EPS:
-            raise ValueError(f"{type(self).__name__} takes one eps for all relations, "
-                             f"got {eps!r}")
         self.eps = eps if isinstance(eps, tuple) else float(eps)
         self._eps = eps if isinstance(eps, tuple) else (self.eps,) * len(names)
         if len(self._eps) != len(names):

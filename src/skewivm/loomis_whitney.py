@@ -222,7 +222,6 @@ class LWEngine(MaintenanceKernel):
 
     # the relation names; None names them R1..Rn
     REL: tuple | None = None
-    PER_RELATION_EPS = True
     # the plan of the walks, by degree
     PLAN = staticmethod(_plan)
 

@@ -17,7 +17,6 @@ order, so T's ``hl`` (B heavy, C light) is ``lh`` seen from U, and ``ll``
 and ``hh`` stay. Under this mirror the views pair up, R end <-> U end:
 
   rs_ll, rs_lh, rs_hh  <->  t_ll_u, t_hl_u, t_hh_u
-  t_ind                <->  s_ind
   r_s_hl_t_ind         <->  s_ind_t_lh_u
   r_s_ll_t_lh          <->  s_hl_t_ll_u
   s_ll_t_lh            <->  s_hl_t_ll, transposed
@@ -29,11 +28,10 @@ update of the middle relation next to it) is written once, in the R end's
 names, and runs on either end through an ``End`` descriptor; the view
 attributes read and write the descriptors' fields.
 
-The indicator views clamp to presence: internally their support is the
-B-degree of the masked part, and the flag flips only when the last
-supporting tuple dies. A flip forces a rebuild of the one masked view that
-folds the indicator in, which stays within the per-update budget because
-the masked scans are light-bounded.
+The masked views keep the near hl part's weight only at the b values the
+far hl part holds, read from its index on b: presence, not multiplicity.
+A b enters with that part's first tuple there, by a light-bounded scan
+within the per-update budget, and leaves with its last.
 
 The one-variable views are plain dicts ``{key: m}``. Each S-T join view
 is a ``JoinView``: nested maps ``rows = {a: {c: m}}`` and/or
@@ -68,9 +66,7 @@ REL_NAMES = ("R", "S", "T", "U")
 VIEW_PAIRS = {
     # near part xy weighted by the end, by b
     "w_ll": ("rs_ll", "t_ll_u"), "w_lh": ("rs_lh", "t_hl_u"), "w_hh": ("rs_hh", "t_hh_u"),
-    # 1 for each b of the far part hl (B heavy, C light), whatever its multiplicity
-    "ind": ("t_ind", "s_ind"),
-    # near part hl weighted by the end, by b, masked by ind
+    # near part hl weighted by the end, by b, at the b of the far part hl (B heavy, C light)
     "masked": ("r_s_hl_t_ind", "s_ind_t_lh_u"),
     # near part xy joined with far part zw over b, by (a, c)
     "ll_lh": ("s_ll_t_lh", "s_hl_t_ll"), "hl_hh": ("s_hl_t_hh", "s_hh_t_lh"),
@@ -231,7 +227,7 @@ class Path4Engine(MaintenanceKernel):
     JOIN_VIEWS = {"s_ll_t_lh": (IDX0,), "s_hl_t_ll": (IDX1,), "s_hl_t_lh": (IDX0, IDX1),
                   "s_hl_t_hh": (IDX0, IDX1), "s_hh_t_lh": (IDX0, IDX1)}
 
-    def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
+    def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(REL_NAMES, (1, 2, 2, 1), eps, counters)
         self.r, self.u = {}, {}
         # S and T are the kernel's partitions of relations 1 and 2
@@ -373,14 +369,14 @@ class Path4Engine(MaintenanceKernel):
                         view[b] = v
                     else:
                         del view[b]
-        ind = d.ind
-        if ind:
-            c.iterations += len(ind)
+        mask = d.far_b["hl"]
+        if mask:
+            c.iterations += len(mask)
             row = at["hl"].get(a)
             if row:
                 view = d.masked
                 by_row = d.by_row
-                for b in ind:
+                for b in mask:
                     ms = row.get((a, b) if by_row else (b, a))
                     if ms:
                         v = view.get(b, 0) + m * ms
@@ -424,12 +420,10 @@ class Path4Engine(MaintenanceKernel):
                 bump(d.w_lh, b, ra * m)
             support = len(d.near_b["lh"].get(b, ()))
             if new == m and support == 1:
-                o.ind[b] = 1
                 w = self._hop_sum(far_b["lh"], b, d.bpos, o.w)
                 if w:
                     o.masked[b] = w
             elif new == 0 and support == 0:
-                o.ind.pop(b, None)
                 o.masked.pop(b, None)
         elif lab == "hl":
             posts = far_b["ll"].get(b)
@@ -445,7 +439,7 @@ class Path4Engine(MaintenanceKernel):
                     bump(o.chain, a, m * w_sum)
             self._join_scan(d.hl_lh, a, by_row, far_b["lh"].get(b), m)
             self._join_scan(d.hl_hh, a, by_row, far_b["hh"].get(b), m)
-            if ra and b in d.ind:
+            if ra and b in far_b["hl"]:
                 self.counters.lookups += 1
                 bump(d.masked, b, ra * m)
         else:  # ll
@@ -503,9 +497,8 @@ class Path4Engine(MaintenanceKernel):
                     c.iterations += len(near[b]) * len(far[b])
                     for e, mn in near[b].items():
                         add_line(view, e[d.apos], d.by_row, far[b], mn)
-            views["ind"] = ind = dict.fromkeys(d.far_b["hl"], 1)
             views["masked"] = masked = {}
-            for b in ind:
+            for b in d.far_b["hl"]:
                 w = self._hop_sum(d.near_b["hl"], b, d.apos, d.w)
                 if w:
                     masked[b] = w

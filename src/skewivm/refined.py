@@ -58,10 +58,9 @@ class RefinedTriangleEngine(LWEngine):
     """Triangle count over four-way partitioned relations."""
 
     REL = REL_NAMES
-    PER_RELATION_EPS = False
     PLAN = staticmethod(_plan)
 
-    def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
+    def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(3, eps, counters)
 
     def _partition(self, specs: dict) -> QuadPartition:

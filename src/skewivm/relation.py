@@ -180,7 +180,8 @@ class Partition:
     status it is bound for. Per variable, a degree watermark
     (``tall[var]``, a dict used as an ordered set) records the light keys
     that reached ``tall_at``, the last split's threshold rounded up, so
-    that a doubling checks only those light keys.
+    that a doubling checks only those light keys. The threshold is the
+    kernel's: every method that reads it takes it as an argument.
 
     Each part's indexes are given per part label (``index_specs``), after
     the partition key's index (on variable 0), which comes first in both
@@ -190,7 +191,7 @@ class Partition:
     ``light`` name the two parts.
     """
 
-    __slots__ = ("parts", "theta", "moving", "tall_at", "tall", "heavy", "light",
+    __slots__ = ("parts", "moving", "tall_at", "tall", "heavy", "light",
                  "_heavy_keys", "_light_keys", "_by_status", "_on_create", "_on_delete", "_away")
 
     def __init__(self, arity: int, index_specs: dict | None = None):
@@ -209,8 +210,6 @@ class Partition:
         """
         self.parts = parts
         variables = range(len(next(iter(parts))))
-        # the threshold of an empty engine (N = 1); load and restrict set it
-        self.theta = 1.0
         # (variable, key) in transit -> the status it is bound for
         self.moving: dict = {}
         self.tall_at = 1
@@ -381,7 +380,6 @@ class Partition:
             status = {k: HEAVY if d >= theta else LIGHT for k, d in degree.items()}
             column = map(status.__getitem__, map(itemgetter(var), rows))
             labels = column if labels is None else map(add, labels, column)
-        self.theta = float(theta)
         self.tall_at = math.ceil(theta)
         upsert = {lab: rel.upsert for lab, rel in self.parts.items()}
         for lab, (t, m) in zip(labels, rows.items()):
@@ -415,11 +413,10 @@ class Partition:
             for k, _ in down:
                 moving[var, k] = LIGHT
             tall.clear()
-        self.theta = float(theta)
         self.tall_at = tall_at
         return len(moving)
 
-    def violations(self, theta: float | None = None, strict: bool = False) -> list[str]:
+    def violations(self, theta: float, strict: bool = False) -> list[str]:
         """Broken split conditions, per variable; an empty list means healthy.
 
         Degrees are judged against the loose bounds, or with ``strict``
@@ -429,7 +426,6 @@ class Partition:
         the watermark must record every light key, or key in transit bound
         light, at or above ``tall_at``.
         """
-        theta = self.theta if theta is None else theta
         h_floor = theta if strict else 0.5 * theta
         l_ceil = theta if strict else 1.5 * theta
         tall_at = self.tall_at

@@ -24,9 +24,8 @@ class SelfJoinEngine(LWEngine):
     """Self-join triangle count under single-tuple edge updates."""
 
     REL = ("R",)
-    PER_RELATION_EPS = False
 
-    def __init__(self, eps: float = 0.5, counters: OpCounters | None = None):
+    def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         MaintenanceKernel.__init__(self, self.REL, (2,), eps, counters)
         self._delta = self._setup(self._eps * 3, shared=True)
 
@@ -48,7 +47,7 @@ class SelfJoinEngine(LWEngine):
         self._build_view(0)
 
     @classmethod
-    def preprocess(cls, edges: dict, eps: float = 0.5,
+    def preprocess(cls, edges: dict, eps: float | tuple = 0.5,
                    counters: OpCounters | None = None) -> "SelfJoinEngine":
         """Ready state from a full edge relation ``{edge: multiplicity}``."""
         return super().preprocess([edges], eps, counters)

@@ -324,9 +324,16 @@ def path4_views_exact(eng, where=None) -> None:
     """The path4 engine's views equal a fresh build, and its join views are well formed.
 
     No inner map of a join view is empty, the two maps of a two-sided view
-    are exact transposes, and every entry count equals a recount.
+    are exact transposes, and every entry count equals a recount. Every
+    key of a masked view is a key of the far part's index on b that masks
+    it, so a mask read from the wrong index shows even when the upkeep and
+    the fresh build share it.
     """
     assert views(eng, eng.VIEW_NAMES) == fresh_views(eng, eng.VIEW_NAMES), where
+    # b is T's first variable and S's second
+    for view, mask in ((eng.r_s_hl_t_ind, eng.t.parts["hl"].indexes[IDX0]),
+                       (eng.s_ind_t_lh_u, eng.s.parts["lh"].indexes[IDX1])):
+        assert view.keys() <= mask.keys(), where
     for name in eng.JOIN_VIEWS:
         view = getattr(eng, name)
         sides = [side for side in (view.rows, view.cols) if side is not None]

@@ -7,10 +7,9 @@ invariant report as they were. ``lookup`` refuses the same relations and
 tuples.
 The preprocess loaders apply the same rules to every row of the database
 before they build anything, and refuse a database that is not a mapping
-or a list of relations, or rows that are not a dict. Engines whose
-strategies read one exponent for all relations refuse a tuple of
-exponents with ``ValueError`` when they are built; the cyclic engines
-(``LWEngine``, and the triangle engine) take one.
+or a list of relations, or rows that are not a dict. Every engine takes
+one exponent or one per relation, and refuses a tuple of any other length
+with ``ValueError`` when it is built or loaded.
 """
 
 import pytest
@@ -173,23 +172,31 @@ def test_loaders_refuse_malformed_rows_before_building(name):
         assert counters.snapshot() == OpCounters().snapshot(), db
 
 
-# engines whose strategies read one exponent for all relations, built with
-# per-relation exponents
-ONE_EPS = {
-    "selfjoin": lambda eps: SelfJoinEngine(eps),
-    "refined": lambda eps: RefinedTriangleEngine(eps),
-    "enum": lambda eps: EnumTriangleEngine(eps),
-    "path4": lambda eps: Path4Engine(eps),
-    "refined preprocessed": lambda eps: RefinedTriangleEngine.preprocess({}, eps),
+# name -> (engine built, or loaded empty, for an exponent; its number of relations)
+EXPONENT_ENGINES = {
+    "triangle": (TriangleEngine, 3),
+    "selfjoin": (SelfJoinEngine, 1),
+    "refined": (RefinedTriangleEngine, 3),
+    "enum": (EnumTriangleEngine, 3),
+    "path4": (Path4Engine, 4),
+    "lw:4": (lambda eps: LWEngine(4, eps), 4),
+    "refined preprocessed": (lambda eps: RefinedTriangleEngine.preprocess({}, eps), 3),
+    "path4 preprocessed": (lambda eps: Path4Engine.preprocess({}, eps), 4),
 }
 
 
-@pytest.mark.parametrize("name", sorted(ONE_EPS))
-def test_one_exponent_engines_refuse_a_tuple_of_exponents(name):
-    with pytest.raises(ValueError, match="one eps for all relations"):
-        ONE_EPS[name]((0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(ValueError, match="one eps for all relations"):
-        ONE_EPS[name]((0.5,))
+@pytest.mark.parametrize("name", sorted(EXPONENT_ENGINES))
+def test_every_engine_takes_exactly_one_exponent_per_relation(name):
+    make, n = EXPONENT_ENGINES[name]
+    for wrong in ((0.5,) * (n - 1), (0.5,) * (n + 1)):
+        with pytest.raises(ValueError, match="takes one eps per relation"):
+            make(wrong)
+    eps = (0.0, 1.0, 0.25, 0.75)[:n]
+    eng = make(eps)
+    assert eng.eps == eps
+    for u in ENGINES[name.split()[0]][1]:
+        eng.on_update(*u)
+    assert not eng.check_invariants()
 
 
 def test_triangle_engine_takes_one_exponent_per_relation():

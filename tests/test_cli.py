@@ -274,8 +274,8 @@ def test_main_usage_error_returns_2():
 # argparse's for a value that is not a number
 MALFORMED_EXPONENTS = [
     (["--epsilon", "0,1"], "TriangleEngine takes one eps per relation"),
-    (["--mode", "refined", "--epsilon", "0,0,1"],
-     "RefinedTriangleEngine takes one eps for all relations"),
+    (["--mode", "refined", "--epsilon", "0,0"],
+     "RefinedTriangleEngine takes one eps per relation"),
     (["--epsilon", "1.5"], "outside [0, 1]"),
     (["--epsilon", "x"], "invalid exponent value"),
 ]
@@ -301,6 +301,18 @@ def test_bench_refuses_sizes_it_cannot_run(sizes, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert not captured.out and not made
     assert "at least 1" in captured.err
+
+
+def test_bench_refuses_a_bad_exponent_after_one_stream(monkeypatch, capsys):
+    made = []
+    real_er = cli.GENERATORS["er"]
+    monkeypatch.setitem(cli.GENERATORS, "er",
+                        lambda *args: made.append(args) or real_er(*args))
+    assert cli.main(["bench", "--epsilon", "1.5", "--gen", "er",
+                     "--sizes", "300,600,1200"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and len(made) <= 1
+    assert "outside [0, 1]" in captured.err
 
 
 def readme_commands():

@@ -1,12 +1,13 @@
 """Every engine against the oracle after every update, at the rebalancing edges.
 
 Each engine of ``test_major_rebalance.ENGINES`` replays ``swing_stream``
-streams across the exponent grid (the triangle engine also at a few
-per-relation exponent triples), from empty and from a preprocessed
-start; the path4 engine also replays one stream whose hot waves on S and
-T overlap, which at exponent 1/4 fills the two-sided join views and adds
-entries to columns that already hold one, and the refined triangle engine
-one whose hot S and T keys fill its views. The streams mix
+streams across the exponent grid (the triangle, refined, enumeration
+and path4 engines also at a few per-relation exponent tuples), from
+empty and from a preprocessed start; the path4 engine also replays one
+stream whose hot waves on S and T overlap, which at exponent 1/4 fills
+the two-sided join views and adds entries to columns that already hold
+one, and the refined triangle engine one whose hot S and T keys fill its
+views. The streams mix
 multiplicity-only changes, cancellations to zero, negative multiplicities
 and loops with hot keys whose degrees swing past one and a half times the
 threshold and back below half of it, on both variables of a quad
@@ -16,10 +17,12 @@ the kernel keeps must equal the number of stored tuples of the oracle
 database, and the answer must equal the oracle's: the first-order tracker
 of the query family, or for enumeration the brute-force result. At
 exponent 1/2 the enumeration engine's maintained views must also equal a
-fresh build from its parts, with no empty middle-value map and an entry
-count equal to a recount, and so must the path4 engine's, with no empty
+fresh build from its parts, with no empty middle-value map, an entry
+count equal to a recount and live sets that hold exactly the pairs whose
+third tuple is stored, and so must the path4 engine's, with no empty
 inner map in a join view, the two maps of a two-sided join view exact
-transposes of each other and each view's entry count equal to a recount.
+transposes of each other, each view's entry count equal to a recount and
+each masked view's keys inside the index that masks it.
 The path4 engine's checks run at exponent 1/4 too, and at both exponents
 the refined triangle engine's views must equal a join of its parts built
 without its walks (``helpers.refined_views``): its ``rebuild_views`` runs
@@ -101,12 +104,18 @@ def _enum_views_exact(eng, names, where):
     """The enumeration engine's views equal a fresh build and hold no dead pair.
 
     ``names`` includes the entry count, so the fresh build does not
-    overwrite the maintained count before it is compared.
+    overwrite the maintained count before it is compared. Each family's
+    live set must hold exactly its pairs whose third tuple is stored, read
+    through ``lookup``, so a pair left out by the upkeep and the fresh
+    build alike still shows.
     """
     assert views(eng, names) == fresh_views(eng, names), where
     middles = [ys for fam in eng.tri for ys in fam.values()]
     assert all(middles), where
     assert eng.tri_size == sum(map(len, middles)), where
+    for i, fam in enumerate(eng.tri):
+        third = eng.REL[(i + 2) % 3]
+        assert eng.live[i] == {(x, z) for x, z in fam if eng.lookup(third, (z, x))}, (i, where)
 
 
 def _stored(part, var, key):
@@ -163,17 +172,22 @@ def _aimed(eng, names, arities, rng, fresh, seen):
     return None
 
 
-# per-relation exponents of the triangle engine: its light walk next to a
-# neighbor pinned heavy (0) or light (1), and minors on relations whose
-# thresholds differ
-MIXED_EPS = {"0,0,1": (0.0, 0.0, 1.0), "1,0,0.5": (1.0, 0.0, 0.5),
-             "0.75,0,0.25": (0.75, 0.0, 0.25)}
+# per-relation exponents per engine: walks next to a neighbor pinned heavy
+# (0) or light (1), and minors on relations whose thresholds differ; path4's
+# R and U entries split nothing
+MIXED_EPS = {
+    "triangle": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.5), (0.75, 0.0, 0.25)),
+    "refined": ((1.0, 0.0, 0.5), (0.75, 0.0, 0.25)),
+    "enum": ((1.0, 0.0, 0.5), (0.75, 0.0, 0.25)),
+    "path4": ((0.5, 0.0, 1.0, 0.5), (0.5, 0.75, 0.25, 0.5)),
+}
 
 
 @pytest.mark.parametrize(
     "name, eps",
     [(name, eps) for name in sorted(ENGINES) for eps in EPS_GRID]
-    + [pytest.param("triangle", cfg, id=f"triangle-{label}") for label, cfg in MIXED_EPS.items()])
+    + [pytest.param(name, eps, id=f"{name}-{cli._spell_exponent(eps)}")
+       for name, tuples in MIXED_EPS.items() for eps in tuples])
 def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
     family, make, view_names, load, _ = ENGINES[name]
     arities = family_arities(family)

@@ -1,4 +1,4 @@
-"""Four-relation path count: endpoint deltas, indicator views, double minors."""
+"""Four-relation path count: endpoint deltas, masked views, double minors."""
 
 import itertools
 import random
@@ -48,36 +48,61 @@ class TestDeltas:
         assert (eng.answer(), view_fingerprint(eng)) == before
 
 
-class TestIndicators:
+def masked_views(eng: Path4Engine) -> tuple[dict, dict]:
+    """Both masked views recomputed from the parts, without the engine's walks.
+
+    ``r_s_hl_t_ind`` sums S's hl part weighted by R, by b, at the b values
+    T's hl part holds; ``s_ind_t_lh_u`` sums T's lh part weighted by U at
+    the b values S's lh part holds. The mask is presence, whatever the
+    multiplicities there.
+    """
+    out = []
+    for near, far, end, bpos in ((eng.s.parts["hl"], eng.t.parts["hl"].indexes[IDX0], eng.r, 1),
+                                 (eng.t.parts["lh"], eng.s.parts["lh"].indexes[IDX1], eng.u, 0)):
+        view: dict = {}
+        for t, m in near.items():
+            b = t[bpos]
+            if b in far:
+                view[b] = view.get(b, 0) + m * end.get(t[1 - bpos], 0)
+        out.append({b: w for b, w in view.items() if w})
+    return tuple(out)
+
+
+class TestMasks:
     def _engine_with_heavy_b(self):
-        # push b=2 heavy on the middle variable of S so its indicator flips
-        eng = Path4Engine(0.5)
-        for k in range(40):
-            eng.on_update("T", (300 + k, 400 + k), 1)
-        assert eng.N == 64
-        for a in range(12):
-            eng.on_update("S", (100 + a, 2), 1)
-        eng.finish_moves()
-        assert degree(eng.s.parts["lh"], 1, 2) + degree(eng.s.parts["hh"], 1, 2) == 12
+        # b=2 heavy on S's second variable, so S's lh part holds it and
+        # masks s_ind_t_lh_u there; T's (2, 9) sits in T's lh part (c=9 heavy)
+        db = {"S": {(100 + a, 2): 1 for a in range(12)},
+              "T": {**{(600 + j, 9): 1 for j in range(12)}, (2, 9): 1},
+              "U": {(9,): 3}}
+        eng = Path4Engine.preprocess(db, 0.5)
+        assert degree(eng.s.parts["lh"], 1, 2) == 12
+        assert eng.t.parts["lh"].get((2, 9)) == 1
+        assert eng.s_ind_t_lh_u == {2: 3}
         return eng
 
     def test_presence_not_count(self):
         eng = self._engine_with_heavy_b()
-        assert eng.s_ind.get(2) == 1
+        eng.on_update("S", (100, 2), 1)
         eng.on_update("S", (1, 2), 1)
         eng.on_update("S", (1, 2), 1)  # same tuple twice: multiplicity 2
-        assert eng.s_ind.get(2) == 1
-        assert eng.lookup("S", (1, 2)) == 2
+        assert eng.lookup("S", (1, 2)) == 2 and eng.lookup("S", (100, 2)) == 2
+        assert 2 in eng.s.parts["lh"].indexes[IDX1]
+        assert eng.s_ind_t_lh_u == {2: 3}
+        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        path4_views_exact(eng)
 
-    def test_flag_clears_only_when_the_last_support_dies(self):
+    def test_entry_leaves_only_with_its_last_supporting_tuple(self):
         eng = self._engine_with_heavy_b()
+        mask = eng.s.parts["lh"].indexes[IDX1]
         support = [t for t, _ in eng.s.parts["lh"].items() if t[1] == 2]
         for t in support[:-1]:
             eng.update_s("lh", t, -eng.s.parts["lh"].get(t))
-            assert eng.s_ind.get(2) == 1
+            assert 2 in mask and eng.s_ind_t_lh_u == {2: 3}
         last = support[-1]
         eng.update_s("lh", last, -eng.s.parts["lh"].get(last))
-        assert 2 not in eng.s_ind
+        assert 2 not in mask and not eng.s_ind_t_lh_u
+        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
 
     def test_masked_views_follow_the_flip(self):
         eng = Path4Engine(0.5)
@@ -85,15 +110,28 @@ class TestIndicators:
             eng.on_update("R", (500 + k,), 1)
         eng.on_update("R", (1,), 1)
         eng.on_update("U", (9,), 1)
-        # make b=2 heavy on T's first variable, flipping its indicator
-        for c in range(12):
+        # a=1 heavy on S's first variable, so (1, 2) sits in S's hl part
+        for j in range(12):
+            eng.on_update("S", (1, 200 + j), 1)
+        eng.on_update("S", (1, 2), 1)
+        eng.finish_moves()
+        assert eng.s.parts["hl"].get((1, 2)) == 1
+        assert 2 not in eng.t.parts["hl"].indexes[IDX0] and 2 not in eng.r_s_hl_t_ind
+        # make b=2 heavy on T's first variable: T's hl part now masks it in
+        for c in range(20):
             eng.on_update("T", (2, 700 + c), 1)
         eng.finish_moves()
-        assert eng.t_ind.get(2) == 1
-        eng.on_update("S", (1, 2), 1)
-        views = eng.recompute_views()
-        assert view_fingerprint(eng)["r_s_hl_t_ind"] == views["r_s_hl_t_ind"]
-        assert view_fingerprint(eng)["s_ind_t_lh_u"] == views["s_ind_t_lh_u"]
+        assert 2 in eng.t.parts["hl"].indexes[IDX0]
+        assert eng.r_s_hl_t_ind == {2: 1}
+        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        path4_views_exact(eng)
+        # and back out once T's tuples at b=2 are gone
+        for c in range(20):
+            eng.on_update("T", (2, 700 + c), -1)
+        eng.finish_moves()
+        assert 2 not in eng.t.parts["hl"].indexes[IDX0] and 2 not in eng.r_s_hl_t_ind
+        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        path4_views_exact(eng)
 
 
 class TestPartBranches:
@@ -106,7 +144,6 @@ class TestPartBranches:
         after = view_fingerprint(eng)
         assert after["s_hh_t_lh"] == before["s_hh_t_lh"]
         assert after["rs_lh"] == before["rs_lh"]
-        assert after["s_ind"] == before["s_ind"]
         eng.update_s("hl", (901, 902), -1)
         assert view_fingerprint(eng) == before
 

@@ -106,7 +106,7 @@ class TestStrictPartition:
         p = strict({(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 9): 1}, 2)
         assert set(keys(p.heavy, 0)) == {1}
         assert set(keys(p.light, 0)) == {2}
-        assert not p.violations(strict=True)
+        assert not p.violations(2, strict=True)
 
     def test_union_is_preserved(self):
         rng = random.Random(5)
