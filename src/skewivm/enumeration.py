@@ -90,9 +90,8 @@ class EnumTriangleEngine(MaintenanceKernel):
                 c.iterations += len(posts)
                 row = nxt.heavy.indexes[IDX0].get(y)
                 if row:
-                    for u, mu in posts.items():
-                        z = u[0]
-                        ms = row.get((y, z))
+                    for z, mu in posts.items():
+                        ms = row.get(z)
                         if ms:
                             bump(self.listing, _rotate_back(i, x, y, z), m * ms * mu)
             # family i: heavy side of this relation joins i+1's light part
@@ -104,15 +103,13 @@ class EnumTriangleEngine(MaintenanceKernel):
                 sh = snd.heavy.indexes[IDX0]
                 sl = snd.light.indexes[IDX0]
                 grown = 0
-                for u, mu in posts.items():
-                    z = u[1]
+                for z, mu in posts.items():
                     pk = (x, z)
                     ys = fam.get(pk)
                     if ys is None:
                         fam[pk] = {y: m * mu}
                         grown += 1
-                        rk = (z, x)
-                        if rk in sh.get(z, ()) or rk in sl.get(z, ()):
+                        if x in sh.get(z, ()) or x in sl.get(z, ()):
                             live.add(pk)
                         continue
                     old = ys.get(y, 0)
@@ -133,11 +130,10 @@ class EnumTriangleEngine(MaintenanceKernel):
             if posts:
                 c.iterations += len(posts)
                 sl = snd.light.indexes[IDX0]
-                for u, mu in posts.items():
-                    z = u[1]
+                for z, mu in posts.items():
                     z_row = sl.get(z)
                     if z_row:
-                        mt = z_row.get((z, x))
+                        mt = z_row.get(x)
                         if mt:
                             bump(self.listing, _rotate_back(i, x, y, z), m * mu * mt)
             # family i+2: its heavy anchor (w, x) joins this relation's light part
@@ -149,15 +145,13 @@ class EnumTriangleEngine(MaintenanceKernel):
                 nh = nxt.heavy.indexes[IDX0].get(y, ())
                 nl = nxt.light.indexes[IDX0].get(y, ())
                 grown = 0
-                for u, mu in posts.items():
-                    w = u[0]
+                for w, mu in posts.items():
                     pk = (w, y)
                     ys = fam.get(pk)
                     if ys is None:
                         fam[pk] = {x: m * mu}
                         grown += 1
-                        rk = (y, w)
-                        if rk in nh or rk in nl:
+                        if w in nh or w in nl:
                             live.add(pk)
                         continue
                     old = ys.get(x, 0)
@@ -192,17 +186,18 @@ class EnumTriangleEngine(MaintenanceKernel):
         c = self.counters
         listing: dict = {}
         for lab in (HEAVY, LIGHT):
-            r0 = self.parts[0].parts[lab]
+            r_idx = self.parts[0].parts[lab].indexes[IDX0]
             s_idx = self.parts[1].parts[lab].indexes[IDX0]
             t2 = self.parts[2].parts[lab]
-            for t, mr in r0.items():
-                posts = s_idx.get(t[1])
-                if posts:
-                    c.iterations += len(posts)
-                    for u, ms in posts.items():
-                        mt = t2.get((u[1], t[0]))
-                        if mt:
-                            bump(listing, (t[0], t[1], u[1]), mr * ms * mt)
+            for a, row in r_idx.items():
+                for b, mr in row.items():
+                    posts = s_idx.get(b)
+                    if posts:
+                        c.iterations += len(posts)
+                        for cv, ms in posts.items():
+                            mt = t2.get((cv, a))
+                            if mt:
+                                bump(listing, (a, b, cv), mr * ms * mt)
         tri: list[dict] = [{}, {}, {}]
         live: list[set] = [set(), set(), set()]
         size = 0
@@ -218,12 +213,11 @@ class EnumTriangleEngine(MaintenanceKernel):
                 l_posts = l_idx[y]
                 c.iterations += len(h_posts) * len(l_posts)
                 size += len(h_posts) * len(l_posts)
-                for t, mh in h_posts.items():
-                    x = t[0]
-                    for u, ml in l_posts.items():
-                        fam.setdefault((x, u[1]), {})[y] = mh * ml
+                for x, mh in h_posts.items():
+                    for z, ml in l_posts.items():
+                        fam.setdefault((x, z), {})[y] = mh * ml
             sh, sl = self.parts[i2].heavy.indexes[IDX0], self.parts[i2].light.indexes[IDX0]
-            live[i] = {(x, z) for x, z in fam if (z, x) in sh.get(z, ()) or (z, x) in sl.get(z, ())}
+            live[i] = {(x, z) for x, z in fam if x in sh.get(z, ()) or x in sl.get(z, ())}
         return listing, tri, live, size
 
     # -- enumeration ----------------------------------------------------------
@@ -238,7 +232,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             sh, sl = self.parts[i2].heavy.indexes[IDX0], self.parts[i2].light.indexes[IDX0]
             for pk in self.live[i]:
                 x, z = pk
-                f = sh[z][(z, x)] if (z, x) in sh.get(z, ()) else sl[z][(z, x)]
+                f = sh[z][x] if x in sh.get(z, ()) else sl[z][x]
                 for y, my in fam[pk].items():
                     yield _rotate_back(i, x, y, z), my * f
 
@@ -261,7 +255,7 @@ class EnumTriangleEngine(MaintenanceKernel):
             for pk in self.live[i]:
                 x, z = pk
                 steps += 2
-                f = sh[z][(z, x)] if (z, x) in sh.get(z, ()) else sl[z][(z, x)]
+                f = sh[z][x] if x in sh.get(z, ()) else sl[z][x]
                 for y, my in fam[pk].items():
                     steps += 2
                     yield _rotate_back(i, x, y, z), my * f, steps

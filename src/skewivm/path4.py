@@ -52,7 +52,7 @@ procedures keep only the views and the stored relations.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .kernel import MaintenanceKernel
 from .metrics import OpCounters
@@ -108,25 +108,21 @@ class JoinView:
 
 
 def add_line(view: JoinView, key, by_row: bool, posts: dict, m: int) -> None:
-    """Z-ring add of ``m * mult`` along one line of ``view``, per posting ``(e, mult)``.
+    """Z-ring add of ``m * mult`` along one line of ``view``, per posting ``(o, mult)``.
 
-    The postings are a T posting map ``{(b, c): mult}`` adding at
-    ``(key, c)`` when ``by_row``, else an S posting map ``{(a, b): mult}``
-    adding at ``(a, key)``.
+    The postings are a T posting map ``{c: mult}`` adding at ``(key, c)``
+    when ``by_row``, else an S posting map ``{a: mult}`` adding at ``(a,
+    key)``.
     Each write goes into the map keyed by ``key``'s variable (the near
     map, one inner map for the whole walk) and is mirrored into the other;
     an entry that cancels to zero is deleted, and so is an inner map it
     leaves empty. ``view.n`` follows.
     """
-    if by_row:
-        near, far, pos = view.rows, view.cols, 1
-    else:
-        near, far, pos = view.cols, view.rows, 0
+    near, far = (view.rows, view.cols) if by_row else (view.cols, view.rows)
     n = view.n
     if near is None:
         # one inner map per posting, in the far map only
-        for e, w in posts.items():
-            o = e[pos]
+        for o, w in posts.items():
             line = far.get(o)
             if line is None:
                 far[o] = {key: m * w}
@@ -148,8 +144,7 @@ def add_line(view: JoinView, key, by_row: bool, posts: dict, m: int) -> None:
     line = near.get(key)
     if line is None:
         line = {}
-    for e, w in posts.items():
-        o = e[pos]
+    for o, w in posts.items():
         d = m * w
         old = line.get(o)
         if old is None:
@@ -185,12 +180,12 @@ class End:
 
     The near relation is the middle one at the end (S at R, T at U), the
     far one the other; ``labels`` maps the near ``parts``' labels to
-    end-first ones, which key the near indexes by ``a`` (``at``) and by
-    ``b`` (``near_b``) and the far ones by ``b`` (``far_b``). A near tuple
-    has ``a`` at ``apos`` and ``b`` at ``bpos``, a far tuple ``b`` at
-    ``apos`` and the far end's value at ``bpos``; ``by_row`` says whether
-    ``a`` is the row variable of the join views. ``w`` is the end's
-    weights, and the fields of ``VIEW_PAIRS`` hold its views.
+    end-first ones, which key the near indexes by ``a`` (``at``, whose
+    postings are keyed by ``b``) and by ``b`` (``near_b``, keyed by ``a``)
+    and the far ones by ``b`` (``far_b``, keyed by the far end's value). A
+    near tuple has ``a`` at ``apos`` and ``b`` at ``bpos``; ``by_row`` says
+    whether ``a`` is the row variable of the join views. ``w`` is the
+    end's weights, and the fields of ``VIEW_PAIRS`` hold its views.
     """
 
     __slots__ = ("w", "parts", "labels", "at", "near_b", "far_b", "apos", "bpos",
@@ -261,11 +256,11 @@ class Path4Engine(MaintenanceKernel):
             if not ra:
                 return 0
             t_by_b, u = self.r_end.far_b, self.u  # T's indexes by b, under T's own labels
-            acc = self._hop_sum(t_by_b["ll"], b, 1, u)
-            acc += self._hop_sum(t_by_b["lh"], b, 1, u)
+            acc = self._hop_sum(t_by_b["ll"], b, u)
+            acc += self._hop_sum(t_by_b["lh"], b, u)
             c.lookups += 1
             acc += self.u_end.w_lh.get(b, 0)  # t_hl_u
-            acc += self._hop_sum(t_by_b["hh"], b, 1, u)
+            acc += self._hop_sum(t_by_b["hh"], b, u)
             return ra * m * acc
         if i == 2:
             b, cval = t
@@ -275,7 +270,7 @@ class Path4Engine(MaintenanceKernel):
             c.lookups += 3
             r_end = self.r_end
             acc = r_end.w_ll.get(b, 0) + r_end.w_lh.get(b, 0) + r_end.w_hh.get(b, 0)
-            acc += self._hop_sum(self.s.parts["hl"].indexes[IDX1], b, 0, self.r)
+            acc += self._hop_sum(self.s.parts["hl"].indexes[IDX1], b, self.r)
             return ug * m * acc
         if i == 0:
             return m * self._delta_sum(self.r_end, self.u_end, t[0])
@@ -285,15 +280,14 @@ class Path4Engine(MaintenanceKernel):
         """One-sided sum for an update at ``a`` to ``d``'s end relation, ``o`` the other end."""
         c = self.counters
         acc = 0
-        at, bpos, by_row, fw = d.at, d.bpos, d.by_row, o.w
+        at, by_row, fw = d.at, d.by_row, o.w
         o_ll, o_lh, o_hh = o.w_ll, o.w_lh, o.w_hh
 
         for lab in ("ll", "hh"):
             posts = at[lab].get(a)
             if posts:
                 c.iterations += len(posts)
-                for e, ms in posts.items():
-                    b = e[bpos]
+                for b, ms in posts.items():
                     w = o_ll.get(b, 0) + o_lh.get(b, 0) + o_hh.get(b, 0)
                     if w:
                         acc += ms * w
@@ -301,8 +295,7 @@ class Path4Engine(MaintenanceKernel):
         if posts:
             c.iterations += len(posts)
             masked = o.masked
-            for e, ms in posts.items():
-                b = e[bpos]
+            for b, ms in posts.items():
                 w = o_ll.get(b, 0) + masked.get(b, 0) + o_lh.get(b, 0) + o_hh.get(b, 0)
                 if w:
                     acc += ms * w
@@ -313,22 +306,22 @@ class Path4Engine(MaintenanceKernel):
             row = at["hl"].get(a)
             if row:
                 for b, w in o_lh.items():
-                    ms = row.get((a, b) if by_row else (b, a))
+                    ms = row.get(b)
                     if ms:
                         acc += ms * w
         for view in (d.ll_lh, d.hl_lh, d.hl_hh, o.hl_hh):
             acc += self._line_sum(view, a, by_row, fw)
         return acc
 
-    def _hop_sum(self, index: dict, key, pos: int, weights: dict) -> int:
-        """Sum of multiplicity * weights[t[pos]] over postings ``t`` of ``index`` at ``key``."""
+    def _hop_sum(self, index: dict, key, weights: dict) -> int:
+        """Sum of multiplicity * weights[o] over the postings ``o`` of ``index`` at ``key``."""
         posts = index.get(key)
         if not posts:
             return 0
         self.counters.iterations += len(posts)
         acc = 0
-        for t, m in posts.items():
-            w = weights.get(t[pos])
+        for o, m in posts.items():
+            w = weights.get(o)
             if w:
                 acc += m * w
         return acc
@@ -357,13 +350,12 @@ class Path4Engine(MaintenanceKernel):
     def _update_end(self, d: End, a, m: int) -> int:
         """Add ``m`` at ``a`` to the end relation of ``d``; returns the stored multiplicity."""
         c = self.counters
-        at, bpos = d.at, d.bpos
+        at = d.at
         for lab, view in (("ll", d.w_ll), ("lh", d.w_lh), ("hh", d.w_hh)):
             posts = at[lab].get(a)
             if posts:
                 c.iterations += len(posts)
-                for e, ms in posts.items():
-                    b = e[bpos]
+                for b, ms in posts.items():
                     v = view.get(b, 0) + m * ms
                     if v:
                         view[b] = v
@@ -375,9 +367,8 @@ class Path4Engine(MaintenanceKernel):
             row = at["hl"].get(a)
             if row:
                 view = d.masked
-                by_row = d.by_row
                 for b in mask:
-                    ms = row.get((a, b) if by_row else (b, a))
+                    ms = row.get(b)
                     if ms:
                         v = view.get(b, 0) + m * ms
                         if v:
@@ -420,7 +411,7 @@ class Path4Engine(MaintenanceKernel):
                 bump(d.w_lh, b, ra * m)
             support = len(d.near_b["lh"].get(b, ()))
             if new == m and support == 1:
-                w = self._hop_sum(far_b["lh"], b, d.bpos, o.w)
+                w = self._hop_sum(far_b["lh"], b, o.w)
                 if w:
                     o.masked[b] = w
             elif new == 0 and support == 0:
@@ -429,10 +420,10 @@ class Path4Engine(MaintenanceKernel):
             posts = far_b["ll"].get(b)
             self._join_scan(o.ll_lh, a, by_row, posts, m)
             if posts:
-                fw, pos = o.w, d.bpos
+                fw = o.w
                 w_sum = 0
-                for e, mt in posts.items():
-                    mu = fw.get(e[pos])
+                for cval, mt in posts.items():
+                    mu = fw.get(cval)
                     if mu:
                         w_sum += mt * mu
                 if w_sum:
@@ -448,9 +439,8 @@ class Path4Engine(MaintenanceKernel):
             posts = far_b["lh"].get(b)
             self._join_scan(d.ll_lh, a, by_row, posts, m)
             if posts and ra:
-                view, pos = d.chain, d.bpos
-                for e, mt in posts.items():
-                    cval = e[pos]
+                view = d.chain
+                for cval, mt in posts.items():
                     v = view.get(cval, 0) + ra * m * mt
                     if v:
                         view[cval] = v
@@ -485,7 +475,7 @@ class Path4Engine(MaintenanceKernel):
             views: dict = {}
             for lab in ("ll", "lh", "hh"):
                 views["w_" + lab] = view = {}
-                self._fold(d.at[lab], d.w, view, d.bpos)
+                self._fold(d.at[lab], d.w, view)
             for field in ("ll_lh", "hl_hh", "hl_lh"):  # near part _ far part
                 name = VIEW_PAIRS[field][k]
                 if name in out:  # s_hl_t_lh, its own mirror, is built once
@@ -495,11 +485,11 @@ class Path4Engine(MaintenanceKernel):
                 near, far = d.near_b[field[:2]], d.far_b[field[3:]]
                 for b in near.keys() & far.keys():
                     c.iterations += len(near[b]) * len(far[b])
-                    for e, mn in near[b].items():
-                        add_line(view, e[d.apos], d.by_row, far[b], mn)
+                    for a, mn in near[b].items():
+                        add_line(view, a, d.by_row, far[b], mn)
             views["masked"] = masked = {}
             for b in d.far_b["hl"]:
-                w = self._hop_sum(d.near_b["hl"], b, d.apos, d.w)
+                w = self._hop_sum(d.near_b["hl"], b, d.w)
                 if w:
                     masked[b] = w
             joined = views["ll_lh"]
@@ -509,19 +499,17 @@ class Path4Engine(MaintenanceKernel):
                 out[VIEW_PAIRS[field][k]] = view
         return out
 
-    def _fold(self, lines: dict, weights: dict, view: dict, pos: int | None = None) -> None:
+    def _fold(self, lines: dict, weights: dict, view: dict) -> None:
         """view[other] += multiplicity * weights[key], per line ``key -> {other: multiplicity}``.
 
-        With ``pos`` the lines are an index's posting maps ``{tuple: multiplicity}``
-        and the other variable is ``tuple[pos]``.
+        The lines are a join view's, or an index's posting maps.
         """
         c = self.counters
         for key, line in lines.items():
             c.iterations += len(line)
             w = weights.get(key)
             if w:
-                others = line if pos is None else map(itemgetter(pos), line)
-                for o, m in zip(others, line.values()):
+                for o, m in line.items():
                     v = view.get(o, 0) + m * w
                     if v:
                         view[o] = v

@@ -4,14 +4,19 @@ A relation is a finite map from value tuples to nonzero integer
 multiplicities (inserts carry positive, deletes negative deltas; the two
 compose by addition and an entry dies when its multiplicity reaches zero).
 It has no flat tuple map. Each configured index (one variable or a tuple
-of variables) maps a key to the posting map ``{tuple: multiplicity}`` of
-the stored tuples carrying that key, so every index holds every tuple with
-its multiplicity. That gives
+of variables) maps a key to the posting map of the stored tuples carrying
+that key, so every index holds every tuple with its multiplicity. A
+posting map is keyed by each tuple's free part: the one value at the
+position the index leaves out, or the whole tuple when it leaves out more
+than one (the lookup index of a relation of arity three or more). Every
+index of a binary relation thus maps a value to ``{other value:
+multiplicity}``, and a scan reads the free value without unpacking a
+tuple. That gives
 
   * constant-time degree counts (``len`` of a posting map),
   * constant-time key membership,
-  * a scan of the tuples matching a key that reads each multiplicity
-    from the posting it walks,
+  * a scan of the tuples matching a key that reads each free value and
+    multiplicity from the posting it walks,
   * point lookups through the first index, the lookup index.
 
 No dict holds every tuple, so no update resizes one: the largest dict an
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -59,16 +64,43 @@ IDX0 = (0,)
 IDX1 = (1,)
 
 
+def free_position(arity: int, spec: tuple) -> int | None:
+    """The one position an index on ``spec`` leaves free, or ``None`` for the whole tuple.
+
+    ``None`` when the index leaves out more than one position (or none).
+    """
+    left = [p for p in range(arity) if p not in spec]
+    return left[0] if len(left) == 1 else None
+
+
+def joiner(arity: int, spec: tuple) -> Callable | None:
+    """``(key, free value) -> tuple`` for the postings of an index on ``spec``.
+
+    The key is a bare value on one variable, a tuple on several. ``None``
+    when the index's postings are keyed by the whole tuple.
+    """
+    free = free_position(arity, spec)
+    if free is None:
+        return None
+    cols = (*spec, free)
+    back = itemgetter(*sorted(range(len(cols)), key=cols.__getitem__))
+    if len(spec) == 1:
+        return lambda k, f: back((k, f))
+    return lambda k, f: back((*k, f))
+
+
 class Relation:
     """Finite map ``tuple -> nonzero int`` kept as per-index posting maps.
 
-    ``indexes[spec][key]`` is the posting map ``{tuple: multiplicity}`` of
-    the tuples whose ``spec`` variables equal ``key``; it is never empty.
-    The first spec, on one variable, is the lookup index behind ``get``
-    and ``items``.
+    ``indexes[spec][key]`` is the posting map of the tuples whose ``spec``
+    variables equal ``key``; it is never empty. It maps each tuple's free
+    part to the tuple's multiplicity: the value at the one position
+    ``spec`` leaves out, or the whole tuple when it leaves out more. The
+    first spec, on one variable, is the lookup index behind ``get`` and
+    ``items``.
     """
 
-    __slots__ = ("arity", "indexes", "_n", "_lead", "_first", "_rest")
+    __slots__ = ("arity", "indexes", "_n", "_lead", "_free", "_join", "_first", "_rest")
 
     def __init__(self, arity: int, index_specs: Iterable[tuple[int, ...]] | None = None):
         if index_specs is None:
@@ -79,10 +111,15 @@ class Relation:
         self.arity = arity
         self.indexes: dict[tuple[int, ...], dict] = {s: {} for s in specs}
         self._lead = specs[0][0]
+        # the lookup index's free position (None: the whole tuple), and how
+        # its key and free value give the tuple back
+        self._free = free_position(arity, specs[0])
+        self._join = joiner(arity, specs[0])
         self._first = self.indexes[specs[0]]
         # the other indexes with their key getters (a bare value for one
-        # variable, a tuple for several)
-        self._rest = tuple((itemgetter(*s), self.indexes[s]) for s in specs[1:])
+        # variable, a tuple for several) and free positions
+        self._rest = tuple((itemgetter(*s), free_position(arity, s), self.indexes[s])
+                           for s in specs[1:])
         self._n = 0
 
     def __len__(self) -> int:
@@ -95,11 +132,17 @@ class Relation:
     def get(self, t: tuple) -> int:
         """Multiplicity of ``t``, 0 when absent."""
         posts = self._first.get(t[self._lead])
-        return posts.get(t, 0) if posts else 0
+        if not posts:
+            return 0
+        p = self._free
+        return posts.get(t if p is None else t[p], 0)
 
     def items(self) -> Iterator[tuple[tuple, int]]:
         """Every ``(tuple, multiplicity)``, grouped by lookup-index key."""
-        return chain.from_iterable(map(dict.items, self._first.values()))
+        join = self._join
+        if join is None:
+            return chain.from_iterable(map(dict.items, self._first.values()))
+        return ((join(k, f), m) for k, posts in self._first.items() for f, m in posts.items())
 
     def upsert(self, t: tuple, m: int) -> int:
         """Add ``m`` to the multiplicity of ``t``; return the new multiplicity.
@@ -114,38 +157,61 @@ class Relation:
         if type(m) is not int or not m:
             raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
         k = t[self._lead]
+        p = self._free
+        f = t if p is None else t[p]
         first = self._first
         posts = first.get(k)
         if posts is None:
-            first[k] = posts = {t: m}
+            first[k] = {f: m}
         else:
-            new = posts.get(t, 0) + m
+            new = posts.get(f, 0) + m
             if new == 0:
-                del posts[t]
+                del posts[f]
                 if not posts:
                     del first[k]
                 self._n -= 1
-                for key_of, idx in self._rest:
+                for key_of, p, idx in self._rest:
                     k = key_of(t)
                     posts = idx[k]
-                    del posts[t]
+                    del posts[t if p is None else t[p]]
                     if not posts:
                         del idx[k]
                 return 0
-            posts[t] = new
+            posts[f] = new
             if new != m:
-                for key_of, idx in self._rest:
-                    idx[key_of(t)][t] = new
+                for key_of, p, idx in self._rest:
+                    idx[key_of(t)][t if p is None else t[p]] = new
                 return new
         self._n += 1
-        for key_of, idx in self._rest:
+        for key_of, p, idx in self._rest:
             k = key_of(t)
+            f = t if p is None else t[p]
             posts = idx.get(k)
             if posts is None:
-                idx[k] = {t: m}
+                idx[k] = {f: m}
             else:
-                posts[t] = m
+                posts[f] = m
         return m
+
+    def fill(self, tuples: list, mults: list) -> None:
+        """Store ``tuples`` with the multiplicities ``mults`` in this empty relation.
+
+        The tuples are distinct and of the relation's arity, the
+        multiplicities nonzero ints; nothing is checked. Each index is
+        built in one pass, in the order given, so every dict ends in the
+        order upserts of the same rows would leave.
+        """
+        if self._n:
+            raise ValueError("fill takes an empty relation")
+        for key_of, p, idx in ((itemgetter(self._lead), self._free, self._first), *self._rest):
+            frees = tuples if p is None else map(itemgetter(p), tuples)
+            for k, f, m in zip(map(key_of, tuples), frees, mults):
+                posts = idx.get(k)
+                if posts is None:
+                    idx[k] = {f: m}
+                else:
+                    posts[f] = m
+        self._n = len(tuples)
 
     def check_consistency(self) -> None:
         """Assert structural invariants; used by tests, not hot paths."""
@@ -153,10 +219,12 @@ class Relation:
         assert len(stored) == self._n, f"size counter {self._n} for {len(stored)} tuples"
         for spec, idx in self.indexes.items():
             key_of = itemgetter(*spec)
+            join = joiner(self.arity, spec)
             seen = {}
             for key, posts in idx.items():
                 assert posts, f"empty posting map for {key} in index {spec}"
-                for t, m in posts.items():
+                for f, m in posts.items():
+                    t = f if join is None else join(key, f)
                     assert m != 0, f"zero multiplicity stored for {t}"
                     assert len(t) == self.arity
                     assert key_of(t) == key
@@ -192,7 +260,7 @@ class Partition:
     """
 
     __slots__ = ("parts", "moving", "tall_at", "tall", "heavy", "light",
-                 "_heavy_keys", "_light_keys", "_by_status", "_on_create", "_on_delete", "_away")
+                 "_heavy_keys", "_by_status", "_on_create", "_on_delete", "_away")
 
     def __init__(self, arity: int, index_specs: dict | None = None):
         if index_specs is None:
@@ -201,7 +269,6 @@ class Partition:
                                   for lab in (HEAVY, LIGHT))
         self._split({HEAVY: self.heavy, LIGHT: self.light})
         self._heavy_keys = self.heavy.indexes[IDX0]
-        self._light_keys = self.light.indexes[IDX0]
 
     def _split(self, parts: dict[str, Relation]) -> None:
         """Take ``parts``, labelled one status per variable, and cache their indexes.
@@ -231,12 +298,13 @@ class Partition:
                         for var in variables if lab[var] == s) for lab in parts}
             for s, at in ((LIGHT, 2), (HEAVY, 0)))
         # per variable and status, for each part a key bound for that status
-        # moves out of: the part's index on the variable, its label, the
+        # moves out of: the part's index on the variable, how a posting
+        # there gives its tuple back (None: it is the tuple), its label, the
         # label the tuple moves to and the other variables, whose keys keep
         # their status unless they are in transit too
         self._away = tuple(
-            {dst: tuple((rel.indexes[(var,)], lab, lab[:var] + dst + lab[var + 1:],
-                         tuple(w for w in variables if w != var))
+            {dst: tuple((rel.indexes[(var,)], joiner(rel.arity, (var,)), lab,
+                         lab[:var] + dst + lab[var + 1:], tuple(w for w in variables if w != var))
                         for lab, rel in parts.items() if lab[var] != dst)
              for dst in (HEAVY, LIGHT)}
             for var in variables)
@@ -258,10 +326,8 @@ class Partition:
             if dst is not None:
                 # only a stored tuple still in the part the key leaves stays there
                 if dst == HEAVY:
-                    posts = self._light_keys.get(t[0])
-                    return LIGHT if posts and t in posts else HEAVY
-                posts = self._heavy_keys.get(t[0])
-                return HEAVY if posts and t in posts else LIGHT
+                    return LIGHT if self.light.get(t) else HEAVY
+                return HEAVY if self.heavy.get(t) else LIGHT
         if force_heavy or t[0] in self._heavy_keys:
             return HEAVY
         return LIGHT
@@ -350,10 +416,11 @@ class Partition:
         var, value = key
         moving = self.moving
         moved = 0
-        for idx, lab, dst, others in self._away[var][moving[key]]:
+        for idx, join, lab, dst, others in self._away[var][moving[key]]:
             posts = idx.get(value)
             while posts and moved < budget:
-                t, m = next(iter(posts.items()))
+                f, m = next(iter(posts.items()))
+                t = f if join is None else join(value, f)
                 to = dst
                 for w in others:
                     s = moving.get((w, t[w]))
@@ -372,6 +439,8 @@ class Partition:
         ``rows`` maps tuples to nonzero multiplicities. A key is heavy on a
         variable when its degree there in ``rows`` is at least ``theta``,
         so every light key stays below the watermark, as after ``restrict``.
+        Each part is filled in bulk (``Relation.fill``), its tuples in the
+        order of ``rows``.
         """
         # each row's part label, one status per variable, built column by column
         labels = None
@@ -381,9 +450,10 @@ class Partition:
             column = map(status.__getitem__, map(itemgetter(var), rows))
             labels = column if labels is None else map(add, labels, column)
         self.tall_at = math.ceil(theta)
-        upsert = {lab: rel.upsert for lab, rel in self.parts.items()}
-        for lab, (t, m) in zip(labels, rows.items()):
-            upsert[lab](t, m)
+        labels = list(labels)
+        for lab, rel in self.parts.items():
+            keep = list(map(lab.__eq__, labels))
+            rel.fill(list(compress(rows, keep)), list(compress(rows.values(), keep)))
 
     def restrict(self, theta: float, grown: tuple | None = None) -> int:
         """Put every key whose strict status for ``theta`` differs in transit.
@@ -543,7 +613,7 @@ class QuadPartition(Partition):
             return None
         for lab, idx in self._lookup:
             posts = idx.get(a)
-            if posts and t in posts:
+            if posts and b in posts:
                 return lab
         if s0 is None:
             s0 = HEAVY if a in self._hl0 or a in self._hh0 else LIGHT

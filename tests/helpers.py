@@ -242,9 +242,24 @@ def settle(part, move) -> int:
 # Read-only views of one single-variable index of a relation, for
 # assertions; a variable without an index raises ``KeyError``.
 
+def posted_tuple(arity: int, spec: tuple, key, free) -> tuple:
+    """The tuple a posting keyed ``free`` at ``key`` of the index on ``spec`` stands for.
+
+    The posting is keyed by the value at the one position the index leaves
+    out, or by the whole tuple when it leaves out more.
+    """
+    left = [p for p in range(arity) if p not in spec]
+    if len(left) != 1:
+        return free
+    values = dict(zip(spec, key if len(spec) > 1 else (key,)))
+    values[left[0]] = free
+    return tuple(values[p] for p in range(arity))
+
+
 def matching(rel: Relation, var: int, key):
     """``(tuple, multiplicity)`` pairs of ``rel`` whose ``var`` equals ``key``."""
-    return iter(rel.indexes[(var,)].get(key, {}).items())
+    posts = rel.indexes[(var,)].get(key, {})
+    return ((posted_tuple(rel.arity, (var,), key, f), m) for f, m in posts.items())
 
 
 def degree(rel: Relation, var: int, key) -> int:
@@ -300,8 +315,9 @@ def build_wedge(hl: Relation, lh: Relation) -> dict:
     w: dict = {}
     h_idx, l_idx = hl.indexes[IDX1], lh.indexes[IDX0]
     for z in h_idx.keys() & l_idx.keys():
-        for (y, _), mh in h_idx[z].items():
-            for (_, x), ml in l_idx[z].items():
+        # hl's postings at z are keyed by y, lh's by x
+        for y, mh in h_idx[z].items():
+            for x, ml in l_idx[z].items():
                 v = w.get((x, y), 0) + mh * ml
                 if v:
                     w[x, y] = v

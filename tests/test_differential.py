@@ -61,7 +61,8 @@ from skewivm.kernel import B
 from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, QuadPartition
 
-from helpers import fresh_views, path4_views_exact, refined_views, swing_stream, views
+from helpers import (fresh_views, matching, path4_views_exact, refined_views, swing_stream,
+                     views)
 from test_major_rebalance import ENGINES, EPS_GRID
 
 # (seed, length, width of the other values, updates preprocessed first)
@@ -120,8 +121,7 @@ def _enum_views_exact(eng, names, where):
 
 def _stored(part, var, key):
     """The stored ``(tuple, multiplicity)`` pairs of ``part`` carrying ``key`` on ``var``."""
-    return [item for rel in part.parts.values()
-            for item in rel.indexes[(var,)].get(key, {}).items()]
+    return [item for rel in part.parts.values() for item in matching(rel, var, key)]
 
 
 def _change(rng, t, m, kind):

@@ -222,7 +222,7 @@ class TestJoinViews:
             dead: set = set()
             for _ in range(600):
                 by_row = rng.random() < 0.5
-                key, b, m = rng.randrange(4), rng.randrange(3), rng.choice((-2, -1, 1, 2))
+                key, m = rng.randrange(4), rng.choice((-2, -1, 1, 2))
                 posts = {}
                 for other in rng.sample(range(6), rng.randrange(1, 5)):
                     at = (key, other) if by_row else (other, key)
@@ -230,7 +230,8 @@ class TestJoinViews:
                     # about a third of the stored entries a line meets cancel
                     cancel = old and old % m == 0 and rng.random() < 0.35
                     w = -old // m if cancel else rng.choice((-2, -1, 1, 2))
-                    posts[(b, other) if by_row else (other, b)] = w
+                    # a T posting map at some b is keyed by c, an S one by a
+                    posts[other] = w
                     v = model.get(at, 0) + m * w
                     if v:
                         recreates += at in dead

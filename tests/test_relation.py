@@ -93,6 +93,100 @@ class TestMatching:
             list(matching(r, 1, 2))
 
 
+class TestFreePartLayout:
+    """A posting map is keyed by the value its index leaves free, or by the whole tuple."""
+
+    ROWS2 = {(1, 2): 3, (4, 2): -1, (1, 5): 2}
+    ROWS3 = {(1, 2, 3): 1, (1, 4, 3): 2, (5, 2, 3): -1, (5, 2, 6): 4}
+
+    @staticmethod
+    def _of(rel: Relation, rows: dict) -> Relation:
+        for t, m in rows.items():
+            rel.upsert(t, m)
+        return rel
+
+    def test_binary_relation_with_its_lookup_on_variable_1(self):
+        r = self._of(Relation(2, [(1,), (0,)]), self.ROWS2)
+        assert r.indexes[(1,)] == {2: {1: 3, 4: -1}, 5: {1: 2}}
+        assert r.indexes[(0,)] == {1: {2: 3, 5: 2}, 4: {2: -1}}
+        # grouped by the lookup key, variable 1
+        assert list(r.items()) == [((1, 2), 3), ((4, 2), -1), ((1, 5), 2)]
+        assert all(r.get(t) == m for t, m in self.ROWS2.items())
+        assert r.get((2, 1)) == 0 and r.get((1, 9)) == 0
+        r.check_consistency()
+        assert r.upsert((4, 2), 1) == 0
+        assert r.indexes[(1,)] == {2: {1: 3}, 5: {1: 2}}
+        assert r.indexes[(0,)] == {1: {2: 3, 5: 2}}
+        r.check_consistency()
+
+    def test_arity_three_pair_index_by_value_single_index_by_tuple(self):
+        r = self._of(Relation(3, [(0,), (0, 2)]), self.ROWS3)
+        # the lookup index leaves two positions out: postings keyed by the tuple
+        assert r.indexes[(0,)] == {1: {(1, 2, 3): 1, (1, 4, 3): 2},
+                                   5: {(5, 2, 3): -1, (5, 2, 6): 4}}
+        # the pair index leaves position 1 out: postings keyed by its value
+        assert r.indexes[(0, 2)] == {(1, 3): {2: 1, 4: 2}, (5, 3): {2: -1}, (5, 6): {2: 4}}
+        assert dict(r.items()) == self.ROWS3
+        assert all(r.get(t) == m for t, m in self.ROWS3.items()) and r.get((1, 2, 6)) == 0
+        r.check_consistency()
+        assert r.upsert((1, 4, 3), -2) == 0 and r.upsert((5, 2, 3), 3) == 2
+        assert r.indexes[(0, 2)] == {(1, 3): {2: 1}, (5, 3): {2: 2}, (5, 6): {2: 4}}
+        r.check_consistency()
+
+    def test_pair_index_out_of_variable_order_leaves_position_0(self):
+        r = self._of(Relation(3, [(1,), (2, 1)]), self.ROWS3)
+        assert r.indexes[(2, 1)] == {(3, 2): {1: 1, 5: -1}, (3, 4): {1: 2}, (6, 2): {5: 4}}
+        assert dict(r.items()) == self.ROWS3
+        r.check_consistency()
+
+    def test_fill_builds_what_upserts_build_in_the_same_order(self):
+        for arity, specs, rows in ((2, [(1,), (0,)], self.ROWS2),
+                                   (3, [(0,), (0, 2), (1,)], self.ROWS3)):
+            filled = Relation(arity, specs)
+            filled.fill(list(rows), list(rows.values()))
+            upserted = self._of(Relation(arity, specs), rows)
+            for spec in filled.indexes:
+                got, want = filled.indexes[spec], upserted.indexes[spec]
+                assert got == want and list(got) == list(want)
+                assert [list(p) for p in got.values()] == [list(p) for p in want.values()]
+            assert len(filled) == len(rows)
+            filled.check_consistency()
+        with pytest.raises(ValueError):
+            filled.fill([(9, 9, 9)], [1])
+
+    def test_check_consistency_refuses_a_posting_under_the_wrong_key(self):
+        r = self._of(Relation(2), self.ROWS2)
+        del r.indexes[(1,)][5][1]
+        r.indexes[(1,)][5][9] = 2  # stands for (9, 5), which the lookup index lacks
+        with pytest.raises(AssertionError):
+            r.check_consistency()
+
+    def test_move_key_hands_over_whole_tuples(self):
+        def mover(part, seen):
+            def move(src, dst, t, m):
+                seen.append(t)
+                part.parts[src].upsert(t, -m)
+                part.parts[dst].upsert(t, m)
+            return move
+
+        # a binary split on variable 0, a quad split moving a key on
+        # variable 1, and an arity-3 split whose lookup postings are tuples
+        binary = strict(self.ROWS2, 10)
+        quad = strict_quad(self.ROWS2, 10)
+        triple = Partition(3, {HEAVY: ((0, 2),), LIGHT: ((0, 2),)})
+        triple.load(self.ROWS3, 10)
+        for part, key, rows in ((binary, (0, 1), self.ROWS2), (quad, (1, 2), self.ROWS2),
+                                (triple, (0, 5), self.ROWS3)):
+            seen: list = []
+            part.moving[key] = HEAVY
+            assert part.move_key(key, 10, mover(part, seen)) == len(seen) > 0
+            var, value = key
+            assert sorted(seen) == sorted(t for t in rows if t[var] == value)
+            assert {t: m for rel in part.parts.values() for t, m in rel.items()} == rows
+            for rel in part.parts.values():
+                rel.check_consistency()
+
+
 class TestStrictPartition:
     def test_degree_at_threshold_goes_heavy(self):
         p = strict({(1, b): 1 for b in (1, 2, 3)}, 2)

@@ -46,6 +46,12 @@ def _key(t, spec):
     return t[spec[0]] if len(spec) == 1 else tuple(t[p] for p in spec)
 
 
+def _free(t, spec):
+    """A posting's key: the one value ``spec`` leaves out, else the whole tuple."""
+    left = [p for p in range(len(t)) if p not in spec]
+    return t[left[0]] if len(left) == 1 else t
+
+
 def _check_side(rel, model):
     assert len(rel) == rel.size() == len(model)
     assert dict(rel.items()) == model
@@ -54,7 +60,7 @@ def _check_side(rel, model):
     for spec, idx in rel.indexes.items():
         want = {}
         for t, m in model.items():
-            want.setdefault(_key(t, spec), {})[t] = m
+            want.setdefault(_key(t, spec), {})[_free(t, spec)] = m
         assert all(idx.values()), f"empty posting map in index {spec}"
         assert idx == want, spec
 
