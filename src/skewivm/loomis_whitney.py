@@ -47,7 +47,7 @@ leaves out more. The parts a probe may hit that differ only in the
 status of that index's variables are read as one row while the partition
 has no key in transit, all their rows while one is. A row whose key the
 update fixes is read once per walk, and a row that several walks of one
-branch read (``s<j>_<k>``) once per branch, by the first of them that
+branch read (``s<k>``) once per branch, by the first of them that
 runs. Each part keeps only its lookup index (on the partition key) and
 the indexes some walk reads.
 
@@ -165,16 +165,16 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
 
     def branch(d, walks):
         # the walks run one after another; a fixed row two or more of them
-        # read is named s<j>_<k> and read by the first of them that runs
+        # read is named s<k> and read by the first of them that runs
         probed = [rows(w[0], w[3]) for w in walks]
         used = Counter(r for probes in probed
                        for r in {r for _, _, group, fixed in probes if fixed for r in group})
         shared: dict = {}
         for probes in probed:
-            for j, _, group, fixed in probes:
+            for _, _, group, fixed in probes:
                 for r in group:
                     if fixed and used[r] > 1 and r not in shared:
-                        shared[r] = f"s{j}_{sum(s.startswith(f's{j}_') for s in shared.values())}"
+                        shared[r] = f"s{len(shared)}"
         emit(d, *(f"{name} = None" for name in shared.values()))
         read: set = set()
         for w, probes in zip(walks, probed):
