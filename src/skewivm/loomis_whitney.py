@@ -46,10 +46,8 @@ part: the one value the index leaves out, or the whole tuple when it
 leaves out more. The parts a probe may hit that differ only in the
 status of that index's variables are read as one row while the partition
 has no key in transit, all their rows while one is. A row whose key the
-update fixes is read once per walk, and a row that several walks of one
-branch read (``s<k>``) once per branch, by the first of them that
-runs. Each part keeps only its lookup index (on the partition key) and
-the indexes some walk reads.
+update fixes is read once per walk. Each part keeps only its lookup index
+(on the partition key) and the indexes some walk reads.
 
 At degree 3 the views are the triangle's wedges: the plan is the triangle
 engine (``skewivm.triangle``), and over one partition standing in for all
@@ -61,7 +59,7 @@ the kernel.
 
 from __future__ import annotations
 
-from collections import ChainMap, Counter
+from collections import ChainMap
 from typing import NamedTuple
 
 from .kernel import MaintenanceKernel
@@ -128,92 +126,52 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
     def emit(depth, *code):
         lines.extend("    " * depth + line for line in code)
 
-    # an update to relation v names its tuple's positions t0.., and the
-    # candidate for the free variable z
-    def var(p):  # position p of the update tuple extended by z
-        return "z" if p == n - 1 else f"t{p}"
-
-    def tup(v, j, positions=range(n - 1)):  # relation j's tuple, or its variables at positions
-        return "(" + ", ".join(var((j + k - v) % n) for k in positions) + ")"
-
-    def key(v, j, spec):  # relation j's key on the index spec
-        return tup(v, j, spec) if len(spec) > 1 else var((j + spec[0] - v) % n)
-
-    def free(v, j, spec):  # relation j's free part on the index spec, the key of its postings
-        p = free_position(n - 1, spec)
-        return tup(v, j) if p is None else var((j + p - v) % n)
-
-    def row(v, j, group, spec):  # relation j's row at its key on spec in a group of parts
-        gets = [f"{_index_name(j, s, spec)}.get({key(v, j, spec)})" for s in group]
-        both = f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY)"
-        return gets[0] if len(gets) == 1 else f"({' or '.join(gets)} if not M{j} else {both})"
-
-    def rows(v, probes):
-        # per probe: relation j, its index, one row per group of the parts
-        # that differ only in the status of the index's variables, and
-        # whether the update fixes their key
-        out = []
-        for j, sides, *index in probes:
-            index = index[0] if index else IDX0
-            groups: dict = {}
-            for s in sides:
-                specs[s].add(index)
-                groups.setdefault(tuple(c for q, c in enumerate(s) if q not in index), []).append(s)
-            out.append((j, index, [row(v, j, group, index) for group in groups.values()],
-                        all((j + p - v) % n != n - 1 for p in index)))
-        return out
-
-    def branch(d, walks):
-        # the walks run one after another; a fixed row two or more of them
-        # read is named s<k> and read by the first of them that runs
-        probed = [rows(w[0], w[3]) for w in walks]
-        used = Counter(r for probes in probed
-                       for r in {r for _, _, group, fixed in probes if fixed for r in group})
-        shared: dict = {}
-        for probes in probed:
-            for _, _, group, fixed in probes:
-                for r in group:
-                    if fixed and used[r] > 1 and r not in shared:
-                        shared[r] = f"s{len(shared)}"
-        emit(d, *(f"{name} = None" for name in shared.values()))
-        read: set = set()
-        for w, probes in zip(walks, probed):
-            walk(d, *w[:3], probes, w[4], shared, read)
-
-    def walk(d, v, src, side, probed, view, shared, read):
+    def walk(d, v, src, side, probes, view):
         # reads t0.. (the update tuple) and m; adds to acc or to its view
         pc = (v - 1 - src) % n
         spec = tuple(q for q in range(n - 1) if q != pc)
         specs[side].add(spec)
-        emit(d, f"posts = {_index_name(src, side, spec)}.get({key(v, src, spec)})", "if posts:",
+
+        def var(p):  # position p of the update tuple extended by the candidate z
+            return "z" if p == n - 1 else f"t{p}"
+
+        def tup(j, positions=range(n - 1)):  # relation j's tuple, or its variables at positions
+            return "(" + ", ".join(var((j + k - v) % n) for k in positions) + ")"
+
+        def key(j, spec):  # relation j's key on the index spec
+            return tup(j, spec) if len(spec) > 1 else var((j + spec[0] - v) % n)
+
+        def free(j, spec):  # relation j's free part on the index spec, the key of its postings
+            p = free_position(n - 1, spec)
+            return tup(j) if p is None else var((j + p - v) % n)
+
+        def row(j, group, spec):  # relation j's row at its key on spec in a group of parts
+            gets = [f"{_index_name(j, s, spec)}.get({key(j, spec)})" for s in group]
+            both = f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY)"
+            return gets[0] if len(gets) == 1 else f"({' or '.join(gets)} if not M{j} else {both})"
+        emit(d, f"posts = {_index_name(src, side, spec)}.get({key(src, spec)})", "if posts:",
              "    C.iterations += len(posts)")
         if view is not None:
             emit(d + 1, f"W = VB[0][{view}]")
-        # rows whose key the update fixes are read once per walk, a shared
-        # one once per branch; the others per candidate
+        # one row per group of parts that differ only in the status of the
+        # index's variables; rows whose key the update fixes are read once
         fixed, gets = [], {}
-        for j, index, group, at_fixed in probed:
-            if not at_fixed:
-                gets[j] = " or ".join(f"({r} or EMPTY).get({free(v, j, index)})" for r in group)
-                continue
-            # one row read here may be None; of several, and a shared one, each is a dict
-            one = len(group) == 1 and group[0] not in shared
-            names = []
-            for g, r in enumerate(group):
-                if r in shared:
-                    name = shared[r]
-                    if r in read:
-                        emit(d + 1, f"if {name} is None:", f"    {name} = {r} or EMPTY")
-                    else:
-                        emit(d + 1, f"{name} = {r} or EMPTY")
-                        read.add(r)
-                else:
-                    name = f"r{j}" if one else f"r{j}_{g}"
-                    emit(d + 1, f"{name} = {r}" + ("" if one else " or EMPTY"))
-                names.append(name)
-            fixed.append(f"{names[0]} is not None" if one
-                         else names[0] if len(names) == 1 else f"({' or '.join(names)})")
-            gets[j] = " or ".join(f"{r}.get({free(v, j, index)})" for r in names)
+        for j, sides, *index in probes:
+            index = index[0] if index else IDX0
+            rest: dict = {}
+            for s in sides:
+                specs[s].add(index)
+                rest.setdefault(tuple(c for q, c in enumerate(s) if q not in index), []).append(s)
+            groups = [row(j, group, index) for group in rest.values()]
+            if any((j + p - v) % n == n - 1 for p in index):
+                gets[j] = " or ".join(f"({r} or EMPTY).get({free(j, index)})" for r in groups)
+            else:  # one row may be None; of several, each is a dict
+                one = len(groups) == 1
+                names = [f"r{j}"] if one else [f"r{j}_{g}" for g in range(len(groups))]
+                emit(d + 1, *(f"{r} = {g}" + ("" if one else " or EMPTY")
+                              for r, g in zip(names, groups)))
+                fixed.append(f"r{j} is not None" if one else f"({' or '.join(names)})")
+                gets[j] = " or ".join(f"{r}.get({free(j, index)})" for r in names)
         if fixed:
             emit(d + 1, "if " + " and ".join(fixed) + ":")
         d += 2 if fixed else 1
@@ -226,14 +184,15 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
         if view is None:
             emit(d + 1, f"acc += {product}")
         else:
-            emit(d + 1, f"k = {tup(v, view)}", f"w = W.get(k, 0) + m * {product}",
+            emit(d + 1, f"k = {tup(view)}", f"w = W.get(k, 0) + m * {product}",
                  "if w:", "    W[k] = w", "else:", "    del W[k]")
 
     unpack = ", ".join(f"t{p}" for p in range(n - 1)) + " = t"
     emit(1, "def delta(v, t, m):", "    C.lookups += 1")
     for v in range(n):
         emit(2, f"if v == {v}:", "    " + unpack, f"    acc = VB[0][{v}].get(t, 0)")
-        branch(3, plan.deltas[v])
+        for w in plan.deltas[v]:
+            walk(3, *w)
         emit(3, "return m * acc")
     emit(1, "def apply_update(v, side, t, m):")
     *tested, last = plan.labels
@@ -241,9 +200,11 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
         emit(2, f"if v == {v}:", "    " + unpack)
         for lab in tested:
             emit(3, f"if side == L{lab}:")
-            branch(4, plan.upkeep[v][lab])
+            for w in plan.upkeep[v][lab]:
+                walk(4, *w)
             emit(4, f"return P{v}{lab}.upsert(t, m)")
-        branch(3, plan.upkeep[v][last])
+        for w in plan.upkeep[v][last]:
+            walk(3, *w)
         emit(3, f"return P{v}{last}.upsert(t, m)")
     # view i from its light member's part, or from its anchor's, walked
     # through the part's lookup index
@@ -256,7 +217,7 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
             else:
                 emit(depth, "for row in rows.values():", "    for t, m in row.items():",
                      "        " + unpack)
-            branch(depth + 2, [next(w for w in plan.upkeep[j][lab] if w[4] == i)])
+            walk(depth + 2, *next(w for w in plan.upkeep[j][lab] if w[4] == i))
             emit(depth, "return")
     emit(1, "return delta, apply_update, build")
     specs = {lab: sorted(s) for lab, s in specs.items()}
