@@ -30,20 +30,23 @@ relation v-1's light part with the heavy parts of all remaining relations
 stays maintainable: an update to a heavy member scans the light member at
 its fixed leading key, an update to the light member scans relation v-2's
 heavy part, whose leading variable is again the free one. A view is built
-by one member's upkeep walk, run over that member's part.
+by one member's upkeep walk, run over that member's part. A plan may name
+two more kinds of view (``Plan.kinds``), written by the same walks: a
+family keeps variable v-1 instead of summing it out, and a listing is
+keyed by every variable.
 
 The walks are not interpreted: a plan (``Plan``, plain data) becomes
 Python source (``plan_source()``) of integers and fixed names, one
-``delta`` and one ``apply_update`` with a branch per relation and part
-label, and a ``build`` of each view from a whole part, walked through its
-lookup index. It is compiled once per plan and degree and bound per
-engine to its index dicts, relations, ``moving`` maps, counters and
-views. A scan index leaves only the free variable out, so its postings
-are keyed by the candidate itself (``for z, prod in posts.items()``). A
-probe reads the partition key's index or one the plan names, at the
-probed tuple's key there, and gets the posting keyed by the tuple's free
-part: the one value the index leaves out, or the whole tuple when it
-leaves out more. The parts a probe may hit that differ only in the
+``delta`` (none for a plan without deltas) and one ``apply_update`` with a
+branch per relation and part label, and a ``build`` of each view from a
+whole part, walked through its lookup index. It is compiled once per plan
+and degree and bound per engine to its index dicts, relations, ``moving``
+maps, counters and views. A scan index leaves only the free variable out,
+so its postings are keyed by the candidate itself (``for z, prod in
+posts.items()``). A probe reads the partition key's index or one the plan
+names, at the probed tuple's key there, and gets the posting keyed by the
+tuple's free part: the one value the index leaves out, or the whole tuple
+when it leaves out more. The parts a probe may hit that differ only in the
 status of that index's variables are read as one row while the partition
 has no key in transit, all their rows while one is. A row whose key the
 update fixes is read once per walk. Each part keeps only its lookup index
@@ -52,9 +55,10 @@ update fixes is read once per walk. Each part keeps only its lookup index
 At degree 3 the views are the triangle's wedges: the plan is the triangle
 engine (``skewivm.triangle``), and over one partition standing in for all
 three relations, the self-join engine (``skewivm.selfjoin``); a plan over
-two-variable splits is the refined engine (``skewivm.refined``).
-Relations are named R1..Rn (or indexed 0..n-1); rebalancing comes from
-the kernel.
+two-variable splits is the refined engine (``skewivm.refined``); the
+triangle's upkeep walks writing families, plus walks into a listing, are
+the enumeration engine (``skewivm.enumeration``). Relations are named
+R1..Rn (or indexed 0..n-1); rebalancing comes from the kernel.
 """
 
 from __future__ import annotations
@@ -67,23 +71,34 @@ from .metrics import OpCounters
 from .relation import HEAVY, IDX0, LIGHT, Partition, free_position
 
 
+# the kinds of view (``Plan.kinds``)
+SUM, KEEP, ALL = "sum", "keep", "all"
+
+
 class Plan(NamedTuple):
-    """A cyclic-count plan as data: part labels, per relation its delta and upkeep walks.
+    """A cyclic plan as data: part labels, per relation its delta and upkeep walks, views.
 
     A walk ``(v, src, side, probes, view)``, for an update to relation v,
     scans part ``side`` of relation ``src`` on its index over every
     variable but v-1 and, per candidate, probes ``(j, sides)`` or ``(j,
     sides, spec)``: the parts of relation j a tuple may sit in, through the
     index ``spec`` (the partition key by default). It adds into
-    ``views[view]``, or to the delta. ``upkeep[v][label]`` are the walks of
-    an update to that part; ``builds[i]`` names view i's light member and
-    anchor as ``(relation, label)``, each of which builds it by its upkeep walk.
+    ``views[view]``, or to the delta; ``deltas`` is ``None`` for a plan
+    that keeps no count. ``upkeep[v][label]`` are the walks of an update
+    to that part. View i is keyed by relation i's tuple and sums out the
+    variable it omits when ``kinds[i]`` is ``SUM``; keeps it when ``KEEP``
+    (a family, ``views[i][key][value]``, whose keys relation i stores are
+    ``live[i]``); or, when ``ALL``, is a listing keyed by every variable in
+    order. ``builds[i]`` names two members ``(relation, label)`` of view i,
+    each of which can build it by its upkeep walk over its part; a listing
+    holds one combination per member and is built by both.
     """
 
     labels: tuple
-    deltas: list
+    deltas: list | None
     upkeep: list
     builds: list
+    kinds: tuple
 
 
 def _plan(n: int) -> Plan:
@@ -111,7 +126,7 @@ def _plan(n: int) -> Plan:
                     for i in range(n) if i not in (v, nxt)],
             LIGHT: [(v, prev, HEAVY, heavy_rest(v, nxt, prev), nxt)]})
     builds = [(((i - 1) % n, LIGHT), ((i + 1) % n, HEAVY)) for i in range(n)]
-    return Plan((HEAVY, LIGHT), deltas, upkeep, builds)
+    return Plan((HEAVY, LIGHT), deltas, upkeep, builds, (SUM,) * n)
 
 
 def _index_name(j: int, side: str, spec: tuple) -> str:
@@ -149,20 +164,26 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
             gets = [f"{_index_name(j, s, spec)}.get({key(j, spec)})" for s in group]
             both = f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY)"
             return gets[0] if len(gets) == 1 else f"({' or '.join(gets)} if not M{j} else {both})"
+
+        def rows(j, sides, index):  # relation j's rows on index, one per group of its parts
+            rest: dict = {}
+            for s in sides:
+                specs[s].add(index)
+                rest.setdefault(tuple(c for q, c in enumerate(s) if q not in index), []).append(s)
+            return [row(j, group, index) for group in rest.values()]
         emit(d, f"posts = {_index_name(src, side, spec)}.get({key(src, spec)})", "if posts:",
              "    C.iterations += len(posts)")
-        if view is not None:
+        kind = None if view is None else plan.kinds[view]
+        if kind is not None:
             emit(d + 1, f"W = VB[0][{view}]")
+        if kind == KEEP:
+            emit(d + 1, f"LV = VB[1][{view}]", "grown = 0")
         # one row per group of parts that differ only in the status of the
         # index's variables; rows whose key the update fixes are read once
         fixed, gets = [], {}
         for j, sides, *index in probes:
             index = index[0] if index else IDX0
-            rest: dict = {}
-            for s in sides:
-                specs[s].add(index)
-                rest.setdefault(tuple(c for q, c in enumerate(s) if q not in index), []).append(s)
-            groups = [row(j, group, index) for group in rest.values()]
+            groups = rows(j, sides, index)
             if any((j + p - v) % n == n - 1 for p in index):
                 gets[j] = " or ".join(f"({r} or EMPTY).get({free(j, index)})" for r in groups)
             else:  # one row may be None; of several, each is a dict
@@ -174,6 +195,7 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
                 gets[j] = " or ".join(f"{r}.get({free(j, index)})" for r in names)
         if fixed:
             emit(d + 1, "if " + " and ".join(fixed) + ":")
+        body = d + 1
         d += 2 if fixed else 1
         emit(d, "for z, prod in posts.items():")
         product = "prod"
@@ -181,19 +203,47 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
             d += 1
             emit(d, f"m{j} = {get}", f"if m{j}:")
             product += f" * m{j}"
-        if view is None:
+        if kind is None:
             emit(d + 1, f"acc += {product}")
-        else:
-            emit(d + 1, f"k = {tup(view)}", f"w = W.get(k, 0) + m * {product}",
+        elif kind == KEEP:
+            # a family keyed by relation view's tuple keeps y, the variable
+            # it omits; a new key is live when that relation stores it
+            y = var((view - 1 - v) % n)
+            stored = " or ".join(f"({r} or EMPTY).get({free(view, IDX0)})"
+                                 for r in rows(view, plan.labels, IDX0))
+            emit(d + 1, f"k = {tup(view)}", "ys = W.get(k)", "if ys is None:",
+                 f"    W[k] = {{{y}: m * {product}}}", "    grown += 1",
+                 f"    if {stored}:", "        LV.add(k)",
+                 f"elif {y} in ys:", f"    w = ys[{y}] + m * {product}", "    if w:",
+                 f"        ys[{y}] = w", "    else:", f"        del ys[{y}]", "        grown -= 1",
+                 "        if not ys:", "            del W[k]", "            LV.discard(k)",
+                 "else:", f"    ys[{y}] = m * {product}", "    grown += 1")
+            emit(body, "VB[2] += grown")
+        else:  # a listing is keyed by variables 0..n-1
+            emit(d + 1, f"k = {tup(view) if kind == SUM else tup(0, range(n))}",
+                 f"w = W.get(k, 0) + m * {product}",
                  "if w:", "    W[k] = w", "else:", "    del W[k]")
 
+    def store(d, v, lab):
+        # the update itself; a family keyed by relation v's tuples follows
+        # whether it is stored
+        if plan.kinds[v] != KEEP:
+            emit(d, f"return P{v}{lab}.upsert(t, m)")
+        else:
+            emit(d, f"new = P{v}{lab}.upsert(t, m)", "if new == m:", f"    if t in VB[0][{v}]:",
+                 f"        VB[1][{v}].add(t)", "elif not new:", f"    VB[1][{v}].discard(t)",
+                 "return new")
+
     unpack = ", ".join(f"t{p}" for p in range(n - 1)) + " = t"
-    emit(1, "def delta(v, t, m):", "    C.lookups += 1")
-    for v in range(n):
-        emit(2, f"if v == {v}:", "    " + unpack, f"    acc = VB[0][{v}].get(t, 0)")
-        for w in plan.deltas[v]:
-            walk(3, *w)
-        emit(3, "return m * acc")
+    if plan.deltas is None:
+        emit(1, "delta = None")
+    else:
+        emit(1, "def delta(v, t, m):", "    C.lookups += 1")
+        for v in range(n):
+            emit(2, f"if v == {v}:", "    " + unpack, f"    acc = VB[0][{v}].get(t, 0)")
+            for w in plan.deltas[v]:
+                walk(3, *w)
+            emit(3, "return m * acc")
     emit(1, "def apply_update(v, side, t, m):")
     *tested, last = plan.labels
     for v in range(n):
@@ -202,14 +252,14 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
             emit(3, f"if side == L{lab}:")
             for w in plan.upkeep[v][lab]:
                 walk(4, *w)
-            emit(4, f"return P{v}{lab}.upsert(t, m)")
+            store(4, v, lab)
         for w in plan.upkeep[v][last]:
             walk(3, *w)
-        emit(3, f"return P{v}{last}.upsert(t, m)")
-    # view i from its light member's part, or from its anchor's, walked
-    # through the part's lookup index
+        store(3, v, last)
+    # view i from the part of its first member (its light member), or of
+    # its second (its anchor), walked through the part's lookup index
     emit(1, "def build(i, light, rows):")
-    for i in range(n):
+    for i in range(len(plan.builds)):
         emit(2, f"if i == {i}:", "    if light:")
         for depth, (j, lab) in zip((4, 3), plan.builds[i]):
             if n == 3:  # the lookup index of a binary part keys each posting by t1
@@ -254,9 +304,10 @@ class LWEngine(MaintenanceKernel):
 
         The plan is compiled once per plan and degree. With ``shared``, one
         partition and one view stand for every relation of the plan. The
-        views are read through a one-slot list, so ``rebuild_views`` and
-        callers may replace the view list; nothing bound refers to the
-        engine. Sets ``apply_update`` and returns the delta.
+        views, the families' live sets and their entry count are read
+        through one list, so ``rebuild_views`` and callers may replace
+        them; nothing bound refers to the engine. Sets ``apply_update`` and
+        returns the delta (``None`` for a plan without deltas).
         """
         n = self.n = len(eps)
         self._plan_eps = eps
@@ -268,10 +319,12 @@ class LWEngine(MaintenanceKernel):
             exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
             _COMPILED[key] = (namespace["bind"], source, specs, plan)
         bind, self._source, specs, plan = _COMPILED[key]
-        self._builds = plan.builds
+        self._builds, self._kinds = plan.builds, plan.kinds
+        self._sized = [i for i, kind in enumerate(plan.kinds) if kind != KEEP]
         self.parts = [self._partition(specs) for _ in range(1 if shared else n)]
         self._ring = self.parts * n if shared else self.parts
-        self._views = [[{}] * n if shared else [{} for _ in range(n)]]
+        self._views = [[{}] * n if shared else [{} for _ in plan.kinds],
+                       [set() for _ in plan.kinds], 0]
         bindings = {"C": self.counters, "VB": self._views}
         for j, part in enumerate(self._ring):
             bindings[f"M{j}"] = part.moving
@@ -283,36 +336,53 @@ class LWEngine(MaintenanceKernel):
 
     @property
     def views(self) -> list[dict]:
-        """``views[v]``, keyed by relation v's tuples."""
+        """``views[i]``, of the plan's kind ``i``: keyed by relation i's tuples, or a listing."""
         return self._views[0]
 
     @views.setter
     def views(self, views: list[dict]) -> None:
         self._views[0] = views
 
+    @property
+    def live(self) -> list[set]:
+        """``live[i]``: the keys of family ``views[i]`` that relation i stores."""
+        return self._views[1]
+
+    @property
+    def entries(self) -> int:
+        """The entries of the families, one per key and kept value."""
+        return self._views[2]
+
     def plan_source(self) -> str:
         """The generated source of the plan, shared by every engine of its plan and degree."""
         return self._source
 
     def space_used(self) -> int:
-        return (sum(p.total_size() for p in self.parts)
-                + sum(len(v) for v in self.views))
+        # a family's entries are counted by the update step, any other
+        # view's are its keys
+        views, _, entries = self._views
+        return (sum(p.total_size() for p in self.parts) + entries
+                + sum(len(views[i]) for i in self._sized))
 
     def rebuild_views(self) -> None:
-        self.views = [{} for _ in range(self.n)]
-        for i in range(self.n):
+        self._views[:] = [[{} for _ in self._kinds], [set() for _ in self._kinds], 0]
+        for i in range(len(self._kinds)):
             self._build_view(i)
 
     def _build_view(self, i: int) -> None:
-        """Build view i by one member's upkeep walk over its part, chosen by cost.
+        """Build view i by its members' upkeep walks over their parts.
 
-        A light member's tuple (relation i-1) walks heavy keys of relation
-        i-2, an anchor's a light row of relation i-1.
+        A listing is built by both. Any other view is built by one, chosen
+        by cost: a light member's tuple (relation i-1) walks heavy keys of
+        relation i-2, an anchor's a light row of relation i-1.
         """
         n, eps, N = self.n, self._plan_eps, self.N
         (lj, llab), (aj, alab) = self._builds[i]
         lrel, arel = self._ring[lj].parts[llab], self._ring[aj].parts[alab]
-        if lrel and arel:
+        if self._kinds[i] == ALL:
+            self._build(i, True, lrel.indexes[IDX0])
+            self._build(i, False, arel.indexes[IDX0])
+        elif lrel and arel:
             light = (len(arel) * 1.5 * N ** eps[lj]
                      > len(lrel) * 2 * N ** (1.0 - eps[(i - 2) % n]))
             self._build(i, light, (lrel if light else arel).indexes[IDX0])

@@ -30,7 +30,7 @@ the updated tuple and can fire twice for one update.
 
 from __future__ import annotations
 
-from .loomis_whitney import LWEngine, Plan
+from .loomis_whitney import SUM, LWEngine, Plan
 from .metrics import OpCounters
 from .relation import IDX1, QUAD_LABELS, QuadPartition
 
@@ -51,7 +51,7 @@ def _plan(n: int) -> Plan:
         upkeep.append({"hh": [], "hl": [(v, nxt, "lh", (), prev)],
                        "lh": [(v, prev, "hl", (), nxt)], "ll": []})
     builds = [(((i - 1) % n, "lh"), ((i + 1) % n, "hl")) for i in range(n)]
-    return Plan(QUAD_LABELS, deltas, upkeep, builds)
+    return Plan(QUAD_LABELS, deltas, upkeep, builds, (SUM,) * n)
 
 
 class RefinedTriangleEngine(LWEngine):

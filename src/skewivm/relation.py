@@ -253,18 +253,14 @@ class Partition:
 
     Each part's indexes are given per part label (``index_specs``), after
     the partition key's index (on variable 0), which comes first in both
-    parts, so point lookups and degrees go through it. By default the
-    heavy part also indexes every other variable and the light part
-    nothing else, the layout the triangle's walks scan. ``heavy`` and
+    parts, so point lookups and degrees go through it. ``heavy`` and
     ``light`` name the two parts.
     """
 
     __slots__ = ("parts", "moving", "tall_at", "tall", "heavy", "light",
                  "_heavy_keys", "_by_status", "_on_create", "_on_delete", "_away")
 
-    def __init__(self, arity: int, index_specs: dict | None = None):
-        if index_specs is None:
-            index_specs = {HEAVY: tuple((i,) for i in range(arity)), LIGHT: ()}
+    def __init__(self, arity: int, index_specs: dict):
         self.heavy, self.light = (Relation(arity, (IDX0, *index_specs[lab]))
                                   for lab in (HEAVY, LIGHT))
         self._split({HEAVY: self.heavy, LIGHT: self.light})

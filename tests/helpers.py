@@ -7,7 +7,7 @@ import sys
 
 from skewivm.cli import Update
 from skewivm.path4 import JoinView
-from skewivm.relation import IDX0, IDX1, Relation
+from skewivm.relation import HEAVY, IDX0, IDX1, LIGHT, Relation
 from skewivm.triangle import TriangleEngine
 
 
@@ -334,6 +334,48 @@ def refined_views(eng) -> list[dict]:
     """
     return [build_wedge(eng.parts[(v + 1) % 3].parts["hl"], eng.parts[(v - 1) % 3].parts["lh"])
             for v in range(3)]
+
+
+def _by_first(rows: dict) -> dict:
+    """Binary ``rows`` grouped by their first value: ``{x: {y: multiplicity}}``."""
+    out: dict = {}
+    for (x, y), m in rows.items():
+        out.setdefault(x, {})[y] = m
+    return out
+
+
+def enum_views(eng) -> dict:
+    """The enumeration engine's ``views``, ``live`` and ``entries``, built from its parts.
+
+    Plain loops over the stored tuples of each part, sharing no code with
+    the engine's walks. The listing ``views[3]`` holds the triangles whose
+    three tuples sit in parts of one label. Family ``views[w]`` joins
+    relation w+1's heavy tuples ``(y, z)`` with relation w-1's light
+    tuples ``(z, x)``, keyed ``(x, y)``, relation w's tuple, with the
+    middle value z kept: ``views[w][x, y][z]``. ``live[w]`` holds the
+    family's keys that relation w stores; the listing's slot is empty.
+    """
+    rows = [{lab: dict(part.parts[lab].items()) for lab in (HEAVY, LIGHT)}
+            for part in eng.parts]
+    listing: dict = {}
+    for lab in (HEAVY, LIGHT):
+        r, s, t = (rel[lab] for rel in rows)
+        s_by_b = _by_first(s)
+        for (a, b), mr in r.items():
+            for c, ms in s_by_b.get(b, {}).items():
+                if (c, a) in t:
+                    listing[a, b, c] = mr * ms * t[c, a]
+    families, live = [], []
+    for w in range(3):
+        fam: dict = {}
+        light_by_z = _by_first(rows[(w - 1) % 3][LIGHT])
+        for (y, z), mh in rows[(w + 1) % 3][HEAVY].items():
+            for x, ml in light_by_z.get(z, {}).items():
+                fam.setdefault((x, y), {})[z] = mh * ml
+        families.append(fam)
+        live.append({k for k in fam if k in rows[w][HEAVY] or k in rows[w][LIGHT]})
+    return {"views": families + [listing], "live": live + [set()],
+            "entries": sum(len(ys) for fam in families for ys in fam.values())}
 
 
 def path4_views_exact(eng, where=None) -> None:

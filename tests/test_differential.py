@@ -17,9 +17,10 @@ the kernel keeps must equal the number of stored tuples of the oracle
 database, and the answer must equal the oracle's: the first-order tracker
 of the query family, or for enumeration the brute-force result. At
 exponent 1/2 the enumeration engine's maintained views must also equal a
-fresh build from its parts, with no empty middle-value map, an entry
-count equal to a recount and live sets that hold exactly the pairs whose
-third tuple is stored, and so must the path4 engine's, with no empty
+build from its parts without its walks (``helpers.enum_views``), with no
+empty kept-value map, an entry count equal to a recount and live sets
+that hold exactly the keys their relation stores; the path4 engine's
+must equal a fresh build, with no empty
 inner map in a join view, the two maps of a two-sided join view exact
 transposes of each other, each view's entry count equal to a recount and
 each masked view's keys inside the index that masks it.
@@ -61,7 +62,7 @@ from skewivm.kernel import B
 from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, QuadPartition
 
-from helpers import (fresh_views, matching, path4_views_exact, refined_views, swing_stream,
+from helpers import (enum_views, matching, path4_views_exact, refined_views, swing_stream,
                      views)
 from test_major_rebalance import ENGINES, EPS_GRID
 
@@ -102,21 +103,21 @@ def _database(updates, arities):
 
 
 def _enum_views_exact(eng, names, where):
-    """The enumeration engine's views equal a fresh build and hold no dead pair.
+    """The enumeration engine's views equal a build without its walks and hold no dead key.
 
-    ``names`` includes the entry count, so the fresh build does not
-    overwrite the maintained count before it is compared. Each family's
-    live set must hold exactly its pairs whose third tuple is stored, read
-    through ``lookup``, so a pair left out by the upkeep and the fresh
-    build alike still shows.
+    The reference is ``helpers.enum_views``, plain loops over the parts:
+    the engine's own ``rebuild_views`` runs the generated walks of its
+    upkeep, so a fresh rebuild would share their faults. Each family's
+    live set must hold exactly its keys that its relation stores, read
+    through ``lookup``, so a key left out by the upkeep and the reference
+    alike still shows.
     """
-    assert views(eng, names) == fresh_views(eng, names), where
-    middles = [ys for fam in eng.tri for ys in fam.values()]
-    assert all(middles), where
-    assert eng.tri_size == sum(map(len, middles)), where
-    for i, fam in enumerate(eng.tri):
-        third = eng.REL[(i + 2) % 3]
-        assert eng.live[i] == {(x, z) for x, z in fam if eng.lookup(third, (z, x))}, (i, where)
+    assert views(eng, names) == enum_views(eng), where
+    kept = [ys for fam in eng.views[:3] for ys in fam.values()]
+    assert all(kept), where
+    assert eng.entries == sum(map(len, kept)), where
+    for w, fam in enumerate(eng.views[:3]):
+        assert eng.live[w] == {k for k in fam if eng.lookup(eng.REL[w], k)}, (w, where)
 
 
 def _stored(part, var, key):

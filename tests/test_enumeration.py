@@ -2,11 +2,16 @@
 
 import random
 import statistics
+from collections import Counter
+from itertools import product
 
 from skewivm.enumeration import EnumTriangleEngine
 from skewivm.oracle import TriangleTracker, brute_force_enumerate
 
-from helpers import degree, mixed_stream
+from helpers import degree, enum_views, mixed_stream, views
+
+# the engine's view state: the views, the families' live sets, their entry count
+STATE = ("views", "live", "entries")
 
 
 def tracker_db(trk: TriangleTracker):
@@ -36,12 +41,13 @@ class TestBasics:
         assert eng.result_multiset() == {(1, 2, 3): 1, (1, 2, 4): 1}
 
     def test_third_relation_update_leaves_first_family_tree_alone(self):
+        # the family of R heavy and S light is keyed by T's tuples
         eng = EnumTriangleEngine(0.5)
         for rel, t, m in mixed_stream(71, 150, 6):
             eng.on_update(rel, t, m)
-        tri0 = {pk: dict(ys) for pk, ys in eng.tri[0].items()}
+        fam = {key: dict(ys) for key, ys in eng.views[2].items()}
         eng.on_update("T", (90, 91), 1)
-        assert eng.tri[0] == tri0
+        assert eng.views[2] == fam
 
 
 class TestCancellationLiveness:
@@ -60,7 +66,7 @@ class TestCancellationLiveness:
         eng.on_update("S", (10, 77), 1)
         eng.on_update("S", (11, 77), 1)
         eng.on_update("T", (77, 1), 1)
-        assert sum(eng.tri[0][1, 77].values()) == 0
+        assert sum(eng.views[2][77, 1].values()) == 0  # keyed by T's (c, a), keeping b
         got = eng.result_multiset()
         assert got[(1, 10, 77)] == 2 and got[(1, 11, 77)] == -2
         want = brute_force_enumerate(
@@ -104,11 +110,61 @@ class TestOracleEquivalence:
         eng = EnumTriangleEngine(0.5)
         for rel, t, m in mixed_stream(91, 400, 8):
             eng.on_update(rel, t, m)
-        listing, tri, live, tri_size = eng.recompute_views()
-        assert listing == eng.listing
-        assert tri == eng.tri
-        assert live == eng.live
-        assert tri_size == eng.tri_size
+        maintained = views(eng, STATE)
+        assert maintained == enum_views(eng)
+        eng.rebuild_views()
+        assert views(eng, STATE) == maintained
+        # the rebuild gave the engine new live sets; it did not clear the old
+        assert all(a is not b for a, b in zip(eng.live, maintained["live"]))
+
+
+class TestPlan:
+    """The plan's walks, read as data, against the eight part combinations of (R, S, T)."""
+
+    @staticmethod
+    def held():
+        """Per view and writing part ``(relation, label)``, the combinations of its walks.
+
+        A walk fixes the label of the updated relation, of the part it
+        scans and of the parts it probes; a relation it does not name (a
+        family's key relation) takes any label.
+        """
+        plan = EnumTriangleEngine.PLAN(3)
+        out: dict = {}
+        for v, walks in enumerate(plan.upkeep):
+            for lab, group in walks.items():
+                for u, src, side, probes, view in group:
+                    named = [v, src] + [j for j, *_ in probes]
+                    assert u == v and len(set(named)) == len(named), (v, lab, view)
+                    fixed = {v: (lab,), src: (side,), **{j: sides for j, sides, *_ in probes}}
+                    combos = frozenset(product(*(fixed.get(j, plan.labels) for j in range(3))))
+                    out.setdefault(view, {}).setdefault((v, lab), []).append(combos)
+        return plan, out
+
+    def test_each_combination_is_held_by_exactly_one_view(self):
+        plan, held = self.held()
+        assert sorted(held) == list(range(len(plan.kinds)))
+        owners = Counter(c for writers in held.values()
+                         for c in set().union(*(w[0] for w in writers.values())))
+        assert owners == Counter(product(plan.labels, repeat=3))
+
+    def test_each_view_is_written_by_one_walk_of_each_member_part(self):
+        plan, held = self.held()
+        for view, writers in held.items():
+            assert all(len(walks) == 1 for walks in writers.values()), view
+            combos = set().union(*(walks[0] for walks in writers.values()))
+            # every writing part's walk holds all the view's combinations
+            # its label allows, and no other
+            for (v, lab), (mine,) in writers.items():
+                assert mine == {c for c in combos if c[v] == lab}, (view, v, lab)
+            # the members: the parts of relations whose label the view fixes
+            # per combination (a family's key relation takes any label)
+            free = [j for j in range(3)
+                    if all(c[:j] + (x,) + c[j + 1:] in combos for c in combos for x in plan.labels)]
+            members = {(j, c[j]) for c in combos for j in range(3) if j not in free}
+            assert set(writers) == members, view
+            if plan.kinds[view] == "keep":
+                assert free == [view], view  # a family is keyed by relation view's tuple
 
 
 def skewed_insert_stream(n, seed, hubs=2, hub_prob=0.5):

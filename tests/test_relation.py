@@ -13,6 +13,10 @@ from skewivm.relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
 from helpers import degree, keys, matching, settle
 
 
+# the triangle's layout: the heavy part also indexes variable 1
+SPECS = {HEAVY: ((1,),), LIGHT: ()}
+
+
 def rel_of(pairs: dict) -> Relation:
     r = Relation(2)
     for t, m in pairs.items():
@@ -22,7 +26,7 @@ def rel_of(pairs: dict) -> Relation:
 
 def strict(rows: dict, theta) -> Partition:
     """A partition on variable 0 loaded strictly for ``theta``."""
-    p = Partition(2)
+    p = Partition(2, SPECS)
     p.load(rows, theta)
     return p
 
@@ -223,11 +227,11 @@ class TestRoute:
         assert p.route((1, 9)) == HEAVY
 
     def test_absent_key_routes_light(self):
-        p = Partition(2)
+        p = Partition(2, SPECS)
         assert p.route((42, 1)) == LIGHT
 
     def test_force_heavy_overrides(self):
-        p = Partition(2)
+        p = Partition(2, SPECS)
         assert p.route((42, 1), force_heavy=True) == HEAVY
 
     def test_idempotent_and_consistent_with_projection(self):
@@ -240,7 +244,7 @@ class TestRoute:
 
 class TestMoveKey:
     def _make(self):
-        p = Partition(2)
+        p = Partition(2, SPECS)
         for b, m in ((1, 1), (2, -2), (3, 1)):
             p.light.upsert((7, b), m)
 

@@ -30,11 +30,11 @@ def _layout(part):
     return {label: tuple(rel.indexes) for label, rel in part.parts.items()}
 
 
-# (arity, index specs passed to Partition): the triangle engines' default
-# layout, the full binary layout of quad parts and path4 views, and the
+# (arity, index specs passed to Partition): the triangle engines' layout,
+# the full binary layout of quad parts and path4 views, and the
 # multi-column layouts of the degree-4 and degree-5 cyclic engines
 LAYOUTS = (
-    (2, None),
+    (2, _layout(LWEngine(3).parts[0])),
     (2, {HEAVY: (IDX0, IDX1), LIGHT: (IDX0, IDX1)}),
     (3, _layout(LWEngine(4).parts[0])),
     (4, _layout(LWEngine(5).parts[0])),
