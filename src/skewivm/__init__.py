@@ -7,7 +7,9 @@ combinations are evaluated with combination-specific strategies, and a few
 aggregated join views absorb the combinations that would otherwise need
 linear scans. Doubling/halving of the size threshold and per-key
 migrations keep the partitions honest as the data evolves; that loop is
-written once, in ``skewivm.kernel``, and shared by every engine.
+written once, in ``skewivm.kernel``, and shared by every engine. Every
+engine's deltas and view upkeep are code generated from a plan by one
+generator, ``skewivm.loomis_whitney``.
 """
 
 from .metrics import OpCounters, fit_scaling

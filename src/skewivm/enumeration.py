@@ -36,7 +36,7 @@ The generated update step keeps the family entry count, for an O(1)
 from __future__ import annotations
 
 from .kernel import MaintenanceKernel
-from .loomis_whitney import ALL, KEEP, LWEngine, Plan, _plan as _triangle_plan
+from .loomis_whitney import ALL, KEEP, LWEngine, Plan, _plan as _triangle_plan, compiled
 from .metrics import OpCounters
 from .relation import HEAVY, IDX0, LIGHT
 
@@ -60,6 +60,9 @@ def _plan(n: int) -> Plan:
               for v in range(n)]
     return Plan(tri.labels, None, upkeep, tri.builds + [((0, LIGHT), (1, HEAVY))],
                 (KEEP,) * n + (ALL,))
+
+
+compiled(_plan, 3)
 
 
 class EnumTriangleEngine(LWEngine):

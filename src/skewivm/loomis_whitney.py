@@ -1,4 +1,4 @@
-"""Cyclic count queries of configurable degree, maintained by generated code.
+"""Count queries maintained by generated code: cyclic joins of any degree, and the path.
 
 Degree n joins n relations of arity n-1 over variables 0..n-1; relation i
 ranges over variables i, i+1, ..., i+n-2 (cyclically) and omits variable
@@ -57,8 +57,11 @@ engine (``skewivm.triangle``), and over one partition standing in for all
 three relations, the self-join engine (``skewivm.selfjoin``); a plan over
 two-variable splits is the refined engine (``skewivm.refined``); the
 triangle's upkeep walks writing families, plus walks into a listing, are
-the enumeration engine (``skewivm.enumeration``). Relations are named
-R1..Rn (or indexed 0..n-1); rebalancing comes from the kernel.
+the enumeration engine (``skewivm.enumeration``). A plan may also name
+each relation's variables, keep a relation whole and key its views by the
+variables it names, scan a view or the keys of an index, and mask a view
+by the keys of a part: the path count (``skewivm.path4``). Relations are
+named R1..Rn (or indexed 0..n-1); rebalancing comes from the kernel.
 """
 
 from __future__ import annotations
@@ -73,25 +76,50 @@ from .relation import HEAVY, IDX0, LIGHT, Partition, free_position
 
 # the kinds of view (``Plan.kinds``)
 SUM, KEEP, ALL = "sum", "keep", "all"
+# the one part label of a relation kept whole, a plain map ``{value: multiplicity}``
+WHOLE = ""
 
 
 class Plan(NamedTuple):
-    """A cyclic plan as data: part labels, per relation its delta and upkeep walks, views.
+    """A plan as data: part labels, per relation its delta and upkeep walks, views.
 
     A walk ``(v, src, side, probes, view)``, for an update to relation v,
-    scans part ``side`` of relation ``src`` on its index over every
-    variable but v-1 and, per candidate, probes ``(j, sides)`` or ``(j,
-    sides, spec)``: the parts of relation j a tuple may sit in, through the
-    index ``spec`` (the partition key by default). It adds into
-    ``views[view]``, or to the delta; ``deltas`` is ``None`` for a plan
-    that keeps no count. ``upkeep[v][label]`` are the walks of an update
-    to that part. View i is keyed by relation i's tuple and sums out the
-    variable it omits when ``kinds[i]`` is ``SUM``; keeps it when ``KEEP``
-    (a family, ``views[i][key][value]``, whose keys relation i stores are
-    ``live[i]``); or, when ``ALL``, is a listing keyed by every variable in
-    order. ``builds[i]`` names two members ``(relation, label)`` of view i,
-    each of which can build it by its upkeep walk over its part; a listing
-    holds one combination per member and is built by both.
+    scans part ``side`` of relation ``src`` on its index over the
+    variables the update fixes, or, given a sixth item ``spec`` on none of
+    them, the keys of its index on ``spec``. With ``src`` ``None`` it scans
+    view ``side``: its line at the fixed key, or all of it when it sums and
+    the update fixes none of its key; with ``side`` ``None`` as well it
+    scans nothing and runs once. Per candidate it probes ``(j, sides)`` or
+    ``(j, sides, spec)``: the parts of relation j a tuple may sit in,
+    through the index ``spec`` (the partition key by default), a presence
+    test that counts a lookup when the posting's value is neither fixed nor
+    the candidate; ``(j, (WHOLE,))``, a relation kept whole; or ``(None,
+    views)``, the sum of those views at the candidate. It adds into
+    ``views[view]``, into each view of a tuple of them (the others are the
+    first one's transposes, whose entries it does not count), or to the
+    delta; a view keyed by values the update fixes gets the sum over the
+    candidates, once. A seventh item ``False`` leaves the postings
+    uncounted, when another walk counts the same ones.
+
+    ``deltas`` is ``None`` for a plan that keeps no count.
+    ``upkeep[v][label]`` are the walks of an update to that part, under the
+    one label ``WHOLE`` for a relation kept whole. View i is keyed by
+    relation i's tuple and sums out the variable it omits when
+    ``kinds[i]`` is ``SUM``; keeps it when ``KEEP`` (a family,
+    ``views[i][key][value]``, whose keys relation i stores are
+    ``live[i]``); when ``ALL``, is a listing keyed by every variable in
+    order; otherwise ``kinds[i]`` names its key variable and, if it keeps
+    one, the kept variable. ``builds[i]`` names two members ``(relation,
+    label)`` of view i, each of which can build it by its upkeep walk over
+    its part (a listing holds one combination per member and is built by
+    both); or one, which builds it; or is ``None`` for a view written with
+    another. ``vars`` gives each relation's variables (``None``: cyclic).
+    ``lookups[v]`` is ``(guard, views)``: the relation kept whole whose
+    entry at the update zeroes the delta or multiplies it (or ``None``),
+    and the views the delta reads at the update (``None``: view v at the
+    update tuple). ``masks[v][label]`` is a walk that, when the part gains
+    its first tuple at the key of the walk's view, sets the view's entry
+    there, without the update's multiplicity; the entry goes with the last.
     """
 
     labels: tuple
@@ -99,6 +127,9 @@ class Plan(NamedTuple):
     upkeep: list
     builds: list
     kinds: tuple
+    vars: list | None = None
+    lookups: list | None = None
+    masks: list | None = None
 
 
 def _plan(n: int) -> Plan:
@@ -134,34 +165,49 @@ def _index_name(j: int, side: str, spec: tuple) -> str:
 
 
 def _source(plan: Plan, n: int) -> tuple[str, dict]:
-    """The source of ``plan`` at degree n, and the indexes it reads per part label."""
+    """The source of ``plan`` over n relations, and the indexes it reads per part label."""
     specs = {lab: {IDX0} for lab in plan.labels}
     lines: list[str] = []
+    variables = plan.vars or [tuple((j + k) % n for k in range(n - 1)) for j in range(n)]
+    masks = plan.masks or [{}] * n
+
+    def keyed(i):  # view i's key variables, and the variable it keeps (None: it sums)
+        kind = plan.kinds[i]
+        if kind in (SUM, KEEP):
+            return variables[i], (i - 1) % n if kind == KEEP else None
+        return (tuple(range(n)), None) if kind == ALL else (kind[:1], (*kind, None)[1])
 
     def emit(depth, *code):
         lines.extend("    " * depth + line for line in code)
 
-    def walk(d, v, src, side, probes, view):
-        # reads t0.. (the update tuple) and m; adds to acc or to its view
-        pc = (v - 1 - src) % n
-        spec = tuple(q for q in range(n - 1) if q != pc)
-        specs[side].add(spec)
+    def written(view):  # the views a walk writes: the first counts, the others are transposes
+        return () if view is None else view if isinstance(view, tuple) else (view,)
 
-        def var(p):  # position p of the update tuple extended by the candidate z
-            return "z" if p == n - 1 else f"t{p}"
+    def masked(v, lab):  # the mask walk of part lab of relation v, with its index on the key
+        w = masks[v][lab]
+        spec = (variables[v].index(keyed(written(w[4])[0])[0][0]),)
+        specs[lab].add(spec)
+        return spec, w
 
-        def tup(j, positions=range(n - 1)):  # relation j's tuple, or its variables at positions
-            return "(" + ", ".join(var((j + k - v) % n) for k in positions) + ")"
+    def namer(v):  # variable x in relation v's update: t<its position>, else the candidate z
+        return lambda x: f"t{variables[v].index(x)}" if x in variables[v] else "z"
 
-        def key(j, spec):  # relation j's key on the index spec
-            return tup(j, spec) if len(spec) > 1 else var((j + spec[0] - v) % n)
+    def walk(d, v, src, side, probes, view, spec=None, counted=True, mult="m * "):
+        # reads t0.. (the update tuple) and m; adds to acc or to its views
+        var, bound = namer(v), variables[v]
+
+        def key(xs):  # a key on the variables xs: one value, or a tuple of several
+            return var(xs[0]) if len(xs) == 1 else "(" + ", ".join(map(var, xs)) + ")"
+
+        def at(j, spec):  # relation j's variables at the positions spec
+            return [variables[j][p] for p in spec]
 
         def free(j, spec):  # relation j's free part on the index spec, the key of its postings
-            p = free_position(n - 1, spec)
-            return tup(j) if p is None else var((j + p - v) % n)
+            p = free_position(len(variables[j]), spec)
+            return key(variables[j]) if p is None else var(variables[j][p])
 
         def row(j, group, spec):  # relation j's row at its key on spec in a group of parts
-            gets = [f"{_index_name(j, s, spec)}.get({key(j, spec)})" for s in group]
+            gets = [f"{_index_name(j, s, spec)}.get({key(at(j, spec))})" for s in group]
             both = f"ChainMap({' or EMPTY, '.join(gets)} or EMPTY)"
             return gets[0] if len(gets) == 1 else f"({' or '.join(gets)} if not M{j} else {both})"
 
@@ -171,83 +217,173 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
                 specs[s].add(index)
                 rest.setdefault(tuple(c for q, c in enumerate(s) if q not in index), []).append(s)
             return [row(j, group, index) for group in rest.values()]
-        emit(d, f"posts = {_index_name(src, side, spec)}.get({key(src, spec)})", "if posts:",
-             "    C.iterations += len(posts)")
-        kind = None if view is None else plan.kinds[view]
-        if kind is not None:
-            emit(d + 1, f"W = VB[0][{view}]")
-        if kind == KEEP:
-            emit(d + 1, f"LV = VB[1][{view}]", "grown = 0")
+        # the source: a part's postings at the key the update fixes, keyed by
+        # the candidate, or its keys on spec; a view's line at the fixed
+        # key, or the whole view; or nothing
+        cand, keys = None, False
+        if src is None and side is not None:
+            outer, kept = keyed(side)
+            cand, source = outer[0] if kept is None else kept, f"VB[0][{side}]"
+            if kept is not None:
+                source += f".get({key(outer)})"
+        elif side is not None:
+            spec = spec or tuple(p for p, x in enumerate(variables[src]) if x in bound)
+            specs[side].add(spec)
+            source, keys = _index_name(src, side, spec), variables[src][spec[0]] not in bound
+            cand = variables[src][spec[0] if keys else free_position(len(variables[src]), spec)]
+            if not keys:
+                source += f".get({key(at(src, spec))})"
+        if side is not None:
+            emit(d, f"posts = {source}", "if posts:")
+            if counted:
+                emit(d + 1, "C.iterations += len(posts)")
+            d += 1
+        targets = written(view)
+        emit(d, *(f"W{k or ''} = VB[0][{i}]" for k, i in enumerate(targets)))
+        if targets and plan.kinds[targets[0]] == KEEP:
+            emit(d, f"LV = VB[1][{targets[0]}]")
+        nested = targets and keyed(targets[0])[1] is not None
+        if nested:
+            emit(d, "grown = 0")
         # one row per group of parts that differ only in the status of the
         # index's variables; rows whose key the update fixes are read once
-        fixed, gets = [], {}
+        fixed, gets, ticks = [], {}, 0
+        factors = ["prod"] if side is not None and not keys else []
         for j, sides, *index in probes:
             index = index[0] if index else IDX0
-            groups = rows(j, sides, index)
-            if any((j + p - v) % n == n - 1 for p in index):
-                gets[j] = " or ".join(f"({r} or EMPTY).get({free(j, index)})" for r in groups)
+            f = free_position(len(variables[j]), index) if j is not None else None
+            if j is None:  # a sum of views at the candidate
+                emit(d, *(f"V{i} = VB[0][{i}]" for i in sides))
+                gets["v"] = " + ".join(f"V{i}.get({var(keyed(i)[0][0])}, 0)" for i in sides)
+            elif sides == (WHOLE,) and variables[j][0] in bound:  # kept whole, at a fixed value
+                emit(d, f"m{j} = P{j}.get({var(variables[j][0])})")
+                fixed.append(f"m{j}")
+                factors.append(f"m{j}")
+            elif sides == (WHOLE,):
+                gets[j] = f"P{j}.get(z)"
+            elif f is not None and variables[j][f] not in (*bound, cand):
+                # the free value is neither fixed nor the candidate: a presence test
+                fixed.append(f"{key(at(j, index))} in {_index_name(j, sides[0], index)}")
+                ticks += 1
+            elif "z" in key(at(j, index)):
+                gets[j] = " or ".join(f"({r} or EMPTY).get({free(j, index)})"
+                                      for r in rows(j, sides, index))
             else:  # one row may be None; of several, each is a dict
+                groups = rows(j, sides, index)
                 one = len(groups) == 1
                 names = [f"r{j}"] if one else [f"r{j}_{g}" for g in range(len(groups))]
-                emit(d + 1, *(f"{r} = {g}" + ("" if one else " or EMPTY")
-                              for r, g in zip(names, groups)))
+                emit(d, *(f"{r} = {g}" + ("" if one else " or EMPTY")
+                          for r, g in zip(names, groups)))
                 fixed.append(f"r{j} is not None" if one else f"({' or '.join(names)})")
                 gets[j] = " or ".join(f"{r}.get({free(j, index)})" for r in names)
         if fixed:
-            emit(d + 1, "if " + " and ".join(fixed) + ":")
-        body = d + 1
-        d += 2 if fixed else 1
-        emit(d, "for z, prod in posts.items():")
-        product = "prod"
-        for j, get in gets.items():
+            emit(d, "if " + " and ".join(fixed) + ":")
             d += 1
+        if ticks:
+            emit(d, f"C.lookups += {ticks}")
+        body = d
+        # a view keyed by values the update fixes is summed over the
+        # candidates and written once after them
+        summed = side is not None and targets and keyed(targets[0])[1] is None \
+            and "z" not in key(keyed(targets[0])[0])
+        if summed:
+            emit(d, "s = 0")
+        if side is not None:
+            emit(d, "for z in posts:" if keys else "for z, prod in posts.items():")
+            d += 1
+        for j, get in gets.items():
             emit(d, f"m{j} = {get}", f"if m{j}:")
-            product += f" * m{j}"
-        if kind is None:
-            emit(d + 1, f"acc += {product}")
-        elif kind == KEEP:
-            # a family keyed by relation view's tuple keeps y, the variable
-            # it omits; a new key is live when that relation stores it
-            y = var((view - 1 - v) % n)
-            stored = " or ".join(f"({r} or EMPTY).get({free(view, IDX0)})"
-                                 for r in rows(view, plan.labels, IDX0))
-            emit(d + 1, f"k = {tup(view)}", "ys = W.get(k)", "if ys is None:",
-                 f"    W[k] = {{{y}: m * {product}}}", "    grown += 1",
-                 f"    if {stored}:", "        LV.add(k)",
-                 f"elif {y} in ys:", f"    w = ys[{y}] + m * {product}", "    if w:",
-                 f"        ys[{y}] = w", "    else:", f"        del ys[{y}]", "        grown -= 1",
-                 "        if not ys:", "            del W[k]", "            LV.discard(k)",
-                 "else:", f"    ys[{y}] = m * {product}", "    grown += 1")
-            emit(body, "VB[2] += grown")
-        else:  # a listing is keyed by variables 0..n-1
-            emit(d + 1, f"k = {tup(view) if kind == SUM else tup(0, range(n))}",
-                 f"w = W.get(k, 0) + m * {product}",
-                 "if w:", "    W[k] = w", "else:", "    del W[k]")
+            factors.append(f"m{j}")
+            d += 1
+        product = " * ".join(factors)
+        if view is None:
+            emit(d, f"acc += {product}")
+        elif summed:
+            emit(d, f"s += {product}")
+            emit(body, "if s:")
+            d, product = body + 1, "s"
+        for k, i in enumerate(targets):
+            write(d, var, i, f"W{k or ''}", mult + product, k == 0, rows, free)
+        if nested:
+            emit(body - bool(fixed), "VB[2] += grown")
+
+    def write(d, var, i, w, value, counted, rows, free):
+        # Z-ring add of value into view i at the walk's key; a map keyed by
+        # it keeps y, and a family's new key is live when the relation it is
+        # keyed by stores it
+        outer, kept = keyed(i)
+        k = var(outer[0]) if len(outer) == 1 else "(" + ", ".join(map(var, outer)) + ")"
+        if kept is None:
+            emit(d, f"k = {k}", f"w = {w}.get(k, 0) + {value}",
+                 "if w:", f"    {w}[k] = w", "else:", f"    del {w}[k]")
+            return
+        y, live, grow = var(kept), plan.kinds[i] == KEEP, ["grown += 1"] if counted else []
+        stored = " or ".join(f"({r} or EMPTY).get({free(i, IDX0)})"
+                             for r in rows(i, plan.labels, IDX0)) if live else ""
+        emit(d, f"k = {k}", f"ys = {w}.get(k)", "if ys is None:", f"    {w}[k] = {{{y}: {value}}}",
+             *("    " + g for g in grow),
+             *([f"    if {stored}:", "        LV.add(k)"] if live else []),
+             f"elif {y} in ys:", f"    w = ys[{y}] + {value}", "    if w:",
+             f"        ys[{y}] = w", "    else:", f"        del ys[{y}]",
+             *("        grown -= 1" for _ in grow), "        if not ys:", f"            del {w}[k]",
+             *(["            LV.discard(k)"] if live else []), "else:", f"    ys[{y}] = {value}",
+             *("    " + g for g in grow))
 
     def store(d, v, lab):
         # the update itself; a family keyed by relation v's tuples follows
-        # whether it is stored
-        if plan.kinds[v] != KEEP:
-            emit(d, f"return P{v}{lab}.upsert(t, m)")
-        else:
+        # whether it is stored, and a view masked by the part's keys on a
+        # spec gains its entry with the first tuple at a key and loses it
+        # with the last
+        if lab == WHOLE:
+            emit(d, f"w = P{v}.get(t0, 0) + m", "if w:", f"    P{v}[t0] = w", "else:",
+                 f"    del P{v}[t0]", "return w")
+        elif plan.kinds[v] == KEEP:
             emit(d, f"new = P{v}{lab}.upsert(t, m)", "if new == m:", f"    if t in VB[0][{v}]:",
                  f"        VB[1][{v}].add(t)", "elif not new:", f"    VB[1][{v}].discard(t)",
                  "return new")
+        elif lab in masks[v]:
+            spec, w = masked(v, lab)
+            at, index = f"t{spec[0]}", _index_name(v, lab, spec)
+            emit(d, f"new = P{v}{lab}.upsert(t, m)", "if new == m:",
+                 f"    if len({index}[{at}]) == 1:")
+            walk(d + 2, *w, mult="")
+            emit(d, "elif not new:", f"    if {at} not in {index}:",
+                 f"        VB[0][{w[4]}].pop({at}, None)", "return new")
+        else:
+            emit(d, f"return P{v}{lab}.upsert(t, m)")
 
-    unpack = ", ".join(f"t{p}" for p in range(n - 1)) + " = t"
+    def unpack(v):
+        names = [f"t{p}" for p in range(len(variables[v]))]
+        return ", ".join(names) + ("," if len(names) == 1 else "") + " = t"
     if plan.deltas is None:
         emit(1, "delta = None")
     else:
-        emit(1, "def delta(v, t, m):", "    C.lookups += 1")
+        # per relation, a relation kept whole whose entry at the update
+        # zeroes or multiplies the delta, and the views it reads there
+        lookups = plan.lookups or [(None, (v,)) for v in range(n)]
+        once = len({len(looked) for _, looked in lookups}) == 1 and not any(g for g, _ in lookups)
+        emit(1, "def delta(v, t, m):")
+        if once:  # every branch reads as many views: count them once, up front
+            emit(2, f"C.lookups += {len(lookups[0][1])}")
         for v in range(n):
-            emit(2, f"if v == {v}:", "    " + unpack, f"    acc = VB[0][{v}].get(t, 0)")
+            (guard, looked), var = lookups[v], namer(v)
+            emit(2, f"if v == {v}:", "    " + unpack(v))
+            if guard is not None:
+                emit(3, f"g = P{guard}.get({var(variables[guard][0])})", "if not g:",
+                     "    return 0")
+            if not once:
+                emit(3, f"C.lookups += {len(looked)}")
+            # a view keyed by the whole update tuple is read at t
+            at = ["t" if keyed(i)[0] == variables[v] and len(variables[v]) > 1
+                  else var(keyed(i)[0][0]) for i in looked]
+            emit(3, "acc = " + " + ".join(f"VB[0][{i}].get({k}, 0)" for i, k in zip(looked, at)))
             for w in plan.deltas[v]:
                 walk(3, *w)
-            emit(3, "return m * acc")
+            emit(3, "return m * acc" if guard is None else "return m * g * acc")
     emit(1, "def apply_update(v, side, t, m):")
-    *tested, last = plan.labels
     for v in range(n):
-        emit(2, f"if v == {v}:", "    " + unpack)
+        emit(2, f"if v == {v}:", "    " + unpack(v))
+        *tested, last = plan.upkeep[v]
         for lab in tested:
             emit(3, f"if side == L{lab}:")
             for w in plan.upkeep[v][lab]:
@@ -257,21 +393,34 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
             walk(3, *w)
         store(3, v, last)
     # view i from the part of its first member (its light member), or of
-    # its second (its anchor), walked through the part's lookup index
+    # its second (its anchor), walked through the part's lookup index; by
+    # its one member from that part, bound here (by each key of a mask)
     emit(1, "def build(i, light, rows):")
-    for i in range(len(plan.builds)):
+    for i, members in enumerate(plan.builds):
+        if members is None:
+            continue
         emit(2, f"if i == {i}:", "    if light:")
-        for depth, (j, lab) in zip((4, 3), plan.builds[i]):
-            if n == 3:  # the lookup index of a binary part keys each posting by t1
-                emit(depth, "for t0, row in rows.items():", "    for t1, m in row.items():")
+        for depth, (j, lab) in zip((4, 3), members):
+            walks = [(None, w) for w in plan.upkeep[j][lab]]
+            if lab in masks[j]:
+                walks.append(masked(j, lab))
+            spec, w = next((spec, w) for spec, w in walks if i in written(w[4]))
+            src = "rows" if len(members) > 1 else _index_name(j, lab, spec or IDX0)
+            if spec is not None or lab == WHOLE:
+                emit(depth, f"for t{spec[0]} in {src}:" if spec else f"for t0, m in {src}.items():")
+                walk(depth + 1, *w, mult="" if spec else "m * ")
+            elif len(variables[j]) == 2:  # a binary part's lookup index keys each posting by t1
+                emit(depth, f"for t0, row in {src}.items():", "    for t1, m in row.items():")
+                walk(depth + 2, *w)
             else:
-                emit(depth, "for row in rows.values():", "    for t, m in row.items():",
-                     "        " + unpack)
-            walk(depth + 2, *next(w for w in plan.upkeep[j][lab] if w[4] == i))
+                emit(depth, f"for row in {src}.values():", "    for t, m in row.items():",
+                     "        " + unpack(j))
+                walk(depth + 2, *w)
             emit(depth, "return")
     emit(1, "return delta, apply_update, build")
     specs = {lab: sorted(s) for lab, s in specs.items()}
-    params = [f"M{j}, " + ", ".join(f"P{j}{lab}" for lab in plan.labels) + ", "
+    params = [f"P{j}" if WHOLE in plan.upkeep[j] else
+              f"M{j}, " + ", ".join(f"P{j}{lab}" for lab in plan.labels) + ", "
               + ", ".join(_index_name(j, lab, spec) for lab in specs for spec in specs[lab])
               for j in range(n)]
     return "\n".join([f"def bind(C, VB, {', '.join(params)}):"] + lines) + "\n", specs
@@ -281,8 +430,29 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
 _COMPILED: dict[tuple, tuple] = {}
 
 
+def compiled(plan_of, n: int) -> tuple:
+    """``plan_of(n)`` compiled: ``(bind, source, index specs, plan)``, made once.
+
+    The fixed plans are compiled when their modules load, so no engine
+    pays for it while it runs; ``LWEngine(n)`` compiles its degree on
+    first use.
+    """
+    key = (plan_of, n)
+    if key not in _COMPILED:
+        plan = plan_of(n)
+        source, specs = _source(plan, n)
+        namespace = {"EMPTY": {}, "ChainMap": ChainMap, **{f"L{x}": x for x in plan.labels}}
+        exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
+        _COMPILED[key] = (namespace["bind"], source, specs, plan)
+    return _COMPILED[key]
+
+
 class LWEngine(MaintenanceKernel):
-    """Cyclic count of degree n under single-tuple updates; eps may be one per relation."""
+    """A compiled plan under single-tuple updates: the cyclic count of degree n by default.
+
+    eps may be one per relation. A relation the plan keeps whole has no
+    partition (``parts[j]`` is ``None``); its rows are a plain map.
+    """
 
     # the relation names; None names them R1..Rn
     REL: tuple | None = None
@@ -302,31 +472,32 @@ class LWEngine(MaintenanceKernel):
     def _setup(self, eps: tuple, shared: bool = False):
         """Build the partitions and views of the plan for the exponents ``eps``, and bind it.
 
-        The plan is compiled once per plan and degree. With ``shared``, one
-        partition and one view stand for every relation of the plan. The
-        views, the families' live sets and their entry count are read
-        through one list, so ``rebuild_views`` and callers may replace
-        them; nothing bound refers to the engine. Sets ``apply_update`` and
-        returns the delta (``None`` for a plan without deltas).
+        The plan is compiled once per plan and degree (``compiled``). With
+        ``shared``, one partition and one view stand for every relation of
+        the plan. The views, the families' live sets and the entry count of
+        the maps of maps are read through one list, so ``rebuild_views``
+        and callers may replace them; nothing bound refers to the engine.
+        Sets ``apply_update`` and returns the delta (``None`` for a plan
+        without deltas).
         """
         n = self.n = len(eps)
         self._plan_eps = eps
-        key = (self.PLAN, n)
-        if key not in _COMPILED:
-            plan = self.PLAN(n)
-            source, specs = _source(plan, n)
-            namespace = {"EMPTY": {}, "ChainMap": ChainMap, **{f"L{x}": x for x in plan.labels}}
-            exec(compile(source, f"<plan of degree {n}>", "exec"), namespace)
-            _COMPILED[key] = (namespace["bind"], source, specs, plan)
-        bind, self._source, specs, plan = _COMPILED[key]
+        bind, self._source, specs, plan = compiled(self.PLAN, n)
         self._builds, self._kinds = plan.builds, plan.kinds
-        self._sized = [i for i, kind in enumerate(plan.kinds) if kind != KEEP]
-        self.parts = [self._partition(specs) for _ in range(1 if shared else n)]
+        # the views counted by their keys; the update step counts the entries of maps of maps
+        self._sized = [i for i, kind in enumerate(plan.kinds)
+                       if kind in (SUM, ALL) or len(kind) == 1]
+        self._whole = {j: {} for j in range(n) if WHOLE in plan.upkeep[j]}
+        self.parts = [None if j in self._whole else self._partition(specs)
+                      for j in range(1 if shared else n)]
         self._ring = self.parts * n if shared else self.parts
         self._views = [[{}] * n if shared else [{} for _ in plan.kinds],
                        [set() for _ in plan.kinds], 0]
         bindings = {"C": self.counters, "VB": self._views}
+        bindings.update((f"P{j}", rows) for j, rows in self._whole.items())
         for j, part in enumerate(self._ring):
+            if part is None:
+                continue
             bindings[f"M{j}"] = part.moving
             for lab, held in specs.items():
                 rel = bindings[f"P{j}{lab}"] = part.parts[lab]
@@ -350,7 +521,7 @@ class LWEngine(MaintenanceKernel):
 
     @property
     def entries(self) -> int:
-        """The entries of the families, one per key and kept value."""
+        """The entries of the maps of maps, one per key and kept value."""
         return self._views[2]
 
     def plan_source(self) -> str:
@@ -358,11 +529,11 @@ class LWEngine(MaintenanceKernel):
         return self._source
 
     def space_used(self) -> int:
-        # a family's entries are counted by the update step, any other
-        # view's are its keys
+        # a map of maps' entries are counted by the update step (a
+        # transpose's not at all), any other view's are its keys
         views, _, entries = self._views
-        return (sum(p.total_size() for p in self.parts) + entries
-                + sum(len(views[i]) for i in self._sized))
+        return (sum(p.total_size() for p in self.parts if p) + sum(map(len, self._whole.values()))
+                + entries + sum(len(views[i]) for i in self._sized))
 
     def rebuild_views(self) -> None:
         self._views[:] = [[{} for _ in self._kinds], [set() for _ in self._kinds], 0]
@@ -374,10 +545,16 @@ class LWEngine(MaintenanceKernel):
 
         A listing is built by both. Any other view is built by one, chosen
         by cost: a light member's tuple (relation i-1) walks heavy keys of
-        relation i-2, an anchor's a light row of relation i-1.
+        relation i-2, an anchor's a light row of relation i-1. A view with
+        one member is built by it, and a transpose with the view it mirrors.
         """
+        members = self._builds[i]
+        if members is None or len(members) == 1:  # built with another view, or by its one member
+            if members:
+                self._build(i, True, None)
+            return
         n, eps, N = self.n, self._plan_eps, self.N
-        (lj, llab), (aj, alab) = self._builds[i]
+        (lj, llab), (aj, alab) = members
         lrel, arel = self._ring[lj].parts[llab], self._ring[aj].parts[alab]
         if self._kinds[i] == ALL:
             self._build(i, True, lrel.indexes[IDX0])

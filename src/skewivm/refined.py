@@ -30,7 +30,7 @@ the updated tuple and can fire twice for one update.
 
 from __future__ import annotations
 
-from .loomis_whitney import SUM, LWEngine, Plan
+from .loomis_whitney import SUM, LWEngine, Plan, compiled
 from .metrics import OpCounters
 from .relation import IDX1, QUAD_LABELS, QuadPartition
 
@@ -52,6 +52,9 @@ def _plan(n: int) -> Plan:
                        "lh": [(v, prev, "hl", (), nxt)], "ll": []})
     builds = [(((i - 1) % n, "lh"), ((i + 1) % n, "hl")) for i in range(n)]
     return Plan(QUAD_LABELS, deltas, upkeep, builds, (SUM,) * n)
+
+
+compiled(_plan, 3)
 
 
 class RefinedTriangleEngine(LWEngine):

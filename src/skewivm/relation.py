@@ -620,12 +620,3 @@ class QuadPartition(Partition):
     # perfbench's tracer wraps ``restrict`` through each class's own __dict__
     restrict = Partition.restrict
 
-
-def bump(d: dict, key, delta: int) -> int:
-    """Z-ring add into a plain dict view; drops the key on cancellation."""
-    nv = d.get(key, 0) + delta
-    if nv:
-        d[key] = nv
-    else:
-        d.pop(key, None)
-    return nv

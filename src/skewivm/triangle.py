@@ -21,10 +21,13 @@ factorized scheme.
 from __future__ import annotations
 
 from .kernel import MaintenanceKernel
-from .loomis_whitney import LWEngine
+from .loomis_whitney import LWEngine, _plan, compiled
 from .metrics import OpCounters
 
 REL_NAMES = ("R", "S", "T")
+
+# the plan of the triangle and self-join engines, compiled at import
+compiled(_plan, 3)
 
 
 class TriangleEngine(LWEngine):

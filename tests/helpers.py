@@ -6,7 +6,6 @@ import random
 import sys
 
 from skewivm.cli import Update
-from skewivm.path4 import JoinView
 from skewivm.relation import HEAVY, IDX0, IDX1, LIGHT, Relation
 from skewivm.triangle import TriangleEngine
 
@@ -278,14 +277,9 @@ def keys(rel: Relation, var: int):
 
 # The maintained views of an engine against a fresh build from its parts.
 
-def _plain(view):
-    # path4's join views flatten to {(a, c): m}; every other view compares as it is
-    return dict(view.items()) if isinstance(view, JoinView) else view
-
-
 def views(eng, names) -> dict:
     """The engine attributes ``names`` (its views), by name."""
-    return {name: _plain(getattr(eng, name)) for name in names}
+    return {name: getattr(eng, name) for name in names}
 
 
 def fresh_views(eng, names) -> dict:
@@ -378,28 +372,100 @@ def enum_views(eng) -> dict:
             "entries": sum(len(ys) for fam in families for ys in fam.values())}
 
 
-def path4_views_exact(eng, where=None) -> None:
-    """The path4 engine's views equal a fresh build, and its join views are well formed.
+def _joined(left: dict, right: dict) -> dict:
+    """``left(x, b) * right(b, y)`` summed over b, keyed ``(x, y)``, zeros dropped."""
+    by_b: dict = {}
+    for (b, y), m in right.items():
+        by_b.setdefault(b, []).append((y, m))
+    out: dict = {}
+    for (x, b), ml in left.items():
+        for y, mr in by_b.get(b, ()):
+            out[x, y] = out.get((x, y), 0) + ml * mr
+    return {k: m for k, m in out.items() if m}
 
-    No inner map of a join view is empty, the two maps of a two-sided view
-    are exact transposes, and every entry count equals a recount. Every
-    key of a masked view is a key of the far part's index on b that masks
-    it, so a mask read from the wrong index shows even when the upkeep and
-    the fresh build share it.
+
+def _weighted(pairs: dict, weights: dict, var: int) -> dict:
+    """``pairs(x0, x1) * weights(x_var)`` summed over ``x_var``, keyed by the other value."""
+    out: dict = {}
+    for t, m in pairs.items():
+        w = weights.get(t[var], 0)
+        if w:
+            out[t[1 - var]] = out.get(t[1 - var], 0) + m * w
+    return {k: m for k, m in out.items() if m}
+
+
+def path4_views(eng) -> dict:
+    """The path4 engine's views, by name, built from its relations by plain loops.
+
+    Shares no code with the engine's walks. S holds ``(a, b)``, T ``(b,
+    c)``. ``rs_xy`` sums R(a) S_xy(a, b) by b and ``t_xy_u`` sums T_xy(b,
+    c) U(c) by b; ``s_xy_t_zw`` joins S_xy with T_zw over b, keyed ``(a,
+    c)``; the chains weight ``s_ll_t_lh`` by R, by c, and ``s_hl_t_ll`` by
+    U, by a. The masked views are indicator views: ``r_s_hl_t_ind`` keeps
+    R(a) S_hl(a, b) only at the b values T's hl part holds, and
+    ``s_ind_t_lh_u`` keeps T_lh(b, c) U(c) only at the b values S's lh
+    part holds, whatever the multiplicities there.
     """
-    assert views(eng, eng.VIEW_NAMES) == fresh_views(eng, eng.VIEW_NAMES), where
+    r, u = eng.r, eng.u
+    s = {lab: dict(rel.items()) for lab, rel in eng.s.parts.items()}
+    t = {lab: dict(rel.items()) for lab, rel in eng.t.parts.items()}
+    out = {}
+    for lab in ("ll", "lh", "hh"):
+        out["rs_" + lab] = _weighted(s[lab], r, 0)
+    for lab in ("ll", "hl", "hh"):
+        out[f"t_{lab}_u"] = _weighted(t[lab], u, 1)
+    t_hl_bs = {b for b, _ in t["hl"]}
+    s_lh_bs = {b for _, b in s["lh"]}
+    out["r_s_hl_t_ind"] = {b: w for b, w in _weighted(s["hl"], r, 0).items() if b in t_hl_bs}
+    out["s_ind_t_lh_u"] = {b: w for b, w in _weighted(t["lh"], u, 1).items() if b in s_lh_bs}
+    for near, far in (("ll", "lh"), ("hl", "ll"), ("hl", "lh"), ("hl", "hh"), ("hh", "lh")):
+        out[f"s_{near}_t_{far}"] = _joined(s[near], t[far])
+    out["r_s_ll_t_lh"] = _weighted(out["s_ll_t_lh"], r, 0)
+    out["s_hl_t_ll_u"] = _weighted(out["s_hl_t_ll"], u, 1)
+    return out
+
+
+def path4_view(eng, name: str) -> dict:
+    """The path4 engine's view ``name``, one of its ``VIEW_NAMES``."""
+    return eng.views[eng.VIEW_NAMES.index(name)]
+
+
+def path4_named(eng) -> dict:
+    """The path4 engine's views by the names ``path4_views`` gives them.
+
+    A map of maps keyed by ``(a, c)`` (``name@a``) or ``(c, a)``
+    (``name@c``) is flattened to ``{(a, c): m}``; when a view keeps both,
+    both flatten to it or the view is reported twice, as ``name@a`` and
+    ``name@c``.
+    """
+    out: dict = {}
+    for name in eng.VIEW_NAMES:
+        view = dict(path4_view(eng, name))
+        base, _, by = name.partition("@")
+        if by:
+            view = {((x, y) if by == "a" else (y, x)): m
+                    for x, line in view.items() for y, m in line.items()}
+        if out.get(base, view) != view:
+            out[name] = view
+        out[base] = view
+    return out
+
+
+def path4_views_exact(eng, where=None) -> None:
+    """The path4 engine's views equal ``path4_views``, and its maps of maps are well formed.
+
+    No inner map is empty, the two maps of a two-sided view are exact
+    transposes (``path4_named``), and the entries of every map of maps,
+    each two-sided view counted once, add up to the engine's entry count.
+    Every key of a masked view is a key of the far part's index on b that
+    masks it.
+    """
+    assert path4_named(eng) == path4_views(eng), where
     # b is T's first variable and S's second
-    for view, mask in ((eng.r_s_hl_t_ind, eng.t.parts["hl"].indexes[IDX0]),
-                       (eng.s_ind_t_lh_u, eng.s.parts["lh"].indexes[IDX1])):
-        assert view.keys() <= mask.keys(), where
-    for name in eng.JOIN_VIEWS:
-        view = getattr(eng, name)
-        sides = [side for side in (view.rows, view.cols) if side is not None]
-        assert all(all(side.values()) for side in sides), (name, where)
-        if len(sides) == 2:
-            flipped: dict = {}
-            for a, row in view.rows.items():
-                for c, m in row.items():
-                    flipped.setdefault(c, {})[a] = m
-            assert flipped == view.cols, (name, where)
-        assert view.n == sum(map(len, sides[0].values())), (name, where)
+    for name, mask in (("r_s_hl_t_ind", eng.t.parts["hl"].indexes[IDX0]),
+                       ("s_ind_t_lh_u", eng.s.parts["lh"].indexes[IDX1])):
+        assert path4_view(eng, name).keys() <= mask.keys(), where
+    nested = {name.partition("@")[0]: path4_view(eng, name)
+              for name in eng.VIEW_NAMES if "@" in name}
+    assert all(all(view.values()) for view in nested.values()), where
+    assert eng.entries == sum(len(line) for view in nested.values() for line in view.values())

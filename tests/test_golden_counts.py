@@ -114,6 +114,25 @@ pin it at every exponent before it became a compiled plan.
 The ``enum:0`` and ``enum:1`` rows and the multiplicity-only ``enum`` row
 were recorded from the enumeration engine as it stood, to pin it at both
 extremes and under churn before its move path changes.
+
+The ``path4:0`` and ``path4:1`` rows were recorded from the hand-written
+path4 engine, to pin it at both extremes before it became a compiled
+plan. At 0 every tuple of S and T sits in its hh part and at 1 in its ll
+part, and the two replays happen to do the same work.
+
+Then ``iterations`` of the three preprocessed path4 rows only (6150 ->
+6085 and 13059 -> 12994 twice), with every other count, the answers and
+the prefix sums of every row unchanged, when the path4 engine became a
+compiled plan. Every update costs what it cost; only the loader's view
+build changed. The hand-written builder counted every posting map it
+folded: each tuple of S's ll, lh and hh parts and of T's ll, hl and hh
+parts for the weight views, and each entry of the two join views the
+chains fold (133 here). The compiled build runs the upkeep walk of one
+member per view, the one with fewer tuples. A weight view is built by a
+write per tuple of its S or T part, or by R's or U's walk, which counts
+the postings at R's or U's own values (68 here); a chain by a walk that
+rides on its join view's scan and counts nothing. The join views and the
+masked views are built by walks that count what the builder counted.
 """
 
 import pytest
@@ -169,6 +188,10 @@ ENGINES = {
                lambda db: preprocess_enum(db, 1.0)),
     "path4": ("path4", lambda: Path4Engine(0.5),
               lambda db: Path4Engine.preprocess(db, 0.5)),
+    "path4:0": ("path4", lambda: Path4Engine(0.0),
+                lambda db: Path4Engine.preprocess(db, 0.0)),
+    "path4:1": ("path4", lambda: Path4Engine(1.0),
+                lambda db: Path4Engine.preprocess(db, 1.0)),
     "lw:4": ("lw:4", lambda: LWEngine(4, 0.5),
              lambda db: LWEngine.preprocess(db, 4, 0.5)),
 }
@@ -212,8 +235,24 @@ GOLDEN = {
              rebalance_major=10, rebalance_minor=5),
         0, 117436234),
     ('path4', 'preprocessed'): (
-        dict(lookups=2309, iterations=6150, moves=113,
+        dict(lookups=2309, iterations=6085, moves=113,
              rebalance_major=3, rebalance_minor=4),
+        0, 117419782),
+    ('path4:0', 'empty'): (
+        dict(lookups=2664, iterations=13696, moves=0,
+             rebalance_major=10, rebalance_minor=0),
+        0, 117436234),
+    ('path4:0', 'preprocessed'): (
+        dict(lookups=2305, iterations=12994, moves=0,
+             rebalance_major=3, rebalance_minor=0),
+        0, 117419782),
+    ('path4:1', 'empty'): (
+        dict(lookups=2664, iterations=13696, moves=0,
+             rebalance_major=10, rebalance_minor=0),
+        0, 117436234),
+    ('path4:1', 'preprocessed'): (
+        dict(lookups=2305, iterations=12994, moves=0,
+             rebalance_major=3, rebalance_minor=0),
         0, 117419782),
     ('refined', 'empty'): (
         dict(lookups=3374, iterations=5829, moves=307,

@@ -31,7 +31,8 @@ from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
 
-from helpers import enum_views, fresh_views, grow_shrink_stream, views
+from helpers import (enum_views, fresh_views, grow_shrink_stream, path4_named, path4_views,
+                     views)
 
 EPS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -57,7 +58,7 @@ ENGINES = {
                 RefinedTriangleEngine.preprocess, _triangle_oracle),
     "enum": ("triangle", EnumTriangleEngine, ("views", "live", "entries"),
              preprocess_enum, lambda db: brute_force_enumerate(db["R"], db["S"], db["T"])),
-    "path4": ("path4", Path4Engine, Path4Engine.VIEW_NAMES,
+    "path4": ("path4", Path4Engine, ("views", "entries"),
               Path4Engine.preprocess, _path4_oracle),
     "lw:4": ("lw:4", lambda eps: LWEngine(4, eps), ("views",),
              lambda db, eps: LWEngine.preprocess(db, 4, eps),
@@ -68,11 +69,18 @@ ENGINES = {
 def reference(name, eng, names) -> dict:
     """What the views ``names`` must equal: a fresh rebuild from the parts.
 
-    The enumeration engine's views are built by the same generated walks
-    as its upkeep, so they are built instead without them, by
-    ``helpers.enum_views``.
+    The enumeration and path4 engines' views are built by the same
+    generated walks as their upkeep, so they are built instead without
+    them, by ``helpers.enum_views`` and ``helpers.path4_views``.
     """
-    return enum_views(eng) if name == "enum" else fresh_views(eng, names)
+    if name == "enum":
+        return enum_views(eng)
+    return path4_views(eng) if name == "path4" else fresh_views(eng, names)
+
+
+def state(name, eng, names) -> dict:
+    """The views ``names`` as the engine keeps them; path4's named as ``path4_views`` names them."""
+    return path4_named(eng) if name == "path4" else views(eng, names)
 
 
 # (seed, length, width of the non-hot values)
@@ -101,10 +109,10 @@ def test_majors_leave_strict_parts_and_exact_views(name, eps):
                 continue
             where = (seed, step, eng.N)
             assert eng.check_invariants() == [], where
-            assert views(eng, names) == reference(name, eng, names), where
+            assert state(name, eng, names) == reference(name, eng, names), where
             eng.finish_moves()
             assert eng.check_invariants(loose=False) == [], where
-            assert views(eng, names) == reference(name, eng, names), where
+            assert state(name, eng, names) == reference(name, eng, names), where
             before, after = majors[-1], eng.counters.snapshot()
             majors[-1] = (before, after)
             if after["moves"] == before["moves"]:
@@ -159,7 +167,7 @@ def test_preprocess_leaves_strict_parts_exact_views_and_the_answer(name, eps):
         where = (rows, eng.N)
         assert db == given, where  # the loader reads the caller's rows only
         assert eng.check_invariants(loose=False) == [], where
-        assert views(eng, names) == reference(name, eng, names), where
+        assert state(name, eng, names) == reference(name, eng, names), where
         nonzero = {rel: {t: m for t, m in table.items() if m} for rel, table in db.items()}
         assert eng.db_size == sum(map(len, nonzero.values())), where
         if name == "enum":

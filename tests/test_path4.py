@@ -5,18 +5,13 @@ import random
 
 from skewivm.cli import family_arities
 from skewivm.oracle import Path4Tracker, brute_force_path4
-from skewivm.path4 import VIEW_PAIRS, JoinView, Path4Engine, add_line
+from skewivm.path4 import MIRROR, Path4Engine
 from skewivm.relation import IDX0, IDX1
 
-from helpers import apply_routed, degree, path4_stream, path4_views_exact, swing_stream
+from helpers import (apply_routed, degree, path4_named, path4_stream, path4_view,
+                     path4_views, path4_views_exact, swing_stream)
 
-
-def view_fingerprint(eng: Path4Engine):
-    out = {}
-    for name in eng.VIEW_NAMES:
-        view = getattr(eng, name)
-        out[name] = dict(view.items())
-    return out
+view_fingerprint = path4_named
 
 
 class TestDeltas:
@@ -31,7 +26,7 @@ class TestDeltas:
     def test_endpoint_update_with_empty_middle_is_zero(self):
         eng = Path4Engine(0.5)
         assert eng.delta(0, (1,), 5) == 0
-        assert eng.update_r(1, 5) == 5  # the stored multiplicity
+        assert eng.apply_update(0, None, (1,), 5) == 5  # the stored multiplicity
         assert eng.answer() == 0
 
     def test_insert_then_delete_restores_count_and_every_view(self):
@@ -49,23 +44,14 @@ class TestDeltas:
 
 
 def masked_views(eng: Path4Engine) -> tuple[dict, dict]:
-    """Both masked views recomputed from the parts, without the engine's walks.
+    """Both masked views as ``helpers.path4_views`` builds them from the parts."""
+    want = path4_views(eng)
+    return want["r_s_hl_t_ind"], want["s_ind_t_lh_u"]
 
-    ``r_s_hl_t_ind`` sums S's hl part weighted by R, by b, at the b values
-    T's hl part holds; ``s_ind_t_lh_u`` sums T's lh part weighted by U at
-    the b values S's lh part holds. The mask is presence, whatever the
-    multiplicities there.
-    """
-    out = []
-    for near, far, end, bpos in ((eng.s.parts["hl"], eng.t.parts["hl"].indexes[IDX0], eng.r, 1),
-                                 (eng.t.parts["lh"], eng.s.parts["lh"].indexes[IDX1], eng.u, 0)):
-        view: dict = {}
-        for t, m in near.items():
-            b = t[bpos]
-            if b in far:
-                view[b] = view.get(b, 0) + m * end.get(t[1 - bpos], 0)
-        out.append({b: w for b, w in view.items() if w})
-    return tuple(out)
+
+def masked(eng: Path4Engine) -> tuple[dict, dict]:
+    """Both masked views as the engine keeps them."""
+    return path4_view(eng, "r_s_hl_t_ind"), path4_view(eng, "s_ind_t_lh_u")
 
 
 class TestMasks:
@@ -78,7 +64,7 @@ class TestMasks:
         eng = Path4Engine.preprocess(db, 0.5)
         assert degree(eng.s.parts["lh"], 1, 2) == 12
         assert eng.t.parts["lh"].get((2, 9)) == 1
-        assert eng.s_ind_t_lh_u == {2: 3}
+        assert path4_view(eng, "s_ind_t_lh_u") == {2: 3}
         return eng
 
     def test_presence_not_count(self):
@@ -88,8 +74,8 @@ class TestMasks:
         eng.on_update("S", (1, 2), 1)  # same tuple twice: multiplicity 2
         assert eng.lookup("S", (1, 2)) == 2 and eng.lookup("S", (100, 2)) == 2
         assert 2 in eng.s.parts["lh"].indexes[IDX1]
-        assert eng.s_ind_t_lh_u == {2: 3}
-        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        assert path4_view(eng, "s_ind_t_lh_u") == {2: 3}
+        assert masked(eng) == masked_views(eng)
         path4_views_exact(eng)
 
     def test_entry_leaves_only_with_its_last_supporting_tuple(self):
@@ -97,12 +83,12 @@ class TestMasks:
         mask = eng.s.parts["lh"].indexes[IDX1]
         support = [t for t, _ in eng.s.parts["lh"].items() if t[1] == 2]
         for t in support[:-1]:
-            eng.update_s("lh", t, -eng.s.parts["lh"].get(t))
-            assert 2 in mask and eng.s_ind_t_lh_u == {2: 3}
+            eng.apply_update(1, "lh", t, -eng.s.parts["lh"].get(t))
+            assert 2 in mask and path4_view(eng, "s_ind_t_lh_u") == {2: 3}
         last = support[-1]
-        eng.update_s("lh", last, -eng.s.parts["lh"].get(last))
-        assert 2 not in mask and not eng.s_ind_t_lh_u
-        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        eng.apply_update(1, "lh", last, -eng.s.parts["lh"].get(last))
+        assert 2 not in mask and not path4_view(eng, "s_ind_t_lh_u")
+        assert masked(eng) == masked_views(eng)
 
     def test_masked_views_follow_the_flip(self):
         eng = Path4Engine(0.5)
@@ -116,21 +102,21 @@ class TestMasks:
         eng.on_update("S", (1, 2), 1)
         eng.finish_moves()
         assert eng.s.parts["hl"].get((1, 2)) == 1
-        assert 2 not in eng.t.parts["hl"].indexes[IDX0] and 2 not in eng.r_s_hl_t_ind
+        assert 2 not in eng.t.parts["hl"].indexes[IDX0] and 2 not in path4_view(eng, "r_s_hl_t_ind")
         # make b=2 heavy on T's first variable: T's hl part now masks it in
         for c in range(20):
             eng.on_update("T", (2, 700 + c), 1)
         eng.finish_moves()
         assert 2 in eng.t.parts["hl"].indexes[IDX0]
-        assert eng.r_s_hl_t_ind == {2: 1}
-        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        assert path4_view(eng, "r_s_hl_t_ind") == {2: 1}
+        assert masked(eng) == masked_views(eng)
         path4_views_exact(eng)
         # and back out once T's tuples at b=2 are gone
         for c in range(20):
             eng.on_update("T", (2, 700 + c), -1)
         eng.finish_moves()
-        assert 2 not in eng.t.parts["hl"].indexes[IDX0] and 2 not in eng.r_s_hl_t_ind
-        assert (eng.r_s_hl_t_ind, eng.s_ind_t_lh_u) == masked_views(eng)
+        assert 2 not in eng.t.parts["hl"].indexes[IDX0] and 2 not in path4_view(eng, "r_s_hl_t_ind")
+        assert masked(eng) == masked_views(eng)
         path4_views_exact(eng)
 
 
@@ -140,11 +126,11 @@ class TestPartBranches:
         for rel, t, m in path4_stream(21, 300, 6):
             eng.on_update(rel, t, m)
         before = view_fingerprint(eng)
-        eng.update_s("hl", (901, 902), 1)  # fresh values, no joins anywhere
+        eng.apply_update(1, "hl", (901, 902), 1)  # fresh values, no joins anywhere
         after = view_fingerprint(eng)
         assert after["s_hh_t_lh"] == before["s_hh_t_lh"]
         assert after["rs_lh"] == before["rs_lh"]
-        eng.update_s("hl", (901, 902), -1)
+        eng.apply_update(1, "hl", (901, 902), -1)
         assert view_fingerprint(eng) == before
 
     def test_scripted_updates_match_brute_force(self):
@@ -195,58 +181,69 @@ class TestRebalancing:
             assert eng.answer() == trk.count
         assert eng.counters.rebalance_minor > 0
         assert eng.counters.rebalance_major > 0
-        recomputed = eng.recompute_views()
-        fp = view_fingerprint(eng)
-        for name in eng.VIEW_NAMES:
-            view = recomputed[name]
-            want = dict(view.items())
-            assert fp[name] == want, name
+        assert view_fingerprint(eng) == path4_views(eng)
+        path4_views_exact(eng)
 
 
-def _lines(model: dict, var: int) -> dict:
-    """``{(a, c): m}`` grouped by variable ``var`` into ``{key: {other: m}}``."""
-    out: dict = {}
-    for t, m in model.items():
-        out.setdefault(t[var], {})[t[1 - var]] = m
+def skewed_churn(seed: int, length: int, wide: int) -> list:
+    """Updates that fill every S-T join view and cancel its entries again.
+
+    S's first values and T's second are mostly two hot values. The middle
+    value is 0 (hot in S) or 2 (hot in T) for half of the tuples, so it
+    is heavy in one relation and light in the other. Three updates in ten
+    cancel a stored tuple; the others add one, with either sign.
+    """
+    rng = random.Random(seed)
+    live: dict = {}
+    out = []
+
+    def pick(p, hot, q=0.0, other=None):
+        r = rng.random()
+        return hot if r < p else other if r < p + q else rng.randrange(10, 10 + wide)
+    for _ in range(length):
+        if live and rng.random() < 0.3:
+            (rel, t), m = rng.choice(list(live.items()))
+            m = -m
+        else:
+            rel = "RSTU"[rng.randrange(4)]
+            t = {"S": lambda: (pick(0.7, rng.randrange(2)), pick(0.35, 0, 0.15, 2)),
+                 "T": lambda: (pick(0.35, 2, 0.15, 0), pick(0.7, rng.randrange(2)))}.get(
+                     rel, lambda: (pick(0.7, rng.randrange(2)),))()
+            m = rng.choice((1, 1, 2, -1))
+        out.append((rel, t, m))
+        v = live.get((rel, t), 0) + m
+        if v:
+            live[rel, t] = v
+        else:
+            del live[rel, t]
     return out
 
 
 class TestJoinViews:
-    def test_line_adds_follow_a_plain_map(self):
-        """Random line adds, with cancels to zero and re-creates, on every view shape."""
-        rng = random.Random(3)
-        for specs in ((IDX0,), (IDX1,), (IDX0, IDX1)):
-            view = JoinView(specs)
-            model: dict = {}
-            cancels = recreates = 0
-            dead: set = set()
-            for _ in range(600):
-                by_row = rng.random() < 0.5
-                key, m = rng.randrange(4), rng.choice((-2, -1, 1, 2))
-                posts = {}
-                for other in rng.sample(range(6), rng.randrange(1, 5)):
-                    at = (key, other) if by_row else (other, key)
-                    old = model.get(at)
-                    # about a third of the stored entries a line meets cancel
-                    cancel = old and old % m == 0 and rng.random() < 0.35
-                    w = -old // m if cancel else rng.choice((-2, -1, 1, 2))
-                    # a T posting map at some b is keyed by c, an S one by a
-                    posts[other] = w
-                    v = model.get(at, 0) + m * w
-                    if v:
-                        recreates += at in dead
-                        dead.discard(at)
-                        model[at] = v
-                    else:
-                        cancels += 1
-                        dead.add(at)
-                        del model[at]
-                add_line(view, key, by_row, posts, m)
-                assert dict(view.items()) == model
-                assert len(view) == view.n == len(model)
-                assert view.rows == (_lines(model, 0) if IDX0 in specs else None)
-                assert view.cols == (_lines(model, 1) if IDX1 in specs else None)
-            assert cancels > 50 and recreates > 20, (specs, cancels, recreates)
+    def test_entries_cancel_and_come_back_in_every_join_view(self):
+        """Signed updates cancel join-view entries to zero and create them again.
+
+        After every update each view equals the reference, no inner map is
+        empty, a two-sided view's maps are exact transposes and the entry
+        count is a recount (``helpers.path4_views_exact``).
+        """
+        eng = Path4Engine(0.25)
+        joins = ("s_ll_t_lh", "s_hl_t_ll", "s_hl_t_lh", "s_hl_t_hh", "s_hh_t_lh")
+        cancels, recreates, dead = dict.fromkeys(joins, 0), dict.fromkeys(joins, 0), set()
+        before = path4_named(eng)
+        for step, (rel, t, m) in enumerate(skewed_churn(1, 4000, 40)):
+            eng.on_update(rel, t, m)
+            path4_views_exact(eng, step)
+            after = path4_named(eng)
+            for name in joins:
+                gone = before[name].keys() - after[name].keys()
+                cancels[name] += len(gone)
+                dead |= {(name, k) for k in gone}
+                back = {(name, k) for k in after[name].keys() - before[name].keys()} & dead
+                recreates[name] += len(back)
+                dead -= back
+            before = after
+        assert min(cancels.values()) >= 20 and min(recreates.values()) >= 10, (cancels, recreates)
 
     def test_two_sided_views_with_shared_columns_stay_exact(self):
         # four heavy A values of S and four heavy C values of T meet over
@@ -264,7 +261,7 @@ class TestJoinViews:
                 t = (rng.randrange(6),)
             eng.on_update(rel, t, rng.choice((1, 1, 2, -1)))
             path4_views_exact(eng, step)
-            seen = max(seen, max(map(len, eng.s_hl_t_lh.cols.values()), default=0))
+            seen = max(seen, max(map(len, path4_view(eng, "s_hl_t_lh@c").values()), default=0))
         assert seen >= 3
 
 
@@ -289,11 +286,9 @@ class TestOracleEquivalence:
 MIRROR_REL = {"R": "U", "S": "T", "T": "S", "U": "R"}
 
 
-def _mirror_view(view) -> dict:
+def _mirror_view(view: dict) -> dict:
     """A view as its mirror partner reads it: a join view transposed."""
-    if isinstance(view, JoinView):
-        return {(c, a): m for (a, c), m in view.items()}
-    return view
+    return {k[::-1] if isinstance(k, tuple) else k: m for k, m in view.items()}
 
 
 class TestMirror:
@@ -303,7 +298,7 @@ class TestMirror:
         An engine fed the reversed stream keeps the same answer after every
         update, each view equal to its mirror partner's whenever neither
         engine has moves queued, and every R or U update that drains no move
-        costs the same ops as its mirror, as the end descriptors assume.
+        costs the same ops as its mirror, as the plan's mirrored walks assume.
         """
         arities = family_arities("path4")
         streams = [swing_stream(seed, 1500, arities, 12) for seed in (0, 1)]
@@ -323,8 +318,8 @@ class TestMirror:
                     assert spent[0] == spent[1], step
                 if not eng.pending_moves() and not mir.pending_moves():
                     compared += 1
-                    for r_name, u_name in VIEW_PAIRS.values():
-                        for name, partner in ((r_name, u_name), (u_name, r_name)):
-                            assert (dict(getattr(eng, name).items())
-                                    == _mirror_view(getattr(mir, partner))), (step, name)
+                    kept, mirrored = path4_named(eng), path4_named(mir)
+                    for name, partner in MIRROR.items():
+                        name, partner = name.partition("@")[0], partner.partition("@")[0]
+                        assert kept[name] == _mirror_view(mirrored[partner]), (step, name)
         assert compared > 5000 and ends > 1800, (compared, ends)

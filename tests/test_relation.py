@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewivm.relation import (HEAVY, LIGHT, Partition, QuadPartition, Relation,
-                              SchemaError, bump)
+from skewivm.relation import HEAVY, LIGHT, Partition, QuadPartition, Relation, SchemaError
 
 from helpers import degree, keys, matching, settle
 
@@ -460,11 +459,3 @@ def test_partition_restrict_hands_moves_to_the_callback():
     assert not part.violations(4, strict=True)
     assert len(part.heavy) == 0 and len(part.light) == 6
 
-
-def test_bump_drops_cancelled_keys():
-    d = {}
-    bump(d, "k", 2)
-    bump(d, "k", -2)
-    assert d == {}
-    bump(d, "k", -1)
-    assert d == {"k": -1}
