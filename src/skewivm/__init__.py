@@ -6,10 +6,10 @@ exponent: relations split into heavy and light parts by key degree, part
 combinations are evaluated with combination-specific strategies, and a few
 aggregated join views absorb the combinations that would otherwise need
 linear scans. Doubling/halving of the size threshold and per-key
-migrations keep the partitions honest as the data evolves; that loop is
-written once, in ``skewivm.kernel``, and shared by every engine. Every
-engine's deltas and view upkeep are code generated from a plan by one
-generator, ``skewivm.loomis_whitney``.
+migrations keep the partitions honest as the data evolves. Every engine
+is one class, ``skewivm.loomis_whitney.LWEngine``, which writes that loop
+once and reads its schema from its plan; its deltas and view upkeep are
+code generated from the plan by one generator in the same module.
 """
 
 from .metrics import OpCounters, fit_scaling

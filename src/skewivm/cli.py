@@ -73,19 +73,37 @@ class ConfigError(ValueError):
 MODES = ("ivm-eps", "refined", "enum", "static")
 
 
-def family_arities(query: str) -> dict[str, int]:
-    if query == "triangle":
-        return {"R": 2, "S": 2, "T": 2}
-    if query == "triangle-selfjoin":
-        return {"R": 2}
-    if query == "path4":
-        return {"R": 1, "S": 2, "T": 2, "U": 1}
+# the triangle family's engine per mode; the others (and static mode's
+# exponent check) take the base engine
+TRIANGLE_ENGINES = {"refined": RefinedTriangleEngine, "enum": EnumTriangleEngine}
+
+# query family -> (relation arities, engine of (mode, eps), oracle tracker);
+# lw:<n> gets its entry from ``_family`` at its degree
+FAMILIES = {
+    "triangle": ({"R": 2, "S": 2, "T": 2},
+                 lambda mode, eps: TRIANGLE_ENGINES.get(mode, TriangleEngine)(eps),
+                 TriangleTracker),
+    "triangle-selfjoin": ({"R": 2}, lambda mode, eps: SelfJoinEngine(eps), SelfJoinTracker),
+    "path4": ({"R": 1, "S": 2, "T": 2, "U": 1}, lambda mode, eps: Path4Engine(eps),
+              Path4Tracker),
+}
+
+
+def _family(query: str) -> tuple:
+    """The ``FAMILIES`` entry of ``query``; ``ConfigError`` for an unknown family."""
+    if query in FAMILIES:
+        return FAMILIES[query]
     if query.startswith("lw:"):
         n = int(query.split(":", 1)[1])
         if n < 3:
             raise ConfigError("lw degree must be at least 3")
-        return {f"R{i+1}": n - 1 for i in range(n)}
+        return ({f"R{i+1}": n - 1 for i in range(n)}, lambda mode, eps: LWEngine(n, eps),
+                lambda: LWTracker(n))
     raise ConfigError(f"unknown query family {query!r}")
+
+
+def family_arities(query: str) -> dict[str, int]:
+    return dict(_family(query)[0])
 
 
 def parse_stream(lines: Iterable[str], arities: dict[str, int]) -> list[Update]:
@@ -275,28 +293,11 @@ class RunConfig:
 
 
 def build_engine(cfg: RunConfig):
-    q, eps = cfg.query, cfg.eps
-    if q == "triangle":
-        if cfg.mode == "refined":
-            return RefinedTriangleEngine(eps)
-        if cfg.mode == "enum":
-            return EnumTriangleEngine(eps)
-        return TriangleEngine(eps)
-    if q == "triangle-selfjoin":
-        return SelfJoinEngine(eps)
-    if q == "path4":
-        return Path4Engine(eps)
-    return LWEngine(int(q.split(":", 1)[1]), eps)
+    return _family(cfg.query)[1](cfg.mode, cfg.eps)
 
 
 def build_tracker(query: str):
-    if query == "triangle":
-        return TriangleTracker()
-    if query == "triangle-selfjoin":
-        return SelfJoinTracker()
-    if query == "path4":
-        return Path4Tracker()
-    return LWTracker(int(query.split(":", 1)[1]))
+    return _family(query)[2]()
 
 
 def _tracker_update(tracker, upd: Update):
@@ -406,7 +407,7 @@ def bench(cfg: RunConfig, sizes: list[int], gen: str = "hub", out=None) -> int:
             if space > peak_space:
                 peak_space = space
         ops = engine.counters.snapshot()
-        total = ops["lookups"] + ops["iterations"] + ops["moves"]
+        total = engine.counters.total_steps()
         totals.append(total)
         rows.append({
             "query": cfg.query, "mode": cfg.mode,

@@ -35,7 +35,6 @@ The generated update step keeps the family entry count, for an O(1)
 
 from __future__ import annotations
 
-from .kernel import MaintenanceKernel
 from .loomis_whitney import ALL, KEEP, LWEngine, Plan, _plan as _triangle_plan, compiled
 from .metrics import OpCounters
 from .relation import HEAVY, IDX0, LIGHT
@@ -73,7 +72,7 @@ class EnumTriangleEngine(LWEngine):
 
     # perfbench's tracer wraps the update methods in each engine class's own
     # __dict__; this engine's update step is bound per engine
-    on_update = MaintenanceKernel.on_update
+    on_update = LWEngine.on_update
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(3, eps, counters)

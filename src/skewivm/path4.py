@@ -19,15 +19,14 @@ T(b,a), and a part label, which gives its statuses in end-first order,
 reverses. So the plan is written once, for the R end (R's delta, R's and
 S's upkeep, S's mask), and ``_at`` reads it from the U end, pairing the
 views by ``MIRROR``. S's and T's deltas differ and are written apart.
-Routing and rebalancing come from the kernel; R and U have no partition.
+Routing and rebalancing are ``LWEngine``'s; R and U have no partition.
 """
 
 from __future__ import annotations
 
-from .kernel import MaintenanceKernel
 from .loomis_whitney import WHOLE, LWEngine, Plan, compiled
 from .metrics import OpCounters
-from .relation import IDX0, QUAD_LABELS, QuadPartition
+from .relation import IDX0, QUAD_LABELS
 
 R, S, T, U = range(4)
 A, B, C = range(3)  # the variables: R(a), S(a, b), T(b, c), U(c)
@@ -154,17 +153,12 @@ class Path4Engine(LWEngine):
 
     # perfbench's tracer wraps the update methods in each engine class's own
     # __dict__; this engine's update step is bound per engine
-    on_update = MaintenanceKernel.on_update
+    on_update = LWEngine.on_update
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        MaintenanceKernel.__init__(self, self.REL, (1, 2, 2, 1), eps, counters)
-        self.delta = self._setup(self._eps)
+        super().__init__(4, eps, counters)
         # the relations by name, as perfbench reads them
         (self.r, self.u), (self.s, self.t) = self._whole.values(), self.parts[1:3]
-
-    def _partition(self, specs: dict) -> QuadPartition:
-        # every part of a quad split indexes both variables
-        return QuadPartition()
 
     def _build_view(self, i: int) -> None:
         # by the walk of the member with fewer tuples: each costs about the
@@ -177,10 +171,3 @@ class Path4Engine(LWEngine):
             light = len(rows[0]) <= len(rows[1])
             rel = rows[0] if light else rows[1]
             self._build(i, light, rel if isinstance(rel, dict) else rel.indexes[IDX0])
-
-    def lookup(self, rel, t: tuple) -> int:
-        i = self._checked_tuple(rel, t)
-        return self._whole[i].get(t[0], 0) if i in self._whole else self.parts[i].multiplicity(t)
-
-    def load_whole(self, i: int, rows: dict) -> None:
-        self._whole[i].update((t[0], m) for t, m in rows.items())

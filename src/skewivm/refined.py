@@ -24,7 +24,7 @@ the sixteen part combinations share six walks and a view lookup:
 
 Only updates landing in an hl part (the previous relation's view) or an lh
 part (the next relation's) keep a view. Minor rebalancing
-(``QuadPartition``'s check, run by the kernel) looks at both variables of
+(``QuadPartition``'s check, run by the engine) looks at both variables of
 the updated tuple and can fire twice for one update.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .loomis_whitney import SUM, LWEngine, Plan, compiled
 from .metrics import OpCounters
-from .relation import IDX1, QUAD_LABELS, QuadPartition
+from .relation import IDX1, QUAD_LABELS
 
 REL_NAMES = ("R", "S", "T")
 
@@ -65,7 +65,3 @@ class RefinedTriangleEngine(LWEngine):
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(3, eps, counters)
-
-    def _partition(self, specs: dict) -> QuadPartition:
-        # every part of a quad split indexes both variables
-        return QuadPartition()

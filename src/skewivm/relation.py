@@ -29,7 +29,7 @@ threshold and labels its parts with one status, heavy or light, per
 variable: ``Partition`` splits on variable 0 into two parts, each with
 the indexes its engine gives that part label, ``QuadPartition`` on both
 variables of a binary relation into four, and the two differ only in
-routing. The engines' shared kernel calls ``load`` to fill the parts
+routing. The engine (``LWEngine``) calls ``load`` to fill the parts
 strictly from a full database, ``restrict`` to put the
 keys a major rebalance flips in transit, ``minor_check`` to put in transit
 a key an update moved past its loose bound (only the bound that update can
@@ -240,7 +240,7 @@ class Partition:
     ``QuadPartition``. A key's tuples lie in the parts of its status on
     each variable, except while it is in transit: a rebalance that
     changes the status of ``key`` on ``var`` records the status it is
-    bound for in ``moving[(var, key)]``, and the kernel then moves its
+    bound for in ``moving[(var, key)]``, and the engine then moves its
     tuples a few per update (``move_key``). Between rebalances degrees
     drift inside the loose bounds (heavy keys at or above half the
     threshold, light keys below one and a half times it); a key in
@@ -249,7 +249,7 @@ class Partition:
     (``tall[var]``, a dict used as an ordered set) records the light keys
     that reached ``tall_at``, the last split's threshold rounded up, so
     that a doubling checks only those light keys. The threshold is the
-    kernel's: every method that reads it takes it as an argument.
+    engine's: every method that reads it takes it as an argument.
 
     Each part's indexes are given per part label (``index_specs``), after
     the partition key's index (on variable 0), which comes first in both
@@ -406,7 +406,7 @@ class Partition:
         status, or takes the one its key there is bound for, so each tuple
         moves once. Each goes, in posting-map order, through ``move(src,
         dst, t, m)`` with the part labels, which must delete it from
-        ``src`` and insert it into ``dst`` (the kernel's ``apply_move``).
+        ``src`` and insert it into ``dst`` (the engine's ``apply_move``).
         Once none is left to move, the key leaves ``moving``. Returns the moves.
         """
         var, value = key
@@ -465,7 +465,7 @@ class Partition:
 
         Each flipped key is entered in ``moving`` as ``(var, key)``,
         variable by variable and, per variable, promotions first, for the
-        kernel to queue and move through ``move_key``. Returns the number
+        engine to queue and move through ``move_key``. Returns the number
         of keys put in transit.
         """
         moving = self.moving

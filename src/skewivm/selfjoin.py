@@ -15,7 +15,6 @@ loaded count from the query's definition.
 
 from __future__ import annotations
 
-from .kernel import MaintenanceKernel
 from .loomis_whitney import LWEngine
 from .metrics import OpCounters
 
@@ -26,8 +25,9 @@ class SelfJoinEngine(LWEngine):
     REL = ("R",)
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        MaintenanceKernel.__init__(self, self.REL, (2,), eps, counters)
-        self._delta = self._setup(self._eps * 3, shared=True)
+        super().__init__(3, eps, counters)
+        # the plan's delta is the triangle's, which this engine's ``delta`` wraps
+        self._delta = self.__dict__.pop("delta")
 
     def space_used(self) -> int:
         return self.parts[0].total_size() + len(self.views[0])

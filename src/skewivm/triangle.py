@@ -20,7 +20,6 @@ factorized scheme.
 
 from __future__ import annotations
 
-from .kernel import MaintenanceKernel
 from .loomis_whitney import LWEngine, _plan, compiled
 from .metrics import OpCounters
 
@@ -37,7 +36,7 @@ class TriangleEngine(LWEngine):
 
     # perfbench's tracer wraps the update methods in each engine class's own
     # __dict__; this engine's delta and update step are bound per engine
-    on_update = MaintenanceKernel.on_update
+    on_update = LWEngine.on_update
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(3, eps, counters)

@@ -233,7 +233,7 @@ def settle(part, move) -> int:
     """Make every move of the keys in transit in ``part`` now; returns the tuples moved.
 
     ``move(src, dst, t, m)`` must delete ``t`` from part ``src`` and
-    insert it into ``dst``, as the kernel's ``apply_move`` does.
+    insert it into ``dst``, as the engine's ``apply_move`` does.
     """
     return sum(part.move_key(key, sys.maxsize, move) for key in list(part.moving))
 

@@ -13,7 +13,7 @@ and loops with hot keys whose degrees swing past one and a half times the
 threshold and back below half of it, on both variables of a quad
 partition. After every update the loose bounds and
 the size invariant must hold (``check_invariants() == []``), the size
-the kernel keeps must equal the number of stored tuples of the oracle
+the engine keeps must equal the number of stored tuples of the oracle
 database, and the answer must equal the oracle's: the first-order tracker
 of the query family, or for enumeration the brute-force result. At
 exponent 1/2 the enumeration engine's maintained views must also equal a
@@ -39,9 +39,9 @@ on a key's tuples, updates of a quad tuple whose keys are both in
 transit, and creates of fresh tuples that trigger a doubling while moves
 are still queued. Every update may add at most ``B`` to
 ``counters.moves``, except one whose major finished a leftover queue
-(counted by the kernel's ``flushes``).
+(counted by the engine's ``flushes``).
 
-The kernel checks only the bound an update can cross, and nothing after
+The engine checks only the bound an update can cross, and nothing after
 an update that changed only a multiplicity; a key that crossed a bound
 unchecked shows here as a loose-bound violation.
 
@@ -58,7 +58,7 @@ import pytest
 
 from skewivm import cli
 from skewivm.cli import Update, family_arities
-from skewivm.kernel import B
+from skewivm.loomis_whitney import B
 from skewivm.oracle import brute_force_enumerate
 from skewivm.relation import HEAVY, QuadPartition
 
@@ -337,7 +337,7 @@ def test_keys_in_transit_take_every_kind_of_update(name):
     fresh = run.fresh
     while eng.N < 64:
         run(rel, tuple(next(fresh) for _ in range(arity)), 1)
-    cap = math.ceil(1.5 * eng._theta(i))
+    cap = math.ceil(1.5 * eng._thetas[i])
     # the hot tuples, one more create, then three fresh creates reach N
     while eng.db_size < eng.N - 2 * cap - 4:
         run(rel, tuple(next(fresh) for _ in range(arity)), 1)
@@ -375,7 +375,7 @@ SIZE_SWINGS = (48, 6, 100, 12, 60, 3, 90)
 def _size_swing_stream(seed, arities, wide=12, targets=SIZE_SWINGS):
     """Creates up to each even-indexed target size, cancellations down to each odd-indexed one.
 
-    The size is the number of stored tuples, as the kernel counts it. Most
+    The size is the number of stored tuples, as the engine counts it. Most
     creates take the hot leading value 0, with their other values drawn
     from ``range(4 * wide)``, so that key turns heavy as the size climbs
     and light again as it falls; the other creates draw every value from

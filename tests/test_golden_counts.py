@@ -13,7 +13,7 @@ partitions of path4 and of the refined triangle, and the enumeration
 engine) also replay their
 family's stream from empty with two multiplicity-only changes after every
 update (``CHURN_STREAMS``). The first three rows were recorded before the
-kernel stopped checking anything after an update that changes no tuple's
+engines stopped checking anything after an update that changes no tuple's
 existence: a check skipped wrongly, or a rebalance fired on a
 multiplicity change, moves them.
 
@@ -49,7 +49,7 @@ also moves its tuples in a different order.
 
 Then, with ``iterations``, ``moves``, the answers and the prefix sums of
 every other row unchanged, when every engine started loading through the
-kernel's one loader:
+one shared loader:
 
   * ``enum`` (``lookups`` only, both starts): its summed pair views and
     the root views over them, which nothing read, are gone, and with them
@@ -158,7 +158,7 @@ STREAMS = {
 }
 
 # two of every three updates only change the multiplicity of a stored
-# tuple, after which the kernel checks nothing
+# tuple, after which the engine checks nothing
 CHURN_STREAMS = {family: multiplicity_churn(STREAMS[family], 31)
                  for family in ("triangle", "triangle-selfjoin", "path4")}
 

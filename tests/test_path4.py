@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import pytest
+
 from skewivm.cli import family_arities
 from skewivm.oracle import Path4Tracker, brute_force_path4
 from skewivm.path4 import MIRROR, Path4Engine
-from skewivm.relation import IDX0, IDX1
+from skewivm.relation import IDX0, IDX1, SchemaError
 
 from helpers import (apply_routed, degree, path4_named, path4_stream, path4_view,
                      path4_views, path4_views_exact, swing_stream)
@@ -41,6 +43,39 @@ class TestDeltas:
         apply_routed(eng, 1, lab, (3, 4), 1)
         apply_routed(eng, 1, lab, (3, 4), -1)
         assert (eng.answer(), view_fingerprint(eng)) == before
+
+
+class TestLookup:
+    def test_whole_relations_read_through_lookup(self):
+        db = {"R": {(1,): 2, (2,): -3}, "S": {(1, 5): 1}, "T": {(5, 7): 4},
+              "U": {(7,): 5, (8,): 1}}
+        eng = Path4Engine.preprocess(db, 0.5)
+        assert [eng.lookup("R", (a,)) for a in (1, 2, 3)] == [2, -3, 0]
+        assert [eng.lookup("U", (c,)) for c in (7, 8, 9)] == [5, 1, 0]
+        assert eng.lookup(0, (1,)) == 2 and eng.lookup(3, (7,)) == 5  # by position
+        want = {rel: dict(rows) for rel, rows in db.items()}
+        for rel, t, m in path4_stream(21, 300, 6):
+            eng.on_update(rel, t, m)
+            rows = want[rel]
+            rows[t] = rows.get(t, 0) + m
+            if not rows[t]:
+                del rows[t]
+        for rel in ("R", "U"):
+            for v in range(10):
+                assert eng.lookup(rel, (v,)) == want[rel].get((v,), 0), (rel, v)
+        for rel in ("S", "T"):
+            for t in itertools.product(range(8), repeat=2):
+                assert eng.lookup(rel, t) == want[rel].get(t, 0), (rel, t)
+
+    def test_a_wrong_tuple_is_refused_and_counts_nothing(self):
+        eng = Path4Engine.preprocess({"R": {(1,): 2}, "U": {(7,): 5}}, 0.5)
+        before = (eng.counters.snapshot(), eng.answer(), eng.db_size, eng.N)
+        for rel, t in (("R", (1, 2)), ("U", ()), ("R", 1), (0, (1, 2)), (3, [7]),
+                       ("S", (1,)), ("R", ([1],))):
+            with pytest.raises(SchemaError):
+                eng.lookup(rel, t)
+        assert (eng.counters.snapshot(), eng.answer(), eng.db_size, eng.N) == before
+        assert eng.lookup("R", (1,)) == 2 and eng.lookup("U", (7,)) == 5
 
 
 def masked_views(eng: Path4Engine) -> tuple[dict, dict]:

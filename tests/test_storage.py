@@ -6,7 +6,7 @@ two plain dicts. After every step each index of each side must hold
 exactly the model's tuples and multiplicities, keyed by its variables,
 with no empty posting map, and ``len``, ``get`` and ``items`` must agree
 with the model. Each create or delete goes through the split's minor
-check, as the kernel's do, so the degree watermark that a doubling
+check, as the engine's do, so the degree watermark that a doubling
 restrict reads is fed as in an engine; a minor rebalance moves its key at
 once, in the split and in the model. A key moves light only below the
 watermark, as every rebalance that makes a key light leaves it.
