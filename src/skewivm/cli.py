@@ -5,9 +5,9 @@ Stream grammar, one update per line, ``#`` starts a comment::
     <relname> <+|-> <v1> [<v2> ...] [* <mult>]
 
 Values are decimal integers, the default multiplicity is 1, and ``-``
-negates it. Relation names and arities come from the selected query
-family: triangle (R, S, T binary), triangle-selfjoin (R binary), path4
-(R unary, S, T binary, U unary), lw:<n> (R1..Rn of arity n-1).
+negates it. Relation names and arities are those of the selected query
+family's engine: triangle (R, S, T binary), triangle-selfjoin (R binary),
+path4 (R unary, S, T binary, U unary), lw:<n> (R1..Rn of arity n-1).
 
 ``run`` replays a stream into the selected engine and prints JSON records
 {step, answer, N, db_size, ops, rebalances, pending_moves}, one per
@@ -77,15 +77,14 @@ MODES = ("ivm-eps", "refined", "enum", "static")
 # exponent check) take the base engine
 TRIANGLE_ENGINES = {"refined": RefinedTriangleEngine, "enum": EnumTriangleEngine}
 
-# query family -> (relation arities, engine of (mode, eps), oracle tracker);
-# lw:<n> gets its entry from ``_family`` at its degree
+# query family -> (engine of (mode, eps), oracle tracker); the family's
+# relation names and arities are its engine's, and every tracker takes
+# ``update(rel, t, m)``; lw:<n> gets its entry from ``_family`` at its degree
 FAMILIES = {
-    "triangle": ({"R": 2, "S": 2, "T": 2},
-                 lambda mode, eps: TRIANGLE_ENGINES.get(mode, TriangleEngine)(eps),
+    "triangle": (lambda mode, eps: TRIANGLE_ENGINES.get(mode, TriangleEngine)(eps),
                  TriangleTracker),
-    "triangle-selfjoin": ({"R": 2}, lambda mode, eps: SelfJoinEngine(eps), SelfJoinTracker),
-    "path4": ({"R": 1, "S": 2, "T": 2, "U": 1}, lambda mode, eps: Path4Engine(eps),
-              Path4Tracker),
+    "triangle-selfjoin": (lambda mode, eps: SelfJoinEngine(eps), SelfJoinTracker),
+    "path4": (lambda mode, eps: Path4Engine(eps), Path4Tracker),
 }
 
 
@@ -97,13 +96,14 @@ def _family(query: str) -> tuple:
         n = int(query.split(":", 1)[1])
         if n < 3:
             raise ConfigError("lw degree must be at least 3")
-        return ({f"R{i+1}": n - 1 for i in range(n)}, lambda mode, eps: LWEngine(n, eps),
-                lambda: LWTracker(n))
+        return lambda mode, eps: LWEngine(n, eps), lambda: LWTracker(n)
     raise ConfigError(f"unknown query family {query!r}")
 
 
 def family_arities(query: str) -> dict[str, int]:
-    return dict(_family(query)[0])
+    """Each relation of ``query``'s family by name, with its arity, as its engine reads them."""
+    engine = _family(query)[0]("ivm-eps", 0.5)
+    return dict(zip(engine.names, engine.arities))
 
 
 def parse_stream(lines: Iterable[str], arities: dict[str, int]) -> list[Update]:
@@ -293,20 +293,11 @@ class RunConfig:
 
 
 def build_engine(cfg: RunConfig):
-    return _family(cfg.query)[1](cfg.mode, cfg.eps)
+    return _family(cfg.query)[0](cfg.mode, cfg.eps)
 
 
 def build_tracker(query: str):
-    return _family(query)[2]()
-
-
-def _tracker_update(tracker, upd: Update):
-    if isinstance(tracker, SelfJoinTracker):
-        tracker.update(upd.values, upd.mult)
-    elif isinstance(tracker, LWTracker):
-        tracker.update(int(upd.rel[1:]) - 1, upd.values, upd.mult)
-    else:
-        tracker.update(upd.rel, upd.values, upd.mult)
+    return _family(query)[1]()
 
 
 def _record(step: int, engine) -> dict:
@@ -355,7 +346,7 @@ def run(cfg: RunConfig, out=None) -> int:
         for step, upd in enumerate(updates, 1):
             engine.on_update(upd.rel, upd.values, upd.mult)
             if tracker is not None:
-                _tracker_update(tracker, upd)
+                tracker.update(upd.rel, upd.values, upd.mult)
                 if cfg.mode == "enum":
                     got = engine.result_multiset()
                     want = brute_force_enumerate(*(dict(r) for r in tracker.rels))

@@ -509,10 +509,10 @@ class LWEngine:
 
     Each update is routed by its relation's split (a ``Partition`` on one
     variable or a ``QuadPartition`` on two, with one ``minor_check``,
-    ``restrict`` and ``move_key`` for both; every tuple pinned heavy at
-    ``eps == 0``); the answer gains the update's ``delta`` before the
-    update is applied, and ``db_size`` follows what the update step
-    returns.
+    ``restrict``, ``move_key`` and route in transit for both; every tuple
+    pinned heavy at ``eps == 0``); the answer gains the update's
+    ``delta`` before the update is applied, and ``db_size`` follows what
+    the update step returns.
     """
 
     # the relation names; None names them R1..Rn
@@ -527,12 +527,13 @@ class LWEngine:
         for a cyclic one), is kept whole when the plan gives it the one
         label ``WHOLE``, and is split otherwise, on both variables when the
         plan's labels are the quad split's. With fewer names than plan
-        relations, one partition and one view stand for every relation of
-        the plan. ``eps`` is one exponent, or one per name. The plan is
-        compiled once per plan and degree (``compiled``); the views, the
-        families' live sets and the entry count of the maps of maps are
-        read through one list, so ``rebuild_views`` and callers may replace
-        them, and nothing bound refers to the engine.
+        relations, one partition stands for every relation of the plan and
+        one view, built and counted once, for every view. ``eps`` is one
+        exponent, or one per name. The plan is compiled once per plan and
+        degree (``compiled``); the views, the families' live sets and the
+        entry count of the maps of maps are read through one list, so
+        ``rebuild_views`` and callers may replace them, and nothing bound
+        refers to the engine.
         """
         if n < 3:
             raise ValueError("degree must be at least 3")
@@ -564,18 +565,21 @@ class LWEngine:
 
         shared = len(names) < n
         self._plan_eps = self._eps * n if shared else self._eps
-        self._builds, self._kinds = plan.builds, plan.kinds
-        # the views counted by their keys; the update step counts the entries of maps of maps
-        self._sized = [i for i, kind in enumerate(plan.kinds)
-                       if kind in (SUM, ALL) or len(kind) == 1]
+        # one partition for every relation: view 0 stands in every slot, so
+        # the others are written with it
+        self._builds = [plan.builds[0]] + [None] * (n - 1) if shared else plan.builds
+        self._kinds = plan.kinds
+        # the views counted by their keys, once each; the update step counts
+        # the entries of maps of maps
+        self._sized = [i for i, kind in enumerate(plan.kinds) if self._builds[i] is not None
+                       and (kind in (SUM, ALL) or len(kind) == 1)]
         self._whole = {j: {} for j in range(n) if WHOLE in plan.upkeep[j]}
         # every part of a quad split indexes both variables, whatever the walks read
         self.parts = [None if j in self._whole else QuadPartition()
                       if plan.labels == QUAD_LABELS else Partition(self.arities[j], specs)
                       for j in range(len(names))]
         self._ring = self.parts * n if shared else self.parts
-        self._views = [[{}] * n if shared else [{} for _ in plan.kinds],
-                       [set() for _ in plan.kinds], 0]
+        self._views = self._empty_views()
         bindings = {"C": self.counters, "VB": self._views}
         bindings.update((f"P{j}", rows) for j, rows in self._whole.items())
         for j, part in enumerate(self._ring):
@@ -875,9 +879,15 @@ class LWEngine:
             return 0
         return sum(delta(0, t, m) for t, m in rows.items())
 
+    def _empty_views(self) -> list:
+        """Empty views, live sets and entry count; one view in every slot of a shared plan."""
+        kinds = self._kinds
+        views = [{}] * len(kinds) if len(self.names) < self.n else [{} for _ in kinds]
+        return [views, [set() for _ in kinds], 0]
+
     def rebuild_views(self) -> None:
         """Build every view from the parts (after ``preprocess`` has filled them)."""
-        self._views[:] = [[{} for _ in self._kinds], [set() for _ in self._kinds], 0]
+        self._views[:] = self._empty_views()
         for i in range(len(self._kinds)):
             self._build_view(i)
 

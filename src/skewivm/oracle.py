@@ -11,7 +11,12 @@ Two layers:
     per update, full-relation scans). They exist because checking every
     prefix of long streams against a from-scratch count is too slow; the
     trackers are themselves validated against the brute-force functions in
-    the test suite and at sampled prefixes of the acceptance runs.
+    the test suite and at sampled prefixes of the acceptance runs. Every
+    tracker takes an update as ``update(rel, t, m)``, with the relation
+    named as an update stream names it, returns the count's change and
+    keeps the count in ``count``. The triangle and cyclic trackers also
+    take a relation's position; the self-join tracker has one relation
+    and ignores ``rel``.
 
 Also here: the reduction harness that drives a triangle-count engine as an
 online vector-matrix-vector multiplication solver, used as a correctness
@@ -139,9 +144,6 @@ class TriangleTracker:
         self.by_first = [defaultdict(dict), defaultdict(dict), defaultdict(dict)]
         self.count = 0
 
-    def _index(self, i):
-        return self.by_first[i]
-
     def update(self, rel, t, m) -> int:
         i = rel if isinstance(rel, int) else self.REL.index(rel)
         x, y = t
@@ -179,7 +181,8 @@ class SelfJoinTracker:
         self.by_first = defaultdict(dict)
         self.count = 0
 
-    def update(self, t, m) -> int:
+    def update(self, rel, t, m) -> int:
+        # the query's one relation is ``self.rel``, whatever ``rel`` names
         a, b = t
         by_first = self.by_first
         rel = self.rel
@@ -284,8 +287,11 @@ class LWTracker:
         self.schemas = lw_schemas(n)
         self.rels: list[dict] = [{} for _ in range(n)]
         self.count = 0
+        # relation i is named R<i+1>
+        self.names = {f"R{i + 1}": i for i in range(n)}
 
-    def update(self, i, t, m) -> int:
+    def update(self, rel, t, m) -> int:
+        i = rel if isinstance(rel, int) else self.names[rel]
         n = self.n
         schemas = self.schemas
         free = (i - 1) % n

@@ -29,13 +29,17 @@ threshold and labels its parts with one status, heavy or light, per
 variable: ``Partition`` splits on variable 0 into two parts, each with
 the indexes its engine gives that part label, ``QuadPartition`` on both
 variables of a binary relation into four, and the two differ only in
-routing. The engine (``LWEngine``) calls ``load`` to fill the parts
-strictly from a full database, ``restrict`` to put the
-keys a major rebalance flips in transit, ``minor_check`` to put in transit
-a key an update moved past its loose bound (only the bound that update can
-cross is read) and ``move_key`` to have up to a budget of a key's tuples
-moved one by one. A key in transit (``moving[(var, key)]``) may have
-tuples in parts of both statuses until its last tuple has moved.
+how they route a tuple none of whose keys is in transit. The engine
+(``LWEngine``) calls ``load`` to fill the parts strictly from a full
+database, ``restrict`` to put the keys a major rebalance flips in transit,
+``minor_check`` to put in transit a key an update moved past its loose
+bound (only the bound that update can cross is read) and ``move_key`` to
+have up to a budget of a key's tuples moved one by one. A key in transit
+(``moving[(var, key)]``) may have tuples in parts of both statuses until
+its last tuple has moved. One rule (``Partition._route_moving``) routes a
+tuple with a key in transit on either split: a stored tuple stays in its
+part, and a new one takes, per variable, the status its key is bound for
+or else the key's current status.
 """
 
 from __future__ import annotations
@@ -310,23 +314,39 @@ class Partition:
 
         Heavy when the key ``t[0]`` is already present in the heavy
         part's partition-key index or when ``force_heavy`` pins every
-        tuple heavy; light otherwise. A tuple of a key in transit goes to
-        the part that stores it, or, when it is new, to the part the key
-        is bound for; while no key is in transit that costs one
-        truthiness check. A key not in transit lives in one part, so the
-        label is also where its degree is kept, which ``minor_check``
-        relies on.
+        tuple heavy; light otherwise. A tuple of a key in transit goes
+        where ``_route_moving`` sends it; while no key is in transit that
+        costs one truthiness check. A key not in transit lives in one
+        part, so the label is also where its degree is kept, which
+        ``minor_check`` relies on.
         """
         if self.moving:
-            dst = self.moving.get((0, t[0]))
-            if dst is not None:
-                # only a stored tuple still in the part the key leaves stays there
-                if dst == HEAVY:
-                    return LIGHT if self.light.get(t) else HEAVY
-                return HEAVY if self.heavy.get(t) else LIGHT
+            lab = self._route_moving(t)
+            if lab is not None:
+                return lab
         if force_heavy or t[0] in self._heavy_keys:
             return HEAVY
         return LIGHT
+
+    def _route_moving(self, t: tuple) -> str | None:
+        """The part of ``t`` when one of its keys is in transit, else ``None``.
+
+        A stored tuple stays in the part that holds it. A new one takes,
+        on each partition variable, the status its key is bound for, or
+        the key's current status when that key is not in transit.
+        """
+        moving = self.moving
+        for var in range(len(self._by_status)):
+            if (var, t[var]) in moving:
+                break
+        else:
+            return None
+        for lab, rel in self.parts.items():
+            if rel.get(t):
+                return lab
+        return "".join(moving.get((var, t[var]))
+                       or (HEAVY if t[var] in by[0] or t[var] in by[1] else LIGHT)
+                       for var, by in enumerate(self._by_status))
 
     def degree(self, var: int, key) -> int:
         """Degree of ``key`` on variable ``var``, over all parts."""
@@ -565,19 +585,18 @@ class QuadPartition(Partition):
     """Four-way split of a binary relation on the degrees of both variables.
 
     Part ``xy`` holds the tuples whose first-variable key has status ``x``
-    and second-variable key status ``y``; all but routing is ``Partition``'s.
+    and second-variable key status ``y``; all but the route of a tuple
+    with no key in transit is ``Partition``'s.
     """
 
-    __slots__ = ("_hl0", "_hh0", "_lh1", "_hh1", "_lookup")
+    __slots__ = ("_hl0", "_hh0", "_lh1", "_hh1")
 
     def __init__(self):
         self._split({lab: Relation(2) for lab in QUAD_LABELS})
-        # the heavy-key indexes of each variable, read by ``route``, and
-        # every part's first-variable index, where a stored tuple is found
+        # the heavy-key indexes of each variable, read by ``route``
         parts = self.parts
         self._hl0, self._hh0 = parts["hl"].indexes[IDX0], parts["hh"].indexes[IDX0]
         self._lh1, self._hh1 = parts["lh"].indexes[IDX1], parts["hh"].indexes[IDX1]
-        self._lookup = tuple((lab, rel.indexes[IDX0]) for lab, rel in parts.items())
 
     def route(self, t: tuple, force_heavy: bool = False) -> str:
         """Destination part by the current status of each key.
@@ -585,9 +604,9 @@ class QuadPartition(Partition):
         A value is heavy when it appears in the key index of a part that is
         heavy on its variable; absent values count light. So the label gives
         the statuses of both keys not in transit, which ``minor_check``
-        relies on. A tuple with a key in transit goes to the part that
-        stores it, or, when it is new, takes the status that key is bound
-        for; while no key is in transit that costs one truthiness check.
+        relies on. A tuple with a key in transit goes where
+        ``_route_moving`` sends it; while no key is in transit that costs
+        one truthiness check.
         """
         if force_heavy:
             return "hh"
@@ -600,23 +619,5 @@ class QuadPartition(Partition):
             return "hh" if b in self._lh1 or b in self._hh1 else "hl"
         return "lh" if b in self._lh1 or b in self._hh1 else "ll"
 
-    def _route_moving(self, t: tuple) -> str | None:
-        """The part of ``t`` when one of its keys is in transit, else ``None``."""
-        a, b = t[0], t[1]
-        s0 = self.moving.get((0, a))
-        s1 = self.moving.get((1, b))
-        if s0 is None and s1 is None:
-            return None
-        for lab, idx in self._lookup:
-            posts = idx.get(a)
-            if posts and b in posts:
-                return lab
-        if s0 is None:
-            s0 = HEAVY if a in self._hl0 or a in self._hh0 else LIGHT
-        if s1 is None:
-            s1 = HEAVY if b in self._lh1 or b in self._hh1 else LIGHT
-        return s0 + s1
-
     # perfbench's tracer wraps ``restrict`` through each class's own __dict__
     restrict = Partition.restrict
-

@@ -8,9 +8,11 @@ and a cubic one from the update alone (m squared and m cubed).
 
 So the engine is the triangle's generated plan (``LWEngine`` at degree 3)
 bound to one partition (on the source endpoint) standing in for all three
-relations and one wedge view, built once, in all three view slots. The
-delta of relation 0 reads relation 0 itself, so this engine computes its
-loaded count from the query's definition.
+relations. It names one relation where the plan has three, so
+``LWEngine`` keeps one wedge view in all three view slots, builds it once
+and counts it once in ``space_used``; this engine adds only the loop
+terms of the delta. The delta of relation 0 reads relation 0 itself, so
+this engine computes its loaded count from the query's definition.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class SelfJoinEngine(LWEngine):
         # the plan's delta is the triangle's, which this engine's ``delta`` wraps
         self._delta = self.__dict__.pop("delta")
 
-    def space_used(self) -> int:
-        return self.parts[0].total_size() + len(self.views[0])
-
     def delta(self, i: int, t: tuple, m: int) -> int:
         """Change of the count for the delta ``m`` of edge ``t``."""
         dq = 3 * self._delta(0, t, m)
@@ -40,11 +39,6 @@ class SelfJoinEngine(LWEngine):
             dq += 3 * m * m * self.parts[0].multiplicity(t)
             dq += m * m * m
         return dq
-
-    def rebuild_views(self) -> None:
-        view: dict = {}
-        self.views = [view] * 3
-        self._build_view(0)
 
     @classmethod
     def preprocess(cls, edges: dict, eps: float | tuple = 0.5,

@@ -195,7 +195,7 @@ def test_c05_selfjoin():
             b = a if gen.random() < 0.15 else gen.randrange(12)
             m = gen.choice((-2, -1, 1, 2))
             eng.on_update("R", (a, b), m)
-            trk.update((a, b), m)
+            trk.update("R", (a, b), m)
             if copies is not None:
                 copies.on_update("R", (a, b), m)
             if eng.answer() != trk.count or (copies and copies.answer() != trk.count):

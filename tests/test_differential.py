@@ -205,7 +205,7 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
         _record_minors(eng, minors)
         tracker = cli.build_tracker(family)
         for upd in stream[:preload]:
-            cli._tracker_update(tracker, upd)
+            tracker.update(upd.rel, upd.values, upd.mult)
         rng = random.Random(seed)
         fresh = count(10 ** 6)
         pending = iter(stream[preload:])
@@ -241,7 +241,7 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
                 if eps == 0.5:
                     _enum_views_exact(eng, view_names, where)
             else:
-                cli._tracker_update(tracker, upd)
+                tracker.update(upd.rel, upd.values, upd.mult)
                 assert eng.answer() == tracker.count, where
                 # at 1/4 the two-sided S-T join views fill: entries are
                 # created in columns that already hold others
@@ -297,7 +297,7 @@ class _Checked:
             db = self.db
             assert eng.result_multiset() == brute_force_enumerate(db["R"], db["S"], db["T"])
         else:
-            cli._tracker_update(self.tracker, Update(rel, t, m))
+            self.tracker.update(rel, t, m)
             assert eng.answer() == self.tracker.count, (rel, t, m)
 
 

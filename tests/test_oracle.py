@@ -58,7 +58,7 @@ class TestTrackersAgainstBruteForce:
         rng = random.Random(5)
         for step in range(500):
             t = (rng.randrange(7), rng.randrange(7))
-            trk.update(t, rng.choice((-2, -1, 1, 2)))
+            trk.update("R", t, rng.choice((-2, -1, 1, 2)))
             if step % 23 == 0:
                 assert trk.count == brute_force_selfjoin(dict(trk.rel))
         assert trk.count == brute_force_selfjoin(dict(trk.rel))
@@ -75,6 +75,14 @@ class TestTrackersAgainstBruteForce:
             for i, t, m in lw_stream(41, 300, 4, n):
                 trk.update(i, t, m)
             assert trk.count == brute_force_lw([dict(r) for r in trk.rels], n)
+
+    def test_lw_tracker_takes_names_or_positions(self):
+        by_position, by_name = LWTracker(4), LWTracker(4)
+        for i, t, m in lw_stream(43, 300, 4, 4):
+            by_position.update(i, t, m)
+            by_name.update(f"R{i + 1}", t, m)
+        assert by_name.count == by_position.count != 0
+        assert by_name.rels == by_position.rels
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +101,7 @@ def test_triangle_tracker_property(ops):
 def test_selfjoin_tracker_property(ops):
     trk = SelfJoinTracker()
     for a, b, m in ops:
-        trk.update((a, b), m)
+        trk.update("R", (a, b), m)
     assert trk.count == brute_force_selfjoin(dict(trk.rel))
 
 

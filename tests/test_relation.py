@@ -14,6 +14,8 @@ from helpers import degree, keys, matching, settle
 
 # the triangle's layout: the heavy part also indexes variable 1
 SPECS = {HEAVY: ((1,),), LIGHT: ()}
+# the layout of LWEngine(4)'s arity-3 partitions
+SPECS3 = {HEAVY: ((1, 2),), LIGHT: ((0, 1), (0, 2))}
 
 
 def rel_of(pairs: dict) -> Relation:
@@ -242,15 +244,20 @@ class TestRoute:
 
 
 class TestMoveKey:
-    def _make(self):
-        p = Partition(2, SPECS)
+    def _make(self, arity=2):
+        p = Partition(arity, SPECS if arity == 2 else SPECS3)
         for b, m in ((1, 1), (2, -2), (3, 1)):
-            p.light.upsert((7, b), m)
+            p.light.upsert(self._tuple(arity, b), m)
 
         def move(src, dst, t, m):
             p.parts[src].upsert(t, -m)
             p.parts[dst].upsert(t, m)
         return p, move
+
+    @staticmethod
+    def _tuple(arity, b):
+        """Key 7's tuple ``(7, b)``, or on arity 3 ``(7, b, b + 10)``."""
+        return (7, b, b + 10)[:arity]
 
     def test_moves_all_and_reports_count(self):
         p, move = self._make()
@@ -261,14 +268,17 @@ class TestMoveKey:
         assert not p.moving
 
     def test_budget_bounds_each_call(self):
-        p, move = self._make()
-        p.moving[0, 7] = HEAVY
-        assert p.move_key((0, 7), 2, move) == 2
-        assert p.moving == {(0, 7): HEAVY}
-        assert p.route((7, 1)) == HEAVY and p.route((7, 3)) == LIGHT
-        assert p.route((7, 9)) == HEAVY
-        assert p.move_key((0, 7), 2, move) == 1
-        assert not p.moving
+        for arity in (2, 3):
+            p, move = self._make(arity)
+            p.moving[0, 7] = HEAVY
+            assert p.move_key((0, 7), 2, move) == 2
+            assert p.moving == {(0, 7): HEAVY}
+            # a stored tuple stays in its part, a new one goes where its key is bound
+            assert p.route(self._tuple(arity, 1)) == HEAVY
+            assert p.route(self._tuple(arity, 3)) == LIGHT
+            assert p.route(self._tuple(arity, 9)) == HEAVY
+            assert p.move_key((0, 7), 2, move) == 1
+            assert not p.moving
 
     def test_absent_key_is_noop(self):
         p, move = self._make()
@@ -363,6 +373,30 @@ class TestQuadPartition:
         assert quad.route((99, 5)) == "lh"
         assert quad.route((98, 99)) == "ll"
         assert quad.route((98, 99), force_heavy=True) == "hh"
+
+    def test_route_with_keys_in_transit(self):
+        # heavy at 3: keys 1 and 2 on variable 0, keys 5 and 8 on variable 1
+        rows = {(1, 5): 1, (1, 6): 1, (1, 7): 1, (2, 5): 1, (2, 8): 1, (2, 9): 1,
+                (3, 5): 1, (3, 8): 1, (4, 8): 1}
+        # per transit: stored tuples, which keep their part, and new tuples,
+        # which take the bound status of a key in transit and the current
+        # status of the other key
+        cases = [
+            ({(0, 1): LIGHT}, {(1, 5): "hh", (1, 6): "hl", (2, 9): "hl"},
+             {(1, 8): "lh", (1, 99): "ll", (2, 99): "hl", (99, 5): "lh"}),
+            ({(1, 8): LIGHT}, {(2, 8): "hh", (3, 8): "lh", (2, 5): "hh"},
+             {(1, 8): "hl", (6, 8): "ll", (1, 99): "hl", (6, 5): "lh"}),
+            ({(0, 3): HEAVY, (1, 6): HEAVY}, {(3, 5): "lh", (1, 6): "hl", (3, 8): "lh"},
+             {(3, 6): "hh", (3, 7): "hl", (9, 6): "lh", (2, 6): "hh", (9, 9): "ll"}),
+            ({(0, 1): LIGHT, (1, 5): LIGHT}, {(1, 5): "hh", (2, 5): "hh", (3, 5): "lh"},
+             {(1, 9): "ll", (2, 7): "hl", (4, 5): "ll"}),
+        ]
+        for moving, stored, new in cases:
+            quad = strict_quad(rows, 3)
+            quad.moving.update(moving)
+            for t, lab in {**stored, **new}.items():
+                assert bool(quad.parts[lab].get(t)) == (t in stored), (moving, t)
+                assert quad.route(t) == lab, (moving, t)
 
     def test_restrict_reassigns_everything(self):
         # everything starts light on both variables; a lower threshold

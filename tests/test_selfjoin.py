@@ -35,7 +35,7 @@ class TestDeltas:
         trk = SelfJoinTracker()
         for rel, t, m in edge_stream(4, 60, 5):
             eng.on_update(rel, t, m)
-            trk.update(t, m)
+            trk.update(rel, t, m)
         q = eng.answer()
         eng.on_update("R", (5, 5), 1)
         eng.on_update("R", (5, 5), -1)
@@ -66,7 +66,7 @@ class TestRebalancing:
             m = rng.choice((-1, 1, 1))
             before = eng.counters.rebalance_minor
             eng.on_update("R", t, m)
-            trk.update(t, m)
+            trk.update("R", t, m)
             minors += eng.counters.rebalance_minor - before
             assert eng.answer() == trk.count
         assert minors > 0
@@ -79,6 +79,33 @@ class TestRebalancing:
             assert eng.parts[0].heavy.size() == 0
 
 
+class TestSharedView:
+    def test_one_view_in_every_slot_counted_once(self):
+        # two hub sources turn heavy, so the wedge view fills
+        rng = random.Random(4)
+        rows = {(rng.randrange(2), rng.randrange(40)): 1 for _ in range(60)}
+        rows.update(((rng.randrange(40), rng.randrange(2)), 1) for _ in range(60))
+        eng = SelfJoinEngine.preprocess(rows, 0.5)
+
+        def check():
+            views = eng.views
+            assert views[0] is views[1] is views[2]
+            assert views[0]
+            assert eng.space_used() == eng.parts[0].total_size() + len(views[0])
+        check()
+        eng.rebuild_views()
+        check()
+        majors, fresh = eng.counters.rebalance_major, 100
+        while eng.counters.rebalance_major == majors:
+            eng.on_update("R", (fresh, rng.randrange(2)), 1)
+            fresh += 1
+        check()
+        eng.finish_moves()
+        check()
+        assert eng.answer() == brute_force_selfjoin(dict(eng.parts[0].heavy.items())
+                                                    | dict(eng.parts[0].light.items()))
+
+
 class TestEquivalences:
     def test_oracle_equivalence_with_loops_and_negatives(self):
         for seed in range(8):
@@ -87,7 +114,7 @@ class TestEquivalences:
                 trk = SelfJoinTracker()
                 for rel, t, m in edge_stream(200 + seed, 350, 7):
                     eng.on_update(rel, t, m)
-                    trk.update(t, m)
+                    trk.update(rel, t, m)
                     assert eng.answer() == trk.count
                 assert trk.count == brute_force_selfjoin(dict(trk.rel))
                 assert not eng.check_invariants()
