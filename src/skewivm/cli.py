@@ -283,7 +283,7 @@ class RunConfig:
     emit: str = "final"
 
     def validate(self) -> None:
-        family_arities(self.query)
+        _family(self.query)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode != "ivm-eps" and self.query != "triangle":
@@ -313,8 +313,8 @@ def _record(step: int, engine) -> dict:
     }
 
 
-def _read_stream(cfg: RunConfig) -> list[Update]:
-    arities = family_arities(cfg.query)
+def _read_stream(cfg: RunConfig, engine) -> list[Update]:
+    arities = dict(zip(engine.names, engine.arities))
     if cfg.stream == "-":
         return parse_stream(sys.stdin, arities)
     with open(cfg.stream, "r", encoding="utf-8") as fh:
@@ -326,7 +326,7 @@ def run(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     # built first, so a bad exponent is refused before any input is read
     engine = build_engine(cfg)
-    updates = _read_stream(cfg)
+    updates = _read_stream(cfg, engine)
 
     metrics_fh = open(cfg.metrics, "w", encoding="utf-8") if cfg.metrics else None
     try:

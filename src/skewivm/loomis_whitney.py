@@ -116,9 +116,10 @@ class Plan(NamedTuple):
     order; otherwise ``kinds[i]`` names its key variable and, if it keeps
     one, the kept variable. ``builds[i]`` names two members ``(relation,
     label)`` of view i, each of which can build it by its upkeep walk over
-    its part (a listing holds one combination per member and is built by
-    both); or one, which builds it; or is ``None`` for a view written with
-    another. ``vars`` gives each relation's variables (``None``: cyclic).
+    its whole part (the engine picks one, ``LWEngine._first_builds``; a
+    listing holds one combination per member and is built by both); or
+    one, which builds it; or is ``None`` for a view written with another.
+    ``vars`` gives each relation's variables (``None``: cyclic).
     ``lookups[v]`` is ``(guard, views)``: the relation kept whole whose
     entry at the update zeroes the delta or multiplies it (or ``None``),
     and the views the delta reads at the update (``None``: view v at the
@@ -397,10 +398,10 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
         for w in plan.upkeep[v][last]:
             walk(3, *w)
         store(3, v, last)
-    # view i from the part of its first member (its light member), or of
-    # its second (its anchor), walked through the part's lookup index; by
-    # its one member from that part, bound here (by each key of a mask)
-    emit(1, "def build(i, light, rows):")
+    # view i from the part of its first member (``light``) or of its
+    # second, walked through the part's lookup index (by each key of a
+    # mask), or over the whole map of a relation kept whole
+    emit(1, "def build(i, light):")
     for i, members in enumerate(plan.builds):
         if members is None:
             continue
@@ -410,7 +411,7 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
             if lab in masks[j]:
                 walks.append(masked(j, lab))
             spec, w = next((spec, w) for spec, w in walks if i in written(w[4]))
-            src = "rows" if len(members) > 1 else _index_name(j, lab, spec or IDX0)
+            src = f"P{j}" if lab == WHOLE else _index_name(j, lab, spec or IDX0)
             if spec is not None or lab == WHOLE:
                 emit(depth, f"for t{spec[0]} in {src}:" if spec else f"for t0, m in {src}.items():")
                 walk(depth + 1, *w, mult="" if spec else "m * ")
@@ -591,9 +592,11 @@ class LWEngine:
                 bindings.update((_index_name(j, lab, spec), rel.indexes[spec]) for spec in held)
         # ``delta(i, t, m)``: the answer's change when ``m`` is added to ``t``
         # of relation ``i``, read before the update (``None`` without a
-        # count); ``apply_update(i, label, t, m)``: one routed update to the
-        # parts and views, returning the tuple's stored multiplicity after it
-        self.delta, self.apply_update, self._build = bind(**bindings)
+        # count), the plan's ``_delta`` unless a subclass wraps it;
+        # ``apply_update(i, label, t, m)``: one routed update to the parts
+        # and views, returning the tuple's stored multiplicity after it
+        self._delta, self.apply_update, self._build = bind(**bindings)
+        self.delta = self._delta
 
     @property
     def views(self) -> list[dict]:
@@ -870,11 +873,12 @@ class LWEngine:
     def loaded_count(self, rows: dict) -> int:
         """The answer over the freshly built parts and views; 0 without a count.
 
-        ``rows`` are relation 0's loaded rows. The answer is linear in
-        relation 0 and its delta does not read relation 0, so the sum of
-        the rows' deltas against the finished state is exact.
+        ``rows`` are relation 0's loaded rows, each weighted by the plan's
+        delta (``_delta``, without an engine's own terms). The answer is
+        linear in relation 0 and that delta does not read relation 0, so
+        the sum against the finished state is exact.
         """
-        delta = self.delta
+        delta = self._delta
         if delta is None:
             return 0
         return sum(delta(0, t, m) for t, m in rows.items())
@@ -894,26 +898,31 @@ class LWEngine:
     def _build_view(self, i: int) -> None:
         """Build view i by its members' upkeep walks over their parts.
 
-        A listing is built by both. Any other view is built by one, chosen
-        by cost: a light member's tuple (relation i-1) walks heavy keys of
-        relation i-2, an anchor's a light row of relation i-1. A view with
-        one member is built by it, and a transpose with the view it mirrors.
+        A view with one member is built by it, a listing by both, a view
+        written with another with that one, and a view with a member
+        holding no rows not at all. Any other view is built by the member
+        ``_first_builds`` picks.
         """
-        members = self._builds[i]
-        if members is None or len(members) == 1:  # built with another view, or by its one member
-            if members:
-                self._build(i, True, None)
-            return
-        n, eps, N = self.n, self._plan_eps, self.N
-        (lj, llab), (aj, alab) = members
-        lrel, arel = self._ring[lj].parts[llab], self._ring[aj].parts[alab]
-        if self._kinds[i] == ALL:
-            self._build(i, True, lrel.indexes[IDX0])
-            self._build(i, False, arel.indexes[IDX0])
-        elif lrel and arel:
-            light = (len(arel) * 1.5 * N ** eps[lj]
-                     > len(lrel) * 2 * N ** (1.0 - eps[(i - 2) % n]))
-            self._build(i, light, (lrel if light else arel).indexes[IDX0])
+        rows = [self._whole[j] if lab == WHOLE else self._ring[j].parts[lab]
+                for j, lab in self._builds[i] or ()]
+        if len(rows) == 1:
+            self._build(i, True)
+        elif self._kinds[i] == ALL:
+            self._build(i, True)
+            self._build(i, False)
+        elif rows and all(rows):
+            self._build(i, self._first_builds(i, *rows))
+
+    def _first_builds(self, i: int, first, second) -> bool:
+        """Whether view i's first member builds it, given both members' rows.
+
+        By cost: a tuple of the first (light) member, relation i-1, walks
+        heavy keys of relation i-2, one of the second (the anchor) a light
+        row of relation i-1.
+        """
+        eps, N = self._plan_eps, self.N
+        return (len(second) * 1.5 * N ** eps[self._builds[i][0][0]]
+                > len(first) * 2 * N ** (1.0 - eps[(i - 2) % self.n]))
 
     def check_invariants(self, loose: bool = True) -> list[str]:
         """Broken size or partition conditions; empty when healthy.

@@ -160,14 +160,11 @@ class Path4Engine(LWEngine):
         # the relations by name, as perfbench reads them
         (self.r, self.u), (self.s, self.t) = self._whole.values(), self.parts[1:3]
 
-    def _build_view(self, i: int) -> None:
-        # by the walk of the member with fewer tuples: each costs about the
-        # same per tuple, and a join's two members count the same postings
-        members = self._builds[i]
-        if members is None or len(members) == 1:
-            return super()._build_view(i)
-        rows = [self._whole[j] if lab == WHOLE else self.parts[j].parts[lab] for j, lab in members]
-        if rows[0] and rows[1]:
-            light = len(rows[0]) <= len(rows[1])
-            rel = rows[0] if light else rows[1]
-            self._build(i, light, rel if isinstance(rel, dict) else rel.indexes[IDX0])
+    def _first_builds(self, i: int, first, second) -> bool:
+        """Whether view i's first member builds it: the member with fewer tuples.
+
+        Each member's walk costs about the same per tuple, and a join's two
+        members count the same postings, so the cost rule of the cyclic
+        plans does not apply.
+        """
+        return len(first) <= len(second)

@@ -594,9 +594,7 @@ class QuadPartition(Partition):
     def __init__(self):
         self._split({lab: Relation(2) for lab in QUAD_LABELS})
         # the heavy-key indexes of each variable, read by ``route``
-        parts = self.parts
-        self._hl0, self._hh0 = parts["hl"].indexes[IDX0], parts["hh"].indexes[IDX0]
-        self._lh1, self._hh1 = parts["lh"].indexes[IDX1], parts["hh"].indexes[IDX1]
+        (self._hl0, self._hh0, *_), (self._lh1, self._hh1, *_) = self._by_status
 
     def route(self, t: tuple, force_heavy: bool = False) -> str:
         """Destination part by the current status of each key.

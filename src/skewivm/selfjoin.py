@@ -11,8 +11,10 @@ bound to one partition (on the source endpoint) standing in for all three
 relations. It names one relation where the plan has three, so
 ``LWEngine`` keeps one wedge view in all three view slots, builds it once
 and counts it once in ``space_used``; this engine adds only the loop
-terms of the delta. The delta of relation 0 reads relation 0 itself, so
-this engine computes its loaded count from the query's definition.
+terms of the delta, in a ``delta`` method around the plan's
+(``_delta``). The loaded count is ``LWEngine``'s, the plan's delta summed
+over the edges: ``sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)`` is the
+query's definition, loops included, so no correction term enters.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ class SelfJoinEngine(LWEngine):
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         super().__init__(3, eps, counters)
-        # the plan's delta is the triangle's, which this engine's ``delta`` wraps
-        self._delta = self.__dict__.pop("delta")
+        # the instance's ``delta`` is the plan's; without it ``on_update``
+        # calls this class's, which wraps the plan's
+        del self.delta
 
     def delta(self, i: int, t: tuple, m: int) -> int:
         """Change of the count for the delta ``m`` of edge ``t``."""
@@ -45,11 +48,3 @@ class SelfJoinEngine(LWEngine):
                    counters: OpCounters | None = None) -> "SelfJoinEngine":
         """Ready state from a full edge relation ``{edge: multiplicity}``."""
         return super().preprocess([edges], eps, counters)
-
-    def loaded_count(self, rows: dict) -> int:
-        """The count after ``preprocess``: each edge's multiplicity times its one-hop sum.
-
-        ``q = sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)`` is the query's
-        definition, loops included, so no correction term enters.
-        """
-        return sum(self._delta(0, t, m) for t, m in rows.items())

@@ -11,6 +11,7 @@ import pytest
 from skewivm import cli
 from skewivm.cli import (ConfigError, RunConfig, StreamFormatError, Update,
                          family_arities, format_stream, parse_stream)
+from skewivm.loomis_whitney import LWEngine
 
 
 class TestParseStream:
@@ -103,6 +104,17 @@ class TestRun:
             rc = cli.main(["run", "--query", query, "--mode", mode,
                            "--stream", str(path), "--verify"])
             assert rc == 0, (query, mode)
+
+    def test_one_engine_per_run(self, tmp_path, monkeypatch):
+        # the stream is read by the schema of the engine the run replays
+        made = []
+        init = LWEngine.__init__
+        monkeypatch.setattr(LWEngine, "__init__",
+                            lambda self, *args: made.append(self) or init(self, *args))
+        path = tmp_path / "stream.txt"
+        path.write_text("R + 1\nS + 1 2\nT + 2 3\nU + 3\n", encoding="utf-8")
+        assert cli.main(["run", "--query", "path4", "--stream", str(path)]) == 0
+        assert len(made) == 1
 
     def test_static_mode(self, tmp_path, capsys):
         path = self.triangle_file(tmp_path, ["R + 1 2", "S + 2 3", "T + 3 1",
