@@ -68,6 +68,7 @@ every plan.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import ChainMap, deque
 from collections.abc import Mapping
@@ -455,6 +456,14 @@ def compiled(plan_of, n: int) -> tuple:
 
 # tuple moves each update drains from the queue of rebalance moves
 B = 2
+# key degrees each update reads, across the engine, of the light keys a
+# halving left unread. The halving leaves db_size = N//4 - 1 =: s, so the
+# partitions hold at most 2s such keys (a key per stored tuple on each of
+# at most two partition variables). The new base is N//2 - 1 <= 2s + 2,
+# so the next halving needs at least s + 1 - (s + 1)/2 = (s + 1)/2 size
+# changes, and a doubling more; 4 reads per update cover 2s + 2 keys, and
+# 4s/(s + 1) approaches 4, so no smaller constant does for every s.
+SWEEP = 4
 
 
 class LWEngine:
@@ -475,9 +484,14 @@ class LWEngine:
         base ``N``: reaching ``N`` doubles it, falling below a quarter
         roughly halves it, and either triggers a major rebalance, which
         puts every key whose strict status flips in transit (the answer
-        never changes). A doubling checks every heavy key but only the
-        light keys that climbed past the old threshold since the last split
-        (the partitions' degree watermarks); a halving checks every key;
+        never changes). A major reads the heavy keys, the keys in transit
+        and, per partition variable, the light keys its degree watermark
+        recorded: those that reached the threshold the next halving would
+        set, rounded up (``_marks``), which a doubling's threshold exceeds.
+        A halving lowers that mark; it copies its light keys, without
+        reading a degree, and every later update reads ``SWEEP`` of them
+        and records those at or above the mark, which ends before the
+        next major can fire;
       * minor rebalancing: a key that drifts past one and a half times, or
         below half of, its relation's threshold ``N ** eps`` (computed when
         ``N`` changes, not per update) is put in transit to the other part.
@@ -498,9 +512,11 @@ class LWEngine:
         key is in transit its tuples may sit in both parts: routing sends a
         stored tuple to the part that holds it and a new one to the key's
         destination, and the generated walks combine the parts tuple by
-        tuple. A major that finds moves still queued makes them first
-        (``flushes`` counts those majors), so it starts from a settled
-        split; right after a major, ``finish_moves`` (which empties the
+        tuple. A major leaves the moves still queued in the queue: it
+        judges each key in transit by its degree over all parts against
+        the new threshold, turns it around if needed, and queues only the
+        keys it newly puts in transit, so no update makes more than ``B``
+        moves. Right after a major, ``finish_moves`` (which empties the
         queue at once) leaves the split strict for the new ``N``;
       * the one loader, ``preprocess``, which sets ``N`` to twice the
         database size plus one, fills every partition strictly from its
@@ -561,8 +577,8 @@ class LWEngine:
         self.counters = counters if counters is not None else OpCounters()
         # (relation, key) per key in transit, in the order its moves were queued
         self._queue: deque = deque()
-        # majors that found moves still queued and made them first
-        self.flushes = 0
+        # the partitions with light keys a halving left unread
+        self._sweeping: list = []
 
         shared = len(names) < n
         self._plan_eps = self._eps * n if shared else self._eps
@@ -576,8 +592,9 @@ class LWEngine:
                        and (kind in (SUM, ALL) or len(kind) == 1)]
         self._whole = {j: {} for j in range(n) if WHOLE in plan.upkeep[j]}
         # every part of a quad split indexes both variables, whatever the walks read
-        self.parts = [None if j in self._whole else QuadPartition()
-                      if plan.labels == QUAD_LABELS else Partition(self.arities[j], specs)
+        self.parts = [None if j in self._whole else QuadPartition(self.counters)
+                      if plan.labels == QUAD_LABELS
+                      else Partition(self.arities[j], specs, self.counters)
                       for j in range(len(names))]
         self._ring = self.parts * n if shared else self.parts
         self._views = self._empty_views()
@@ -632,8 +649,12 @@ class LWEngine:
 
     def _set_thetas(self) -> None:
         # N changes only on a major rebalance or a load, so the thresholds
-        # N ** eps are computed there, not on every update
+        # N ** eps are computed there, not on every update, with each
+        # watermark's mark: the threshold a halving to N//2 - 1 would set,
+        # rounded up (1 while N is too small to halve)
         self._thetas = tuple(self.N ** e for e in self._eps)
+        base = max(self.N // 2 - 1, 1)
+        self._marks = tuple(math.ceil(base ** e) for e in self._eps)
 
     def rel_index(self, rel) -> int:
         """Position of relation ``rel``, given by name or by position.
@@ -682,7 +703,8 @@ class LWEngine:
         """Check, route and apply one update, then rebalance as needed.
 
         Once the update is known to be valid, up to ``B`` queued tuple
-        moves are made first. The answer gains the update's ``delta``,
+        moves are made first, and ``SWEEP`` keys a halving left unread are
+        read. The answer gains the update's ``delta``,
         read before the update; then ``apply_update`` returns the stored
         multiplicity. If that is neither ``m`` (a create) nor 0 (a
         delete), the update changed only the multiplicity of a stored
@@ -697,6 +719,8 @@ class LWEngine:
         i = self._checked_tuple(rel, t)
         if self._queue:
             self._drain(B)
+        if self._sweeping:
+            self._sweep()
         part = self.parts[i]
         if part is None:
             label = None
@@ -740,24 +764,25 @@ class LWEngine:
     def major_rebalance(self, i: int | None = None, grown: tuple | None = None) -> None:
         """Put every key whose strict status for the current ``N`` differs in transit.
 
-        Moves still queued are made first, so each ``restrict`` starts
-        from a settled split; ``flushes`` counts the majors that found
-        any. Then every partition enters its flipped keys in its
-        ``moving`` map and they are queued, to be moved ``B`` tuples per
+        Every partition judges its keys against its new threshold and
+        mark (``restrict``): keys already in transit keep their place in
+        the queue, turned around where needed, and the keys it newly puts
+        in transit are queued after them, to be moved ``B`` tuples per
         later update. A major that flips nothing does no view work.
         ``grown`` is the tuple of relation ``i`` whose create doubled
-        ``N``, unchecked by ``minor_check``.
+        ``N``, unchecked by ``minor_check``. The partitions a halving left
+        light keys to read are swept from the next update on.
         """
-        c = self.counters
-        c.rebalance_major += 1
-        if self._queue:
-            self.flushes += 1
-            self.finish_moves()
+        self.counters.rebalance_major += 1
         self._set_thetas()
-        queue = self._queue
+        queue, self._sweeping = self._queue, []
         for j, part in enumerate(self.parts):
-            if part is not None and part.restrict(self._thetas[j], grown if j == i else None):
-                queue.extend((j, key) for key in part.moving)
+            if part is not None:
+                new = part.restrict(self._thetas[j], self._marks[j], grown if j == i else None)
+                if new:
+                    queue.extend((j, key) for key in list(part.moving)[-new:])
+                if any(part.unswept):
+                    self._sweeping.append(part)
 
     def minor_rebalance(self, i: int, key) -> None:
         """Queue the moves of ``key``, which partition ``i`` has just put in transit."""
@@ -781,6 +806,16 @@ class LWEngine:
                 break
             queue.popleft()
         self.counters.moves += moved
+
+    def _sweep(self) -> None:
+        """Read ``SWEEP`` keys left by the last halving, partition by partition."""
+        sweeping = self._sweeping
+        budget = SWEEP
+        while sweeping:
+            budget -= sweeping[-1].sweep(budget)
+            if not budget:
+                return
+            sweeping.pop()
 
     def finish_moves(self) -> None:
         """Make every queued move now, whatever the per-update budget.
@@ -822,7 +857,7 @@ class LWEngine:
             if part is None:
                 eng._whole[i].update((t[0], m) for t, m in rows.items())
             else:
-                part.load(rows, eng._thetas[i])
+                part.load(rows, eng._thetas[i], eng._marks[i])
         eng.rebuild_views()
         eng.q = eng.loaded_count(tables[0])
         return eng

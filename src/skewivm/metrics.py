@@ -6,7 +6,10 @@ standalone point probe, one ``moves`` tick per tuple migrated during
 rebalancing, plus event counters for major and minor rebalances. Summed,
 these are a machine-independent proxy for running time, which is the
 primary signal here; wall-clock time is reported only as a secondary
-column by the benchmark driver.
+column by the benchmark driver. Beside them, ``checks`` counts the keys
+whose degree the partitions read to decide a rebalance; it is left out
+of ``snapshot()`` and ``total_steps()``, so those stay the five recorded
+totals.
 
 ``fit_scaling`` turns a series of (size, cumulative ops) measurements into
 a log-log slope, the desk-scale stand-in for an asymptotic exponent.
@@ -19,9 +22,11 @@ from typing import Sequence
 
 
 class OpCounters:
-    """Monotone counters of primitive lookups, iterations and moves."""
+    """Monotone counters of primitive lookups, iterations and moves, and of key checks."""
 
-    __slots__ = ("lookups", "iterations", "moves", "rebalance_major", "rebalance_minor")
+    # the five totals of ``snapshot``
+    COUNTS = ("lookups", "iterations", "moves", "rebalance_major", "rebalance_minor")
+    __slots__ = (*COUNTS, "checks")
 
     def __init__(self):
         self.lookups = 0
@@ -29,16 +34,17 @@ class OpCounters:
         self.moves = 0
         self.rebalance_major = 0
         self.rebalance_minor = 0
+        self.checks = 0
 
     def total_steps(self) -> int:
         """Primitive-step total: lookups + iterations + moves."""
         return self.lookups + self.iterations + self.moves
 
     def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self.COUNTS}
 
     def __repr__(self):
-        return f"OpCounters({self.snapshot()})"
+        return f"OpCounters({self.snapshot()}, checks={self.checks})"
 
 
 def fit_scaling(sizes: Sequence[int], totals: Sequence[float]) -> float:

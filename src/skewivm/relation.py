@@ -29,26 +29,28 @@ threshold and labels its parts with one status, heavy or light, per
 variable: ``Partition`` splits on variable 0 into two parts, each with
 the indexes its engine gives that part label, ``QuadPartition`` on both
 variables of a binary relation into four, and the two differ only in
-how they route a tuple none of whose keys is in transit. The engine
-(``LWEngine``) calls ``load`` to fill the parts strictly from a full
-database, ``restrict`` to put the keys a major rebalance flips in transit,
-``minor_check`` to put in transit a key an update moved past its loose
-bound (only the bound that update can cross is read) and ``move_key`` to
-have up to a budget of a key's tuples moved one by one. A key in transit
-(``moving[(var, key)]``) may have tuples in parts of both statuses until
-its last tuple has moved. One rule (``Partition._route_moving``) routes a
-tuple with a key in transit on either split: a stored tuple stays in its
-part, and a new one takes, per variable, the status its key is bound for
-or else the key's current status.
+how they route a tuple. The engine (``LWEngine``) calls ``load`` to fill
+the parts strictly from a full database, ``restrict`` to put the keys a
+major rebalance flips in transit, ``minor_check`` to put in transit a key
+an update moved past its loose bound (only the bound that update can
+cross is read), ``sweep`` to read a few of the light keys a halving left
+unread, and ``move_key`` to have up to a budget of a key's tuples moved
+one by one. A key in transit (``moving[(var, key)]``) may have tuples in
+parts of both statuses until its last tuple has moved: a stored tuple
+stays in its part, and a new one takes, per variable, the status its key
+is bound for or else the key's current status. Routing tests the tuple's
+keys for transit first and then probes only the parts other than that
+destination which can still hold the tuple.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import chain, compress
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
+
+from .metrics import OpCounters
 
 
 class SchemaError(ValueError):
@@ -63,6 +65,8 @@ HEAVY = "h"
 LIGHT = "l"
 
 QUAD_LABELS = ("hh", "hl", "lh", "ll")
+# the other status
+FLIP = {HEAVY: LIGHT, LIGHT: HEAVY}
 
 IDX0 = (0,)
 IDX1 = (1,)
@@ -249,11 +253,21 @@ class Partition:
     drift inside the loose bounds (heavy keys at or above half the
     threshold, light keys below one and a half times it); a key in
     transit is held, by its degree over all parts, to the bound of the
-    status it is bound for. Per variable, a degree watermark
-    (``tall[var]``, a dict used as an ordered set) records the light keys
-    that reached ``tall_at``, the last split's threshold rounded up, so
-    that a doubling checks only those light keys. The threshold is the
-    engine's: every method that reads it takes it as an argument.
+    status it is bound for. The threshold is the engine's: every method
+    that reads it takes it as an argument.
+
+    Per variable, a degree watermark (``tall[var]``, a dict used as an
+    ordered set) records the light keys whose degree reached the mark
+    ``tall_at``: the threshold the next halving would set, rounded up,
+    which the engine passes to ``load`` and ``restrict``. A halving flips
+    exactly the light keys at or above it and a doubling a subset of
+    them, so a major reads only the heavy keys, the keys in transit and
+    the recorded ones. Every light key at or above the mark is recorded,
+    and so is every key in transit bound light, except that the light
+    keys a halving copied into ``unswept[var]`` when it lowered the mark
+    wait there until ``sweep`` reads them. Recorded keys may have fallen
+    below the mark since. ``counters.checks`` counts the keys whose
+    degree ``restrict``, ``minor_check`` and ``sweep`` read.
 
     Each part's indexes are given per part label (``index_specs``), after
     the partition key's index (on variable 0), which comes first in both
@@ -261,16 +275,16 @@ class Partition:
     ``light`` name the two parts.
     """
 
-    __slots__ = ("parts", "moving", "tall_at", "tall", "heavy", "light",
+    __slots__ = ("parts", "moving", "tall_at", "tall", "unswept", "counters", "heavy", "light",
                  "_heavy_keys", "_by_status", "_on_create", "_on_delete", "_away")
 
-    def __init__(self, arity: int, index_specs: dict):
+    def __init__(self, arity: int, index_specs: dict, counters: OpCounters | None = None):
         self.heavy, self.light = (Relation(arity, (IDX0, *index_specs[lab]))
                                   for lab in (HEAVY, LIGHT))
-        self._split({HEAVY: self.heavy, LIGHT: self.light})
+        self._split({HEAVY: self.heavy, LIGHT: self.light}, counters)
         self._heavy_keys = self.heavy.indexes[IDX0]
 
-    def _split(self, parts: dict[str, Relation]) -> None:
+    def _split(self, parts: dict[str, Relation], counters: OpCounters | None) -> None:
         """Take ``parts``, labelled one status per variable, and cache their indexes.
 
         A relation builds its index dicts once and never replaces them.
@@ -281,6 +295,8 @@ class Partition:
         self.moving: dict = {}
         self.tall_at = 1
         self.tall = tuple({} for _ in variables)
+        self.unswept = tuple([] for _ in variables)
+        self.counters = counters if counters is not None else OpCounters()
 
         def indexes(var: int, status: str) -> tuple:
             # the variable's index in the two parts of that status, the part
@@ -314,39 +330,20 @@ class Partition:
 
         Heavy when the key ``t[0]`` is already present in the heavy
         part's partition-key index or when ``force_heavy`` pins every
-        tuple heavy; light otherwise. A tuple of a key in transit goes
-        where ``_route_moving`` sends it; while no key is in transit that
-        costs one truthiness check. A key not in transit lives in one
-        part, so the label is also where its degree is kept, which
-        ``minor_check`` relies on.
+        tuple heavy; light otherwise. A tuple whose key is in transit goes
+        to the part the key is bound for, unless the other part holds it
+        (one probe); while no key is in transit, that costs one truthiness
+        check. A key not in transit lives in one part, so the label is
+        also where its degree is kept, which ``minor_check`` relies on.
         """
         if self.moving:
-            lab = self._route_moving(t)
-            if lab is not None:
-                return lab
+            dst = self.moving.get((0, t[0]))
+            if dst is not None:
+                src = FLIP[dst]
+                return src if self.parts[src].get(t) else dst
         if force_heavy or t[0] in self._heavy_keys:
             return HEAVY
         return LIGHT
-
-    def _route_moving(self, t: tuple) -> str | None:
-        """The part of ``t`` when one of its keys is in transit, else ``None``.
-
-        A stored tuple stays in the part that holds it. A new one takes,
-        on each partition variable, the status its key is bound for, or
-        the key's current status when that key is not in transit.
-        """
-        moving = self.moving
-        for var in range(len(self._by_status)):
-            if (var, t[var]) in moving:
-                break
-        else:
-            return None
-        for lab, rel in self.parts.items():
-            if rel.get(t):
-                return lab
-        return "".join(moving.get((var, t[var]))
-                       or (HEAVY if t[var] in by[0] or t[var] in by[1] else LIGHT)
-                       for var, by in enumerate(self._by_status))
 
     def degree(self, var: int, key) -> int:
         """Degree of ``key`` on variable ``var``, over all parts."""
@@ -370,53 +367,65 @@ class Partition:
         minor restores the bound of the key it moves). An update changes a
         key's degree by one, so a variable is checked only when a create
         landed where its key is light (it may reach one and a half times
-        ``theta``; at ``tall_at`` the watermark records it) or a delete
-        where its key is heavy (it may fall below half of it), reading the
-        parts of that status only. Every variable is checked against the
-        same state, so one update can queue a minor per variable, through
-        ``engine.minor_rebalance(i, (var, key))``. A key already in transit
-        is judged over all parts against the status it is bound for, and
-        recorded by the watermark while bound light.
+        ``theta``; at the mark ``tall_at`` the watermark records it) or a
+        delete where its key is heavy (it may fall below half of it),
+        reading the parts of that status only. Every variable is checked
+        against the same state, so one update can queue a minor per
+        variable, through ``engine.minor_rebalance(i, (var, key))``. A key
+        already in transit is judged over all parts against the status it
+        is bound for. A key turned light, or created on while bound light,
+        is recorded at or above the mark.
         """
         moving = self.moving
         if grew:
-            tall_at = self.tall_at
             for var, idx_a, idx_b, tall in self._on_create[label]:
                 key = t[var]
                 if moving and (var, key) in moving:
                     continue
+                self.counters.checks += 1
                 d = len(idx_a.get(key, ())) + len(idx_b.get(key, ()))
-                # d is an integer, so d >= 1.5 * theta implies d >= tall_at
-                if d >= tall_at:
+                # d is an integer and the mark is at most theta rounded up,
+                # so d >= 1.5 * theta implies d >= tall_at
+                if d >= self.tall_at:
                     tall[key] = None
                     if d >= 1.5 * theta:
                         moving[var, key] = HEAVY
                         engine.minor_rebalance(i, (var, key))
         else:
-            for var, idx_a, idx_b, _ in self._on_delete[label]:
+            for var, idx_a, idx_b, tall in self._on_delete[label]:
                 key = t[var]
                 if moving and (var, key) in moving:
                     continue
-                if 0 < len(idx_a.get(key, ())) + len(idx_b.get(key, ())) < 0.5 * theta:
+                self.counters.checks += 1
+                d = len(idx_a.get(key, ())) + len(idx_b.get(key, ()))
+                if 0 < d < 0.5 * theta:
+                    if d >= self.tall_at:
+                        tall[key] = None
                     moving[var, key] = LIGHT
                     engine.minor_rebalance(i, (var, key))
         if moving:
+            tall_at = self.tall_at
             for var, tall in enumerate(self.tall):
                 key = t[var]
                 dst = moving.get((var, key))
-                if dst is None:
+                # a create cannot break the bound of a key bound heavy, nor
+                # a delete that of a key bound light
+                if dst is None or (dst == HEAVY) == grew:
                     continue
                 # a key that crossed its destination's bound turns around; it
                 # keeps its place in the queue, and its moves take back the
                 # tuples already moved
+                self.counters.checks += 1
                 d = self.degree(var, key)
-                if not grew:
-                    if dst == HEAVY and 0 < d < 0.5 * theta:
-                        moving[var, key] = LIGHT
-                elif dst == LIGHT and d >= self.tall_at:
-                    tall[key] = None
-                    if d >= 1.5 * theta:
-                        moving[var, key] = HEAVY
+                if grew:
+                    if d >= tall_at:
+                        tall[key] = None
+                        if d >= 1.5 * theta:
+                            moving[var, key] = HEAVY
+                elif 0 < d < 0.5 * theta:
+                    if d >= tall_at:
+                        tall[key] = None
+                    moving[var, key] = LIGHT
 
     def move_key(self, key: tuple, budget: int, move: Callable) -> int:
         """Move up to ``budget`` tuples of ``key = (var, value)``, in transit.
@@ -449,58 +458,109 @@ class Partition:
         del moving[key]
         return moved
 
-    def load(self, rows: dict, theta: float) -> None:
+    def load(self, rows: dict, theta: float, tall_at: int) -> None:
         """Fill the empty parts with ``rows``, strict for ``theta`` on every variable.
 
         ``rows`` maps tuples to nonzero multiplicities. A key is heavy on a
-        variable when its degree there in ``rows`` is at least ``theta``,
-        so every light key stays below the watermark, as after ``restrict``.
-        Each part is filled in bulk (``Relation.fill``), its tuples in the
-        order of ``rows``.
+        variable when its degree there in ``rows`` is at least ``theta``.
+        The mark becomes ``tall_at``, and the watermark takes the light
+        keys at or above it from the same degree counts. Each part is
+        filled in bulk (``Relation.fill``), its tuples in the order of
+        ``rows``.
         """
         # each row's part label, one status per variable, built column by column
         labels = None
-        for var in range(len(self.tall)):
+        for var, tall in enumerate(self.tall):
             degree = Counter(map(itemgetter(var), rows))
             status = {k: HEAVY if d >= theta else LIGHT for k, d in degree.items()}
+            tall.update(dict.fromkeys(k for k, d in degree.items() if tall_at <= d < theta))
             column = map(status.__getitem__, map(itemgetter(var), rows))
             labels = column if labels is None else map(add, labels, column)
-        self.tall_at = math.ceil(theta)
+        self.tall_at = tall_at
         labels = list(labels)
         for lab, rel in self.parts.items():
             keep = list(map(lab.__eq__, labels))
             rel.fill(list(compress(rows, keep)), list(compress(rows.values(), keep)))
 
-    def restrict(self, theta: float, grown: tuple | None = None) -> int:
+    def restrict(self, theta: float, tall_at: int, grown: tuple | None = None) -> int:
         """Put every key whose strict status for ``theta`` differs in transit.
 
-        No key may be in transit. Every heavy key is checked. The watermark
-        stands at the previous threshold rounded up, and the last split (or
-        the empty start) left every light key below it, so when ``theta``
-        rounds up to no less, as on a doubling, a light key at or above
-        ``theta`` must have crossed the watermark since: only the light keys
-        it recorded are checked, plus the keys of ``grown``, the tuple whose
-        create triggered the doubling (its update went unchecked). A lower
-        threshold checks every light key.
+        The mark in place must not exceed ``theta`` rounded up: the engine
+        sets it at the threshold the next halving would set, and a
+        doubling's threshold is higher. So every light key at or above
+        ``theta`` is recorded or waits in ``unswept``, and only those keys
+        are read, with the keys of ``grown`` (the tuple whose create
+        triggered a doubling; its update went unchecked), the heavy keys
+        and the keys in transit. A key in transit is judged by its degree
+        over all parts and turned around where its strict status differs
+        from the one it is bound for; it keeps its place in the engine's
+        queue.
 
-        Each flipped key is entered in ``moving`` as ``(var, key)``,
-        variable by variable and, per variable, promotions first, for the
-        engine to queue and move through ``move_key``. Returns the number
-        of keys put in transit.
+        Each newly flipped key is entered in ``moving`` as ``(var, key)``,
+        after the keys already there, variable by variable and, per
+        variable, promotions first, for the engine to queue and move
+        through ``move_key``. The mark becomes ``tall_at``, and the
+        watermark keeps the keys read that are, or turn, light at or above
+        it. A mark lower than the last one (a halving) leaves the light
+        keys below the last one unread: they are copied, without reading
+        a degree, into ``unswept`` for ``sweep``. Returns the number of keys
+        newly put in transit.
         """
         moving = self.moving
-        tall_at = math.ceil(theta)
-        doubling = tall_at >= self.tall_at
+        known = checks = len(moving)
+        halving = tall_at < self.tall_at
         for var, tall in enumerate(self.tall):
-            light = None if not doubling else tall if grown is None else (*tall, grown[var])
-            up, down = self._crossing(var, theta, theta, light)
-            for k, _ in up:
-                moving[var, k] = HEAVY
-            for k, _ in down:
-                moving[var, k] = LIGHT
+            ha, hb, la, lb = self._by_status[var]
+            unswept = self.unswept[var]
+            keep = {}
+            for key in moving:  # values are rewritten, no key is added
+                if key[0] == var:
+                    d = self.degree(var, key[1])
+                    if d >= theta:
+                        moving[key] = HEAVY
+                    else:
+                        moving[key] = LIGHT
+                        if d >= tall_at:
+                            keep[key[1]] = None
+            light = [*tall, *unswept] if grown is None else [*tall, *unswept, grown[var]]
+            checks += len(light) + len(ha) + len(hb)
+            for k in light:
+                if (var, k) not in moving:
+                    d = len(la.get(k, ())) + len(lb.get(k, ()))
+                    if d >= theta:
+                        moving[var, k] = HEAVY
+                    elif d >= tall_at:
+                        keep[k] = None
+            for k, d in self._below(var, theta):
+                if (var, k) not in moving:
+                    moving[var, k] = LIGHT
+                    if d >= tall_at:
+                        keep[k] = None
             tall.clear()
+            tall.update(keep)
+            unswept[:] = [*la, *lb] if halving else ()
         self.tall_at = tall_at
-        return len(moving)
+        self.counters.checks += checks
+        return len(moving) - known
+
+    def sweep(self, budget: int) -> int:
+        """Read up to ``budget`` keys left in ``unswept``; record those at or above the mark.
+
+        A key's degree is summed over the light parts on its variable.
+        Returns the keys read, fewer than ``budget`` once none is left.
+        """
+        tall_at = self.tall_at
+        read = 0
+        for var, keys in enumerate(self.unswept):
+            _, _, la, lb = self._by_status[var]
+            tall = self.tall[var]
+            while keys and read < budget:
+                k = keys.pop()
+                read += 1
+                if len(la.get(k, ())) + len(lb.get(k, ())) >= tall_at:
+                    tall[k] = None
+        self.counters.checks += read
+        return read
 
     def violations(self, theta: float, strict: bool = False) -> list[str]:
         """Broken split conditions, per variable; an empty list means healthy.
@@ -508,9 +568,10 @@ class Partition:
         Degrees are judged against the loose bounds, or with ``strict``
         against ``theta``, which also refuses keys in transit. A key in
         transit is judged by its degree over all parts against the bound of
-        the status it is bound for. For ``restrict``'s doubling shortcut,
-        the watermark must record every light key, or key in transit bound
-        light, at or above ``tall_at``.
+        the status it is bound for. For ``restrict``, every light key at or
+        above the mark ``tall_at`` must be recorded in the watermark or
+        wait in ``unswept``, and every key in transit bound light at or
+        above it must be recorded.
         """
         h_floor = theta if strict else 0.5 * theta
         l_ceil = theta if strict else 1.5 * theta
@@ -518,7 +579,7 @@ class Partition:
         out = []
         if strict and self.moving:
             out.append(f"keys in transit: {list(self.moving)[:5]}")
-        for var, tall in enumerate(self.tall):
+        for var, (tall, unswept) in enumerate(zip(self.tall, self.unswept)):
             ha, hb, la, lb = self._by_status[var]
             transit = {k: dst for (v, k), dst in self.moving.items() if v == var}
             # the second part of a status is empty on a one-variable split
@@ -533,17 +594,19 @@ class Partition:
                 mixed -= transit.keys()
             if mixed:
                 out.append(f"var {var} keys with mixed status: {sorted(mixed)[:5]}")
-            unseen = []
-            up, down = self._crossing(var, h_floor, min(l_ceil, tall_at))
-            for k, d in down:
+            for k, d in self._below(var, h_floor):
                 if k not in transit:
                     out.append(f"var {var} heavy key {k} degree {d} < {h_floor}")
-            for k, d in up:
+            unseen = []
+            for k, d in self._above(var, min(l_ceil, tall_at)):
                 if k not in transit:
                     if d >= l_ceil:
                         out.append(f"var {var} light key {k} degree {d} >= {l_ceil}")
                     if d >= tall_at and k not in tall:
                         unseen.append(k)
+            if unseen and unswept:
+                waiting = set(unswept)
+                unseen = [k for k in unseen if k not in waiting]
             for k, dst in transit.items():
                 d = self.degree(var, k)
                 if (0 < d < h_floor) if dst == HEAVY else d >= l_ceil:
@@ -555,30 +618,29 @@ class Partition:
                            f"not recorded: {unseen[:5]}")
         return out
 
-    def _crossing(self, var: int, floor: float, ceil: float,
-                  light: Iterable | None = None) -> tuple[list, list]:
-        """The keys on ``var`` that cross a bound, as ``(key, degree)`` pairs.
+    def _above(self, var: int, ceil: float) -> list:
+        """The keys with tuples in the light parts on ``var`` whose degree there reaches ``ceil``.
 
-        A key's degree is summed over the parts of its status on ``var``.
-        Returns the light keys at or above ``ceil`` and the heavy keys
-        below ``floor``; ``light`` limits the light keys looked at.
+        As ``(key, degree)`` pairs; reads every such key.
         """
-        ha, hb, la, lb = self._by_status[var]
-        if light is not None:
-            up = [(k, d) for k in light if (d := len(la.get(k, ())) + len(lb.get(k, ()))) >= ceil]
-        elif lb:
-            up = [(k, d) for k, posts in la.items()
-                  if (d := len(posts) + (len(lb[k]) if k in lb else 0)) >= ceil]
-            up += [(k, len(p)) for k, p in lb.items() if k not in la and len(p) >= ceil]
-        else:
-            up = [(k, d) for k, posts in la.items() if (d := len(posts)) >= ceil]
-        if hb:
-            down = [(k, d) for k, posts in ha.items()
-                    if (d := len(posts) + (len(hb[k]) if k in hb else 0)) < floor]
-            down += [(k, len(p)) for k, p in hb.items() if k not in ha and len(p) < floor]
-        else:
-            down = [(k, d) for k, posts in ha.items() if (d := len(posts)) < floor]
-        return up, down
+        _, _, la, lb = self._by_status[var]
+        if not lb:
+            return [(k, d) for k, posts in la.items() if (d := len(posts)) >= ceil]
+        up = [(k, d) for k, posts in la.items()
+              if (d := len(posts) + (len(lb[k]) if k in lb else 0)) >= ceil]
+        return up + [(k, len(p)) for k, p in lb.items() if k not in la and len(p) >= ceil]
+
+    def _below(self, var: int, floor: float) -> list:
+        """The keys with tuples in the heavy parts on ``var`` whose degree there is below ``floor``.
+
+        As ``(key, degree)`` pairs; reads every such key.
+        """
+        ha, hb, _, _ = self._by_status[var]
+        if not hb:
+            return [(k, d) for k, posts in ha.items() if (d := len(posts)) < floor]
+        down = [(k, d) for k, posts in ha.items()
+                if (d := len(posts) + (len(hb[k]) if k in hb else 0)) < floor]
+        return down + [(k, len(p)) for k, p in hb.items() if k not in ha and len(p) < floor]
 
 
 class QuadPartition(Partition):
@@ -586,13 +648,13 @@ class QuadPartition(Partition):
 
     Part ``xy`` holds the tuples whose first-variable key has status ``x``
     and second-variable key status ``y``; all but the route of a tuple
-    with no key in transit is ``Partition``'s.
+    is ``Partition``'s.
     """
 
     __slots__ = ("_hl0", "_hh0", "_lh1", "_hh1")
 
-    def __init__(self):
-        self._split({lab: Relation(2) for lab in QUAD_LABELS})
+    def __init__(self, counters: OpCounters | None = None):
+        self._split({lab: Relation(2) for lab in QUAD_LABELS}, counters)
         # the heavy-key indexes of each variable, read by ``route``
         (self._hl0, self._hh0, *_), (self._lh1, self._hh1, *_) = self._by_status
 
@@ -616,6 +678,34 @@ class QuadPartition(Partition):
         if a in self._hl0 or a in self._hh0:
             return "hh" if b in self._lh1 or b in self._hh1 else "hl"
         return "lh" if b in self._lh1 or b in self._hh1 else "ll"
+
+    def _route_moving(self, t: tuple) -> str | None:
+        """The part of ``t`` when one of its keys is in transit, else ``None``.
+
+        The destination takes, per variable, the status the key is bound
+        for, or the key's current status when it is not in transit. A
+        stored tuple stays where it is, which differs from the destination
+        only on variables in transit; those parts alone are probed.
+        """
+        moving = self.moving
+        a, b = t[0], t[1]
+        to_a = moving.get((0, a))
+        to_b = moving.get((1, b))
+        if to_a is None:
+            if to_b is None:
+                return None
+            to_a = HEAVY if a in self._hl0 or a in self._hh0 else LIGHT
+            held = (to_a + FLIP[to_b],)
+        elif to_b is None:
+            to_b = HEAVY if b in self._lh1 or b in self._hh1 else LIGHT
+            held = (FLIP[to_a] + to_b,)
+        else:
+            held = (FLIP[to_a] + to_b, to_a + FLIP[to_b], FLIP[to_a] + FLIP[to_b])
+        parts = self.parts
+        for lab in held:
+            if parts[lab].get(t):
+                return lab
+        return to_a + to_b
 
     # perfbench's tracer wraps ``restrict`` through each class's own __dict__
     restrict = Partition.restrict

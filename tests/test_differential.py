@@ -38,8 +38,13 @@ negative and positive multiplicity-only changes and cancellations to zero
 on a key's tuples, updates of a quad tuple whose keys are both in
 transit, and creates of fresh tuples that trigger a doubling while moves
 are still queued. Every update may add at most ``B`` to
-``counters.moves``, except one whose major finished a leftover queue
-(counted by the engine's ``flushes``).
+``counters.moves``: a major leaves the moves it finds queued in the queue.
+
+At every major the light keys a halving left unread must all have been
+swept, and at every halving the keys put in transit or turned around
+must be exactly those a scan of every key finds: the keys whose strict
+status for the new threshold differs from their status, or from the one
+they are bound for while in transit (``_watch_majors``).
 
 The engine checks only the bound an update can cross, and nothing after
 an update that changed only a multiplicity; a key that crossed a bound
@@ -60,7 +65,7 @@ from skewivm import cli
 from skewivm.cli import Update, family_arities
 from skewivm.loomis_whitney import B
 from skewivm.oracle import brute_force_enumerate
-from skewivm.relation import HEAVY, QuadPartition
+from skewivm.relation import HEAVY, LIGHT, QuadPartition
 
 from helpers import (enum_views, matching, path4_views_exact, refined_views, swing_stream,
                      views)
@@ -88,6 +93,49 @@ def _record_minors(eng, seen):
         return inner(i, key)
 
     eng.minor_rebalance = minor
+
+
+def _statuses(part):
+    """Every key of ``part`` per variable, with its status or the one it is bound for."""
+    out = {}
+    for var, (ha, hb, la, lb) in enumerate(part._by_status):
+        for k in {*ha, *hb, *la, *lb}:
+            out[var, k] = part.moving.get((var, k)) or (HEAVY if k in ha or k in hb else LIGHT)
+    return out
+
+
+def _watch_majors(eng):
+    """Check each major of ``eng``: no key left to sweep, and a halving flips what a full scan finds.
+
+    Before the major, no partition may still hold light keys a halving
+    left unread. After a halving, the keys whose status (or, in transit,
+    the status they are bound for) changed must be exactly the keys whose
+    degree over all parts puts them on the other side of the new
+    threshold, and no key may be left on the wrong side. Returns a
+    one-item list counting the halvings checked.
+    """
+    inner = eng.major_rebalance
+    base, halvings = [eng.N], [0]
+
+    def major(*args):
+        parts = [(j, part) for j, part in enumerate(eng.parts) if part is not None]
+        assert not any(keys for _, part in parts for keys in part.unswept), eng.N
+        before = [_statuses(part) for _, part in parts]
+        inner(*args)
+        if eng.N < base[0]:
+            halvings[0] += 1
+            for (j, part), was in zip(parts, before):
+                theta = eng._thetas[j]
+                now = _statuses(part)
+                strict = {(var, k): HEAVY if part.degree(var, k) >= theta else LIGHT
+                          for var, k in was}
+                assert {key for key in was if now[key] != was[key]} == \
+                    {key for key in was if strict[key] != was[key]}, (eng.N, j)
+                assert now == strict, (eng.N, j)
+        base[0] = eng.N
+
+    eng.major_rebalance = major
+    return halvings
 
 
 def _database(updates, arities):
@@ -195,7 +243,7 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
     names = list(arities)
     minors: set = set()
     aimed: set = set()
-    unchanged = updates = flushes = queued = 0
+    unchanged = updates = queued = 0
     runs = [(spec, None) for spec in STREAMS] + {"path4": [PATH4_OVERLAP],
                                                  "refined": [REFINED_OVERLAP]}.get(name, [])
     for (seed, length, wide, preload), hot in runs:
@@ -203,6 +251,8 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
         db = _database(stream[:preload], arities)
         eng = load(db, eps) if preload else make(eps)
         _record_minors(eng, minors)
+        # these streams only double; the size swings below halve
+        _watch_majors(eng)
         tracker = cli.build_tracker(family)
         for upd in stream[:preload]:
             tracker.update(upd.rel, upd.values, upd.mult)
@@ -217,7 +267,7 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
                 if upd is None:
                     break
             rel, t, m = upd
-            size, moves, flushed = eng.db_size, eng.counters.moves, eng.flushes
+            size, moves = eng.db_size, eng.counters.moves
             queued += eng.pending_moves() > 0
             eng.on_update(rel, t, m)
             updates += 1
@@ -225,10 +275,7 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
             where = (seed, step, eng.N, rel, t, m)
             step += 1
             assert eng.check_invariants() == [], where
-            if eng.flushes > flushed:
-                flushes += 1
-            else:
-                assert eng.counters.moves - moves <= B, where
+            assert eng.counters.moves - moves <= B, where
             v = db[rel].get(t, 0) + m
             if v:
                 db[rel][t] = v
@@ -268,25 +315,25 @@ class _Checked:
     """An engine of ``ENGINES`` at exponent 1/2, checked after every update.
 
     Each update must keep ``check_invariants()`` empty, add at most ``B``
-    to ``counters.moves`` unless a major finished a leftover queue, and
-    leave the oracle's answer.
+    to ``counters.moves`` and leave the oracle's answer; each major is
+    checked by ``_watch_majors``.
     """
 
     def __init__(self, name):
         family, make, _, _, _ = ENGINES[name]
         self.name = name
         self.eng = make(0.5)
+        self.halvings = _watch_majors(self.eng)
         self.db = {rel: {} for rel in family_arities(family)}
         self.tracker = cli.build_tracker(family)
         self.fresh = count(10 ** 6)
 
     def __call__(self, rel, t, m):
         eng = self.eng
-        moves, flushed = eng.counters.moves, eng.flushes
+        moves = eng.counters.moves
         eng.on_update(rel, t, m)
         assert eng.check_invariants() == [], (rel, t, m)
-        if eng.flushes == flushed:
-            assert eng.counters.moves - moves <= B, (rel, t, m)
+        assert eng.counters.moves - moves <= B, (rel, t, m)
         rows = self.db[rel]
         v = rows.get(t, 0) + m
         if v:
@@ -326,9 +373,9 @@ def test_keys_in_transit_take_every_kind_of_update(name):
     side it is bound for. Quad partitions: two keys, one per variable,
     reach the light cap on the same update, the shared tuple ``(1, 2)``,
     which then takes every kind of update with both keys in transit. Then
-    fresh tuples double ``N`` while moves are queued, which the major must
-    finish first; the split is strict once ``finish_moves`` has made the
-    restrict's own moves.
+    fresh tuples double ``N`` while moves are queued: the major leaves
+    them queued, its update makes at most ``B`` moves, and the split is
+    strict once ``finish_moves`` has made every queued move.
     """
     run = _Checked(name)
     eng = run.eng
@@ -359,10 +406,13 @@ def test_keys_in_transit_take_every_kind_of_update(name):
         _kinds(run, rel, stored, {(0, 8)})
         run(rel, (8,) + (next(b),) * (arity - 1), -1)
         assert (0, 8) in part.moving and part.light.get(stored) == 0 and part.heavy.get(stored)
-    flushes = eng.flushes
-    while eng.flushes == flushes:
+    majors = eng.counters.rebalance_major
+    while eng.counters.rebalance_major == majors:
         assert eng.pending_moves() and eng.N == 64
+        queued = set(part.moving)
         run(rel, tuple(next(fresh) for _ in range(arity)), 1)
+    # the keys in transit before the doubling are still in transit after it
+    assert eng.N == 128 and queued <= set(part.moving), (queued, part.moving)
     eng.finish_moves()
     assert eng.check_invariants(loose=False) == []
 
@@ -428,4 +478,5 @@ def test_the_size_swings_across_both_bounds_of_the_threshold_base(name):
             bases.append(eng.N)
     doublings = sum(b > a for a, b in zip(bases, bases[1:]))
     assert doublings >= 8 and len(bases) - 1 - doublings >= 6, bases
+    assert run.halvings[0] == len(bases) - 1 - doublings
     assert eng.counters.moves and queued

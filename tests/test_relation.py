@@ -1,5 +1,6 @@
 """Storage layer: Z-ring entries, indexes, degree-threshold partitioning."""
 
+import math
 import random
 import sys
 
@@ -25,16 +26,21 @@ def rel_of(pairs: dict) -> Relation:
     return r
 
 
-def strict(rows: dict, theta) -> Partition:
-    """A partition on variable 0 loaded strictly for ``theta``."""
+def strict(rows: dict, theta, tall_at=None) -> Partition:
+    """A partition on variable 0 loaded strictly for ``theta``.
+
+    Its watermark's mark is ``tall_at``, by default ``theta`` rounded up;
+    a later ``restrict`` to a lower threshold needs a mark no higher than
+    that threshold rounded up.
+    """
     p = Partition(2, SPECS)
-    p.load(rows, theta)
+    p.load(rows, theta, math.ceil(theta) if tall_at is None else tall_at)
     return p
 
 
-def strict_quad(rows: dict, theta) -> QuadPartition:
+def strict_quad(rows: dict, theta, tall_at=None) -> QuadPartition:
     quad = QuadPartition()
-    quad.load(rows, theta)
+    quad.load(rows, theta, math.ceil(theta) if tall_at is None else tall_at)
     return quad
 
 
@@ -179,7 +185,7 @@ class TestFreePartLayout:
         binary = strict(self.ROWS2, 10)
         quad = strict_quad(self.ROWS2, 10)
         triple = Partition(3, {HEAVY: ((0, 2),), LIGHT: ((0, 2),)})
-        triple.load(self.ROWS3, 10)
+        triple.load(self.ROWS3, 10, 10)
         for part, key, rows in ((binary, (0, 1), self.ROWS2), (quad, (1, 2), self.ROWS2),
                                 (triple, (0, 5), self.ROWS3)):
             seen: list = []
@@ -399,21 +405,21 @@ class TestQuadPartition:
                 assert quad.route(t) == lab, (moving, t)
 
     def test_restrict_reassigns_everything(self):
-        # everything starts light on both variables; a lower threshold
-        # checks every key
+        # everything starts light on both variables, every key recorded at
+        # a mark below the lower threshold
         rng = random.Random(3)
         rows: dict = {}
         for _ in range(200):
             t = (rng.randrange(6), rng.randrange(6))
             rows[t] = rows.get(t, 0) + 1
-        quad = strict_quad(rows, 1000)
+        quad = strict_quad(rows, 1000, 4)
         assert len(quad.parts["ll"]) == len(rows)
 
         def move(src, dst, t, m):
             quad.parts[src].upsert(t, -m)
             quad.parts[dst].upsert(t, m)
 
-        quad.restrict(4)
+        quad.restrict(4, 4)
         assert quad.moving
         settle(quad, move)
         assert not quad.moving
@@ -425,8 +431,8 @@ class TestQuadPartition:
                        st.sampled_from((-2, -1, 1, 3)), max_size=40),
        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
                           st.sampled_from((-1, 1, 2))), max_size=30),
-       st.sampled_from((1, 2, 3, 5)), st.sampled_from((0.5, 1.5, 2, 3, 4.5, 6)))
-def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, theta):
+       st.sampled_from((1, 2, 3, 5)), st.sampled_from((0.5, 1.5, 2, 3, 4.5, 6)), st.booleans())
+def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, theta, lower):
     """A major restrict moves exactly the tuples whose strict part changed.
 
     The parts start strict for ``theta0`` and take routed updates with
@@ -434,10 +440,16 @@ def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, thet
     here); then ``restrict(theta)`` and the moves of the keys it puts in
     transit must hand every tuple whose part under the strict split for
     ``theta`` differs to ``move`` once, from its current part to that one,
-    and leave the parts strict. A ``theta`` that rounds up to no less than
-    ``theta0`` checks only the light keys the watermark recorded.
+    and leave the parts strict. The watermark's mark is the lower
+    threshold rounded up, as the engine sets it for the next halving, so
+    a ``theta`` that rounds up to no less than ``theta0`` reads only the
+    light keys the watermark recorded. The restrict's own mark is
+    ``theta`` rounded up or, when ``lower``, 1, below the mark in place:
+    then it copies the light keys for ``sweep``, and the split must still
+    report no unrecorded key.
     """
-    quad = strict_quad({t: m for t, m in rows.items() if m}, theta0)
+    quad = strict_quad({t: m for t, m in rows.items() if m}, theta0,
+                       math.ceil(min(theta0, theta)))
 
     def shift(src, dst, t, m):
         quad.parts[src].upsert(t, -m)
@@ -468,7 +480,7 @@ def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, thet
         quad.parts[src].upsert(t, -m)
         quad.parts[dst].upsert(t, m)
 
-    quad.restrict(theta)
+    quad.restrict(theta, 1 if lower else math.ceil(theta))
     moved = settle(quad, move)
     expected = {(t, where[t], want[t]) for t in union if where[t] != want[t]}
     assert moved == len(seen) == len(expected)
@@ -478,7 +490,7 @@ def test_quad_restrict_moves_each_changed_tuple_once(rows, updates, theta0, thet
 
 
 def test_partition_restrict_hands_moves_to_the_callback():
-    part = strict({(1, 1): 1, (1, 2): 1, (2, 1): 1, (3, 1): 1, (3, 2): 1, (3, 3): 1}, 3)
+    part = strict({(1, 1): 1, (1, 2): 1, (2, 1): 1, (3, 1): 1, (3, 2): 1, (3, 3): 1}, 3, 2)
     seen = []
 
     def move(src, dst, t, m):
@@ -486,10 +498,36 @@ def test_partition_restrict_hands_moves_to_the_callback():
         part.parts[src].upsert(t, -m)
         part.parts[dst].upsert(t, m)
 
-    assert part.restrict(2) == 1 and part.moving == {(0, 1): HEAVY}
+    assert part.restrict(2, 2) == 1 and part.moving == {(0, 1): HEAVY}
     assert seen == [] and settle(part, move) == 2
     assert sorted(seen) == [(LIGHT, HEAVY, (1, 1)), (LIGHT, HEAVY, (1, 2))]
-    assert part.restrict(4) == 2 and settle(part, move) == 5
+    assert part.restrict(4, 2) == 2 and settle(part, move) == 5
     assert not part.violations(4, strict=True)
     assert len(part.heavy) == 0 and len(part.light) == 6
 
+
+
+def test_restrict_turns_keys_in_transit_around():
+    """A major takes keys in transit as they stand and judges them by their degree.
+
+    Key 1 (degree 3, light at threshold 4) is bound heavy and key 2
+    (degree 5, heavy) bound light, none of their tuples moved yet. At 4
+    both turn around and keep their places; key 1, bound light at or
+    above the mark 2, is recorded. At 2 key 1 turns heavy again, and key 3
+    (degree 2, light and recorded) is the one key newly put in transit.
+    """
+    rows = {(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 2): 1, (2, 3): 1, (2, 4): 1,
+            (2, 5): 1, (3, 1): 1, (3, 2): 1}
+    part = strict(rows, 4, 2)
+    part.moving.update({(0, 1): HEAVY, (0, 2): LIGHT})
+    assert part.restrict(4, 2) == 0
+    assert list(part.moving.items()) == [((0, 1), LIGHT), ((0, 2), HEAVY)]
+    assert 1 in part.tall[0]
+
+    def move(src, dst, t, m):
+        part.parts[src].upsert(t, -m)
+        part.parts[dst].upsert(t, m)
+
+    assert part.restrict(2, 2) == 1
+    assert list(part.moving.items()) == [((0, 1), HEAVY), ((0, 2), HEAVY), ((0, 3), HEAVY)]
+    assert settle(part, move) == 5 and not part.violations(2, strict=True)

@@ -6,11 +6,17 @@ two plain dicts. After every step each index of each side must hold
 exactly the model's tuples and multiplicities, keyed by its variables,
 with no empty posting map, and ``len``, ``get`` and ``items`` must agree
 with the model. Each create or delete goes through the split's minor
-check, as the engine's do, so the degree watermark that a doubling
-restrict reads is fed as in an engine; a minor rebalance moves its key at
-once, in the split and in the model. A key moves light only below the
-watermark, as every rebalance that makes a key light leaves it.
+check, as the engine's do, so the degree watermark that a restrict
+reads is fed as in an engine; a minor rebalance moves its key at once, in
+the split and in the model. Each restrict sets the mark at the lower of
+its own threshold and the next restrict's, rounded up, as the engine
+sets it at the next halving's, so a restrict to a lower threshold leaves
+light keys to ``sweep``, which runs a few keys at a time between the
+other steps. A key moves light only below the mark, as every rebalance
+that makes a key light records it otherwise.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +78,7 @@ def _ops(arity):
                   st.sampled_from((-2, -1, 1, 2))),
         st.tuples(st.just("restrict"), st.sampled_from((0.5, 1.0, 2.0, 2.5, 4.0))),
         st.tuples(st.just("move"), values, st.sampled_from((HEAVY, LIGHT))),
+        st.tuples(st.just("sweep"), st.integers(1, 3)),
     ), max_size=40)
 
 
@@ -106,7 +113,8 @@ def test_posting_maps_follow_a_plain_dict_model():
             def minor_rebalance(self, i, key):
                 move_key(key[1])
 
-        for op in data.draw(_ops(arity)):
+        ops = data.draw(_ops(arity))
+        for step, op in enumerate(ops):
             if op[0] == "upsert":
                 _, t, m = op
                 side = part.route(t)
@@ -135,8 +143,11 @@ def test_posting_maps_follow_a_plain_dict_model():
                 moved += sum(1 for t in model[HEAVY] if t not in heavy)
                 model = {HEAVY: heavy,
                          LIGHT: {t: m for t, m in union.items() if t not in heavy}}
-                part.restrict(theta)
+                later = [o[1] for o in ops[step + 1:] if o[0] == "restrict"]
+                part.restrict(theta, math.ceil(min([theta, *later[:1]])))
                 assert settle(part, move) == moved
+            elif op[0] == "sweep":
+                part.sweep(op[1])
             else:
                 _, key, src = op
                 dst = LIGHT if src == HEAVY else HEAVY
@@ -145,7 +156,7 @@ def test_posting_maps_follow_a_plain_dict_model():
                     move_key(key)
             _check_side(part.heavy, model[HEAVY])
             _check_side(part.light, model[LIGHT])
-            # every light key at or above the watermark is recorded
+            # every light key at or above the mark is recorded or waits for the sweep
             assert not [v for v in part.violations(theta) if "watermark" in v]
             part.heavy.check_consistency()
             part.light.check_consistency()
