@@ -77,14 +77,16 @@ MODES = ("ivm-eps", "refined", "enum", "static")
 # exponent check) take the base engine
 TRIANGLE_ENGINES = {"refined": RefinedTriangleEngine, "enum": EnumTriangleEngine}
 
-# query family -> (engine of (mode, eps), oracle tracker); the family's
-# relation names and arities are its engine's, and every tracker takes
-# ``update(rel, t, m)``; lw:<n> gets its entry from ``_family`` at its degree
+# query family -> (engine of (mode, eps), oracle tracker, schema); the
+# schema gives the family's relation names and arities as its engine reads
+# them, every tracker takes ``update(rel, t, m)``; lw:<n> gets its entry
+# from ``_family`` at its degree
 FAMILIES = {
     "triangle": (lambda mode, eps: TRIANGLE_ENGINES.get(mode, TriangleEngine)(eps),
-                 TriangleTracker),
-    "triangle-selfjoin": (lambda mode, eps: SelfJoinEngine(eps), SelfJoinTracker),
-    "path4": (lambda mode, eps: Path4Engine(eps), Path4Tracker),
+                 TriangleTracker, TriangleEngine.schema),
+    "triangle-selfjoin": (lambda mode, eps: SelfJoinEngine(eps), SelfJoinTracker,
+                          SelfJoinEngine.schema),
+    "path4": (lambda mode, eps: Path4Engine(eps), Path4Tracker, Path4Engine.schema),
 }
 
 
@@ -96,14 +98,17 @@ def _family(query: str) -> tuple:
         n = int(query.split(":", 1)[1])
         if n < 3:
             raise ConfigError("lw degree must be at least 3")
-        return lambda mode, eps: LWEngine(n, eps), lambda: LWTracker(n)
+        return (lambda mode, eps: LWEngine(n, eps), lambda: LWTracker(n),
+                lambda: LWEngine.schema(n))
     raise ConfigError(f"unknown query family {query!r}")
 
 
 def family_arities(query: str) -> dict[str, int]:
-    """Each relation of ``query``'s family by name, with its arity, as its engine reads them."""
-    engine = _family(query)[0]("ivm-eps", 0.5)
-    return dict(zip(engine.names, engine.arities))
+    """Each relation of ``query``'s family by name, with its arity, as its engine reads them.
+
+    Read from the engine class and its compiled plan; no engine is built.
+    """
+    return dict(zip(*_family(query)[2]()))
 
 
 def parse_stream(lines: Iterable[str], arities: dict[str, int]) -> list[Update]:

@@ -69,13 +69,14 @@ class EnumTriangleEngine(LWEngine):
 
     REL = ("R", "S", "T")
     PLAN = staticmethod(_plan)
+    DEGREE = 3
 
     # perfbench's tracer wraps the update methods in each engine class's own
     # __dict__; this engine's update step is bound per engine
     on_update = LWEngine.on_update
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        super().__init__(3, eps, counters)
+        super().__init__(self.DEGREE, eps, counters)
 
     def answer(self) -> int:
         """Number of distinct result tuples currently enumerable."""

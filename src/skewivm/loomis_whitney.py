@@ -36,21 +36,24 @@ family keeps variable v-1 instead of summing it out, and a listing is
 keyed by every variable.
 
 The walks are not interpreted: a plan (``Plan``, plain data) becomes
-Python source (``plan_source()``) of integers and fixed names, one
-``delta`` (none for a plan without deltas) and one ``apply_update`` with a
-branch per relation and part label, and a ``build`` of each view from a
-whole part, walked through its lookup index. It is compiled once per plan
-and degree and bound per engine to its index dicts, relations, ``moving``
-maps, counters and views. A scan index leaves only the free variable out,
-so its postings are keyed by the candidate itself (``for z, prod in
-posts.items()``). A probe reads the partition key's index or one the plan
-names, at the probed tuple's key there, and gets the posting keyed by the
-tuple's free part: the one value the index leaves out, or the whole tuple
-when it leaves out more. The parts a probe may hit that differ only in the
-status of that index's variables are read as one row while the partition
-has no key in transit, all their rows while one is. A row whose key the
-update fixes is read once per walk. Each part keeps only its lookup index
-(on the partition key) and the indexes some walk reads.
+Python source (``plan_source()``) of integers and fixed names. It defines
+one ``delta`` (none for a plan without deltas); one ``step`` with a
+branch per relation and part label, which adds the delta walks' sum to
+the answer, then runs the upkeep walks and stores the update, all in one
+call; one ``apply_update``, the step without the delta, for moves; and a
+``build`` of each view from a whole part, walked through its lookup
+index. It is compiled once per plan and degree and bound per engine to
+its index dicts, relations, ``moving`` maps, counters, views and answer.
+A scan index leaves only the free variable out, so its postings are
+keyed by the candidate itself (``for z, prod in posts.items()``). A probe
+reads the partition key's index or one the plan names, at the probed
+tuple's key there, and gets the posting keyed by the tuple's free part:
+the one value the index leaves out, or the whole tuple when it leaves out
+more. The parts a probe may hit that differ only in the status of that
+index's variables are read as one row while the partition has no key in
+transit, all their rows while one is. A row whose key the update fixes is
+read once per walk. Each part keeps only its lookup index (on the
+partition key) and the indexes some walk reads.
 
 At degree 3 the views are the triangle's wedges: the plan is the triangle
 engine (``skewivm.triangle``), and over one partition standing in for all
@@ -362,34 +365,58 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
     def unpack(v):
         names = [f"t{p}" for p in range(len(variables[v]))]
         return ", ".join(names) + ("," if len(names) == 1 else "") + " = t"
+
+    def delta_walks(d, v):
+        # relation v's delta at depth d: the views read at the update tuple,
+        # summed into acc, then the delta walks adding to it
+        looked, var = lookups[v][1], namer(v)
+        # a view keyed by the whole update tuple is read at t
+        at = ["t" if keyed(i)[0] == variables[v] and len(variables[v]) > 1
+              else var(keyed(i)[0][0]) for i in looked]
+        emit(d, "acc = " + " + ".join(f"VB[0][{i}].get({k}, 0)" for i, k in zip(looked, at)))
+        for w in plan.deltas[v]:
+            walk(d, *w)
+
+    def guarded(d, v):  # the guard of relation v's delta: g, its entry at the update
+        guard = lookups[v][0]
+        emit(d, f"g = P{guard}.get({namer(v)(variables[guard][0])})")
+    # per relation, a relation kept whole whose entry at the update zeroes
+    # or multiplies the delta, and the views it reads there
+    lookups = plan.lookups or [(None, (v,)) for v in range(n)]
     if plan.deltas is None:
         emit(1, "delta = None")
     else:
-        # per relation, a relation kept whole whose entry at the update
-        # zeroes or multiplies the delta, and the views it reads there
-        lookups = plan.lookups or [(None, (v,)) for v in range(n)]
         once = len({len(looked) for _, looked in lookups}) == 1 and not any(g for g, _ in lookups)
         emit(1, "def delta(v, t, m):")
         if once:  # every branch reads as many views: count them once, up front
             emit(2, f"C.lookups += {len(lookups[0][1])}")
         for v in range(n):
-            (guard, looked), var = lookups[v], namer(v)
+            guard, looked = lookups[v]
             emit(2, f"if v == {v}:", "    " + unpack(v))
             if guard is not None:
-                emit(3, f"g = P{guard}.get({var(variables[guard][0])})", "if not g:",
-                     "    return 0")
+                guarded(3, v)
+                emit(3, "if not g:", "    return 0")
             if not once:
                 emit(3, f"C.lookups += {len(looked)}")
-            # a view keyed by the whole update tuple is read at t
-            at = ["t" if keyed(i)[0] == variables[v] and len(variables[v]) > 1
-                  else var(keyed(i)[0][0]) for i in looked]
-            emit(3, "acc = " + " + ".join(f"VB[0][{i}].get({k}, 0)" for i, k in zip(looked, at)))
-            for w in plan.deltas[v]:
-                walk(3, *w)
+            delta_walks(3, v)
             emit(3, "return m * acc" if guard is None else "return m * g * acc")
-    emit(1, "def apply_update(v, side, t, m):")
+    # one routed update in one call: the answer gains its delta, read first
+    # unless ``count`` is false (a move), then the upkeep walks of the part
+    # it is routed to run and the update is stored
+    emit(1, "def step(v, side, t, m, count=True):")
     for v in range(n):
         emit(2, f"if v == {v}:", "    " + unpack(v))
+        if plan.deltas is not None:
+            guard, looked = lookups[v]
+            emit(3, "if count:")
+            d = 4
+            if guard is not None:  # a zero guard skips the delta walks, not the store
+                guarded(4, v)
+                emit(4, "if g:")
+                d = 5
+            emit(d, f"C.lookups += {len(looked)}")
+            delta_walks(d, v)
+            emit(d, "Q[0] += m * acc" if guard is None else "Q[0] += m * g * acc")
         *tested, last = plan.upkeep[v]
         for lab in tested:
             emit(3, f"if side == L{lab}:")
@@ -399,6 +426,7 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
         for w in plan.upkeep[v][last]:
             walk(3, *w)
         store(3, v, last)
+    emit(1, "def apply_update(v, side, t, m):", "    return step(v, side, t, m, False)")
     # view i from the part of its first member (``light``) or of its
     # second, walked through the part's lookup index (by each key of a
     # mask), or over the whole map of a relation kept whole
@@ -424,13 +452,13 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
                      "        " + unpack(j))
                 walk(depth + 2, *w)
             emit(depth, "return")
-    emit(1, "return delta, apply_update, build")
+    emit(1, "return delta, step, apply_update, build")
     specs = {lab: sorted(s) for lab, s in specs.items()}
     params = [f"P{j}" if WHOLE in plan.upkeep[j] else
               f"M{j}, " + ", ".join(f"P{j}{lab}" for lab in plan.labels) + ", "
               + ", ".join(_index_name(j, lab, spec) for lab in specs for spec in specs[lab])
               for j in range(n)]
-    return "\n".join([f"def bind(C, VB, {', '.join(params)}):"] + lines) + "\n", specs
+    return "\n".join([f"def bind(C, VB, Q, {', '.join(params)}):"] + lines) + "\n", specs
 
 
 # (plan, degree) -> (bind, source, index specs, plan), shared by their engines
@@ -527,15 +555,20 @@ class LWEngine:
     Each update is routed by its relation's split (a ``Partition`` on one
     variable or a ``QuadPartition`` on two, with one ``minor_check``,
     ``restrict``, ``move_key`` and route in transit for both; every tuple
-    pinned heavy at ``eps == 0``); the answer gains the update's
-    ``delta`` before the update is applied, and ``db_size`` follows what
-    the update step returns.
+    pinned heavy at ``eps == 0``) and applied by one call of the plan's
+    generated ``step``, which adds the update's delta, read before the
+    update, to the answer, keeps the views and stores the update;
+    ``db_size`` follows the stored multiplicity it returns. The class's
+    schema, its relations' names and arities, is read without building
+    an engine (``schema``).
     """
 
     # the relation names; None names them R1..Rn
     REL: tuple | None = None
     # the plan of the walks, by degree
     PLAN = staticmethod(_plan)
+    # the degree of an engine class bound to one plan (None: given per engine)
+    DEGREE: int | None = None
 
     def __init__(self, n: int, eps: float | tuple = 0.5, counters: OpCounters | None = None):
         """The empty state of the degree-n plan, its schema read from the plan.
@@ -552,9 +585,8 @@ class LWEngine:
         ``rebuild_views`` and callers may replace them, and nothing bound
         refers to the engine.
         """
-        if n < 3:
-            raise ValueError("degree must be at least 3")
-        names = self.names = tuple(self.REL or [f"R{i+1}" for i in range(n)])
+        self.names, self.arities = self.schema(n)
+        names = self.names
         # one exponent for all relations, or a tuple of one per relation
         self.eps = eps if isinstance(eps, tuple) else float(eps)
         self._eps = eps if isinstance(eps, tuple) else (self.eps,) * len(names)
@@ -565,7 +597,6 @@ class LWEngine:
                 raise ValueError(f"eps={value} outside [0, 1]")
         bind, self._source, specs, plan = compiled(self.PLAN, n)
         self.n = n
-        self.arities = tuple(len(plan.vars[j]) if plan.vars else n - 1 for j in range(len(names)))
         self._index = {name: i for i, name in enumerate(names)}
         self._index.update((i, i) for i in range(len(names)))
         # an exponent of 0 pins every tuple of the relation heavy
@@ -573,12 +604,15 @@ class LWEngine:
         self.N = 1
         self._set_thetas()
         self.db_size = 0
-        self.q = 0
+        # the answer, in the one slot the update step adds to
+        self._q = [0]
         self.counters = counters if counters is not None else OpCounters()
         # (relation, key) per key in transit, in the order its moves were queued
         self._queue: deque = deque()
         # the partitions with light keys a halving left unread
         self._sweeping: list = []
+        # whether moves may be queued or keys left to sweep
+        self._pending = False
 
         shared = len(names) < n
         self._plan_eps = self._eps * n if shared else self._eps
@@ -607,13 +641,39 @@ class LWEngine:
             for lab, held in specs.items():
                 rel = bindings[f"P{j}{lab}"] = part.parts[lab]
                 bindings.update((_index_name(j, lab, spec), rel.indexes[spec]) for spec in held)
+        # ``step(i, label, t, m)``: one routed update in one call, adding its
+        # delta to the answer and returning the tuple's stored multiplicity
+        # after it, the plan's ``_step`` unless a subclass wraps it;
         # ``delta(i, t, m)``: the answer's change when ``m`` is added to ``t``
         # of relation ``i``, read before the update (``None`` without a
-        # count), the plan's ``_delta`` unless a subclass wraps it;
-        # ``apply_update(i, label, t, m)``: one routed update to the parts
-        # and views, returning the tuple's stored multiplicity after it
-        self._delta, self.apply_update, self._build = bind(**bindings)
-        self.delta = self._delta
+        # count), likewise the plan's ``_delta``; ``apply_update(i, label, t,
+        # m)``: the step without the delta, as a move makes it
+        self._delta, self._step, self.apply_update, self._build = bind(Q=self._q, **bindings)
+        self.delta, self.step = self._delta, self._step
+
+    @classmethod
+    def schema(cls, n: int | None = None) -> tuple[tuple, tuple]:
+        """The relation names and their arities at degree n (by default the class's).
+
+        Read from the class and its compiled plan, without building an
+        engine: each relation has the arity of its variables in the plan,
+        ``n - 1`` for a cyclic one.
+        """
+        n = cls.DEGREE if n is None else n
+        if n < 3:
+            raise ValueError("degree must be at least 3")
+        plan = compiled(cls.PLAN, n)[3]
+        names = tuple(cls.REL or [f"R{i+1}" for i in range(n)])
+        return names, tuple(len(plan.vars[j]) if plan.vars else n - 1 for j in range(len(names)))
+
+    @property
+    def q(self) -> int:
+        """The maintained count (0 without one)."""
+        return self._q[0]
+
+    @q.setter
+    def q(self, q: int) -> None:
+        self._q[0] = q
 
     @property
     def views(self) -> list[dict]:
@@ -669,7 +729,7 @@ class LWEngine:
         raise SchemaError(f"unknown relation {rel!r}, expected one of {self.names}")
 
     def answer(self) -> int:
-        return self.q
+        return self._q[0]
 
     def lookup(self, rel, t: tuple) -> int:
         """Current multiplicity of ``t`` across all parts of ``rel``, or in it when kept whole."""
@@ -702,35 +762,42 @@ class LWEngine:
     def on_update(self, rel, t: tuple, m: int) -> None:
         """Check, route and apply one update, then rebalance as needed.
 
+        The checks are ``_checked_tuple``'s, made inline for a plain tuple
+        of a known relation; anything else goes through it, which refuses
+        the update, before any state changes, or accepts a tuple subclass.
         Once the update is known to be valid, up to ``B`` queued tuple
         moves are made first, and ``SWEEP`` keys a halving left unread are
-        read. The answer gains the update's ``delta``,
-        read before the update; then ``apply_update`` returns the stored
-        multiplicity. If that is neither ``m`` (a create) nor 0 (a
-        delete), the update changed only the multiplicity of a stored
-        tuple: no key degree and no size moved, so no rebalance can be
-        due and nothing more is checked. Otherwise the size changes by one
-        and the size invariant is checked; if it holds, the partition
-        checks the one key bound the update can have crossed, given the
-        part it was routed to and whether it created or destroyed a tuple.
+        read. Then one call of the generated ``step`` adds the update's
+        delta, read before the update, to the answer, keeps the views,
+        stores the update and returns the stored multiplicity. If that is
+        neither ``m`` (a create) nor 0 (a delete), the update changed only
+        the multiplicity of a stored tuple: no key degree and no size
+        moved, so no rebalance can be due and nothing more is checked.
+        Otherwise the size changes by one and the size invariant is
+        checked; if it holds, the partition checks the one key bound the
+        update can have crossed, given the part it was routed to and
+        whether it created or destroyed a tuple.
         """
         if type(m) is not int or m == 0:
             raise SchemaError(f"multiplicity must be a nonzero int, got {m!r}")
-        i = self._checked_tuple(rel, t)
-        if self._queue:
-            self._drain(B)
-        if self._sweeping:
-            self._sweep()
+        cls = rel.__class__
+        i = self._index.get(rel) if cls is str or cls is int else None
+        if i is None or t.__class__ is not tuple or len(t) != self.arities[i]:
+            i = self._checked_tuple(rel, t)
+        else:
+            try:
+                hash(t)
+            except TypeError:
+                self._checked_tuple(rel, t)  # raises SchemaError
+        if self._pending:
+            self._catch_up()
         part = self.parts[i]
         if part is None:
             label = None
         else:
             self.counters.lookups += 1
             label = part.route(t, self._pinned[i])
-        delta = self.delta
-        if delta is not None:
-            self.q += delta(i, t, m)
-        new = self.apply_update(i, label, t, m)
+        new = self.step(i, label, t, m)
 
         if new == m:
             self.db_size += 1
@@ -783,11 +850,21 @@ class LWEngine:
                     queue.extend((j, key) for key in list(part.moving)[-new:])
                 if any(part.unswept):
                     self._sweeping.append(part)
+        self._pending = bool(queue or self._sweeping)
 
     def minor_rebalance(self, i: int, key) -> None:
         """Queue the moves of ``key``, which partition ``i`` has just put in transit."""
         self.counters.rebalance_minor += 1
         self._queue.append((i, key))
+        self._pending = True
+
+    def _catch_up(self) -> None:
+        """Make up to ``B`` queued moves, then read ``SWEEP`` keys a halving left unread."""
+        if self._queue:
+            self._drain(B)
+        if self._sweeping:
+            self._sweep()
+        self._pending = bool(self._queue or self._sweeping)
 
     def _drain(self, budget: int) -> None:
         """Make up to ``budget`` queued tuple moves, key by key in queue order.

@@ -149,6 +149,7 @@ class Path4Engine(LWEngine):
 
     REL = ("R", "S", "T", "U")
     PLAN = staticmethod(_plan)
+    DEGREE = 4
     VIEW_NAMES = VIEW_NAMES
 
     # perfbench's tracer wraps the update methods in each engine class's own
@@ -156,7 +157,7 @@ class Path4Engine(LWEngine):
     on_update = LWEngine.on_update
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        super().__init__(4, eps, counters)
+        super().__init__(self.DEGREE, eps, counters)
         # the relations by name, as perfbench reads them
         (self.r, self.u), (self.s, self.t) = self._whole.values(), self.parts[1:3]
 

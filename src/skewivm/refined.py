@@ -62,6 +62,7 @@ class RefinedTriangleEngine(LWEngine):
 
     REL = REL_NAMES
     PLAN = staticmethod(_plan)
+    DEGREE = 3
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        super().__init__(3, eps, counters)
+        super().__init__(self.DEGREE, eps, counters)

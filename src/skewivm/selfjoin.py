@@ -11,10 +11,11 @@ bound to one partition (on the source endpoint) standing in for all three
 relations. It names one relation where the plan has three, so
 ``LWEngine`` keeps one wedge view in all three view slots, builds it once
 and counts it once in ``space_used``; this engine adds only the loop
-terms of the delta, in a ``delta`` method around the plan's
-(``_delta``). The loaded count is ``LWEngine``'s, the plan's delta summed
-over the edges: ``sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)`` is the
-query's definition, loops included, so no correction term enters.
+terms of the delta, in a ``delta`` method around the plan's (``_delta``)
+and in a ``step`` around the plan's update step (``_step``), which
+``on_update`` calls. The loaded count is ``LWEngine``'s, the plan's delta
+summed over the edges: ``sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)``
+is the query's definition, loops included, so no correction term enters.
 """
 
 from __future__ import annotations
@@ -27,21 +28,33 @@ class SelfJoinEngine(LWEngine):
     """Self-join triangle count under single-tuple edge updates."""
 
     REL = ("R",)
+    DEGREE = 3
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        super().__init__(3, eps, counters)
-        # the instance's ``delta`` is the plan's; without it ``on_update``
-        # calls this class's, which wraps the plan's
-        del self.delta
+        super().__init__(self.DEGREE, eps, counters)
+        # the instance's ``delta`` and ``step`` are the plan's; without them
+        # ``on_update`` calls this class's, which wrap the plan's
+        del self.delta, self.step
 
     def delta(self, i: int, t: tuple, m: int) -> int:
         """Change of the count for the delta ``m`` of edge ``t``."""
-        dq = 3 * self._delta(0, t, m)
-        if t[0] == t[1]:
-            self.counters.lookups += 2
-            dq += 3 * m * m * self.parts[0].multiplicity(t)
-            dq += m * m * m
-        return dq
+        return 3 * self._delta(0, t, m) + self._loop(t, m)
+
+    def step(self, i: int, label, t: tuple, m: int) -> int:
+        """The plan's step, its delta taken three times plus the loop terms."""
+        loop = self._loop(t, m)  # read before the update
+        Q = self._q
+        q = Q[0]
+        new = self._step(0, label, t, m)
+        Q[0] += 2 * (Q[0] - q) + loop  # the plan's step added its delta once
+        return new
+
+    def _loop(self, t: tuple, m: int) -> int:
+        """The terms of a loop edge: against its stored multiplicity, and of ``m`` alone."""
+        if t[0] != t[1]:
+            return 0
+        self.counters.lookups += 2
+        return 3 * m * m * self.parts[0].multiplicity(t) + m * m * m
 
     @classmethod
     def preprocess(cls, edges: dict, eps: float | tuple = 0.5,

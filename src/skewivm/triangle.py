@@ -33,13 +33,14 @@ class TriangleEngine(LWEngine):
     """Triangle count under single-tuple updates, constant answer time."""
 
     REL = REL_NAMES
+    DEGREE = 3
 
     # perfbench's tracer wraps the update methods in each engine class's own
     # __dict__; this engine's delta and update step are bound per engine
     on_update = LWEngine.on_update
 
     def __init__(self, eps: float | tuple = 0.5, counters: OpCounters | None = None):
-        super().__init__(3, eps, counters)
+        super().__init__(self.DEGREE, eps, counters)
 
 
 def static_count(db: dict) -> int:

@@ -177,11 +177,12 @@ def multiplicity_churn(stream: list[Update], seed: int, per_update: int = 2) -> 
 def apply_routed(eng, i: int, label, t: tuple, m: int) -> int:
     """One update of relation ``i`` to part ``label``, without routing or rebalancing.
 
-    The answer gains the update's ``delta`` and the engine's
-    ``apply_update`` keeps its parts and views; returns what it returns,
-    the stored multiplicity. The size is not kept.
+    The answer gains the update's ``delta`` (an engine without a count has
+    none) and the engine's ``apply_update`` keeps its parts and views;
+    returns what it returns, the stored multiplicity. The size is not kept.
     """
-    eng.q += eng.delta(i, t, m)
+    if eng.delta is not None:
+        eng.q += eng.delta(i, t, m)
     return eng.apply_update(i, label, t, m)
 
 

@@ -3,8 +3,10 @@
 Every engine raises ``SchemaError`` for an unknown relation name, a tuple
 of the wrong arity or with an unhashable value, and a multiplicity that is
 zero or not a true ``int``, and leaves its answer, counters, size and
-invariant report as they were. ``lookup`` refuses the same relations and
-tuples.
+invariant report as they were, and the work it has pending: queued moves
+right after a minor rebalance, and keys left to sweep after a halving.
+An update whose tuple is a tuple subclass (a namedtuple) is taken as the
+plain tuple. ``lookup`` refuses the same relations and tuples.
 The preprocess loaders apply the same rules to every row of the database
 before they build anything, and refuse a database that is not a mapping
 or a list of relations, or rows that are not a dict. Every engine takes
@@ -12,8 +14,11 @@ one exponent or one per relation, and refuses a tuple of any other length
 with ``ValueError`` when it is built or loaded.
 """
 
+from collections import namedtuple
+
 import pytest
 
+from skewivm.cli import family_arities
 from skewivm.enumeration import EnumTriangleEngine, preprocess_enum
 from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import OpCounters
@@ -23,7 +28,7 @@ from skewivm.relation import SchemaError
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
 
-from helpers import lw_stream, mixed_stream, path4_stream
+from helpers import grow_shrink_stream, lw_stream, mixed_stream, path4_stream, swing_stream
 
 BAD_MULTS = (0, 1.0, 0.5, -1.0, True)
 
@@ -207,3 +212,62 @@ def test_triangle_engine_takes_one_exponent_per_relation():
     assert not eng.check_invariants()
     assert TriangleEngine.preprocess({"R": {(1, 2): 1}}, (0.5, 0.0, 1.0)).eps == \
         (0.5, 0.0, 1.0)
+
+
+def _pending(eng):
+    """The work left for later updates: queued moves and keys a halving left unread."""
+    return (eng.pending_moves(), eng.counters.moves, eng.counters.checks,
+            [part and [list(keys) for keys in part.unswept] for part in eng.parts])
+
+
+def _replay_until(eng, stream, done):
+    """Replay ``stream`` until ``done(eng)`` holds after an update; whether it did."""
+    for u in stream:
+        eng.on_update(*u)
+        if done(eng):
+            return True
+    return False
+
+
+def _minor(eng):
+    return eng.pending_moves() > 0
+
+
+def _halved(eng):
+    return any(part and any(part.unswept) for part in eng.parts)
+
+
+# name -> (a stream that puts keys in transit by minor rebalances, one
+# that grows and then shrinks the database through a halving)
+WORK = {name: (swing_stream(5, 2000, family_arities(family), 5),
+               grow_shrink_stream(6, 1500, family_arities(family), 40))
+        for name, family in (("triangle", "triangle"), ("refined", "triangle"),
+                             ("path4", "path4"), ("lw:4", "lw:4"))}
+
+
+@pytest.mark.parametrize("moment", (_minor, _halved))
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_refusals_leave_pending_work_alone(name, moment):
+    make, _, (rel, t), bad = ENGINES[name]
+    eng = make()
+    assert _replay_until(eng, WORK[name][moment is _halved], moment)
+    before, pending = _state(eng), _pending(eng)
+    for update in bad + [(rel, u, 1) for u in NOT_TUPLES] + _unhashable(rel, t) + \
+            [(rel, t, m) for m in BAD_MULTS]:
+        with pytest.raises(SchemaError):
+            eng.on_update(*update)
+        assert _state(eng) == before and _pending(eng) == pending, update
+    eng.on_update(rel, t, 1)  # the next valid update takes up the work
+    assert _pending(eng) != pending
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_a_namedtuple_update_is_the_plain_tuple(name):
+    make, warmup, _, _ = ENGINES[name]
+    plain, named = make(), make()
+    for k, (rel, t, m) in enumerate(warmup):
+        plain.on_update(rel, t, m)
+        named.on_update(rel, namedtuple("Row", [f"v{p}" for p in range(len(t))])(*t)
+                        if k % 2 else t, m)
+        assert _state(named) == _state(plain)
+        assert named.views == plain.views and named.lookup(rel, t) == plain.lookup(rel, t)

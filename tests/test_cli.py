@@ -48,6 +48,17 @@ class TestParseStream:
         with pytest.raises(ConfigError):
             family_arities("pentagon")
 
+    def test_family_shapes_build_no_engine(self, monkeypatch):
+        queries = (*cli.FAMILIES, *(f"lw:{n}" for n in range(3, 7)))
+        built = {q: (lambda e: dict(zip(e.names, e.arities)))(cli._family(q)[0]("ivm-eps", 0.5))
+                 for q in queries}
+        made = []
+        init = LWEngine.__init__
+        monkeypatch.setattr(LWEngine, "__init__",
+                            lambda self, *args, **kw: made.append(args) or init(self, *args, **kw))
+        assert {q: family_arities(q) for q in queries} == built
+        assert made == []
+
     def test_round_trip(self):
         ups = [Update("R", (1, 2), 3), Update("S", (4, 5), -1), Update("T", (6, 7), -2)]
         assert parse_stream(format_stream(ups), family_arities("triangle")) == ups
