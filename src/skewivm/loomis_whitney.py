@@ -37,12 +37,14 @@ keyed by every variable.
 
 The walks are not interpreted: a plan (``Plan``, plain data) becomes
 Python source (``plan_source()``) of integers and fixed names. It defines
-one ``delta`` (none for a plan without deltas); one ``step`` with a
-branch per relation and part label, which adds the delta walks' sum to
-the answer, then runs the upkeep walks and stores the update, all in one
-call; one ``apply_update``, the step without the delta, for moves; and a
-``build`` of each view from a whole part, walked through its lookup
-index. It is compiled once per plan and degree and bound per engine to
+one ``step`` with a branch per relation and part label, which adds the
+delta walks' sum to the answer, then runs the upkeep walks and stores the
+update, all in one call; given no part, it returns that sum instead and
+changes nothing. ``delta``, for the loader, is that step with no part
+(none for a plan without deltas), and ``apply_update``, for moves, the
+step without the delta, so each delta walk is emitted once. A ``build``
+makes each view from a whole part, walked through its lookup index. The
+source is compiled once per plan and degree and bound per engine to
 its index dicts, relations, ``moving`` maps, counters, views and answer.
 A scan index leaves only the free variable out, so its postings are
 keyed by the candidate itself (``for z, prod in posts.items()``). A probe
@@ -366,57 +368,39 @@ def _source(plan: Plan, n: int) -> tuple[str, dict]:
         names = [f"t{p}" for p in range(len(variables[v]))]
         return ", ".join(names) + ("," if len(names) == 1 else "") + " = t"
 
-    def delta_walks(d, v):
-        # relation v's delta at depth d: the views read at the update tuple,
-        # summed into acc, then the delta walks adding to it
-        looked, var = lookups[v][1], namer(v)
-        # a view keyed by the whole update tuple is read at t
-        at = ["t" if keyed(i)[0] == variables[v] and len(variables[v]) > 1
-              else var(keyed(i)[0][0]) for i in looked]
-        emit(d, "acc = " + " + ".join(f"VB[0][{i}].get({k}, 0)" for i, k in zip(looked, at)))
-        for w in plan.deltas[v]:
-            walk(d, *w)
-
-    def guarded(d, v):  # the guard of relation v's delta: g, its entry at the update
-        guard = lookups[v][0]
-        emit(d, f"g = P{guard}.get({namer(v)(variables[guard][0])})")
     # per relation, a relation kept whole whose entry at the update zeroes
     # or multiplies the delta, and the views it reads there
     lookups = plan.lookups or [(None, (v,)) for v in range(n)]
     if plan.deltas is None:
         emit(1, "delta = None")
-    else:
-        once = len({len(looked) for _, looked in lookups}) == 1 and not any(g for g, _ in lookups)
-        emit(1, "def delta(v, t, m):")
-        if once:  # every branch reads as many views: count them once, up front
-            emit(2, f"C.lookups += {len(lookups[0][1])}")
-        for v in range(n):
-            guard, looked = lookups[v]
-            emit(2, f"if v == {v}:", "    " + unpack(v))
-            if guard is not None:
-                guarded(3, v)
-                emit(3, "if not g:", "    return 0")
-            if not once:
-                emit(3, f"C.lookups += {len(looked)}")
-            delta_walks(3, v)
-            emit(3, "return m * acc" if guard is None else "return m * g * acc")
+    else:  # the answer's change, the step with no part
+        emit(1, "def delta(v, t, m):", "    return step(v, None, t, m)")
     # one routed update in one call: the answer gains its delta, read first
     # unless ``count`` is false (a move), then the upkeep walks of the part
-    # it is routed to run and the update is stored
+    # it is routed to run and the update is stored; with no part (``side``
+    # ``None``) the delta is returned instead, and nothing changes
     emit(1, "def step(v, side, t, m, count=True):")
     for v in range(n):
         emit(2, f"if v == {v}:", "    " + unpack(v))
         if plan.deltas is not None:
-            guard, looked = lookups[v]
+            (guard, looked), var = lookups[v], namer(v)
             emit(3, "if count:")
             d = 4
             if guard is not None:  # a zero guard skips the delta walks, not the store
-                guarded(4, v)
-                emit(4, "if g:")
+                emit(4, f"g = P{guard}.get({var(variables[guard][0])})", "if g:")
                 d = 5
-            emit(d, f"C.lookups += {len(looked)}")
-            delta_walks(d, v)
-            emit(d, "Q[0] += m * acc" if guard is None else "Q[0] += m * g * acc")
+            # the views read at the update, a view keyed by the whole update
+            # tuple at t, summed into acc, then the delta walks adding to it
+            at = ["t" if keyed(i)[0] == variables[v] and len(variables[v]) > 1
+                  else var(keyed(i)[0][0]) for i in looked]
+            emit(d, f"C.lookups += {len(looked)}",
+                 "acc = " + " + ".join(f"VB[0][{i}].get({k}, 0)" for i, k in zip(looked, at)))
+            for w in plan.deltas[v]:
+                walk(d, *w)
+            total = "m * acc" if guard is None else "m * g * acc"
+            emit(d, "if side is None:", f"    return {total}", f"Q[0] += {total}")
+            if guard is not None:
+                emit(4, "elif side is None:", "    return 0")
         *tested, last = plan.upkeep[v]
         for lab in tested:
             emit(3, f"if side == L{lab}:")
@@ -643,11 +627,13 @@ class LWEngine:
                 bindings.update((_index_name(j, lab, spec), rel.indexes[spec]) for spec in held)
         # ``step(i, label, t, m)``: one routed update in one call, adding its
         # delta to the answer and returning the tuple's stored multiplicity
-        # after it, the plan's ``_step`` unless a subclass wraps it;
-        # ``delta(i, t, m)``: the answer's change when ``m`` is added to ``t``
-        # of relation ``i``, read before the update (``None`` without a
-        # count), likewise the plan's ``_delta``; ``apply_update(i, label, t,
-        # m)``: the step without the delta, as a move makes it
+        # after it, the plan's ``_step`` unless a subclass wraps it; with
+        # ``label`` ``None`` (no part) it returns the delta and changes
+        # nothing. ``delta(i, t, m)``, the answer's change when ``m`` is
+        # added to ``t`` of relation ``i`` (``None`` without a count), is
+        # that step with no part, likewise the plan's ``_delta``;
+        # ``apply_update(i, label, t, m)``: the step without the delta, as a
+        # move makes it
         self._delta, self._step, self.apply_update, self._build = bind(Q=self._q, **bindings)
         self.delta, self.step = self._delta, self._step
 
@@ -679,10 +665,6 @@ class LWEngine:
     def views(self) -> list[dict]:
         """``views[i]``, of the plan's kind ``i``: keyed by relation i's tuples, or a listing."""
         return self._views[0]
-
-    @views.setter
-    def views(self, views: list[dict]) -> None:
-        self._views[0] = views
 
     @property
     def live(self) -> list[set]:
@@ -793,7 +775,7 @@ class LWEngine:
             self._catch_up()
         part = self.parts[i]
         if part is None:
-            label = None
+            label = WHOLE
         else:
             self.counters.lookups += 1
             label = part.route(t, self._pinned[i])

@@ -11,10 +11,10 @@ bound to one partition (on the source endpoint) standing in for all three
 relations. It names one relation where the plan has three, so
 ``LWEngine`` keeps one wedge view in all three view slots, builds it once
 and counts it once in ``space_used``; this engine adds only the loop
-terms of the delta, in a ``delta`` method around the plan's (``_delta``)
-and in a ``step`` around the plan's update step (``_step``), which
-``on_update`` calls. The loaded count is ``LWEngine``'s, the plan's delta
-summed over the edges: ``sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)``
+terms of the delta, in a ``step`` around the plan's update step
+(``_step``), which ``on_update`` calls; like the plan's, its ``delta`` is
+that step with no part, which returns the delta and changes nothing. The
+loaded count is ``LWEngine``'s, the plan's delta summed over the edges: ``sum_{a,b} R(a, b) * sum_c R(b, c) * R(c, a)``
 is the query's definition, loops included, so no correction term enters.
 """
 
@@ -38,11 +38,17 @@ class SelfJoinEngine(LWEngine):
 
     def delta(self, i: int, t: tuple, m: int) -> int:
         """Change of the count for the delta ``m`` of edge ``t``."""
-        return 3 * self._delta(0, t, m) + self._loop(t, m)
+        return self.step(i, None, t, m)
 
     def step(self, i: int, label, t: tuple, m: int) -> int:
-        """The plan's step, its delta taken three times plus the loop terms."""
+        """The plan's step, its delta taken three times plus the loop terms.
+
+        With no part (``label`` ``None``) that delta is returned and
+        nothing changes.
+        """
         loop = self._loop(t, m)  # read before the update
+        if label is None:
+            return 3 * self._step(0, None, t, m) + loop
         Q = self._q
         q = Q[0]
         new = self._step(0, label, t, m)

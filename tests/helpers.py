@@ -177,9 +177,11 @@ def multiplicity_churn(stream: list[Update], seed: int, per_update: int = 2) -> 
 def apply_routed(eng, i: int, label, t: tuple, m: int) -> int:
     """One update of relation ``i`` to part ``label``, without routing or rebalancing.
 
-    The answer gains the update's ``delta`` (an engine without a count has
-    none) and the engine's ``apply_update`` keeps its parts and views;
-    returns what it returns, the stored multiplicity. The size is not kept.
+    The answer gains the update's ``delta``, the engine's step with no
+    part, which reads and changes nothing (an engine without a count has
+    none), and the engine's ``apply_update`` keeps its parts and views;
+    returns what it returns, the stored multiplicity. ``label`` is a part
+    label, ``WHOLE`` for a relation kept whole. The size is not kept.
     """
     if eng.delta is not None:
         eng.q += eng.delta(i, t, m)
@@ -286,16 +288,15 @@ def views(eng, names) -> dict:
 def fresh_views(eng, names) -> dict:
     """The views ``rebuild_views`` computes from the current parts, by name.
 
-    The maintained views and the counters' values are put back
-    afterwards, so a replay goes on with whatever the engine kept and
-    counts only its own work.
+    The maintained views, live sets and entry count and the counters'
+    values are put back afterwards, so a replay goes on with whatever the
+    engine kept and counts only its own work.
     """
-    kept = {name: getattr(eng, name) for name in names}
+    kept = eng._views[:]
     counted = eng.counters.snapshot()
     eng.rebuild_views()
     fresh = views(eng, names)
-    for name, view in kept.items():
-        setattr(eng, name, view)
+    eng._views[:] = kept
     for name, value in counted.items():
         setattr(eng.counters, name, value)
     return fresh

@@ -7,7 +7,9 @@ empty and from a preprocessed start; the path4 engine also replays one
 stream whose hot waves on S and T overlap, which at exponent 1/4 fills
 the two-sided join views and adds entries to columns that already hold
 one, and the refined triangle engine one whose hot S and T keys fill its
-views. The streams mix
+views; the cyclic join of degree 4, whose other streams never close a
+join, replays one more over a domain of one value, and its oracle answer
+must be nonzero on some prefix. The streams mix
 multiplicity-only changes, cancellations to zero, negative multiplicities
 and loops with hot keys whose degrees swing past one and a half times the
 threshold and back below half of it, on both variables of a quad
@@ -80,6 +82,10 @@ PATH4_OVERLAP = ((6, 720, 8, 0), [("S", 0, 0), ("S", 0, 2), ("T", 1, 1)])
 # meet on light C values, which fills the views; the other streams leave
 # them empty at 1/2 and nearly so at 1/4
 REFINED_OVERLAP = ((6, 720, 8, 0), [("S", 0, 0), ("T", 1, 1)])
+# one more stream of the cyclic join of degree 4: over a domain of one
+# value (hot tuples over four) its relations meet, which they never do in
+# the streams above
+LW4_NARROW = ((6, 720, 1, 0), None)
 
 KINDS = ("create", "down", "up", "cancel")
 
@@ -245,8 +251,10 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
     aimed: set = set()
     unchanged = updates = queued = 0
     runs = [(spec, None) for spec in STREAMS] + {"path4": [PATH4_OVERLAP],
-                                                 "refined": [REFINED_OVERLAP]}.get(name, [])
+                                                 "refined": [REFINED_OVERLAP],
+                                                 "lw:4": [LW4_NARROW]}.get(name, [])
     for (seed, length, wide, preload), hot in runs:
+        joined = False
         stream = swing_stream(seed, length, arities, wide, hot=hot)
         db = _database(stream[:preload], arities)
         eng = load(db, eps) if preload else make(eps)
@@ -290,6 +298,7 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
             else:
                 tracker.update(upd.rel, upd.values, upd.mult)
                 assert eng.answer() == tracker.count, where
+                joined = joined or tracker.count != 0
                 # at 1/4 the two-sided S-T join views fill: entries are
                 # created in columns that already hold others
                 if name == "path4" and eps in (0.25, 0.5):
@@ -298,6 +307,8 @@ def test_every_update_keeps_the_bounds_and_the_oracle_answer(name, eps):
                     assert eng.views == refined_views(eng), where
         eng.finish_moves()
         assert eng.check_invariants() == []
+        if ((seed, length, wide, preload), hot) == LW4_NARROW:
+            assert joined  # the delta walks found joins
     # a third of the updates or more leave the size alone: the early return
     assert unchanged * 3 >= updates
     if eps in (0.25, 0.5):

@@ -1,5 +1,6 @@
 """Cyclic counts of configurable degree, including the degree-3 reduction."""
 
+import hashlib
 import io
 import random
 import re
@@ -8,9 +9,11 @@ import tokenize
 import pytest
 
 from skewivm.cli import family_arities
+from skewivm.enumeration import EnumTriangleEngine
 from skewivm.loomis_whitney import LWEngine
 from skewivm.metrics import fit_scaling
 from skewivm.oracle import LWTracker, TriangleTracker, brute_force_lw, lw_schemas
+from skewivm.path4 import Path4Engine
 from skewivm.refined import RefinedTriangleEngine
 from skewivm.selfjoin import SelfJoinEngine
 from skewivm.triangle import TriangleEngine
@@ -59,6 +62,29 @@ def _read_indexes(eng):
             for j, side, spec in re.findall(r"\bI(\d+)([hl]+)_(\d+(?:_\d+)*)\b", body)}
 
 
+def _sections(source):
+    """The generated functions of a plan's source by name: each one's lines, as one string."""
+    chunks = re.split(r"^    (?=\S)", source, flags=re.M)[1:]
+    return {re.match(r"(?:def )?(\w+)", chunk)[1]: chunk for chunk in chunks}
+
+
+def _without_deltas(step):
+    """The source of ``step`` without its delta walks, each relation's ``if count:`` block."""
+    kept, block = [], None
+    for line in step.splitlines():
+        depth = len(line) - len(line.lstrip())
+        if block is not None and depth > block:
+            continue
+        block = depth if line.strip() == "if count:" else None
+        if block is None:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _held_indexes(eng):
     return {(j, side, spec) for j, part in enumerate(eng.parts)
             for side, rel in part.parts.items() for spec in rel.indexes}
@@ -89,17 +115,52 @@ class TestPlan:
         for same in (degree3, degree4):
             for eng in same[1:]:
                 assert eng.delta.__code__ is same[0].delta.__code__
+                assert eng._step.__code__ is same[0]._step.__code__
                 assert eng.apply_update.__code__ is same[0].apply_update.__code__
                 assert eng.plan_source() is same[0].plan_source()
-        assert degree3[0].delta.__code__ is not degree4[0].delta.__code__
+        assert degree3[0]._step.__code__ is not degree4[0]._step.__code__
         # the self-join binds the same plan to its one partition
         assert SelfJoinEngine(0.5).apply_update.__code__ is degree3[0].apply_update.__code__
+        assert SelfJoinEngine(0.5)._step.__code__ is degree3[0]._step.__code__
         # the refined plan is compiled once, apart from LW's plan of degree 3
         refined = [RefinedTriangleEngine(0.25), RefinedTriangleEngine(1.0)]
-        for name in ("delta", "apply_update", "_build"):
+        for name in ("delta", "_step", "apply_update", "_build"):
             assert getattr(refined[1], name).__code__ is getattr(refined[0], name).__code__
             assert getattr(refined[0], name).__code__ is not getattr(degree3[0], name).__code__
         assert refined[1].plan_source() is refined[0].plan_source()
+
+    def test_each_delta_walk_is_emitted_once(self):
+        # the delta walks sit in step alone, one acc per relation, and
+        # delta is the step with no part
+        for eng in (TriangleEngine(0.5), RefinedTriangleEngine(0.5), Path4Engine(0.5),
+                    *(LWEngine(n, 0.5) for n in (4, 5, 6))):
+            source = eng.plan_source()
+            assert source.count("acc = ") == eng.n
+            assert _sections(source)["delta"] == \
+                "def delta(v, t, m):\n        return step(v, None, t, m)\n"
+        assert _sections(EnumTriangleEngine(0.5).plan_source())["delta"] == "delta = None\n"
+
+    def test_builds_upkeep_and_stores_keep_their_recorded_source(self):
+        # digests of build, of step without its delta walks (the "if count:"
+        # blocks), and of the whole enumeration plan, which keeps no count,
+        # recorded before the delta walks were emitted in step alone
+        recorded = {
+            "triangle": ("d36f7540964bcc7d", "df47a17c1fe8f0f6"),
+            "refined": ("a834dd5d9917ef66", "c95ab13a5094e0e0"),
+            "path4": ("c0b0e5de9dddc8b1", "af4b1416ae520892"),
+            "enum": ("5ab960d5539a3d19", "5fb64356395a5b0f", "66e27f28021ec4ff"),
+            "lw:4": ("c5cd084e3df26dfb", "916279b5287af403"),
+            "lw:5": ("aaed0933efeae5ad", "86bd6e9fd0eb8c66"),
+            "lw:6": ("d8824a39aeb2ca77", "07301240b941b336"),
+        }
+        engines = {"triangle": TriangleEngine(0.5), "refined": RefinedTriangleEngine(0.5),
+                   "path4": Path4Engine(0.5), "enum": EnumTriangleEngine(0.5),
+                   **{f"lw:{n}": LWEngine(n, 0.5) for n in (4, 5, 6)}}
+        for name, eng in engines.items():
+            source = eng.plan_source()
+            sections = _sections(source)
+            got = (_digest(sections["build"]), _digest(_without_deltas(sections["step"])))
+            assert got + ((_digest(source),) if name == "enum" else ()) == recorded[name], name
 
     def test_generated_source_names_no_relation(self):
         for eng in (TriangleEngine(0.5), LWEngine(4, 0.5), SelfJoinEngine(0.5),

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from skewivm.cli import family_arities
+from skewivm.loomis_whitney import WHOLE
 from skewivm.oracle import Path4Tracker, brute_force_path4
 from skewivm.path4 import MIRROR, Path4Engine
 from skewivm.relation import IDX0, IDX1, SchemaError
@@ -28,7 +29,7 @@ class TestDeltas:
     def test_endpoint_update_with_empty_middle_is_zero(self):
         eng = Path4Engine(0.5)
         assert eng.delta(0, (1,), 5) == 0
-        assert eng.apply_update(0, None, (1,), 5) == 5  # the stored multiplicity
+        assert eng.apply_update(0, WHOLE, (1,), 5) == 5  # the stored multiplicity
         assert eng.answer() == 0
 
     def test_insert_then_delete_restores_count_and_every_view(self):
@@ -36,8 +37,8 @@ class TestDeltas:
         for rel, t, m in path4_stream(11, 250, 7):
             eng.on_update(rel, t, m)
         before = (eng.answer(), view_fingerprint(eng))
-        apply_routed(eng, 0, None, (3,), 2)
-        apply_routed(eng, 0, None, (3,), -2)
+        apply_routed(eng, 0, WHOLE, (3,), 2)
+        apply_routed(eng, 0, WHOLE, (3,), -2)
         assert (eng.answer(), view_fingerprint(eng)) == before
         lab = eng.s.route((3, 4))
         apply_routed(eng, 1, lab, (3, 4), 1)
